@@ -14,14 +14,12 @@ from .activity import ActivityMask, FrameLabel, classify, echo_reference, frame_
 from .framing import FrameGrid, Spectrogram, istft, make_grid, stft
 from .metrics import (
     MetricAggregate,
-    MetricFrameContext,
     MetricReport,
     compensation_scalar,
     compute_gain,
     dsml,
     erle,
     evaluate_scene,
-    frame_context,
     resl,
     sar,
     sdr,
@@ -45,7 +43,6 @@ from .suppressor import (
     beta_schedule,
     loss_j,
     oracle_suppress,
-    suppression_gains,
 )
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .metrics import (
     aggregate,
     evaluate_scene,
 )
-from .simulate import SceneSpec, generate_scene, load_scene, save_scene
+from .simulate import _WAV_NAMES, SceneSpec, generate_scene, save_scene
 from .stats import ScoreTable, correlate_table
 from .suppressor import SuppressorConfig, beta_schedule, oracle_suppress
 
@@ -74,24 +74,23 @@ class Manifest:
         base = os.path.dirname(os.path.abspath(path))
         with open(path) as fh:
             raw = json.load(fh)
-        if not isinstance(raw, dict) or "entries" not in raw:
+        if not isinstance(raw, dict) or not isinstance(raw.get("entries"), list):
             raise ValueError(f"{path}: manifest must be an object with an 'entries' list")
         options = raw.get("options", {})
+        if not isinstance(options, dict):
+            raise ValueError(f"{path}: 'options' must be an object")
         entries = []
         for idx, item in enumerate(raw["entries"]):
-            if "id" not in item:
-                raise ValueError(f"{path}: entry {idx} has no 'id'")
-            paths = {}
-            for key in _COMPONENT_KEYS:
-                if item.get(key):
-                    p = item[key]
-                    paths[key] = p if os.path.isabs(p) else os.path.join(base, p)
-            entries.append(ManifestEntry(id=str(item["id"]), paths=paths, tags=item.get("tags", {})))
-        return cls(
-            entries=entries,
-            threshold_db=float(options.get("threshold_db", DEFAULT_THRESHOLD_DB)),
-            clamp_db=float(options.get("clamp_db", CLAMP_DB)),
-        )
+            try:
+                entries.append(_parse_entry(item, base))
+            except ValueError as exc:
+                raise ValueError(f"{path}: entry {idx}: {exc}") from None
+        try:
+            threshold_db = float(options.get("threshold_db", DEFAULT_THRESHOLD_DB))
+            clamp_db = float(options.get("clamp_db", CLAMP_DB))
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: options 'threshold_db' and 'clamp_db' must be numbers") from None
+        return cls(entries=entries, threshold_db=threshold_db, clamp_db=clamp_db)
 
     def write_json(self, path) -> None:
         items = []
@@ -107,6 +106,25 @@ class Manifest:
         atomic_write_bytes(path, blob.encode())
 
 
+def _parse_entry(item, base: str) -> ManifestEntry:
+    """One manifest entry; relative component paths resolve against base."""
+    if not isinstance(item, dict):
+        raise ValueError(f"must be an object, got {type(item).__name__}")
+    if "id" not in item:
+        raise ValueError("has no 'id'")
+    paths = {}
+    for key in _COMPONENT_KEYS:
+        if key in item:
+            p = item[key]
+            if not isinstance(p, str) or not p:
+                raise ValueError(f"path {key!r} must be a non-empty string, got {p!r}")
+            paths[key] = os.path.join(base, p)
+    tags = item.get("tags", {})
+    if not isinstance(tags, dict):
+        raise ValueError(f"'tags' must be an object, got {type(tags).__name__}")
+    return ManifestEntry(id=str(item["id"]), paths=paths, tags=tags)
+
+
 def manifest_from_scenes(scenes_dir) -> Manifest:
     """Build a manifest from a directory of scene subdirectories."""
     names = sorted(
@@ -115,17 +133,13 @@ def manifest_from_scenes(scenes_dir) -> Manifest:
     )
     if not names:
         raise ValueError(f"{scenes_dir}: no scene directories (missing scene.json sidecars)")
-    wav_names = {
-        "s": "s.wav", "x": "x.wav", "y": "y.wav", "w": "w.wav",
-        "m": "m.wav", "y_hat": "yhat.wav", "e": "e.wav", "s_hat": "shat.wav",
-    }
     entries = []
     for name in names:
         scene_dir = os.path.join(scenes_dir, name)
         with open(os.path.join(scene_dir, "scene.json")) as fh:
             sidecar = json.load(fh)
         paths = {}
-        for key, fname in wav_names.items():
+        for key, fname in _WAV_NAMES.items():
             p = os.path.join(scene_dir, fname)
             if os.path.exists(p):
                 paths[key] = p
@@ -281,12 +295,7 @@ def _pooled_aggregates(reports: dict[str, MetricReport]) -> dict:
         values = np.concatenate(chunks)
         agg = aggregate(values, _condition_of(name))
         if agg is not None:
-            pooled[name] = {
-                "condition": agg.condition,
-                "mean": agg.mean,
-                "std": agg.std,
-                "count": agg.count,
-            }
+            pooled[name] = asdict(agg)
     return pooled
 
 

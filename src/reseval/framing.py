@@ -127,6 +127,36 @@ def stft(signal: Signal) -> Spectrogram:
     return Spectrogram(magnitudes=np.abs(spec), phases=np.angle(spec), grid=grid)
 
 
+def overlap_add(frames: np.ndarray, signal_len: int) -> np.ndarray:
+    """Sum (n_frames, FRAME_LEN) frames at HOP spacing onto signal_len samples.
+
+    Each frame's two HOP-sample halves land in consecutive rows of an
+    (n_frames + 1, HOP) buffer.  Samples past the last full frame are zero.
+    """
+    n_frames = frames.shape[0]
+    halves = np.reshape(frames, (n_frames, 2, HOP))
+    buf = np.zeros((n_frames + 1, HOP))
+    buf[:-1] = halves[:, 0]
+    buf[1:] += halves[:, 1]
+    out = np.zeros(signal_len)
+    out[: buf.size] = buf.ravel()
+    return out
+
+
+def wola(frames: np.ndarray, signal_len: int) -> np.ndarray:
+    """Weighted overlap-add: OLA(frames * w) / OLA(w^2) for the Hann window w.
+
+    Samples where the window envelope is at most 1e-12, and samples past
+    the last full frame, are zero.
+    """
+    envelope = overlap_add(np.broadcast_to(_WINDOW * _WINDOW, frames.shape), signal_len)
+    out = overlap_add(frames * _WINDOW, signal_len)
+    nz = envelope > 1e-12
+    out[nz] /= envelope[nz]
+    out[~nz] = 0.0
+    return out
+
+
 def istft(spec: Spectrogram) -> Signal:
     """Weighted overlap-add synthesis back to grid.signal_len samples.
 
@@ -137,16 +167,4 @@ def istft(spec: Spectrogram) -> Signal:
     if grid.n_frames == 0:
         raise ValueError("empty spectrogram")
     frames_td = np.fft.irfft(spec.complex_values(), n=spec.fft_len, axis=1)[:, : grid.frame_len]
-    frames_td = frames_td * _WINDOW
-
-    out = np.zeros(grid.signal_len, dtype=np.float64)
-    envelope = np.zeros(grid.signal_len, dtype=np.float64)
-    wsq = _WINDOW * _WINDOW
-    for i in range(grid.n_frames):
-        sl = grid.frame_slice(i)
-        out[sl] += frames_td[i]
-        envelope[sl] += wsq
-    nz = envelope > 1e-12
-    out[nz] /= envelope[nz]
-    out[~nz] = 0.0
-    return Signal(out, SAMPLE_RATE)
+    return Signal(wola(frames_td, grid.signal_len), SAMPLE_RATE)

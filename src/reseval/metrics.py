@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -81,36 +81,6 @@ def compensation_scalar(gain, s_frame) -> float:
     if den <= COMP_DEGENERATE:
         return 1.0
     return float(np.dot(gain * s_frame, s_frame)) / den
-
-
-@dataclass(frozen=True)
-class MetricFrameContext:
-    """Per-frame intermediates of the double-talk metrics: the
-    per-sample gain, its speech-weighted scalar compensation, the
-    compensated speech, and the noisy residual estimate."""
-
-    gain: np.ndarray
-    g_hat: float
-    s_tilde: np.ndarray
-    residual: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.gain)):
-            raise ValueError("gain must be finite (denominator is floored)")
-
-
-def frame_context(s_frame, e_frame, s_hat_frame) -> MetricFrameContext:
-    """Everything the per-frame double-talk metrics derive from one frame."""
-    s_frame, e_frame = _pair(s_frame, e_frame)
-    _, s_hat_frame = _pair(s_frame, s_hat_frame)
-    gain = compute_gain(s_hat_frame, e_frame)
-    g_hat = compensation_scalar(gain, s_frame)
-    return MetricFrameContext(
-        gain=gain,
-        g_hat=g_hat,
-        s_tilde=g_hat * s_frame,
-        residual=e_frame - s_frame,
-    )
 
 
 def dsml(s_frame, gain, clamp_db: float = CLAMP_DB) -> float:
@@ -209,15 +179,7 @@ class MetricReport:
         return {
             "clamp_db": self.clamp_db,
             "frame_counts": self.frame_counts(),
-            "aggregates": {
-                name: {
-                    "condition": agg.condition,
-                    "mean": agg.mean,
-                    "std": agg.std,
-                    "count": agg.count,
-                }
-                for name, agg in sorted(self.aggregates.items())
-            },
+            "aggregates": {name: asdict(agg) for name, agg in sorted(self.aggregates.items())},
         }
 
     def write_json(self, path) -> None:

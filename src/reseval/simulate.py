@@ -15,7 +15,6 @@ import os
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .audio import (
     SAMPLE_RATE,
@@ -186,6 +185,14 @@ def _talk_envelope(n: int, span: tuple[float, float]) -> np.ndarray:
     return env
 
 
+def _fft_convolve(rows: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Full linear convolution of kernel with a 1-D signal or each row of a 2-D one."""
+    n = rows.shape[-1] + kernel.size - 1
+    n_fft = 1 << (n - 1).bit_length()
+    spectrum = np.fft.rfft(rows, n_fft) * np.fft.rfft(kernel, n_fft)
+    return np.fft.irfft(spectrum, n_fft)[..., :n]
+
+
 def _band_gates(n: int, rng: np.random.Generator) -> np.ndarray:
     """(n_bands, n) smooth gating patterns between GATE_OFF_LEVEL and 1."""
     seg_len = int(GATE_SEGMENT_S * SAMPLE_RATE)
@@ -197,7 +204,8 @@ def _band_gates(n: int, rng: np.random.Generator) -> np.ndarray:
     k = int(0.02 * SAMPLE_RATE)
     kernel = np.hanning(k)
     kernel /= kernel.sum()
-    return np.stack([fftconvolve(g, kernel, mode="same") for g in gates])
+    start = (k - 1) // 2
+    return _fft_convolve(gates, kernel)[:, start : start + n]
 
 
 def _speech_shaped_bursts(n: int, rng: np.random.Generator, span: tuple[float, float]) -> np.ndarray:
@@ -337,10 +345,10 @@ def generate_scene(spec: SceneSpec) -> SceneComponents:
     x_nl = nonlinear_distort(x_sig, spec.clip_hardness)
 
     rir = synth_rir(spec, variant=0)
-    y_raw = fftconvolve(x_nl.samples, rir)[:n]
+    y_raw = _fft_convolve(x_nl.samples, rir)[:n]
     if spec.echo_path_change_at is not None:
         rir2 = synth_rir(spec, variant=1)
-        y_alt = fftconvolve(x_nl.samples, rir2)[:n]
+        y_alt = _fft_convolve(x_nl.samples, rir2)[:n]
         switch = int(round(spec.echo_path_change_at * SAMPLE_RATE))
         y_raw = np.concatenate([y_raw[:switch], y_alt[switch:]])
 

@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 from .audio import Signal
-from .framing import Spectrogram, istft, stft
+from .framing import analysis_window, stft, wola
 
 GAIN_EPS = 1e-12
 BETA_SLOPE = 15.0
@@ -142,31 +141,23 @@ def frame_gains(e: Signal, s: Signal, config: SuppressorConfig) -> np.ndarray:
 
 
 def _smooth_frames(track: np.ndarray) -> np.ndarray:
-    """Hann-weighted moving average along the frame axis."""
+    """Hann-weighted moving average along the frame axis, edges held."""
     width = ENERGY_SMOOTH_FRAMES
-    if width <= 1 or track.size < 2:
-        return track
     kernel = np.hanning(width + 2)[1:-1]
     kernel /= kernel.sum()
-    return convolve1d(track, kernel, mode="nearest")
-
-
-def suppression_gains(e: Signal, s: Signal, config: SuppressorConfig) -> tuple[np.ndarray, Spectrogram]:
-    """Gain matrix (frame, bin) in [floor, 1] and the spectrogram of e
-    it applies to; frequency-flat within each frame."""
-    gains = frame_gains(e, s, config)
-    spec_e = stft(e)
-    return np.broadcast_to(gains[:, None], spec_e.magnitudes.shape).copy(), spec_e
+    return np.convolve(np.pad(track, width // 2, mode="edge"), kernel, mode="valid")
 
 
 def oracle_suppress(e: Signal, s: Signal, config: SuppressorConfig) -> Signal:
     """Suppress the residual in e given the clean speech s.
 
-    Gains multiply the magnitudes of e's STFT; e's phase is reused.  The
-    output has the same length as the input (tail zero-padded).
+    The frame gains are flat across frequency, so scaling e's STFT
+    magnitudes and resynthesising by weighted overlap-add equals e times
+    the overlap-added gain envelope; that envelope is applied directly.
+    The output has the same length as the input (tail zero-padded).
     """
-    gains, spec_e = suppression_gains(e, s, config)
-    return istft(spec_e.with_magnitudes(gains * spec_e.magnitudes))
+    gains = frame_gains(e, s, config)
+    return Signal(e.samples * wola(gains[:, None] * analysis_window(), len(e)))
 
 
 def beta_schedule(alphas) -> list[float]:

@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -316,3 +318,40 @@ class TestManifestHelpers:
         manifest.write_text(json.dumps({"entries": [{"id": "x", "s": "sig.wav"}]}))
         loaded = Manifest.from_json(manifest)
         assert loaded.entries[0].paths["s"] == str(tmp_path / "sig.wav")
+
+
+class TestManifestSchema:
+    VALID = {"id": "ok", "s": "s.wav", "e": "e.wav", "s_hat": "e.wav"}
+
+    @pytest.mark.parametrize(
+        "raw,match",
+        [
+            ({"entries": {"id": "a"}}, "'entries' list"),
+            ({"entries": ["a"]}, "entry 0: must be an object"),
+            ({"entries": [VALID, ["s.wav"]]}, "entry 1: must be an object"),
+            ({"entries": [{"id": "a", "s": 123}]}, "entry 0: path 's' must be a non-empty string"),
+            ({"entries": [VALID, {"id": "b", "e": ""}]}, "entry 1: path 'e' must be a non-empty string"),
+            ({"entries": [{"id": "a", "s_hat": None}]}, "entry 0: path 's_hat'"),
+            ({"entries": [{"id": "a", "s": "s.wav", "tags": [1]}]}, "entry 0: 'tags' must be an object"),
+            ({"entries": [{"s": "s.wav"}]}, "entry 0: has no 'id'"),
+            ({"options": [], "entries": [VALID]}, "'options' must be an object"),
+            ({"options": {"clamp_db": [1]}, "entries": [VALID]}, "must be numbers"),
+        ],
+    )
+    def test_malformed_manifest_one_line_error(self, tmp_path, capsys, raw, match):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(raw))
+        assert run("evaluate", "--manifest", manifest, "--out", tmp_path / "r") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: ")
+        assert match in err
+        assert err.count("\n") == 1
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(rv.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, reseval.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

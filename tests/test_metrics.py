@@ -58,29 +58,6 @@ class TestComputeGain:
             compute_gain(np.ones(3), np.ones(4))
 
 
-class TestFrameContext:
-    def test_fields_consistent(self):
-        rng = np.random.default_rng(21)
-        s = rng.standard_normal(320) * 0.2
-        e = s + rng.standard_normal(320) * 0.1
-        s_hat = 0.6 * e
-        from reseval import frame_context
-
-        ctx = frame_context(s, e, s_hat)
-        np.testing.assert_array_equal(ctx.gain, compute_gain(s_hat, e))
-        assert ctx.g_hat == compensation_scalar(ctx.gain, s)
-        np.testing.assert_array_equal(ctx.s_tilde, ctx.g_hat * s)
-        np.testing.assert_array_equal(ctx.residual, e - s)
-        assert np.all(np.isfinite(ctx.gain))
-
-    def test_silent_speech_unit_compensation(self):
-        from reseval import frame_context
-
-        e = np.random.default_rng(22).standard_normal(320)
-        ctx = frame_context(np.zeros(320), e, 0.5 * e)
-        assert ctx.g_hat == 1.0
-
-
 class TestCompensation:
     def test_constant_gain_exact(self):
         rng = np.random.default_rng(1)

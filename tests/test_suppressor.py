@@ -6,7 +6,7 @@ import pytest
 import reseval as rv
 from conftest import batch_metric_means, make_scene_batch
 from reseval import LossInputs, SuppressorConfig, beta_schedule, loss_j, oracle_suppress
-from reseval.suppressor import frame_gains, suppression_gains
+from reseval.suppressor import _smooth_frames, frame_gains
 
 
 class TestConfig:
@@ -141,11 +141,36 @@ class TestOracleSuppress:
             assert gains.min() >= 0.02
             assert gains.max() <= 1.0
 
-    def test_gain_matrix_shape(self):
-        batch = make_scene_batch(1, 601)
-        comps, _ = batch[0]
-        gains, spec_e = suppression_gains(comps.e, comps.s, SuppressorConfig())
-        assert gains.shape == spec_e.magnitudes.shape
+    @staticmethod
+    def stft_reference(e, s, cfg):
+        """The frame gains applied to e's STFT magnitudes, then WOLA synthesis."""
+        spec_e = rv.stft(e)
+        return rv.istft(spec_e.with_magnitudes(frame_gains(e, s, cfg)[:, None] * spec_e.magnitudes))
+
+    @staticmethod
+    def random_pair(n, seed, e_scale=0.2):
+        rng = np.random.default_rng(seed)
+        s = rng.standard_normal(n) * 0.1
+        return rv.Signal(s + rng.standard_normal(n) * e_scale), rv.Signal(s)
+
+    def pairs(self):
+        for comps, _ in make_scene_batch(2, 601):
+            yield comps.e, comps.s
+        for i, n in enumerate((320, 321, 479, 480, 481, 16001)):
+            yield self.random_pair(n, 610 + i)
+        yield rv.Signal(np.zeros(1000)), rv.Signal(np.zeros(1000))
+        rng = np.random.default_rng(620)
+        yield rv.Signal(rng.standard_normal(4000) * 1e-9), rv.Signal(np.zeros(4000))
+
+    @pytest.mark.parametrize("beta", [1.0, 8.0, 16.0])
+    def test_matches_stft_reference(self, beta):
+        cfg = SuppressorConfig(beta=beta)
+        for e, s in self.pairs():
+            out = oracle_suppress(e, s, cfg).samples
+            ref = self.stft_reference(e, s, cfg).samples
+            assert out.shape == ref.shape
+            assert np.max(np.abs(out - ref)) <= 1e-11 * np.max(np.abs(e.samples))
+            np.testing.assert_array_equal(out == 0.0, ref == 0.0)
 
     def test_beta_tradeoff_monotone_on_scene_mean(self):
         batch = make_scene_batch(3, 700)
@@ -165,3 +190,15 @@ class TestOracleSuppress:
         out1 = oracle_suppress(comps.e, comps.s, SuppressorConfig(beta=4.0))
         out2 = oracle_suppress(comps.e, comps.s, SuppressorConfig(beta=4.0))
         assert np.array_equal(out1.samples, out2.samples)
+
+
+class TestSmoothFrames:
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_edge_padded_hann_average(self, size):
+        track = np.random.default_rng(size).uniform(0.0, 2.0, size)
+        kernel = np.array([0.25, 0.75, 1.0, 0.75, 0.25]) / 3.0
+        expected = [
+            sum(w * track[min(max(i + j - 2, 0), size - 1)] for j, w in enumerate(kernel))
+            for i in range(size)
+        ]
+        np.testing.assert_allclose(_smooth_frames(track), expected, rtol=1e-12, atol=0.0)
