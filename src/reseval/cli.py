@@ -14,6 +14,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -348,18 +349,16 @@ def cmd_sweep(args) -> int:
     if not alphas:
         raise ValueError("empty alpha list")
     betas = beta_schedule(alphas)
+    if args.spec and not args.scenes_dir:
+        with tempfile.TemporaryDirectory(prefix="reseval-sweep-") as scenes_dir:
+            return _run_sweep(args, alphas, betas, scenes_dir)
+    return _run_sweep(args, alphas, betas, args.scenes_dir)
 
-    tmp_ctx = None
+
+def _run_sweep(args, alphas, betas, scenes_dir) -> int:
     if args.spec:
         seed = _default_seed(args)
         specs = _load_scene_specs(args.spec, args.count, seed)
-        if args.scenes_dir:
-            scenes_dir = args.scenes_dir
-        else:
-            import tempfile
-
-            tmp_ctx = tempfile.TemporaryDirectory(prefix="reseval-sweep-")
-            scenes_dir = tmp_ctx.name
         os.makedirs(scenes_dir, exist_ok=True)
         for i, spec in enumerate(specs):
             save_scene(generate_scene(spec), spec, os.path.join(scenes_dir, f"scene_{i:04d}"))
@@ -386,7 +385,10 @@ def cmd_sweep(args) -> int:
                 s_hat = oracle_suppress(
                     components.e, components.s, SuppressorConfig(beta=beta, floor=args.floor)
                 )
-                scene = SceneComponents(**{**components.present(), "s_hat": s_hat})
+                # only what evaluate_scene reads: the m and e identities
+                # were checked once when the scene was loaded
+                scene = SceneComponents(s=components.s, y=components.y, w=components.w,
+                                        e=components.e, s_hat=s_hat)
                 report = evaluate_scene(scene, mask, manifest.clamp_db)
                 for name in METRIC_NAMES:
                     pooled[name].append(report.values[name])
@@ -408,8 +410,6 @@ def cmd_sweep(args) -> int:
     for row in rows:
         writer.writerow([_csv_cell(row.get(c, "")) for c in columns])
     atomic_write_bytes(args.out, buf.getvalue().encode())
-    if tmp_ctx is not None:
-        tmp_ctx.cleanup()
     print(f"sweep: {len(rows)} rows -> {args.out}")
     return 0
 

@@ -21,6 +21,8 @@ N_BINS = FFT_LEN // 2 + 1
 # periodic Hann, length FRAME_LEN
 _WINDOW = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(FRAME_LEN) / FRAME_LEN)
 _WINDOW.setflags(write=False)
+# columns: all ones (DC bin) and (-1)^n (Nyquist bin of the FFT_LEN-point DFT)
+_DC_NYQUIST = np.stack([np.ones(FRAME_LEN), (-1.0) ** np.arange(FRAME_LEN)], axis=1)
 
 
 def analysis_window() -> np.ndarray:
@@ -78,6 +80,13 @@ def make_grid(signal_len: int) -> FrameGrid:
     return FrameGrid(signal_len=int(signal_len), n_frames=_frame_count(int(signal_len), FRAME_LEN, HOP))
 
 
+def _grid_of_full_frames(signal_len: int) -> FrameGrid:
+    grid = make_grid(signal_len)
+    if grid.n_frames == 0:
+        raise ValueError(f"signal length {signal_len} shorter than one frame ({FRAME_LEN})")
+    return grid
+
+
 @dataclass(frozen=True)
 class Spectrogram:
     """Magnitude/phase representation on the shared frame grid."""
@@ -117,14 +126,24 @@ class Spectrogram:
 
 def stft(signal: Signal) -> Spectrogram:
     """Windowed DFT per frame; deterministic, zero-padded to 512 points."""
-    grid = make_grid(len(signal))
-    if grid.n_frames == 0:
-        raise ValueError(
-            f"signal length {len(signal)} shorter than one frame ({FRAME_LEN})"
-        )
+    grid = _grid_of_full_frames(len(signal))
     frames = grid.frame_matrix(signal.samples) * _WINDOW
     spec = np.fft.rfft(frames, n=FFT_LEN, axis=1)
     return Spectrogram(magnitudes=np.abs(spec), phases=np.angle(spec), grid=grid)
+
+
+def spectral_energy(samples: np.ndarray) -> np.ndarray:
+    """Per-frame sum of |rfft|^2 over the N_BINS bins of the windowed frame.
+
+    Equals np.sum(stft(signal).magnitudes**2, axis=1) without an FFT:
+    Parseval gives FFT_LEN * sum(x_w^2) over all FFT_LEN bins, and the
+    one-sided sum counts every bin but DC and Nyquist once, so it is
+    (FFT_LEN * sum(x_w^2) + (sum x_w)^2 + (sum (-1)^n x_w)^2) / 2.
+    """
+    grid = _grid_of_full_frames(len(samples))
+    frames = grid.frame_matrix(samples) * _WINDOW
+    dc, nyquist = (frames @ _DC_NYQUIST).T
+    return (FFT_LEN * np.einsum("ij,ij->i", frames, frames) + dc * dc + nyquist * nyquist) / 2.0
 
 
 def overlap_add(frames: np.ndarray, signal_len: int) -> np.ndarray:

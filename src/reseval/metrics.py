@@ -4,6 +4,12 @@ All ratio metrics share one convention: a destroyed numerator (energy
 at or below the 1e-12 floor) reports the clamp minimum, a vanishing
 denominator reports the clamp maximum, and everything else is the plain
 dB ratio clamped to +-clamp_db.
+
+Each metric is defined once, as a row-wise kernel over (frames, samples)
+matrices; evaluate_scene runs it on the rows of the metric's condition
+and the scalar functions run it on a single row.  Difference vectors are
+formed explicitly before their energy is taken, so near-cancelling
+frames keep their precision.
 """
 
 from __future__ import annotations
@@ -37,18 +43,57 @@ METRIC_CONDITIONS: dict[str, FrameLabel | None] = {
 }
 
 
-def ratio_db(num: float, den: float, clamp_db: float = CLAMP_DB) -> float:
-    """Clamped 10*log10(num/den) with the shared floor convention."""
-    if num <= ENERGY_FLOOR:
-        return -clamp_db
-    if den <= ENERGY_FLOOR:
-        return clamp_db
-    value = 10.0 * math.log10(num / den)
-    return min(clamp_db, max(-clamp_db, value))
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b)
 
 
-def _energy(frame: np.ndarray) -> float:
-    return float(np.dot(frame, frame))
+def _row_energy(frames: np.ndarray) -> np.ndarray:
+    return _row_dot(frames, frames)
+
+
+def _ratio_rows(num: np.ndarray, den: np.ndarray, clamp_db: float) -> np.ndarray:
+    """Clamped 10*log10(num/den) per row with the shared floor convention."""
+    with np.errstate(all="ignore"):
+        value = np.clip(10.0 * np.log10(num / den), -clamp_db, clamp_db)
+    return np.where(num <= ENERGY_FLOOR, -clamp_db, np.where(den <= ENERGY_FLOOR, clamp_db, value))
+
+
+def _gain_rows(s_hat: np.ndarray, e: np.ndarray) -> np.ndarray:
+    den = np.where(
+        np.abs(e) < GAIN_DENOM_FLOOR,
+        np.where(e < 0.0, -GAIN_DENOM_FLOOR, GAIN_DENOM_FLOOR),
+        e,
+    )
+    return s_hat / den
+
+
+def _compensation_rows(gain: np.ndarray, s: np.ndarray) -> np.ndarray:
+    den = _row_energy(s)
+    degenerate = den <= COMP_DEGENERATE
+    return np.where(degenerate, 1.0, _row_dot(gain * s, s) / np.where(degenerate, 1.0, den))
+
+
+def _dsml_rows(s: np.ndarray, gain: np.ndarray, clamp_db: float) -> np.ndarray:
+    s_tilde = _compensation_rows(gain, s)[:, None] * s
+    return _ratio_rows(_row_energy(s_tilde), _row_energy(s_tilde - gain * s), clamp_db)
+
+
+def _resl_rows(s: np.ndarray, e: np.ndarray, gain: np.ndarray, clamp_db: float) -> np.ndarray:
+    r = e - s
+    return _ratio_rows(_row_energy(r), _row_energy(gain * r), clamp_db)
+
+
+def _projected_rows(s: np.ndarray, s_hat: np.ndarray, clamp_db: float) -> np.ndarray:
+    # rescale s_hat so a constant attenuation cancels; degenerate
+    # projections (silent s or zero s_hat) leave s_hat unscaled
+    den = _row_energy(s)
+    proj = _row_dot(s_hat, s) / np.where(den > COMP_DEGENERATE, den, 1.0)
+    scale = np.where((den > COMP_DEGENERATE) & (np.abs(proj) > COMP_DEGENERATE), proj, 1.0)
+    return _ratio_rows(den, _row_energy(s - s_hat / scale[:, None]), clamp_db)
+
+
+def _energy_ratio_rows(num_frames: np.ndarray, den_frames: np.ndarray, clamp_db: float) -> np.ndarray:
+    return _ratio_rows(_row_energy(num_frames), _row_energy(den_frames), clamp_db)
 
 
 def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -59,28 +104,28 @@ def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _one_row(kernel, *frames, **kwargs) -> float:
+    """Apply a row kernel to 1-D frames as a single-row matrix."""
+    return float(kernel(*(f[None, :] for f in frames), **kwargs)[0])
+
+
+def ratio_db(num: float, den: float, clamp_db: float = CLAMP_DB) -> float:
+    """Clamped 10*log10(num/den) with the shared floor convention."""
+    return float(_ratio_rows(np.array([num], dtype=float), np.array([den], dtype=float), clamp_db)[0])
+
+
 def compute_gain(s_hat_frame, e_frame) -> np.ndarray:
     """Per-sample suppressor gain s_hat/e with the denominator floored.
 
     |e| below 1e-8 is replaced by sign(e)*1e-8 (sign of zero taken
     positive) so the gain stays finite.
     """
-    s_hat_frame, e_frame = _pair(s_hat_frame, e_frame)
-    den = np.where(
-        np.abs(e_frame) < GAIN_DENOM_FLOOR,
-        np.where(e_frame < 0.0, -GAIN_DENOM_FLOOR, GAIN_DENOM_FLOOR),
-        e_frame,
-    )
-    return s_hat_frame / den
+    return _gain_rows(*_pair(s_hat_frame, e_frame))
 
 
 def compensation_scalar(gain, s_frame) -> float:
     """Projection <gain*s, s> / ||s||^2; 1 when s is (near) silent."""
-    gain, s_frame = _pair(gain, s_frame)
-    den = _energy(s_frame)
-    if den <= COMP_DEGENERATE:
-        return 1.0
-    return float(np.dot(gain * s_frame, s_frame)) / den
+    return _one_row(_compensation_rows, *_pair(gain, s_frame))
 
 
 def dsml(s_frame, gain, clamp_db: float = CLAMP_DB) -> float:
@@ -89,10 +134,7 @@ def dsml(s_frame, gain, clamp_db: float = CLAMP_DB) -> float:
     The gain is applied to the clean speech only; a constant attenuation
     is projected out first so it does not register as distortion.
     """
-    s_frame, gain = _pair(s_frame, gain)
-    g_hat = compensation_scalar(gain, s_frame)
-    s_tilde = g_hat * s_frame
-    return ratio_db(_energy(s_tilde), _energy(s_tilde - gain * s_frame), clamp_db)
+    return _one_row(_dsml_rows, *_pair(s_frame, gain), clamp_db=clamp_db)
 
 
 def resl(s_frame, e_frame, gain, clamp_db: float = CLAMP_DB) -> float:
@@ -103,48 +145,32 @@ def resl(s_frame, e_frame, gain, clamp_db: float = CLAMP_DB) -> float:
     """
     s_frame, e_frame = _pair(s_frame, e_frame)
     _, gain = _pair(s_frame, gain)
-    r = e_frame - s_frame
-    return ratio_db(_energy(r), _energy(gain * r), clamp_db)
-
-
-def _projected_ratio(s_frame, s_hat_frame, clamp_db: float) -> float:
-    # rescale s_hat so a constant attenuation cancels; degenerate
-    # projections (silent s or zero s_hat) leave s_hat unscaled
-    s_frame, s_hat_frame = _pair(s_frame, s_hat_frame)
-    den = _energy(s_frame)
-    if den > COMP_DEGENERATE:
-        proj = float(np.dot(s_hat_frame, s_frame)) / den
-        if abs(proj) > COMP_DEGENERATE:
-            s_hat_frame = s_hat_frame / proj
-    return ratio_db(den, _energy(s_frame - s_hat_frame), clamp_db)
+    return _one_row(_resl_rows, s_frame, e_frame, gain, clamp_db=clamp_db)
 
 
 def sdr(s_frame, s_hat_frame, clamp_db: float = CLAMP_DB) -> float:
     """Signal-to-distortion ratio in dB (double-talk), attenuation-compensated."""
-    return _projected_ratio(s_frame, s_hat_frame, clamp_db)
+    return _one_row(_projected_rows, *_pair(s_frame, s_hat_frame), clamp_db=clamp_db)
 
 
 def sar(s_frame, s_hat_frame, clamp_db: float = CLAMP_DB) -> float:
     """Signal-to-artifacts ratio in dB (near-end single-talk), same form as sdr."""
-    return _projected_ratio(s_frame, s_hat_frame, clamp_db)
+    return _one_row(_projected_rows, *_pair(s_frame, s_hat_frame), clamp_db=clamp_db)
 
 
 def erle(e_frame, s_hat_frame, clamp_db: float = CLAMP_DB) -> float:
     """Echo-return-loss enhancement in dB (far-end single-talk), uncompensated."""
-    e_frame, s_hat_frame = _pair(e_frame, s_hat_frame)
-    return ratio_db(_energy(e_frame), _energy(s_hat_frame), clamp_db)
+    return _one_row(_energy_ratio_rows, *_pair(e_frame, s_hat_frame), clamp_db=clamp_db)
 
 
 def ser(s_frame, y_frame, clamp_db: float = CLAMP_DB) -> float:
     """Signal-to-echo ratio in dB."""
-    s_frame, y_frame = _pair(s_frame, y_frame)
-    return ratio_db(_energy(s_frame), _energy(y_frame), clamp_db)
+    return _one_row(_energy_ratio_rows, *_pair(s_frame, y_frame), clamp_db=clamp_db)
 
 
 def snr(s_frame, w_frame, clamp_db: float = CLAMP_DB) -> float:
     """Signal-to-noise ratio in dB."""
-    s_frame, w_frame = _pair(s_frame, w_frame)
-    return ratio_db(_energy(s_frame), _energy(w_frame), clamp_db)
+    return _one_row(_energy_ratio_rows, *_pair(s_frame, w_frame), clamp_db=clamp_db)
 
 
 @dataclass(frozen=True)
@@ -233,24 +259,22 @@ def evaluate_scene(
     s_frames = grid.frame_matrix(components.s.samples)
     e_frames = grid.frame_matrix(components.e.samples)
     sh_frames = grid.frame_matrix(components.s_hat.samples)
-    y_frames = grid.frame_matrix(components.y.samples) if components.y is not None else None
-    w_frames = grid.frame_matrix(components.w.samples) if components.w is not None else None
 
     values = {name: np.full(grid.n_frames, np.nan) for name in METRIC_NAMES}
-    for i, lab in enumerate(mask.labels):
-        if lab is FrameLabel.DOUBLE_TALK:
-            g = compute_gain(sh_frames[i], e_frames[i])
-            values["dsml"][i] = dsml(s_frames[i], g, clamp_db)
-            values["resl"][i] = resl(s_frames[i], e_frames[i], g, clamp_db)
-            values["sdr"][i] = sdr(s_frames[i], sh_frames[i], clamp_db)
-        elif lab is FrameLabel.NEAR_END:
-            values["sar"][i] = sar(s_frames[i], sh_frames[i], clamp_db)
-        elif lab is FrameLabel.FAR_END:
-            values["erle"][i] = erle(e_frames[i], sh_frames[i], clamp_db)
-        if y_frames is not None:
-            values["ser"][i] = ser(s_frames[i], y_frames[i], clamp_db)
-        if w_frames is not None:
-            values["snr"][i] = snr(s_frames[i], w_frames[i], clamp_db)
+    dt = mask.indices(FrameLabel.DOUBLE_TALK)
+    s_dt, e_dt, sh_dt = s_frames[dt], e_frames[dt], sh_frames[dt]
+    gain = _gain_rows(sh_dt, e_dt)
+    values["dsml"][dt] = _dsml_rows(s_dt, gain, clamp_db)
+    values["resl"][dt] = _resl_rows(s_dt, e_dt, gain, clamp_db)
+    values["sdr"][dt] = _projected_rows(s_dt, sh_dt, clamp_db)
+    ne = mask.indices(FrameLabel.NEAR_END)
+    values["sar"][ne] = _projected_rows(s_frames[ne], sh_frames[ne], clamp_db)
+    fe = mask.indices(FrameLabel.FAR_END)
+    values["erle"][fe] = _energy_ratio_rows(e_frames[fe], sh_frames[fe], clamp_db)
+    if components.y is not None:
+        values["ser"] = _energy_ratio_rows(s_frames, grid.frame_matrix(components.y.samples), clamp_db)
+    if components.w is not None:
+        values["snr"] = _energy_ratio_rows(s_frames, grid.frame_matrix(components.w.samples), clamp_db)
 
     aggregates = {}
     for name in METRIC_NAMES:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import Signal
-from .framing import analysis_window, stft, wola
+from .framing import analysis_window, spectral_energy, wola
 
 GAIN_EPS = 1e-12
 BETA_SLOPE = 15.0
@@ -106,11 +106,8 @@ def frame_gains(e: Signal, s: Signal, config: SuppressorConfig) -> np.ndarray:
     """
     if len(e) != len(s):
         raise ValueError(f"length mismatch: e has {len(e)} samples, s {len(s)}")
-    spec_s = stft(s)
-    spec_r = stft(Signal(e.samples - s.samples))
-
-    ps = _smooth_frames(np.sum(spec_s.magnitudes**2, axis=1))
-    pr = _smooth_frames(np.sum(spec_r.magnitudes**2, axis=1))
+    ps = _smooth_frames(spectral_energy(s.samples))
+    pr = _smooth_frames(spectral_energy(e.samples - s.samples))
     total = ps + pr + GAIN_EPS
     confusion = np.sqrt(ps * pr) / total
     difficulty = pr / total

@@ -1,9 +1,12 @@
 import csv
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -252,6 +255,19 @@ class TestSweep:
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2 and rows[0]["n_scenes"] == "3"
+
+    def test_failed_spec_sweep_removes_temp_scenes(self, tmp_path, monkeypatch, capsys):
+        spec = write_spec(tmp_path)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run("sweep", "--spec", spec, "--count", 1, "--alphas", "0", "--group-by", "no_such_tag",
+                     "--out", tmp_path / "x.csv")
+            gc.collect()
+        assert rc == 2
+        assert "has no tag 'no_such_tag'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("reseval-sweep-*"))
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_empty_alphas_rejected(self, scene_dir, tmp_path, capsys):
         assert run("sweep", "--scenes", scene_dir, "--alphas", "", "--out", tmp_path / "x.csv") == 2

@@ -3,7 +3,15 @@ import pytest
 
 import oracles
 from reseval import Signal, istft, make_grid, stft
-from reseval.framing import FFT_LEN, FRAME_LEN, HOP, FrameGrid, Spectrogram, analysis_window
+from reseval.framing import (
+    FFT_LEN,
+    FRAME_LEN,
+    HOP,
+    FrameGrid,
+    Spectrogram,
+    analysis_window,
+    spectral_energy,
+)
 
 
 class TestGrid:
@@ -75,6 +83,25 @@ class TestStft:
         lhs = stft(Signal(a * x + b * y)).complex_values()
         rhs = a * stft(Signal(x)).complex_values() + b * stft(Signal(y)).complex_values()
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * np.max(np.abs(lhs))
+
+
+class TestSpectralEnergy:
+    @staticmethod
+    def signals():
+        rng = np.random.default_rng(21)
+        for n in (320, 321, 479, 480, 481, 16001):
+            yield rng.standard_normal(n) * 0.3
+        yield np.zeros(1000)
+        yield rng.standard_normal(4000) * 1e-9
+
+    def test_matches_stft_bin_sum(self):
+        for x in self.signals():
+            expected = np.sum(stft(Signal(x)).magnitudes ** 2, axis=1)
+            np.testing.assert_allclose(spectral_energy(x), expected, rtol=1e-12, atol=0.0)
+
+    def test_too_short_rejected(self):
+        with pytest.raises(ValueError, match="shorter than one frame"):
+            spectral_energy(np.zeros(FRAME_LEN - 1))
 
 
 class TestIstft:

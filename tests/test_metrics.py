@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from conftest import assert_close
 from reseval import (
+    ActivityMask,
     FrameLabel,
     SceneComponents,
     Signal,
@@ -24,7 +28,17 @@ from reseval import (
     ser,
     snr,
 )
-from reseval.metrics import METRIC_NAMES, aggregate, ratio_db
+from reseval.framing import HOP
+from reseval.metrics import (
+    METRIC_NAMES,
+    _dsml_rows,
+    _energy_ratio_rows,
+    _gain_rows,
+    _projected_rows,
+    _resl_rows,
+    aggregate,
+    ratio_db,
+)
 
 
 def random_frames(count, seed=0, n=320):
@@ -303,6 +317,132 @@ class TestEvaluateScene:
             values = report.values[name]
             present = values[~np.isnan(values)]
             assert np.all(present <= 120.0) and np.all(present >= -120.0)
+
+
+LABEL_CYCLE = (FrameLabel.DOUBLE_TALK, FrameLabel.NEAR_END, FrameLabel.FAR_END, FrameLabel.SILENCE)
+
+
+def edge_case_segments(rng):
+    """Two-hop (one frame) segments of (s, e, s_hat, y, w), one edge case each.
+
+    Frames straddling two segments mix their cases, so the scene also
+    holds frames that are half one edge and half another.
+    """
+    n = 2 * HOP
+
+    def noise(scale):
+        return rng.standard_normal(n) * scale
+
+    def at_one_sample(value):
+        x = np.zeros(n)
+        x[HOP // 2] = value
+        return x
+
+    tiny = np.array([0.0, -0.0, 1e-9, -1e-9, 5e-9, -5e-9, 9.9e-9, -9.9e-9, 1e-12, -1e-12])
+    for _ in range(3):  # plain random frames
+        s = noise(0.2)
+        e = s + noise(0.1)
+        yield s, e, 0.7 * e + noise(0.02), noise(0.2), noise(0.05)
+    e = noise(0.3)
+    yield np.zeros(n), e, 0.5 * e, noise(0.2), noise(0.05)  # all-zero s
+    for value in (1e-6, 0.999e-6, 1.001e-6):  # s energy at, below, above 1e-12
+        s = at_one_sample(value)
+        e = s + noise(0.1)
+        yield s, e, 0.6 * e, noise(0.2), noise(0.05)
+    s = noise(0.2)
+    yield s, rng.choice(tiny, n), noise(0.1), noise(0.2), noise(0.05)  # |e| < 1e-8
+    e = s + noise(0.1)
+    e[::3] = rng.choice(tiny, e[::3].size)
+    yield s, e, 0.5 * e, noise(0.2), noise(0.05)  # some |e| < 1e-8
+    s = noise(0.2)
+    e = s + noise(0.1)
+    yield s, e, np.zeros(n), noise(0.2), noise(0.05)  # s_hat == 0
+    yield s, e, e.copy(), np.zeros(n), np.zeros(n)  # unity gain, no echo, no noise
+    yield s, e, 0.5 * s, noise(1e-7), noise(1e-7)  # pure speech attenuation, huge SER/SNR
+    e = noise(1.0)
+    yield s, e, 1e-7 * e, noise(1e-7), noise(1.0)  # erle far past the clamp
+
+
+def oracle_frame(label, s, e, s_hat, y, w, clamp):
+    """Expected metric values of one frame; NaN where the label excludes a metric."""
+    s, e, s_hat, y, w = (list(map(float, a)) for a in (s, e, s_hat, y, w))
+    out = {name: math.nan for name in METRIC_NAMES}
+    if label is FrameLabel.DOUBLE_TALK:
+        g = oracles.gain(s_hat, e)
+        out["dsml"] = oracles.dsml(s, g, clamp)
+        out["resl"] = oracles.resl(s, e, g, clamp)
+        out["sdr"] = oracles.sdr(s, s_hat, clamp)
+    elif label is FrameLabel.NEAR_END:
+        out["sar"] = oracles.sar(s, s_hat, clamp)
+    elif label is FrameLabel.FAR_END:
+        out["erle"] = oracles.erle(e, s_hat, clamp)
+    out["ser"] = oracles.ser(s, y, clamp)
+    out["snr"] = oracles.snr(s, w, clamp)
+    return out
+
+
+class TestEvaluateSceneOracles:
+    """evaluate_scene per frame against the brute-force oracles, edge frames included."""
+
+    @pytest.mark.parametrize("clamp", [120.0, 60.0])
+    def test_every_frame_matches_oracles(self, clamp):
+        segments = list(edge_case_segments(np.random.default_rng(31)))
+        signals = [np.concatenate(parts) for parts in zip(*segments)]
+        comps = SceneComponents(**{name: Signal(x) for name, x in zip(("s", "e", "s_hat", "y", "w"), signals)})
+        grid = make_grid(len(comps.s))
+        frames = [grid.frame_matrix(x) for x in signals]
+        hit_clamp = 0
+        # shift the label cycle so every frame is scored under every label
+        for shift in range(len(LABEL_CYCLE)):
+            labels = tuple(LABEL_CYCLE[(i + shift) % len(LABEL_CYCLE)] for i in range(grid.n_frames))
+            report = evaluate_scene(comps, ActivityMask(labels=labels, grid=grid), clamp)
+            for i, label in enumerate(labels):
+                expected = oracle_frame(label, *(f[i] for f in frames), clamp)
+                for name in METRIC_NAMES:
+                    got, want = report.values[name][i], expected[name]
+                    if math.isnan(want):
+                        assert math.isnan(got), (name, i, label)
+                    else:
+                        assert_close(got, want, 1e-9, f"{name} frame {i} {label.value}")
+                        hit_clamp += abs(want) == clamp
+        assert hit_clamp > 0
+
+
+@st.composite
+def frame_matrices(draw):
+    """Equal-shape small (s, e, s_hat, y) matrices; zeros and 1e-9 amplitudes included."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 24)))
+    elements = st.one_of(st.just(0.0), st.floats(-1.0, 1.0, allow_subnormal=False))
+    scales = st.sampled_from([1.0, 1e-9])
+    return [draw(arrays(np.float64, shape, elements=elements)) * draw(scales) for _ in range(4)]
+
+
+class TestRowKernelProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(frame_matrices())
+    def test_row_kernels_match_oracles(self, mats):
+        s, e, s_hat, y = mats
+        gain = _gain_rows(s_hat, e)
+        got = {
+            "dsml": _dsml_rows(s, gain, 120.0),
+            "resl": _resl_rows(s, e, gain, 120.0),
+            "sdr": _projected_rows(s, s_hat, 120.0),
+            "erle": _energy_ratio_rows(e, s_hat, 120.0),
+            "ser": _energy_ratio_rows(s, y, 120.0),
+        }
+        for i in range(s.shape[0]):
+            rows = [list(map(float, a[i])) for a in (s, e, s_hat, y)]
+            g = oracles.gain(rows[2], rows[1])
+            assert list(gain[i]) == g
+            want = {
+                "dsml": oracles.dsml(rows[0], g),
+                "resl": oracles.resl(rows[0], rows[1], g),
+                "sdr": oracles.sdr(rows[0], rows[2]),
+                "erle": oracles.erle(rows[1], rows[2]),
+                "ser": oracles.ser(rows[0], rows[3]),
+            }
+            for name, value in want.items():
+                assert_close(got[name][i], value, 1e-9, name)
 
 
 class TestReportSerialization:

@@ -133,6 +133,11 @@ class TestOracleSuppress:
         with pytest.raises(ValueError, match="length mismatch"):
             oracle_suppress(rv.Signal(np.ones(640)), rv.Signal(np.ones(320)), SuppressorConfig())
 
+    def test_shorter_than_one_frame_rejected(self):
+        x = rv.Signal(np.ones(319))
+        with pytest.raises(ValueError, match="shorter than one frame"):
+            frame_gains(x, x, SuppressorConfig())
+
     def test_gain_bounds(self):
         batch = make_scene_batch(1, 600)
         comps, _ = batch[0]
