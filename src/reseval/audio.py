@@ -14,6 +14,11 @@ ENERGY_FLOOR = 1e-12
 INT16_SCALE = 32768.0
 MIX_TOL = 1e-6
 
+WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# an extensible header names its encoding by a SubFormat GUID: the plain
+# format tag in the first two bytes, then this fixed KSDATAFORMAT tail
+_SUBFORMAT_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
 
 class WavFormatError(ValueError):
     """WAV file with an unsupported or malformed format."""
@@ -136,7 +141,8 @@ def atomic_write_bytes(path, data: bytes) -> None:
 
 
 def load_wav(path) -> Signal:
-    """Read a mono 16 kHz WAV file (16-bit PCM or 32-bit float).
+    """Read a mono 16 kHz WAV file (16-bit PCM or 32-bit float, with a
+    plain or a WAVE_FORMAT_EXTENSIBLE header).
 
     16-bit samples are scaled by 1/32768 into the +-1.0 range; float
     samples pass through unchanged.  Anything else is rejected with an
@@ -180,6 +186,10 @@ def load_wav(path) -> Signal:
         raise WavFormatError(
             f"{path}: sample rate {rate} unsupported ({SAMPLE_RATE} Hz required)"
         )
+    encoding = f"format tag {tag}"
+    if tag == WAVE_FORMAT_EXTENSIBLE:
+        tag = _extensible_subformat(fmt_chunk, path)
+        encoding = f"extensible subformat {tag}"
     if tag == 1 and bits == 16:
         if len(payload) % 2:
             raise TruncatedWavError(f"{path}: data chunk not a whole number of samples")
@@ -190,10 +200,22 @@ def load_wav(path) -> Signal:
         arr = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     else:
         raise WavFormatError(
-            f"{path}: encoding unsupported (format tag {tag}, {bits}-bit; "
+            f"{path}: encoding unsupported ({encoding}, {bits}-bit; "
             f"need 16-bit PCM or 32-bit float)"
         )
     return Signal(arr)
+
+
+def _extensible_subformat(fmt_chunk: bytes, path) -> int:
+    """Plain format tag behind a WAVE_FORMAT_EXTENSIBLE SubFormat GUID."""
+    if len(fmt_chunk) < 40 or struct.unpack_from("<H", fmt_chunk, 16)[0] < 22:
+        raise WavFormatError(f"{path}: extensible fmt chunk too short for its SubFormat")
+    guid = fmt_chunk[24:40]
+    if guid[2:] != _SUBFORMAT_TAIL:
+        raise WavFormatError(
+            f"{path}: encoding unsupported (extensible SubFormat GUID {guid.hex()})"
+        )
+    return struct.unpack_from("<H", guid, 0)[0]
 
 
 def save_wav(signal: Signal, path) -> None:

@@ -216,15 +216,14 @@ class MetricReport:
         atomic_write_bytes(path, self.to_csv_text().encode())
 
     def to_csv_text(self) -> str:
+        columns = [
+            ["" if math.isnan(v) else repr(v) for v in self.values[name].tolist()]
+            for name in METRIC_NAMES
+        ]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["frame_index", "label", *METRIC_NAMES])
-        for i, lab in enumerate(self.labels):
-            row = [i, lab]
-            for name in METRIC_NAMES:
-                v = self.values[name][i]
-                row.append("" if math.isnan(v) else repr(float(v)))
-            writer.writerow(row)
+        writer.writerows(zip(range(len(self.labels)), self.labels, *columns, strict=True))
         return buf.getvalue()
 
 

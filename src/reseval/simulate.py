@@ -185,12 +185,12 @@ def _talk_envelope(n: int, span: tuple[float, float]) -> np.ndarray:
     return env
 
 
-def _fft_convolve(rows: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Full linear convolution of kernel with a 1-D signal or each row of a 2-D one."""
-    n = rows.shape[-1] + kernel.size - 1
+def _fft_convolve(signal: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Full linear convolution of a 1-D signal with kernel."""
+    n = signal.size + kernel.size - 1
     n_fft = 1 << (n - 1).bit_length()
-    spectrum = np.fft.rfft(rows, n_fft) * np.fft.rfft(kernel, n_fft)
-    return np.fft.irfft(spectrum, n_fft)[..., :n]
+    spectrum = np.fft.rfft(signal, n_fft) * np.fft.rfft(kernel, n_fft)
+    return np.fft.irfft(spectrum, n_fft)[:n]
 
 
 def _band_gates(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -198,14 +198,21 @@ def _band_gates(n: int, rng: np.random.Generator) -> np.ndarray:
     seg_len = int(GATE_SEGMENT_S * SAMPLE_RATE)
     n_segs = n // seg_len + 2
     states = rng.random((N_BANDS, n_segs)) < 0.5
-    levels = np.where(states, 1.0, GATE_OFF_LEVEL)
-    gates = np.repeat(levels, seg_len, axis=1)[:, :n]
+    starts = range(0, n, seg_len)
+    levels = np.where(states, 1.0, GATE_OFF_LEVEL)[:, : len(starts)]
     # 20 ms smoothing kernel removes gating clicks
     k = int(0.02 * SAMPLE_RATE)
     kernel = np.hanning(k)
     kernel /= kernel.sum()
+    # a step gate convolved with the kernel is the running sum of one
+    # kernel copy per step, scaled by its jump: the rise at 0, every
+    # segment boundary, and the fall to zero at n
+    jumps = np.diff(levels, prepend=0.0, append=0.0)
+    steps = np.zeros((N_BANDS, n + k))
+    for pos, jump in zip([*starts, n], jumps.T, strict=True):
+        steps[:, pos : pos + k] += jump[:, None] * kernel
     start = (k - 1) // 2
-    return _fft_convolve(gates, kernel)[:, start : start + n]
+    return np.cumsum(steps, axis=1)[:, start : start + n]
 
 
 def _speech_shaped_bursts(n: int, rng: np.random.Generator, span: tuple[float, float]) -> np.ndarray:
@@ -281,6 +288,10 @@ def simulate_aec(m: Signal, x: Signal, spec: SceneSpec) -> tuple[Signal, Signal]
     xs = np.concatenate([np.zeros(taps), x.samples, np.zeros(padded - n)])
     ms = np.concatenate([m.samples, np.zeros(padded - n)])
 
+    # the block spectra do not depend on the filter state
+    spectra = np.fft.rfft(np.lib.stride_tricks.sliding_window_view(xs, fft_len)[::taps])
+    powers = np.abs(spectra) ** 2
+
     h_bg = np.zeros(fft_len // 2 + 1, dtype=np.complex128)
     h_fg = np.zeros_like(h_bg)
     psd = np.zeros(fft_len // 2 + 1)
@@ -289,7 +300,7 @@ def simulate_aec(m: Signal, x: Signal, spec: SceneSpec) -> tuple[Signal, Signal]
     for _ in range(spec.aec_passes):
         for k in range(n_blocks):
             start = k * taps
-            spec_x = np.fft.rfft(xs[start : start + fft_len])
+            spec_x = spectra[k]
             blk_m = ms[start : start + taps]
 
             pred_fg = np.fft.irfft(spec_x * h_fg)[taps:]
@@ -301,7 +312,7 @@ def simulate_aec(m: Signal, x: Signal, spec: SceneSpec) -> tuple[Signal, Signal]
 
             # NLMS update of the background, gradient constrained to a
             # causal taps-long impulse response
-            psd = smooth * psd + (1.0 - smooth) * np.abs(spec_x) ** 2
+            psd = smooth * psd + (1.0 - smooth) * powers[k]
             spec_err = np.fft.rfft(np.concatenate([np.zeros(taps), err_bg]))
             h_bg = h_bg + mu * np.conj(spec_x) * spec_err / (psd + delta)
             grad = np.fft.irfft(h_bg)

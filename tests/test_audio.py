@@ -23,6 +23,19 @@ def write_pcm16(path, samples, rate=16000, channels=1):
     path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
 
 
+def write_extensible(path, payload, bits, subformat_tag=1, guid_tail=None, cb_size=22):
+    """Mono 16 kHz WAV with a WAVE_FORMAT_EXTENSIBLE (0xFFFE) fmt chunk."""
+    if guid_tail is None:
+        guid_tail = bytes.fromhex("000000001000800000aa00389b71")
+    align = bits // 8
+    fmt = struct.pack("<HHIIHH", 0xFFFE, 1, 16000, 16000 * align, align, bits)
+    fmt += struct.pack("<HHI", cb_size, bits, 0x4)
+    fmt += struct.pack("<H", subformat_tag) + guid_tail
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", len(payload)) + payload
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+
+
 class TestSignal:
     def test_basic(self):
         sig = Signal(np.zeros(10))
@@ -116,6 +129,50 @@ class TestWavIO:
         save_wav(sig, path)
         back = load_wav(path)
         assert back.samples[2] == np.float32(1.5)
+
+
+class TestExtensibleWav:
+    def test_pcm16_subformat_accepted(self, tmp_path):
+        plain, ext = tmp_path / "plain.wav", tmp_path / "ext.wav"
+        samples = [16384, -32768, 0, 32767, -1]
+        write_pcm16(plain, samples)
+        write_extensible(ext, struct.pack("<5h", *samples), bits=16)
+        got = load_wav(ext).samples
+        np.testing.assert_array_equal(got, load_wav(plain).samples)
+        assert got[0] == 0.5 and got[1] == -1.0
+
+    def test_float32_subformat_accepted(self, tmp_path):
+        path = tmp_path / "ext.wav"
+        values = np.array([0.25, -0.75, 1.5], dtype="<f4")
+        write_extensible(path, values.tobytes(), bits=32, subformat_tag=3)
+        np.testing.assert_array_equal(load_wav(path).samples, values.astype(np.float64))
+
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"bits": 8, "subformat_tag": 6}, "extensible subformat 6, 8-bit"),
+            ({"bits": 32, "subformat_tag": 1}, "extensible subformat 1, 32-bit"),
+            ({"bits": 16, "subformat_tag": 3}, "extensible subformat 3, 16-bit"),
+            ({"bits": 16, "guid_tail": bytes(14)}, "SubFormat GUID 0100"),
+            ({"bits": 16, "cb_size": 0}, "too short for its SubFormat"),
+        ],
+        ids=["alaw-8bit", "pcm-32bit", "float-16bit", "foreign-guid", "no-cbsize"],
+    )
+    def test_other_subformats_rejected(self, tmp_path, kwargs, match):
+        path = tmp_path / "ext.wav"
+        write_extensible(path, b"\x00" * 8, **kwargs)
+        with pytest.raises(WavFormatError, match=match) as info:
+            load_wav(path)
+        assert "\n" not in str(info.value)
+
+    def test_fmt_chunk_without_subformat_rejected(self, tmp_path):
+        path = tmp_path / "short.wav"
+        fmt = struct.pack("<HHIIHH", 0xFFFE, 1, 16000, 32000, 2, 16)
+        body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+        body += b"data" + struct.pack("<I", 2) + b"\x00\x00"
+        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        with pytest.raises(WavFormatError, match="too short for its SubFormat"):
+            load_wav(path)
 
 
 class TestEnergyDb:

@@ -31,6 +31,7 @@ from reseval import (
 from reseval.framing import HOP
 from reseval.metrics import (
     METRIC_NAMES,
+    MetricReport,
     _dsml_rows,
     _energy_ratio_rows,
     _gain_rows,
@@ -464,6 +465,28 @@ class TestReportSerialization:
                     assert math.isnan(value)
                 else:
                     assert float(cell) == value
+
+    def test_csv_text_pinned(self):
+        # exact bytes: NaN cells empty; the clamp bounds, -0.0 and
+        # subnormals written as their shortest repr
+        nan = float("nan")
+        rows = [
+            [120.0, -120.0, -0.0, nan, 0.1, 1 / 3, 1e-300],
+            [nan, nan, 2.5e-17, -7.25, -120.0, 120.0, 0.0],
+            [-0.0, 12.345678901234567, nan, 60.0, -60.0, nan, 5e-324],
+        ]
+        columns = np.array(rows).T
+        report = MetricReport(
+            labels=("double_talk", "near_end_single_talk", "far_end_single_talk"),
+            values={name: columns[i] for i, name in enumerate(METRIC_NAMES)},
+            aggregates={},
+        )
+        assert report.to_csv_text() == (
+            "frame_index,label,dsml,resl,sdr,sar,erle,ser,snr\n"
+            "0,double_talk,120.0,-120.0,-0.0,,0.1,0.3333333333333333,1e-300\n"
+            "1,near_end_single_talk,,,2.5e-17,-7.25,-120.0,120.0,0.0\n"
+            "2,far_end_single_talk,-0.0,12.345678901234567,,60.0,-60.0,,5e-324\n"
+        )
 
     def test_json_shape(self, tmp_path):
         comps, mask = build_scene(seed=20)

@@ -17,7 +17,26 @@ from reseval import (
     simulate_aec,
     synth_rir,
 )
-from reseval.simulate import achieved_levels
+from reseval.audio import SAMPLE_RATE
+from reseval.simulate import (
+    GATE_OFF_LEVEL,
+    GATE_SEGMENT_S,
+    N_BANDS,
+    _band_gates,
+    achieved_levels,
+)
+
+
+def band_gates_oracle(n, rng):
+    """Step gates smoothed by direct np.convolve, with the mode="same" slice."""
+    seg_len = int(GATE_SEGMENT_S * SAMPLE_RATE)
+    states = rng.random((N_BANDS, n // seg_len + 2)) < 0.5
+    steps = np.repeat(np.where(states, 1.0, GATE_OFF_LEVEL), seg_len, axis=1)[:, :n]
+    k = int(0.02 * SAMPLE_RATE)
+    kernel = np.hanning(k)
+    kernel /= kernel.sum()
+    start = (k - 1) // 2
+    return np.stack([np.convolve(row, kernel)[start : start + n] for row in steps])
 
 
 class TestSceneSpec:
@@ -113,6 +132,38 @@ class TestSynthRir:
         tail = acc[t60_idx : t60_idx + 40].mean()
         drop_db = 10 * math.log10(head / tail)
         assert drop_db == pytest.approx(60.0, abs=3.0)
+
+
+class TestBandGates:
+    # shorter than the kernel, shorter than one segment, one past a
+    # segment, and an exact multiple of the segment with its neighbours
+    LENGTHS = (100, 1000, 2001, 159999, 160000, 160001)
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_matches_direct_convolution(self, n):
+        got = _band_gates(n, np.random.default_rng(n))
+        want = band_gates_oracle(n, np.random.default_rng(n))
+        assert got.shape == (N_BANDS, n)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    # 100 samples have no interior: the kernel's half-width reaches
+    # both ends
+    @pytest.mark.parametrize("n", LENGTHS[1:])
+    def test_interior_between_off_level_and_one(self, n):
+        gates = _band_gates(n, np.random.default_rng(n + 1))
+        half = int(0.02 * SAMPLE_RATE) // 2
+        interior = gates[:, half : n - half]
+        assert np.all(interior >= GATE_OFF_LEVEL - 1e-12)
+        assert np.all(interior <= 1.0 + 1e-12)
+
+    def test_same_rng_state_same_gates(self):
+        a_rng, b_rng = np.random.default_rng(4), np.random.default_rng(4)
+        assert np.array_equal(_band_gates(40000, a_rng), _band_gates(40000, b_rng))
+        # and it draws exactly what the oracle draws, so later draws
+        # from the same generator do not shift
+        oracle_rng = np.random.default_rng(4)
+        band_gates_oracle(40000, oracle_rng)
+        assert a_rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestMixer:
@@ -222,6 +273,31 @@ class TestGenerateScene:
         b = generate_scene(spec)
         for name, sig in a.present().items():
             assert np.array_equal(sig.samples, getattr(b, name).samples), name
+
+    def test_pinned_scene(self):
+        # energies and samples recorded from the scene generator before
+        # the gate smoothing left the FFT; later refactors must not drift
+        spec = SceneSpec(duration=2.5, seed=31, ser_db=-5.0, echo_path_change_at=1.25)
+        comps = generate_scene(spec)
+        energies = {
+            "s": 400.0000000000001,
+            "x": 400.0000000000001,
+            "y": 1264.911064067352,
+            "m": 1649.3757429353327,
+            "e": 1133.7583085500926,
+        }
+        samples = {
+            "s": {18000: -0.04809912334854924, 30000: 0.04307994201979514},
+            "x": {5000: -0.04649246377328351, 12000: 0.06044097635474586},
+            "y": {5000: -0.6990558214204236, 21000: 0.002583512385724788},
+            "m": {8000: -0.08178899538251425, 21000: -0.029208684227006513, 30000: 0.04063200209952618},
+            "e": {8000: -0.09868049258764891, 21000: -0.11859755157282502, 30000: 0.04063200209952618},
+        }
+        for name, energy in energies.items():
+            got = getattr(comps, name).samples
+            assert float(got @ got) == pytest.approx(energy, rel=1e-12, abs=0), name
+            for idx, value in samples[name].items():
+                assert got[idx] == pytest.approx(value, rel=1e-12, abs=0), (name, idx)
 
     def test_mix_identities_exact(self):
         comps = generate_scene(SceneSpec(duration=2.5, seed=22))
