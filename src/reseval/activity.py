@@ -71,6 +71,10 @@ class ActivityMask:
         atomic_write_bytes(path, buf.getvalue().encode())
 
 
+# indexed by near + 2*far, where near/far say whether s/echo_ref are active
+_LABEL_OF_ACTIVITY = (FrameLabel.SILENCE, FrameLabel.NEAR_END, FrameLabel.FAR_END, FrameLabel.DOUBLE_TALK)
+
+
 def classify(
     s: Signal,
     echo_ref: Signal,
@@ -88,17 +92,8 @@ def classify(
         )
     near = frame_active(s, grid, threshold_db)
     far = frame_active(echo_ref, grid, threshold_db)
-    labels = []
-    for n_act, f_act in zip(near, far):
-        if n_act and f_act:
-            labels.append(FrameLabel.DOUBLE_TALK)
-        elif n_act:
-            labels.append(FrameLabel.NEAR_END)
-        elif f_act:
-            labels.append(FrameLabel.FAR_END)
-        else:
-            labels.append(FrameLabel.SILENCE)
-    return ActivityMask(labels=tuple(labels), grid=grid, threshold_db=threshold_db)
+    labels = tuple(_LABEL_OF_ACTIVITY[code] for code in (near + 2 * far).tolist())
+    return ActivityMask(labels=labels, grid=grid, threshold_db=threshold_db)
 
 
 def echo_reference(components) -> Signal:

@@ -9,6 +9,7 @@ status is nonzero when any entry failed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -73,8 +74,7 @@ class Manifest:
     @classmethod
     def from_json(cls, path) -> "Manifest":
         base = os.path.dirname(os.path.abspath(path))
-        with open(path) as fh:
-            raw = json.load(fh)
+        raw = _read_json(path)
         if not isinstance(raw, dict) or not isinstance(raw.get("entries"), list):
             raise ValueError(f"{path}: manifest must be an object with an 'entries' list")
         options = raw.get("options", {})
@@ -94,9 +94,11 @@ class Manifest:
         return cls(entries=entries, threshold_db=threshold_db, clamp_db=clamp_db)
 
     def write_json(self, path) -> None:
+        """Write the manifest with paths relative to its own directory."""
+        base = os.path.dirname(os.path.abspath(path))
         items = []
         for entry in self.entries:
-            item = {"id": entry.id, **entry.paths}
+            item = {"id": entry.id, **{k: os.path.relpath(p, base) for k, p in entry.paths.items()}}
             if entry.tags:
                 item["tags"] = entry.tags
             items.append(item)
@@ -137,8 +139,7 @@ def manifest_from_scenes(scenes_dir) -> Manifest:
     entries = []
     for name in names:
         scene_dir = os.path.join(scenes_dir, name)
-        with open(os.path.join(scene_dir, "scene.json")) as fh:
-            sidecar = json.load(fh)
+        sidecar = _read_json(os.path.join(scene_dir, "scene.json"))
         paths = {}
         for key, fname in _WAV_NAMES.items():
             p = os.path.join(scene_dir, fname)
@@ -151,11 +152,20 @@ def manifest_from_scenes(scenes_dir) -> Manifest:
     return Manifest(entries=entries)
 
 
-def _resolve_manifest(args) -> Manifest:
-    if getattr(args, "manifest", None):
+def _read_json(path):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+
+
+def _resolve_manifest(args, scenes_dir=None) -> Manifest:
+    """The batch of --manifest or --scenes, or of scenes_dir when given."""
+    if scenes_dir is None and args.manifest:
         manifest = Manifest.from_json(args.manifest)
-    elif getattr(args, "scenes", None):
-        manifest = manifest_from_scenes(args.scenes)
+    elif scenes_dir or args.scenes:
+        manifest = manifest_from_scenes(scenes_dir or args.scenes)
     else:
         raise ValueError("need --manifest or --scenes")
     if not manifest.entries:
@@ -187,12 +197,33 @@ def _map_entries(fn, items, jobs: int):
         return list(pool.map(fn, items))
 
 
+def _isolated(task):
+    """step(entry, *extra) -> (id, result, None), or (id, None, error line)."""
+    step, entry, *extra = task
+    try:
+        return entry.id, step(entry, *extra), None
+    except Exception as exc:  # per-entry isolation
+        return entry.id, None, f"{type(exc).__name__}: {exc}"
+
+
+def _run_batch(command: str, step, entries, *extra, jobs: int = 1):
+    """Run step over the entries in order; failures are reported, not raised.
+
+    Returns ({id: result}, {id: error}) and prints one
+    "<command>: <id>: <error>" line per failed entry to stderr.
+    """
+    results, errors = {}, {}
+    for eid, result, err in _map_entries(_isolated, [(step, entry, *extra) for entry in entries], jobs):
+        if err is None:
+            results[eid] = result
+        else:
+            errors[eid] = err
+            print(f"{command}: {eid}: {err}", file=sys.stderr)
+    return results, errors
+
+
 def _load_scene_specs(path, count: int, seed: int) -> list[SceneSpec]:
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    raw = _read_json(path)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: scene spec must be a JSON object")
     list_fields = {}
@@ -219,113 +250,89 @@ def _simulate_one(task):
     save_scene(generate_scene(spec), spec, scene_dir)
 
 
+def _simulate_scenes(args, out_dir, jobs: int = 1) -> int:
+    """Write the --spec/--count/--seed scenes as out_dir/scene_NNNN."""
+    specs = _load_scene_specs(args.spec, args.count, _default_seed(args))
+    os.makedirs(out_dir, exist_ok=True)
+    tasks = [(spec, os.path.join(out_dir, f"scene_{i:04d}")) for i, spec in enumerate(specs)]
+    _map_entries(_simulate_one, tasks, jobs)
+    return len(specs)
+
+
 def cmd_simulate(args) -> int:
-    seed = _default_seed(args)
-    specs = _load_scene_specs(args.spec, args.count, seed)
-    os.makedirs(args.out, exist_ok=True)
-    tasks = [
-        (spec, os.path.join(args.out, f"scene_{i:04d}")) for i, spec in enumerate(specs)
-    ]
-    _map_entries(_simulate_one, tasks, args.jobs)
-    print(f"simulate: wrote {len(specs)} scenes to {args.out}")
+    count = _simulate_scenes(args, args.out, args.jobs)
+    print(f"simulate: wrote {count} scenes to {args.out}")
     return 0
 
 
-def _suppress_one(task):
-    entry, beta, floor, out_path = task
-    try:
-        entry.require(("s", "e"))
-        components = entry.load_components(("s", "e"))
-        s_hat = oracle_suppress(components.e, components.s, SuppressorConfig(beta=beta, floor=floor))
-        save_wav(s_hat, out_path)
-        return entry.id, out_path, None
-    except Exception as exc:  # per-entry isolation
-        return entry.id, out_path, f"{type(exc).__name__}: {exc}"
+def _suppress_entry(entry, config, out_dir):
+    entry.require(("s", "e"))
+    components = entry.load_components(("s", "e"))
+    if out_dir:
+        out_path = os.path.join(out_dir, f"{entry.id}.shat.wav")
+    else:
+        out_path = os.path.join(os.path.dirname(entry.paths["e"]), "shat.wav")
+    save_wav(oracle_suppress(components.e, components.s, config), out_path)
+    return out_path
 
 
 def cmd_suppress(args) -> int:
     manifest = _resolve_manifest(args)
-    if args.alpha is not None:
-        beta = beta_schedule([args.alpha])[0]
-    else:
-        beta = args.beta
-    out_dir = args.out
-    tasks = []
+    beta = args.beta if args.alpha is None else beta_schedule([args.alpha])[0]
+    config = SuppressorConfig(beta=beta, floor=args.floor)
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+    written, errors = _run_batch("suppress", _suppress_entry, manifest.entries, config, args.out,
+                                 jobs=args.jobs)
     for entry in manifest.entries:
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-            out_path = os.path.join(out_dir, f"{entry.id}.shat.wav")
-        elif "e" in entry.paths:
-            out_path = os.path.join(os.path.dirname(entry.paths["e"]), "shat.wav")
-        else:
-            out_path = ""
-        tasks.append((entry, beta, args.floor, out_path))
-    results = _map_entries(_suppress_one, tasks, args.jobs)
-    errors = {}
-    for entry, (eid, out_path, err) in zip(manifest.entries, results):
-        if err is None:
-            entry.paths["s_hat"] = out_path
-        else:
-            errors[eid] = err
-            print(f"suppress: {eid}: {err}", file=sys.stderr)
-    if out_dir:
-        manifest.write_json(os.path.join(out_dir, "manifest.json"))
-    print(f"suppress: beta={beta:g}, {len(manifest.entries) - len(errors)} ok, {len(errors)} failed")
+        if entry.id in written:
+            entry.paths["s_hat"] = written[entry.id]
+    if args.out:
+        manifest.write_json(os.path.join(args.out, "manifest.json"))
+    print(f"suppress: beta={beta:g}, {len(written)} ok, {len(errors)} failed")
     return 1 if errors else 0
 
 
-def _evaluate_one(task):
-    entry, threshold_db, clamp_db = task
-    try:
-        entry.require(("s", "e", "s_hat"))
-        components = entry.load_components()
-        grid = make_grid(len(components.s))
-        mask = classify(components.s, echo_reference(components), grid, threshold_db)
-        report = evaluate_scene(components, mask, clamp_db)
-        return entry.id, report, None
-    except Exception as exc:
-        return entry.id, None, f"{type(exc).__name__}: {exc}"
+def _load_labeled(entry, required, threshold_db):
+    """All components of an entry plus its activity mask."""
+    entry.require(required)
+    components = entry.load_components()
+    grid = make_grid(len(components.s))
+    return components, classify(components.s, echo_reference(components), grid, threshold_db)
 
 
-def _pooled_aggregates(reports: dict[str, MetricReport]) -> dict:
+def _evaluate_entry(entry, threshold_db, clamp_db) -> MetricReport:
+    components, mask = _load_labeled(entry, ("s", "e", "s_hat"), threshold_db)
+    return evaluate_scene(components, mask, clamp_db)
+
+
+def _pooled_aggregates(reports) -> dict:
+    """Aggregates of each metric over the frames of all reports, in order."""
+    reports = list(reports)
+    if not reports:
+        return {}
     pooled = {}
     for name in METRIC_NAMES:
-        chunks = [rep.values[name] for rep in reports.values()]
-        if not chunks:
-            continue
-        values = np.concatenate(chunks)
-        agg = aggregate(values, _condition_of(name))
+        agg = aggregate(np.concatenate([rep.values[name] for rep in reports]), METRIC_CONDITIONS[name])
         if agg is not None:
             pooled[name] = asdict(agg)
     return pooled
 
 
-def _condition_of(name: str) -> str:
-    cond = METRIC_CONDITIONS[name]
-    return cond.value if cond else "all"
-
-
 def cmd_evaluate(args) -> int:
     manifest = _resolve_manifest(args)
     os.makedirs(args.out, exist_ok=True)
-    tasks = [(entry, manifest.threshold_db, manifest.clamp_db) for entry in manifest.entries]
-    results = _map_entries(_evaluate_one, tasks, args.jobs)
-    reports = {}
-    errors = {}
-    for eid, report, err in results:
-        if err is None:
-            reports[eid] = report
-            report.write_csv(os.path.join(args.out, f"frames_{eid}.csv"))
-        else:
-            errors[eid] = err
-            print(f"evaluate: {eid}: {err}", file=sys.stderr)
+    reports, errors = _run_batch("evaluate", _evaluate_entry, manifest.entries,
+                                 manifest.threshold_db, manifest.clamp_db, jobs=args.jobs)
+    for eid, report in reports.items():
+        report.write_csv(os.path.join(args.out, f"frames_{eid}.csv"))
 
     payload = {
         "threshold_db": manifest.threshold_db,
         "clamp_db": manifest.clamp_db,
         "n_entries": len(manifest.entries),
         "n_failed": len(errors),
-        "metrics": _pooled_aggregates(reports),
+        "metrics": _pooled_aggregates(reports.values()),
         "per_utterance": {
             eid: rep.to_json_dict()["aggregates"] for eid, rep in sorted(reports.items())
         },
@@ -337,68 +344,56 @@ def cmd_evaluate(args) -> int:
     return 1 if errors else 0
 
 
-def _load_scene_for_sweep(entry, threshold_db):
-    components = entry.load_components()
-    grid = make_grid(len(components.s))
-    mask = classify(components.s, echo_reference(components), grid, threshold_db)
-    return components, mask
+def _sweep_entry(entry, configs, threshold_db, clamp_db) -> list[MetricReport]:
+    """One report per suppressor config for one scene."""
+    components, mask = _load_labeled(entry, ("s", "e"), threshold_db)
+    reports = []
+    for config in configs:
+        s_hat = oracle_suppress(components.e, components.s, config)
+        # only what evaluate_scene reads: the m and e identities were
+        # checked once when the scene was loaded
+        scene = SceneComponents(s=components.s, y=components.y, w=components.w,
+                                e=components.e, s_hat=s_hat)
+        reports.append(evaluate_scene(scene, mask, clamp_db))
+    return reports
+
+
+def _group_of(entry, tag):
+    value = entry.tags.get(tag)
+    if value is None:
+        raise ValueError(f"entry {entry.id!r} has no tag {tag!r}")
+    if not isinstance(value, (str, int, float)):
+        raise ValueError(f"entry {entry.id!r}: tag {tag!r} must be a string or a number, "
+                         f"got {type(value).__name__}")
+    return value
 
 
 def cmd_sweep(args) -> int:
     alphas = [float(a) for a in args.alphas.split(",") if a.strip() != ""]
     if not alphas:
         raise ValueError("empty alpha list")
-    betas = beta_schedule(alphas)
-    if args.spec and not args.scenes_dir:
-        with tempfile.TemporaryDirectory(prefix="reseval-sweep-") as scenes_dir:
-            return _run_sweep(args, alphas, betas, scenes_dir)
-    return _run_sweep(args, alphas, betas, args.scenes_dir)
+    configs = [SuppressorConfig(beta=beta, floor=args.floor) for beta in beta_schedule(alphas)]
+    with contextlib.ExitStack() as stack:
+        scenes_dir = None
+        if args.spec:
+            scenes_dir = args.scenes_dir or stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="reseval-sweep-"))
+            _simulate_scenes(args, scenes_dir)
+        manifest = _resolve_manifest(args, scenes_dir)
+        groups = {e.id: _group_of(e, args.group_by) for e in manifest.entries} if args.group_by else {}
+        reports, errors = _run_batch("sweep", _sweep_entry, manifest.entries, configs,
+                                     manifest.threshold_db, manifest.clamp_db)
 
-
-def _run_sweep(args, alphas, betas, scenes_dir) -> int:
-    if args.spec:
-        seed = _default_seed(args)
-        specs = _load_scene_specs(args.spec, args.count, seed)
-        os.makedirs(scenes_dir, exist_ok=True)
-        for i, spec in enumerate(specs):
-            save_scene(generate_scene(spec), spec, os.path.join(scenes_dir, f"scene_{i:04d}"))
-        args.scenes = scenes_dir
-        args.manifest = None
-    manifest = _resolve_manifest(args)
-
-    loaded = []
-    for entry in manifest.entries:
-        entry.require(("s", "e"))
-        components, mask = _load_scene_for_sweep(entry, manifest.threshold_db)
-        group = entry.tags.get(args.group_by) if args.group_by else None
-        if args.group_by and group is None:
-            raise ValueError(f"entry {entry.id!r} has no tag {args.group_by!r}")
-        loaded.append((entry.id, group, components, mask))
-
-    groups = sorted({g for _, g, _, _ in loaded}, key=lambda v: (str(type(v)), v))
     rows = []
-    for group in groups:
-        members = [item for item in loaded if item[1] == group]
-        for alpha, beta in zip(alphas, betas):
-            pooled = {name: [] for name in METRIC_NAMES}
-            for _, _, components, mask in members:
-                s_hat = oracle_suppress(
-                    components.e, components.s, SuppressorConfig(beta=beta, floor=args.floor)
-                )
-                # only what evaluate_scene reads: the m and e identities
-                # were checked once when the scene was loaded
-                scene = SceneComponents(s=components.s, y=components.y, w=components.w,
-                                        e=components.e, s_hat=s_hat)
-                report = evaluate_scene(scene, mask, manifest.clamp_db)
-                for name in METRIC_NAMES:
-                    pooled[name].append(report.values[name])
-            row = {"alpha": alpha, "beta": beta, "n_scenes": len(members)}
+    for group in sorted({groups.get(eid) for eid in reports}, key=lambda v: (str(type(v)), v)):
+        members = [rep for eid, rep in reports.items() if groups.get(eid) == group]
+        for i, (alpha, config) in enumerate(zip(alphas, configs)):
+            row = {"alpha": alpha, "beta": config.beta, "n_scenes": len(members)}
             if args.group_by:
                 row[args.group_by] = group
-            for name in METRIC_NAMES:
-                agg = aggregate(np.concatenate(pooled[name]), _condition_of(name))
-                row[f"{name}_mean"] = agg.mean if agg else ""
-                row[f"{name}_std"] = agg.std if agg else ""
+            # a metric no frame qualified for stays an empty cell
+            for name, agg in _pooled_aggregates(rep[i] for rep in members).items():
+                row[f"{name}_mean"], row[f"{name}_std"] = agg["mean"], agg["std"]
             rows.append(row)
 
     columns = ([args.group_by] if args.group_by else []) + ["alpha", "beta", "n_scenes"]
@@ -410,8 +405,8 @@ def _run_sweep(args, alphas, betas, scenes_dir) -> int:
     for row in rows:
         writer.writerow([_csv_cell(row.get(c, "")) for c in columns])
     atomic_write_bytes(args.out, buf.getvalue().encode())
-    print(f"sweep: {len(rows)} rows -> {args.out}")
-    return 0
+    print(f"sweep: {len(rows)} rows, {len(reports)} ok, {len(errors)} failed -> {args.out}")
+    return 1 if errors else 0
 
 
 def _csv_cell(value) -> str:
@@ -521,7 +516,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
-        message = exc.args[0] if exc.args else exc
+        # str() of an OSError names the file; str() of a KeyError adds quotes
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
 

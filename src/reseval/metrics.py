@@ -31,15 +31,15 @@ COMP_DEGENERATE = 1e-12
 
 METRIC_NAMES = ("dsml", "resl", "sdr", "sar", "erle", "ser", "snr")
 
-# condition each metric is defined on; None means every frame
-METRIC_CONDITIONS: dict[str, FrameLabel | None] = {
-    "dsml": FrameLabel.DOUBLE_TALK,
-    "resl": FrameLabel.DOUBLE_TALK,
-    "sdr": FrameLabel.DOUBLE_TALK,
-    "sar": FrameLabel.NEAR_END,
-    "erle": FrameLabel.FAR_END,
-    "ser": None,
-    "snr": None,
+# name of the condition each metric is defined on; "all" means every frame
+METRIC_CONDITIONS: dict[str, str] = {
+    "dsml": FrameLabel.DOUBLE_TALK.value,
+    "resl": FrameLabel.DOUBLE_TALK.value,
+    "sdr": FrameLabel.DOUBLE_TALK.value,
+    "sar": FrameLabel.NEAR_END.value,
+    "erle": FrameLabel.FAR_END.value,
+    "ser": "all",
+    "snr": "all",
 }
 
 
@@ -195,16 +195,10 @@ class MetricReport:
     aggregates: dict[str, MetricAggregate]
     clamp_db: float = CLAMP_DB
 
-    def frame_counts(self) -> dict[str, int]:
-        out = {label.value: 0 for label in FrameLabel}
-        for lab in self.labels:
-            out[lab] += 1
-        return out
-
     def to_json_dict(self) -> dict:
         return {
             "clamp_db": self.clamp_db,
-            "frame_counts": self.frame_counts(),
+            "frame_counts": {label.value: self.labels.count(label.value) for label in FrameLabel},
             "aggregates": {name: asdict(agg) for name, agg in sorted(self.aggregates.items())},
         }
 
@@ -277,8 +271,7 @@ def evaluate_scene(
 
     aggregates = {}
     for name in METRIC_NAMES:
-        condition = METRIC_CONDITIONS[name]
-        agg = aggregate(values[name], condition.value if condition else "all")
+        agg = aggregate(values[name], METRIC_CONDITIONS[name])
         if agg is not None:
             aggregates[name] = agg
 

@@ -132,11 +132,6 @@ class SceneSpec:
             out[f.name] = getattr(self, f.name)
         return out
 
-    def with_seed(self, seed: int) -> "SceneSpec":
-        d = self.to_dict()
-        d["seed"] = int(seed)
-        return SceneSpec(**d)
-
     @property
     def n_samples(self) -> int:
         return int(round(self.duration * SAMPLE_RATE))

@@ -1,8 +1,11 @@
+import argparse
 import csv
 import gc
 import json
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -12,7 +15,8 @@ import numpy as np
 import pytest
 
 import reseval as rv
-from reseval.cli import Manifest, main, manifest_from_scenes
+from reseval import cli
+from reseval.cli import Manifest, ManifestEntry, build_parser, main, manifest_from_scenes
 
 SPEC = {"duration": 2.5, "ser_db": 0.0, "snr_db": 30.0}
 
@@ -25,6 +29,11 @@ def write_spec(tmp_path, spec=None, name="spec.json"):
     path = tmp_path / name
     path.write_text(json.dumps(spec if spec is not None else SPEC))
     return path
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def dir_bytes(root):
@@ -103,6 +112,26 @@ class TestSuppress:
         manifest.write_text(json.dumps({"entries": [{"id": "u0", "s": "missing.wav"}]}))
         assert run("suppress", "--manifest", manifest, "--out", tmp_path / "o") == 1
         assert "missing paths" in capsys.readouterr().err
+
+    def test_out_manifest_reads_back_with_relative_paths(self, scene_dir, tmp_path, monkeypatch):
+        shutil.copytree(scene_dir, tmp_path / "scenes")
+        monkeypatch.chdir(tmp_path)
+        assert run("suppress", "--scenes", "scenes", "--beta", 8, "--out", "sup") == 0
+        raw = json.loads((tmp_path / "sup" / "manifest.json").read_text())
+        assert raw["entries"][0]["s"] == os.path.join("..", "scenes", "scene_0000", "s.wav")
+        assert raw["entries"][0]["s_hat"] == "scene_0000.shat.wav"
+        assert run("evaluate", "--manifest", os.path.join("sup", "manifest.json"), "--out", "rep") == 0
+        assert json.loads((tmp_path / "rep" / "report.json").read_text())["n_failed"] == 0
+
+    def test_invalid_beta_one_line_before_batch(self, scene_dir, capsys):
+        assert run("suppress", "--scenes", scene_dir, "--beta", 0.5) == 2
+        assert capsys.readouterr().err == "error: beta must be >= 1, got 0.5\n"
+
+    def test_jobs_parallel_matches_serial(self, scene_dir, tmp_path):
+        assert run("suppress", "--scenes", scene_dir, "--alpha", 0.5, "--out", tmp_path / "serial") == 0
+        assert run("suppress", "--scenes", scene_dir, "--alpha", 0.5, "--out", tmp_path / "parallel",
+                   "--jobs", 2) == 0
+        assert dir_bytes(tmp_path / "serial") == dir_bytes(tmp_path / "parallel")
 
 
 class TestEvaluate:
@@ -273,6 +302,51 @@ class TestSweep:
         assert run("sweep", "--scenes", scene_dir, "--alphas", "", "--out", tmp_path / "x.csv") == 2
         assert "empty alpha list" in capsys.readouterr().err
 
+    def test_non_scalar_group_tag_rejected_before_suppression(self, scene_dir, tmp_path, monkeypatch, capsys):
+        manifest = manifest_from_scenes(scene_dir)
+        manifest.entries[-1].tags["ser_db"] = [0.0, 10.0]
+        manifest.write_json(tmp_path / "m.json")
+        calls = []
+        monkeypatch.setattr(cli, "oracle_suppress", lambda *a: calls.append(a))
+        assert run("sweep", "--manifest", tmp_path / "m.json", "--alphas", "0", "--group-by", "ser_db",
+                   "--out", tmp_path / "x.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: entry 'scene_0002': tag 'ser_db'")
+        assert err.count("\n") == 1
+        assert calls == []
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_failed_entry_isolated(self, scene_dir, tmp_path, capsys):
+        manifest = manifest_from_scenes(scene_dir)
+        manifest.entries.insert(1, ManifestEntry("broken", {"s": str(tmp_path / "nope.wav"),
+                                                            "e": str(tmp_path / "nope.wav")}))
+        manifest.write_json(tmp_path / "m.json")
+        out = tmp_path / "partial.csv"
+        assert run("sweep", "--manifest", tmp_path / "m.json", "--alphas", "0,1", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sweep: broken: FileNotFoundError: ")
+        assert err.count("\n") == 1
+        rows = read_rows(out)
+        assert [r["n_scenes"] for r in rows] == ["3", "3"]
+
+    def test_row_matches_suppress_then_evaluate(self, scene_dir, tmp_path, monkeypatch):
+        shutil.copytree(scene_dir, tmp_path / "scenes")
+        monkeypatch.chdir(tmp_path)
+        assert run("sweep", "--scenes", "scenes", "--alphas", "0.5", "--out", "sweep.csv") == 0
+        assert run("suppress", "--scenes", "scenes", "--alpha", 0.5, "--out", "sup") == 0
+        assert run("evaluate", "--manifest", os.path.join("sup", "manifest.json"), "--out", "rep") == 0
+        (row,) = read_rows(tmp_path / "sweep.csv")
+        report = json.loads((tmp_path / "rep" / "report.json").read_text())
+        assert int(row["n_scenes"]) == report["n_entries"] - report["n_failed"] == 3
+        for name in rv.metrics.METRIC_NAMES:
+            agg = report["metrics"].get(name)
+            if agg is None:
+                assert row[f"{name}_mean"] == row[f"{name}_std"] == ""
+                continue
+            # s_hat reaches evaluate through a float32 WAV, sweep keeps it in float64
+            assert float(row[f"{name}_mean"]) == pytest.approx(agg["mean"], abs=1e-4)
+            assert float(row[f"{name}_std"]) == pytest.approx(agg["std"], abs=1e-4)
+
 
 class TestCorrelate:
     def write_table(self, tmp_path, rows, header="utt,metric,score"):
@@ -362,6 +436,61 @@ class TestManifestSchema:
         assert err.startswith(f"error: {manifest}: ")
         assert match in err
         assert err.count("\n") == 1
+
+
+def _missing_manifest(tmp_path, scene_dir):
+    path = tmp_path / "missing.json"
+    return ["evaluate", "--manifest", path, "--out", tmp_path / "r"], path
+
+
+def _missing_spec(tmp_path, scene_dir):
+    path = tmp_path / "missing.json"
+    return ["simulate", "--spec", path, "--out", tmp_path / "s"], path
+
+
+def _missing_table(tmp_path, scene_dir):
+    path = tmp_path / "missing.csv"
+    return ["correlate", "--table", path, "--metric-col", "a", "--score-col", "b"], path
+
+
+def _sweep_out_is_dir(tmp_path, scene_dir):
+    path = tmp_path / "table"
+    path.mkdir()
+    return ["sweep", "--scenes", scene_dir, "--alphas", "0", "--out", path], path
+
+
+def _malformed_manifest(tmp_path, scene_dir):
+    path = tmp_path / "m.json"
+    path.write_text('{"entries": [{id: 1}]}')
+    return ["evaluate", "--manifest", path, "--out", tmp_path / "r"], path
+
+
+def _malformed_sidecar(tmp_path, scene_dir):
+    path = tmp_path / "scenes" / "scene_0000" / "scene.json"
+    path.parent.mkdir(parents=True)
+    path.write_text("{spec")
+    return ["evaluate", "--scenes", tmp_path / "scenes", "--out", tmp_path / "r"], path
+
+
+@pytest.mark.parametrize("make", [_missing_manifest, _missing_spec, _missing_table, _sweep_out_is_dir,
+                                  _malformed_manifest, _malformed_sidecar])
+def test_file_errors_name_the_file(scene_dir, tmp_path, capsys, make):
+    argv, path = make(tmp_path, scene_dir)
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert str(path) in err
+
+
+def test_readme_flag_table_matches_parser():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    table = {m.group(1): set(re.findall(r"`(--[a-z-]+)`", m.group(2)))
+             for m in re.finditer(r"^\| `(\w+)` \| (.*) \|$", readme, re.MULTILINE)}
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+               for name, sub in commands.choices.items()}
+    assert table == options
 
 
 def test_cli_import_loads_no_scipy():
