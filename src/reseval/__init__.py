@@ -6,7 +6,6 @@ from .audio import (
     Signal,
     TruncatedWavError,
     WavFormatError,
-    energy_db,
     load_wav,
     save_wav,
 )
@@ -29,7 +28,6 @@ from .metrics import (
 from .simulate import (
     SceneSpec,
     generate_scene,
-    load_scene,
     mix_at_ser_snr,
     nonlinear_distort,
     save_scene,

@@ -6,13 +6,12 @@ grid, and an energy threshold.  Noise is ignored for labeling.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .audio import ENERGY_FLOOR, Signal, atomic_write_bytes
+from .audio import ENERGY_FLOOR, Signal
 from .framing import FrameGrid
 
 DEFAULT_THRESHOLD_DB = -50.0
@@ -29,7 +28,7 @@ def frame_active(signal: Signal, grid: FrameGrid, threshold_db: float = DEFAULT_
     """Boolean per frame: frame energy above threshold_db.
 
     Energy is the summed squared amplitude of the frame in dB, floored
-    at 1e-12, matching energy_db.
+    at 1e-12.
     """
     frames = grid.frame_matrix(signal.samples)
     energies = np.einsum("ij,ij->i", frames, frames) if frames.size else np.zeros(grid.n_frames)
@@ -51,24 +50,8 @@ class ActivityMask:
                 f"{len(self.labels)} labels for {self.grid.n_frames} frames"
             )
 
-    def counts(self) -> dict[FrameLabel, int]:
-        out = {label: 0 for label in FrameLabel}
-        for lab in self.labels:
-            out[lab] += 1
-        return out
-
     def indices(self, label: FrameLabel) -> np.ndarray:
         return np.array([i for i, lab in enumerate(self.labels) if lab is label], dtype=np.intp)
-
-    def write_csv(self, path) -> None:
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["frame_index", "label"])
-        for i, lab in enumerate(self.labels):
-            writer.writerow([i, lab.value])
-        atomic_write_bytes(path, buf.getvalue().encode())
 
 
 # indexed by near + 2*far, where near/far say whether s/echo_ref are active

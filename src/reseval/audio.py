@@ -1,4 +1,4 @@
-"""Waveform container, 16 kHz mono WAV I/O, and energy primitives."""
+"""Waveform container, 16 kHz mono WAV I/O, and the shared energy floor."""
 
 from __future__ import annotations
 
@@ -37,7 +37,6 @@ class Signal:
     """
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=np.float64)
@@ -47,10 +46,6 @@ class Signal:
             raise ValueError("signal must contain at least one sample")
         if not np.all(np.isfinite(arr)):
             raise ValueError("signal contains non-finite samples")
-        if self.sample_rate != SAMPLE_RATE:
-            raise ValueError(
-                f"sample rate {self.sample_rate} unsupported ({SAMPLE_RATE} Hz required)"
-            )
         if arr is self.samples:
             arr = arr.copy()
         arr.setflags(write=False)
@@ -61,7 +56,7 @@ class Signal:
 
     @property
     def duration(self) -> float:
-        return self.samples.size / self.sample_rate
+        return self.samples.size / SAMPLE_RATE
 
 
 @dataclass(frozen=True)
@@ -90,8 +85,6 @@ class SceneComponents:
                 raise ValueError(
                     f"component '{name}' has length {len(sig)}, expected {ref}"
                 )
-            if sig.sample_rate != self.s.sample_rate:
-                raise ValueError(f"component '{name}' sample rate mismatch")
         if self.y is not None and self.w is not None and self.m is not None:
             mix = self.s.samples + self.y.samples + self.w.samples
             err = np.max(np.abs(mix - self.m.samples))
@@ -113,16 +106,6 @@ class SceneComponents:
             if sig is not None:
                 out[name] = sig
         return out
-
-
-def energy_db(samples) -> float:
-    """10*log10 of the summed squared amplitude, floored at 1e-12."""
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("energy_db: empty input")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("energy_db: non-finite input")
-    return float(10.0 * np.log10(float(np.dot(arr, arr)) + ENERGY_FLOOR))
 
 
 def atomic_write_bytes(path, data: bytes) -> None:

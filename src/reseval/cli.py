@@ -38,8 +38,6 @@ from .suppressor import SuppressorConfig, beta_schedule, oracle_suppress
 
 SEED_ENV_VAR = "RES_EVAL_SEED"
 
-_COMPONENT_KEYS = ("s", "x", "y", "w", "m", "y_hat", "e", "s_hat")
-
 
 @dataclass
 class ManifestEntry:
@@ -52,10 +50,9 @@ class ManifestEntry:
         if missing:
             raise ValueError(f"entry {self.id!r} is missing paths: {', '.join(missing)}")
 
-    def load_components(self, keys=None) -> SceneComponents:
-        wanted = self.paths if keys is None else {k: self.paths[k] for k in keys if k in self.paths}
-        loaded = {name: load_wav(path) for name, path in wanted.items()}
-        return SceneComponents(**loaded)
+    def load_components(self, keys) -> SceneComponents:
+        """The components of keys that the entry names; keys it lacks are skipped."""
+        return SceneComponents(**{k: load_wav(self.paths[k]) for k in keys if k in self.paths})
 
 
 @dataclass
@@ -116,7 +113,7 @@ def _parse_entry(item, base: str) -> ManifestEntry:
     if "id" not in item:
         raise ValueError("has no 'id'")
     paths = {}
-    for key in _COMPONENT_KEYS:
+    for key in _WAV_NAMES:
         if key in item:
             p = item[key]
             if not isinstance(p, str) or not p:
@@ -293,16 +290,20 @@ def cmd_suppress(args) -> int:
     return 1 if errors else 0
 
 
-def _load_labeled(entry, required, threshold_db):
-    """All components of an entry plus its activity mask."""
-    entry.require(required)
-    components = entry.load_components()
+# read by evaluate_scene and echo_reference; m and y_hat only for the identity checks
+_SCENE_KEYS = ("s", "y", "w", "m", "y_hat", "e")
+
+
+def _load_labeled(entry, extra, threshold_db):
+    """An entry's scene components (s and e required) plus extra, and its activity mask."""
+    entry.require(("s", "e", *extra))
+    components = entry.load_components(_SCENE_KEYS + extra)
     grid = make_grid(len(components.s))
     return components, classify(components.s, echo_reference(components), grid, threshold_db)
 
 
 def _evaluate_entry(entry, threshold_db, clamp_db) -> MetricReport:
-    components, mask = _load_labeled(entry, ("s", "e", "s_hat"), threshold_db)
+    components, mask = _load_labeled(entry, ("s_hat",), threshold_db)
     return evaluate_scene(components, mask, clamp_db)
 
 
@@ -334,7 +335,7 @@ def cmd_evaluate(args) -> int:
         "n_failed": len(errors),
         "metrics": _pooled_aggregates(reports.values()),
         "per_utterance": {
-            eid: rep.to_json_dict()["aggregates"] for eid, rep in sorted(reports.items())
+            eid: {name: asdict(agg) for name, agg in rep.aggregates.items()} for eid, rep in reports.items()
         },
         "errors": errors,
     }
@@ -346,7 +347,7 @@ def cmd_evaluate(args) -> int:
 
 def _sweep_entry(entry, configs, threshold_db, clamp_db) -> list[MetricReport]:
     """One report per suppressor config for one scene."""
-    components, mask = _load_labeled(entry, ("s", "e"), threshold_db)
+    components, mask = _load_labeled(entry, (), threshold_db)
     reports = []
     for config in configs:
         s_hat = oracle_suppress(components.e, components.s, config)
@@ -373,6 +374,8 @@ def cmd_sweep(args) -> int:
     if not alphas:
         raise ValueError("empty alpha list")
     configs = [SuppressorConfig(beta=beta, floor=args.floor) for beta in beta_schedule(alphas)]
+    if os.path.isdir(args.out):
+        raise IsADirectoryError(f"{args.out}: is a directory")
     with contextlib.ExitStack() as stack:
         scenes_dir = None
         if args.spec:
@@ -410,11 +413,7 @@ def cmd_sweep(args) -> int:
 
 
 def _csv_cell(value) -> str:
-    if value == "":
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def cmd_correlate(args) -> int:

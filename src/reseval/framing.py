@@ -7,11 +7,11 @@ gives exact weighted overlap-add reconstruction on the interior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import SAMPLE_RATE, Signal
+from .audio import Signal
 
 FRAME_LEN = 320
 HOP = 160
@@ -31,53 +31,41 @@ def analysis_window() -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrameGrid:
-    """Frame lattice over a signal: frame i covers [i*hop, i*hop + frame_len)."""
+    """Frame lattice over a signal: frame i covers [i*HOP, i*HOP + FRAME_LEN)."""
 
     signal_len: int
     n_frames: int
-    frame_len: int = FRAME_LEN
-    hop: int = HOP
 
     def __post_init__(self):
-        if self.hop * 2 != self.frame_len:
-            raise ValueError("hop must be half the frame length (50% overlap)")
         if self.signal_len < 0:
             raise ValueError("signal_len must be >= 0")
-        expected = _frame_count(self.signal_len, self.frame_len, self.hop)
+        expected = _frame_count(self.signal_len)
         if self.n_frames != expected:
             raise ValueError(
                 f"n_frames {self.n_frames} inconsistent with signal_len "
                 f"{self.signal_len} (expected {expected})"
             )
 
-    def frame_slice(self, i: int) -> slice:
-        if not 0 <= i < self.n_frames:
-            raise IndexError(f"frame {i} out of range [0, {self.n_frames})")
-        start = i * self.hop
-        return slice(start, start + self.frame_len)
-
     def frame_matrix(self, samples: np.ndarray) -> np.ndarray:
-        """View of shape (n_frames, frame_len) over the sample array."""
+        """View of shape (n_frames, FRAME_LEN) over the sample array."""
         arr = np.asarray(samples)
         if arr.shape[0] != self.signal_len:
             raise ValueError("sample array does not match grid signal_len")
         if self.n_frames == 0:
-            return np.empty((0, self.frame_len), dtype=arr.dtype)
-        view = np.lib.stride_tricks.sliding_window_view(arr, self.frame_len)
-        return view[:: self.hop][: self.n_frames]
+            return np.empty((0, FRAME_LEN), dtype=arr.dtype)
+        view = np.lib.stride_tricks.sliding_window_view(arr, FRAME_LEN)
+        return view[::HOP][: self.n_frames]
 
 
-def _frame_count(signal_len: int, frame_len: int, hop: int) -> int:
-    if signal_len < frame_len:
+def _frame_count(signal_len: int) -> int:
+    if signal_len < FRAME_LEN:
         return 0
-    return (signal_len - frame_len) // hop + 1
+    return (signal_len - FRAME_LEN) // HOP + 1
 
 
 def make_grid(signal_len: int) -> FrameGrid:
     """Build the 20 ms / 50%-overlap grid for a signal length in samples."""
-    if signal_len < 0:
-        raise ValueError("signal_len must be >= 0")
-    return FrameGrid(signal_len=int(signal_len), n_frames=_frame_count(int(signal_len), FRAME_LEN, HOP))
+    return FrameGrid(signal_len=int(signal_len), n_frames=_frame_count(int(signal_len)))
 
 
 def _grid_of_full_frames(signal_len: int) -> FrameGrid:
@@ -94,34 +82,19 @@ class Spectrogram:
     magnitudes: np.ndarray
     phases: np.ndarray
     grid: FrameGrid
-    fft_len: int = FFT_LEN
-    window: np.ndarray = field(default_factory=analysis_window)
 
     def __post_init__(self):
         mags = np.asarray(self.magnitudes, dtype=np.float64)
         phs = np.asarray(self.phases, dtype=np.float64)
-        bins = self.fft_len // 2 + 1
-        if mags.shape != (self.grid.n_frames, bins) or phs.shape != mags.shape:
+        if mags.shape != (self.grid.n_frames, N_BINS) or phs.shape != mags.shape:
             raise ValueError(
                 f"spectrogram shape {mags.shape} does not match grid "
-                f"({self.grid.n_frames} frames x {bins} bins)"
+                f"({self.grid.n_frames} frames x {N_BINS} bins)"
             )
         if mags.size and mags.min() < 0:
             raise ValueError("magnitudes must be nonnegative")
         object.__setattr__(self, "magnitudes", mags)
         object.__setattr__(self, "phases", phs)
-
-    @property
-    def n_bins(self) -> int:
-        return self.fft_len // 2 + 1
-
-    def complex_values(self) -> np.ndarray:
-        return self.magnitudes * np.exp(1j * self.phases)
-
-    def with_magnitudes(self, magnitudes: np.ndarray) -> "Spectrogram":
-        """Same grid and phases, new (e.g. gain-scaled) magnitudes."""
-        return Spectrogram(magnitudes=magnitudes, phases=self.phases, grid=self.grid,
-                           fft_len=self.fft_len, window=self.window)
 
 
 def stft(signal: Signal) -> Spectrogram:
@@ -185,5 +158,6 @@ def istft(spec: Spectrogram) -> Signal:
     grid = spec.grid
     if grid.n_frames == 0:
         raise ValueError("empty spectrogram")
-    frames_td = np.fft.irfft(spec.complex_values(), n=spec.fft_len, axis=1)[:, : grid.frame_len]
-    return Signal(wola(frames_td, grid.signal_len), SAMPLE_RATE)
+    spectra = spec.magnitudes * np.exp(1j * spec.phases)
+    frames_td = np.fft.irfft(spectra, n=FFT_LEN, axis=1)[:, :FRAME_LEN]
+    return Signal(wola(frames_td, grid.signal_len))

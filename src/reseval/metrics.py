@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -193,18 +192,6 @@ class MetricReport:
     labels: tuple[str, ...]
     values: dict[str, np.ndarray]
     aggregates: dict[str, MetricAggregate]
-    clamp_db: float = CLAMP_DB
-
-    def to_json_dict(self) -> dict:
-        return {
-            "clamp_db": self.clamp_db,
-            "frame_counts": {label.value: self.labels.count(label.value) for label in FrameLabel},
-            "aggregates": {name: asdict(agg) for name, agg in sorted(self.aggregates.items())},
-        }
-
-    def write_json(self, path) -> None:
-        blob = json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-        atomic_write_bytes(path, blob.encode())
 
     def write_csv(self, path) -> None:
         atomic_write_bytes(path, self.to_csv_text().encode())
@@ -276,4 +263,4 @@ def evaluate_scene(
             aggregates[name] = agg
 
     labels = tuple(lab.value for lab in mask.labels)
-    return MetricReport(labels=labels, values=values, aggregates=aggregates, clamp_db=clamp_db)
+    return MetricReport(labels=labels, values=values, aggregates=aggregates)

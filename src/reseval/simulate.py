@@ -403,18 +403,3 @@ def save_scene(components: SceneComponents, spec: SceneSpec, out_dir) -> dict:
     blob = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
     atomic_write_bytes(os.path.join(out_dir, "scene.json"), blob.encode())
     return sidecar
-
-
-def load_scene(scene_dir) -> tuple[SceneComponents, dict]:
-    """Load a persisted scene directory back into components + sidecar."""
-    sidecar_path = os.path.join(scene_dir, "scene.json")
-    with open(sidecar_path) as fh:
-        sidecar = json.load(fh)
-    loaded = {}
-    for name, fname in _WAV_NAMES.items():
-        path = os.path.join(scene_dir, fname)
-        if os.path.exists(path):
-            loaded[name] = load_wav(path)
-    if "s" not in loaded:
-        raise FileNotFoundError(f"{scene_dir}: missing s.wav")
-    return SceneComponents(**loaded), sidecar

@@ -3,13 +3,10 @@
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .audio import atomic_write_bytes
 
 
 def _validated_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -131,18 +128,6 @@ class ScoreTable:
                             ) from None
                 rows.append(row)
         return cls(columns=tuple(header), rows=tuple(rows), id_column=id_column)
-
-    def to_csv(self, path) -> None:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.columns)
-        for row in self.rows:
-            out = []
-            for col in self.columns:
-                val = row[col]
-                out.append("" if val is None else (val if isinstance(val, str) else repr(val)))
-            writer.writerow(out)
-        atomic_write_bytes(path, buf.getvalue().encode())
 
 
 def correlate_table(table: ScoreTable, metric_col: str, score_col: str) -> CorrelationResult:

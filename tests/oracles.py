@@ -1,11 +1,13 @@
 """Independent direct-evaluation references for the test suite.
 
-Everything here is plain Python over math.fsum, deliberately sharing no
-code with the package: these are the oracles the implementation is
-checked against.
+Everything here but stft_gain_reference is plain Python over math.fsum,
+deliberately sharing no code with the package: these are the oracles the
+implementation is checked against.
 """
 
 import math
+
+from reseval.framing import Spectrogram, istft, stft
 
 ENERGY_FLOOR = 1e-12
 GAIN_FLOOR = 1e-8
@@ -131,3 +133,13 @@ def pearson(x, y):
 
 def spearman(x, y):
     return pearson(average_ranks(x), average_ranks(y))
+
+
+def stft_gain_reference(e, gains):
+    """Per-frame gains applied to e's STFT magnitudes, then WOLA synthesis.
+
+    The frequency-domain form of a frame-wise gain, built on the package's
+    stft/istft (which the DFT and reconstruction tests check on their own).
+    """
+    spec = stft(e)
+    return istft(Spectrogram(magnitudes=gains[:, None] * spec.magnitudes, phases=spec.phases, grid=spec.grid))

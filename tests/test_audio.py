@@ -1,4 +1,3 @@
-import math
 import struct
 
 import numpy as np
@@ -9,7 +8,6 @@ from reseval import (
     Signal,
     TruncatedWavError,
     WavFormatError,
-    energy_db,
     load_wav,
     save_wav,
 )
@@ -49,10 +47,6 @@ class TestSignal:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="non-finite"):
             Signal(np.array([0.0, np.nan]))
-
-    def test_rejects_other_rates(self):
-        with pytest.raises(ValueError, match="sample rate 44100 unsupported"):
-            Signal(np.zeros(4), sample_rate=44100)
 
     def test_samples_read_only(self):
         sig = Signal(np.zeros(4))
@@ -173,28 +167,6 @@ class TestExtensibleWav:
         path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
         with pytest.raises(WavFormatError, match="too short for its SubFormat"):
             load_wav(path)
-
-
-class TestEnergyDb:
-    def test_ones(self):
-        assert energy_db(np.ones(10)) == pytest.approx(10.0, abs=1e-9)
-
-    def test_floor(self):
-        assert energy_db(np.zeros(100)) == pytest.approx(-120.0)
-
-    def test_half(self):
-        assert energy_db([0.5, -0.5]) == pytest.approx(10 * math.log10(0.5), abs=1e-9)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            energy_db([])
-
-    def test_scaling_property(self):
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal(400)
-        for c in (0.1, 0.5, 3.0, 10.0):
-            expected = energy_db(x) + 20 * math.log10(c)
-            assert energy_db(c * x) == pytest.approx(expected, abs=1e-9)
 
 
 class TestSceneComponents:

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import gc
 import json
@@ -474,13 +475,45 @@ def _malformed_sidecar(tmp_path, scene_dir):
 
 @pytest.mark.parametrize("make", [_missing_manifest, _missing_spec, _missing_table, _sweep_out_is_dir,
                                   _malformed_manifest, _malformed_sidecar])
-def test_file_errors_name_the_file(scene_dir, tmp_path, capsys, make):
+def test_file_errors_name_the_file(scene_dir, tmp_path, monkeypatch, capsys, make):
     argv, path = make(tmp_path, scene_dir)
+    calls = []
+    monkeypatch.setattr(cli, "oracle_suppress", lambda *a: calls.append(a))
     assert run(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert str(path) in err
+    assert ".tmp-" not in err
+    assert calls == []  # the bad file is found before any entry runs
+
+
+def test_batch_commands_load_only_what_they_read(scene_dir, tmp_path, monkeypatch):
+    """sweep loads s, y, w, m, y_hat and e once per scene; evaluate adds s_hat; neither loads x."""
+    shutil.copytree(scene_dir, tmp_path / "scenes")
+    assert run("suppress", "--scenes", tmp_path / "scenes", "--alpha", 0.5) == 0
+    loaded = []
+    load_wav = cli.load_wav
+    monkeypatch.setattr(cli, "load_wav", lambda path: loaded.append(path) or load_wav(path))
+    scene_wavs = ["e.wav", "m.wav", "s.wav", "w.wav", "y.wav", "yhat.wav"]
+    for argv, wavs in ((["sweep", "--alphas", "0", "--out", tmp_path / "x.csv"], scene_wavs),
+                       (["evaluate", "--out", tmp_path / "r"], sorted(scene_wavs + ["shat.wav"]))):
+        loaded.clear()
+        assert run(*argv, "--scenes", tmp_path / "scenes") == 0
+        per_scene = {}
+        for path in loaded:
+            per_scene.setdefault(os.path.basename(os.path.dirname(path)), []).append(os.path.basename(path))
+        assert {scene: sorted(names) for scene, names in per_scene.items()} == {
+            f"scene_{i:04d}": wavs for i in range(3)}, argv[0]
+
+
+def test_readme_library_example_runs(capsys):
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    (code,) = re.findall(r"^## Library\n\n```python\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+    exec(compile(code, "README.md", "exec"), {})
+    means = ast.literal_eval(capsys.readouterr().out)
+    assert {"dsml", "resl"} <= means.keys()
+    assert all(math.isfinite(means[name]) for name in ("dsml", "resl"))
 
 
 def test_readme_flag_table_matches_parser():

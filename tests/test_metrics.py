@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -21,13 +22,16 @@ from reseval import (
     dsml,
     erle,
     evaluate_scene,
+    load_wav,
     make_grid,
     resl,
     sar,
+    save_wav,
     sdr,
     ser,
     snr,
 )
+from reseval.cli import main
 from reseval.framing import HOP
 from reseval.metrics import (
     METRIC_NAMES,
@@ -292,10 +296,9 @@ class TestEvaluateScene:
     def test_counts_match_mask(self):
         comps, mask = build_scene()
         report = evaluate_scene(comps, mask)
-        counts = mask.counts()
-        assert report.aggregates["dsml"].count == counts[FrameLabel.DOUBLE_TALK]
-        assert report.aggregates["sar"].count == counts[FrameLabel.NEAR_END]
-        assert report.aggregates["erle"].count == counts[FrameLabel.FAR_END]
+        assert report.aggregates["dsml"].count == mask.labels.count(FrameLabel.DOUBLE_TALK)
+        assert report.aggregates["sar"].count == mask.labels.count(FrameLabel.NEAR_END)
+        assert report.aggregates["erle"].count == mask.labels.count(FrameLabel.FAR_END)
         assert report.aggregates["ser"].count == mask.grid.n_frames
 
     def test_aggregate_matches_two_pass_oracle(self):
@@ -489,14 +492,24 @@ class TestReportSerialization:
         )
 
     def test_json_shape(self, tmp_path):
-        comps, mask = build_scene(seed=20)
-        report = evaluate_scene(comps, mask)
-        path = tmp_path / "report.json"
-        report.write_json(path)
-        payload = json.loads(path.read_text())
+        """report.json's per_utterance holds each entry's evaluate_scene aggregates."""
+        comps, _ = build_scene(seed=20)
+        entry = {"id": "u"}
+        for name, sig in comps.present().items():
+            save_wav(sig, tmp_path / f"{name}.wav")
+            entry[name] = f"{name}.wav"
+        (tmp_path / "m.json").write_text(json.dumps({"entries": [entry]}))
+        assert main(["evaluate", "--manifest", str(tmp_path / "m.json"), "--out", str(tmp_path / "r")]) == 0
+        payload = json.loads((tmp_path / "r" / "report.json").read_text())
         assert payload["clamp_db"] == 120.0
-        assert payload["aggregates"]["resl"]["condition"] == "double_talk"
-        assert payload["frame_counts"]["double_talk"] == report.aggregates["dsml"].count
+        # the scene as evaluate reads it back: float32 WAV samples
+        loaded = SceneComponents(**{name: load_wav(tmp_path / f"{name}.wav") for name in comps.present()})
+        mask = classify(loaded.s, loaded.y, make_grid(len(loaded.s)))
+        report = evaluate_scene(loaded, mask)
+        assert payload["per_utterance"] == {"u": {name: dataclasses.asdict(agg)
+                                                  for name, agg in report.aggregates.items()}}
+        assert payload["per_utterance"]["u"]["resl"]["condition"] == "double_talk"
+        assert payload["per_utterance"]["u"]["dsml"]["count"] == mask.labels.count(FrameLabel.DOUBLE_TALK)
 
     def test_aggregate_none_for_empty(self):
         assert aggregate(np.array([np.nan, np.nan]), "double_talk") is None

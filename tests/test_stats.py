@@ -107,14 +107,6 @@ class TestScoreTable:
         with pytest.raises(KeyError, match="available: utt, a"):
             table.column("b")
 
-    def test_roundtrip(self, tmp_path):
-        path = self.write(tmp_path / "t.csv", "utt,a,b\nx,1.5,\ny,2.5,3.5\n")
-        table = ScoreTable.from_csv(path)
-        out = tmp_path / "out.csv"
-        table.to_csv(out)
-        again = ScoreTable.from_csv(out)
-        assert again.rows == table.rows
-
 
 class TestCorrelateTable:
     def make_table(self, pairs, missing=()):

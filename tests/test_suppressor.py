@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 import reseval as rv
 from conftest import batch_metric_means, make_scene_batch
 from reseval import LossInputs, SuppressorConfig, beta_schedule, loss_j, oracle_suppress
@@ -147,12 +148,6 @@ class TestOracleSuppress:
             assert gains.max() <= 1.0
 
     @staticmethod
-    def stft_reference(e, s, cfg):
-        """The frame gains applied to e's STFT magnitudes, then WOLA synthesis."""
-        spec_e = rv.stft(e)
-        return rv.istft(spec_e.with_magnitudes(frame_gains(e, s, cfg)[:, None] * spec_e.magnitudes))
-
-    @staticmethod
     def random_pair(n, seed, e_scale=0.2):
         rng = np.random.default_rng(seed)
         s = rng.standard_normal(n) * 0.1
@@ -172,7 +167,7 @@ class TestOracleSuppress:
         cfg = SuppressorConfig(beta=beta)
         for e, s in self.pairs():
             out = oracle_suppress(e, s, cfg).samples
-            ref = self.stft_reference(e, s, cfg).samples
+            ref = oracles.stft_gain_reference(e, frame_gains(e, s, cfg)).samples
             assert out.shape == ref.shape
             assert np.max(np.abs(out - ref)) <= 1e-11 * np.max(np.abs(e.samples))
             np.testing.assert_array_equal(out == 0.0, ref == 0.0)
