@@ -6,7 +6,7 @@ grid, and an energy threshold.  Noise is ignored for labeling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -36,26 +36,30 @@ def frame_active(signal: Signal, grid: FrameGrid, threshold_db: float = DEFAULT_
     return energies_db > threshold_db
 
 
+# a frame's label code is near + 2*far, where near/far say whether s/echo_ref are active
+_LABEL_OF_CODE = (FrameLabel.SILENCE, FrameLabel.NEAR_END, FrameLabel.FAR_END, FrameLabel.DOUBLE_TALK)
+_CODE_OF_LABEL = {label: code for code, label in enumerate(_LABEL_OF_CODE)}
+
+
 @dataclass(frozen=True)
 class ActivityMask:
-    """One label per frame plus the grid and threshold that produced it."""
+    """One label per frame plus the grid; codes holds the labels as read-only int8 codes."""
 
     labels: tuple[FrameLabel, ...]
     grid: FrameGrid
-    threshold_db: float = DEFAULT_THRESHOLD_DB
+    codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.labels) != self.grid.n_frames:
             raise ValueError(
                 f"{len(self.labels)} labels for {self.grid.n_frames} frames"
             )
+        codes = np.array([_CODE_OF_LABEL[lab] for lab in self.labels], dtype=np.int8)
+        codes.setflags(write=False)
+        object.__setattr__(self, "codes", codes)
 
     def indices(self, label: FrameLabel) -> np.ndarray:
-        return np.array([i for i, lab in enumerate(self.labels) if lab is label], dtype=np.intp)
-
-
-# indexed by near + 2*far, where near/far say whether s/echo_ref are active
-_LABEL_OF_ACTIVITY = (FrameLabel.SILENCE, FrameLabel.NEAR_END, FrameLabel.FAR_END, FrameLabel.DOUBLE_TALK)
+        return np.flatnonzero(self.codes == _CODE_OF_LABEL[label])
 
 
 def classify(
@@ -75,8 +79,8 @@ def classify(
         )
     near = frame_active(s, grid, threshold_db)
     far = frame_active(echo_ref, grid, threshold_db)
-    labels = tuple(_LABEL_OF_ACTIVITY[code] for code in (near + 2 * far).tolist())
-    return ActivityMask(labels=labels, grid=grid, threshold_db=threshold_db)
+    labels = tuple(_LABEL_OF_CODE[code] for code in (near + 2 * far).tolist())
+    return ActivityMask(labels=labels, grid=grid)
 
 
 def echo_reference(components) -> Signal:

@@ -28,12 +28,13 @@ class TruncatedWavError(OSError):
     """WAV file ends before its declared payload."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Signal:
     """Mono waveform at 16 kHz, samples stored as read-only float64.
 
     Samples are dimensionless amplitudes, nominal full scale +-1.0.
-    Instances are immutable and safe to share across threads.
+    Instances are immutable and safe to share across threads; equality
+    and hashing go by identity, so a Signal can key a cache.
     """
 
     samples: np.ndarray
@@ -109,17 +110,22 @@ class SceneComponents:
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
-    """Write a file atomically (temp file in the same directory + rename)."""
+    """Write a file atomically (temp file in the same directory + rename).
+
+    An OSError names path, not the temporary file.
+    """
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

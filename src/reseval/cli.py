@@ -376,6 +376,8 @@ def cmd_sweep(args) -> int:
     configs = [SuppressorConfig(beta=beta, floor=args.floor) for beta in beta_schedule(alphas)]
     if os.path.isdir(args.out):
         raise IsADirectoryError(f"{args.out}: is a directory")
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise FileNotFoundError(f"{args.out}: no such directory to write it in")
     with contextlib.ExitStack() as stack:
         scenes_dir = None
         if args.spec:

@@ -21,12 +21,15 @@ N_BINS = FFT_LEN // 2 + 1
 # periodic Hann, length FRAME_LEN
 _WINDOW = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(FRAME_LEN) / FRAME_LEN)
 _WINDOW.setflags(write=False)
+_WINDOW_SQ = _WINDOW * _WINDOW
+# OLA(w^2) per HOP-sample row: the first hop, every interior hop, the last hop
+_OLA_ROWS = (
+    (slice(0, 1), _WINDOW_SQ[:HOP]),
+    (slice(1, -1), _WINDOW_SQ[:HOP] + _WINDOW_SQ[HOP:]),
+    (slice(-1, None), _WINDOW_SQ[HOP:]),
+)
 # columns: all ones (DC bin) and (-1)^n (Nyquist bin of the FFT_LEN-point DFT)
 _DC_NYQUIST = np.stack([np.ones(FRAME_LEN), (-1.0) ** np.arange(FRAME_LEN)], axis=1)
-
-
-def analysis_window() -> np.ndarray:
-    return _WINDOW
 
 
 @dataclass(frozen=True)
@@ -141,11 +144,31 @@ def wola(frames: np.ndarray, signal_len: int) -> np.ndarray:
     Samples where the window envelope is at most 1e-12, and samples past
     the last full frame, are zero.
     """
-    envelope = overlap_add(np.broadcast_to(_WINDOW * _WINDOW, frames.shape), signal_len)
+    envelope = overlap_add(np.broadcast_to(_WINDOW_SQ, frames.shape), signal_len)
     out = overlap_add(frames * _WINDOW, signal_len)
     nz = envelope > 1e-12
     out[nz] /= envelope[nz]
     out[~nz] = 0.0
+    return out
+
+
+def gain_envelope(gains: np.ndarray, signal_len: int) -> np.ndarray:
+    """wola(gains[:, None] * w, signal_len) for one flat gain per frame.
+
+    Hop row j is (g_j w_head) w_head + (g_{j-1} w_tail) w_tail over the
+    constant OLA(w^2) of its row, computed straight on (n_frames + 1, HOP)
+    rows in wola's order of operations, so the two agree bit for bit.
+    """
+    n_frames = gains.shape[0]
+    g = gains[:, None]
+    head, tail = _WINDOW[:HOP], _WINDOW[HOP:]
+    num = np.zeros((n_frames + 1, HOP))
+    num[:-1] = (g * head) * head
+    num[1:] += (g * tail) * tail
+    out = np.zeros(signal_len)
+    rows = out[: num.size].reshape(num.shape)
+    for hops, ola in _OLA_ROWS:
+        np.divide(num[hops], ola, out=rows[hops], where=ola > 1e-12)
     return out
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import ENERGY_FLOOR, SceneComponents, atomic_write_bytes
-from .activity import ActivityMask, FrameLabel
+from .activity import _LABEL_OF_CODE, ActivityMask, FrameLabel
 
 CLAMP_DB = 120.0
 GAIN_DENOM_FLOOR = 1e-8
@@ -40,6 +40,9 @@ METRIC_CONDITIONS: dict[str, str] = {
     "ser": "all",
     "snr": "all",
 }
+
+# the label string of each activity code, for the report's label column
+_VALUE_OF_CODE = np.array([label.value for label in _LABEL_OF_CODE], dtype=object)
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -262,5 +265,5 @@ def evaluate_scene(
         if agg is not None:
             aggregates[name] = agg
 
-    labels = tuple(lab.value for lab in mask.labels)
+    labels = tuple(_VALUE_OF_CODE[mask.codes].tolist())
     return MetricReport(labels=labels, values=values, aggregates=aggregates)

@@ -15,12 +15,13 @@ distorts the speech.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .audio import Signal
-from .framing import analysis_window, spectral_energy, wola
+from .framing import gain_envelope, spectral_energy
 
 GAIN_EPS = 1e-12
 BETA_SLOPE = 15.0
@@ -106,6 +107,21 @@ def frame_gains(e: Signal, s: Signal, config: SuppressorConfig) -> np.ndarray:
     """
     if len(e) != len(s):
         raise ValueError(f"length mismatch: e has {len(e)} samples, s {len(s)}")
+    ps, pr, collapse, jitter = _gain_tracks(e, s)
+    base = ps / (ps + config.beta * pr + GAIN_EPS)
+    gains = jitter * (collapse + (1.0 - collapse) * base)
+    # reflect at unity so the wobble survives in barely-suppressed frames
+    gains = np.where(gains > 1.0, np.maximum(2.0 - gains, config.floor), gains)
+    return np.clip(gains, config.floor, 1.0)
+
+
+@functools.lru_cache(maxsize=1)
+def _gain_tracks(e: Signal, s: Signal) -> tuple[np.ndarray, ...]:
+    """The beta-independent part of frame_gains, read-only: (ps, pr, collapse, jitter).
+
+    Signals hash by identity and are immutable, so a sweep that calls
+    frame_gains once per beta on the same (e, s) computes these once.
+    """
     ps = _smooth_frames(spectral_energy(s.samples))
     pr = _smooth_frames(spectral_energy(e.samples - s.samples))
     total = ps + pr + GAIN_EPS
@@ -115,7 +131,6 @@ def frame_gains(e: Signal, s: Signal, config: SuppressorConfig) -> np.ndarray:
     noise_floor = float(np.percentile(pr, 20))
     noisiness = np.sqrt(noise_floor / total)
 
-    base = ps / (ps + config.beta * pr + GAIN_EPS)
     # skill collapse: speech buried in residual cannot be separated, so
     # the frame passes through; frames without speech stay suppressed.
     # Difficulty blends the frame with its whole-utterance context, as an
@@ -124,17 +139,16 @@ def frame_gains(e: Signal, s: Signal, config: SuppressorConfig) -> np.ndarray:
     blended = 0.5 * difficulty + 0.5 * global_difficulty
     presence = ps / (ps + PRESENCE_KNEE * pr + GAIN_EPS)
     collapse = presence / (1.0 + np.exp(-COLLAPSE_STEEPNESS * (blended - COLLAPSE_MIDPOINT)))
-    gains = collapse + (1.0 - collapse) * base
 
     wobble = np.random.default_rng(_JITTER_SEED).standard_normal(ps.size)
     spread = confusion * (
         CONFUSION_JITTER * np.sqrt(difficulty) * (1.0 - difficulty)
         + NOISE_JITTER * noisiness
     )
-    gains = np.exp(spread * wobble) * gains
-    # reflect at unity so the wobble survives in barely-suppressed frames
-    gains = np.where(gains > 1.0, np.maximum(2.0 - gains, config.floor), gains)
-    return np.clip(gains, config.floor, 1.0)
+    tracks = (ps, pr, collapse, np.exp(spread * wobble))
+    for track in tracks:
+        track.setflags(write=False)
+    return tracks
 
 
 def _smooth_frames(track: np.ndarray) -> np.ndarray:
@@ -150,11 +164,12 @@ def oracle_suppress(e: Signal, s: Signal, config: SuppressorConfig) -> Signal:
 
     The frame gains are flat across frequency, so scaling e's STFT
     magnitudes and resynthesising by weighted overlap-add equals e times
-    the overlap-added gain envelope; that envelope is applied directly.
+    the overlap-added gain envelope; that envelope is applied directly,
+    hop by hop.
     The output has the same length as the input (tail zero-padded).
     """
     gains = frame_gains(e, s, config)
-    return Signal(e.samples * wola(gains[:, None] * analysis_window(), len(e)))
+    return Signal(e.samples * gain_envelope(gains, len(e)))
 
 
 def beta_schedule(alphas) -> list[float]:

@@ -348,6 +348,21 @@ class TestSweep:
             assert float(row[f"{name}_mean"]) == pytest.approx(agg["mean"], abs=1e-4)
             assert float(row[f"{name}_std"]) == pytest.approx(agg["std"], abs=1e-4)
 
+    def test_entry_matches_independent_calls_exactly(self, scene_dir):
+        """Reports of one sweep entry equal fresh per-alpha suppress + evaluate calls, bit for bit."""
+        configs = [rv.SuppressorConfig(beta=b) for b in rv.beta_schedule([0, 0.25, 0.5, 0.75, 1])]
+        for entry in manifest_from_scenes(scene_dir).entries:
+            reports = cli._sweep_entry(entry, configs, rv.activity.DEFAULT_THRESHOLD_DB, rv.metrics.CLAMP_DB)
+            assert len(reports) == len(configs)
+            for config, report in zip(configs, reports):
+                c = {k: rv.load_wav(entry.paths[k]) for k in ("s", "y", "w", "e")}
+                mask = rv.classify(c["s"], c["y"], rv.make_grid(len(c["s"])))
+                s_hat = rv.oracle_suppress(c["e"], c["s"], config)
+                fresh = rv.evaluate_scene(rv.SceneComponents(**c, s_hat=s_hat), mask)
+                assert report.labels == fresh.labels
+                for name in rv.metrics.METRIC_NAMES:
+                    assert np.array_equal(report.values[name], fresh.values[name], equal_nan=True), name
+
 
 class TestCorrelate:
     def write_table(self, tmp_path, rows, header="utt,metric,score"):
@@ -460,6 +475,18 @@ def _sweep_out_is_dir(tmp_path, scene_dir):
     return ["sweep", "--scenes", scene_dir, "--alphas", "0", "--out", path], path
 
 
+def _sweep_out_dir_missing(tmp_path, scene_dir):
+    path = tmp_path / "missing" / "t.csv"
+    return ["sweep", "--scenes", scene_dir, "--alphas", "0", "--out", path], path
+
+
+def _correlate_out_dir_missing(tmp_path, scene_dir):
+    table = tmp_path / "scores.csv"
+    table.write_text("utt,a,b\nu0,1,2\nu1,2,3\nu2,3,5\n")
+    path = tmp_path / "missing" / "r.json"
+    return ["correlate", "--table", table, "--metric-col", "a", "--score-col", "b", "--out", path], path
+
+
 def _malformed_manifest(tmp_path, scene_dir):
     path = tmp_path / "m.json"
     path.write_text('{"entries": [{id: 1}]}')
@@ -474,6 +501,7 @@ def _malformed_sidecar(tmp_path, scene_dir):
 
 
 @pytest.mark.parametrize("make", [_missing_manifest, _missing_spec, _missing_table, _sweep_out_is_dir,
+                                  _sweep_out_dir_missing, _correlate_out_dir_missing,
                                   _malformed_manifest, _malformed_sidecar])
 def test_file_errors_name_the_file(scene_dir, tmp_path, monkeypatch, capsys, make):
     argv, path = make(tmp_path, scene_dir)

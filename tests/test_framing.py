@@ -7,10 +7,12 @@ from reseval.framing import (
     FFT_LEN,
     FRAME_LEN,
     HOP,
+    _WINDOW,
     FrameGrid,
     Spectrogram,
-    analysis_window,
+    gain_envelope,
     spectral_energy,
+    wola,
 )
 
 
@@ -64,12 +66,12 @@ class TestStft:
         x = np.zeros(320)
         x[0] = 1.0
         spec = stft(Signal(x))
-        expected = oracles.dft_magnitudes(list(analysis_window() * x), FFT_LEN)
+        expected = oracles.dft_magnitudes(list(_WINDOW * x), FFT_LEN)
         np.testing.assert_allclose(spec.magnitudes[0], expected, atol=1e-10)
 
     def test_constant_signal_gives_window_spectrum(self):
         spec = stft(Signal(np.ones(960)))
-        expected = np.array(oracles.dft_magnitudes(list(analysis_window()), FFT_LEN))
+        expected = np.array(oracles.dft_magnitudes(list(_WINDOW), FFT_LEN))
         for frame in spec.magnitudes:
             np.testing.assert_allclose(frame, expected, atol=1e-9)
 
@@ -144,3 +146,25 @@ class TestIstft:
         spec = stft(Signal(np.ones(640)))
         with pytest.raises(ValueError, match="nonnegative"):
             Spectrogram(magnitudes=spec.magnitudes - 1.0, phases=spec.phases, grid=spec.grid)
+
+
+class TestGainEnvelope:
+    GAINS = {
+        "random": lambda rng, n: rng.uniform(0.0, 1.0, n),
+        "zeros": lambda rng, n: np.zeros(n),
+        "ones": lambda rng, n: np.ones(n),
+        "floor": lambda rng, n: np.full(n, 0.02),
+    }
+
+    @pytest.mark.parametrize("gains", sorted(GAINS))
+    @pytest.mark.parametrize("tail", [0, 1, 100, 159])
+    @pytest.mark.parametrize("n_frames", [1, 2, 3, 10, 999])
+    def test_matches_wola_bit_for_bit(self, n_frames, tail, gains):
+        signal_len = (n_frames - 1) * HOP + FRAME_LEN + tail
+        assert make_grid(signal_len).n_frames == n_frames
+        g = self.GAINS[gains](np.random.default_rng(n_frames * 1000 + tail), n_frames)
+        got = gain_envelope(g, signal_len)
+        assert np.array_equal(got, wola(g[:, None] * _WINDOW, signal_len))
+        # the Hann window is 0 at sample 0, and nothing lies past the last full frame
+        assert got[0] == 0.0
+        assert np.all(got[(n_frames + 1) * HOP :] == 0.0)
