@@ -1,46 +1,60 @@
-"""Residual-echo suppression evaluation toolkit."""
+"""Residual-echo suppression evaluation toolkit.
 
-from .audio import (
-    SAMPLE_RATE,
-    SceneComponents,
-    Signal,
-    TruncatedWavError,
-    WavFormatError,
-    load_wav,
-    save_wav,
-)
-from .activity import ActivityMask, FrameLabel, classify, echo_reference, frame_active
-from .framing import FrameGrid, Spectrogram, istft, make_grid, stft
-from .metrics import (
-    MetricAggregate,
-    MetricReport,
-    compensation_scalar,
-    compute_gain,
-    dsml,
-    erle,
-    evaluate_scene,
-    resl,
-    sar,
-    sdr,
-    ser,
-    snr,
-)
-from .simulate import (
-    SceneSpec,
-    generate_scene,
-    mix_at_ser_snr,
-    nonlinear_distort,
-    save_scene,
-    simulate_aec,
-    synth_rir,
-)
-from .stats import CorrelationResult, ScoreTable, correlate_table, pcc, srcc
-from .suppressor import (
-    LossInputs,
-    SuppressorConfig,
-    beta_schedule,
-    loss_j,
-    oracle_suppress,
-)
+The names below are imported from their submodules on first use
+(PEP 562), so ``import reseval.cli`` loads neither numpy nor the
+compute modules until a command needs them.
+"""
 
+import importlib
+
+_EXPORTS = {
+    "audio": (
+        "SAMPLE_RATE",
+        "SceneComponents",
+        "Signal",
+        "TruncatedWavError",
+        "WavFormatError",
+        "load_wav",
+        "save_wav",
+    ),
+    "activity": ("ActivityMask", "FrameLabel", "classify", "echo_reference", "frame_active"),
+    "framing": ("FrameGrid", "Spectrogram", "istft", "make_grid", "stft"),
+    "metrics": (
+        "MetricAggregate",
+        "MetricReport",
+        "compensation_scalar",
+        "compute_gain",
+        "dsml",
+        "erle",
+        "evaluate_scene",
+        "resl",
+        "sar",
+        "sdr",
+        "ser",
+        "snr",
+    ),
+    "simulate": (
+        "SceneSpec",
+        "generate_scene",
+        "mix_at_ser_snr",
+        "nonlinear_distort",
+        "save_scene",
+        "simulate_aec",
+        "synth_rir",
+    ),
+    "stats": ("CorrelationResult", "ScoreTable", "correlate_table", "pcc", "srcc"),
+    "suppressor": ("LossInputs", "SuppressorConfig", "beta_schedule", "loss_j", "oracle_suppress"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _MODULE_OF:
+        # not cached: a patched submodule attribute (tracer, tests) shows through
+        return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,10 +11,9 @@ from enum import Enum
 
 import numpy as np
 
-from .audio import ENERGY_FLOOR, Signal
+from .audio import ENERGY_FLOOR, Signal, frozen
+from .common import DEFAULT_THRESHOLD_DB
 from .framing import FrameGrid
-
-DEFAULT_THRESHOLD_DB = -50.0
 
 
 class FrameLabel(str, Enum):
@@ -90,4 +89,4 @@ def echo_reference(components) -> Signal:
         return components.y
     if components.e is None:
         raise ValueError("need either y or e to derive an echo reference")
-    return Signal(components.e.samples - components.s.samples)
+    return Signal(frozen(components.e.samples - components.s.samples))

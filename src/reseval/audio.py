@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import os
 import struct
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
+
+from .common import atomic_write_bytes
 
 SAMPLE_RATE = 16000
 ENERGY_FLOOR = 1e-12
@@ -34,7 +34,9 @@ class Signal:
 
     Samples are dimensionless amplitudes, nominal full scale +-1.0.
     Instances are immutable and safe to share across threads; equality
-    and hashing go by identity, so a Signal can key a cache.
+    and hashing go by identity, so a Signal can key a cache.  The
+    samples are copied unless they are a read-only float64 array that
+    owns its memory (see frozen()).
     """
 
     samples: np.ndarray
@@ -47,7 +49,7 @@ class Signal:
             raise ValueError("signal must contain at least one sample")
         if not np.all(np.isfinite(arr)):
             raise ValueError("signal contains non-finite samples")
-        if arr is self.samples:
+        if arr is self.samples and (arr.flags.writeable or arr.base is not None):
             arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
@@ -58,6 +60,15 @@ class Signal:
     @property
     def duration(self) -> float:
         return self.samples.size / SAMPLE_RATE
+
+
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """arr, made read-only in place, so that a Signal keeps it without a copy.
+
+    For arrays just computed and not written again.
+    """
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -107,26 +118,6 @@ class SceneComponents:
             if sig is not None:
                 out[name] = sig
         return out
-
-
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write a file atomically (temp file in the same directory + rename).
-
-    An OSError names path, not the temporary file.
-    """
-    path = os.fspath(path)
-    tmp = None
-    try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-", suffix="~")
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException as exc:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
-        if isinstance(exc, OSError) and exc.errno is not None:
-            raise OSError(exc.errno, exc.strerror, path) from exc
-        raise
 
 
 def load_wav(path) -> Signal:
@@ -192,7 +183,7 @@ def load_wav(path) -> Signal:
             f"{path}: encoding unsupported ({encoding}, {bits}-bit; "
             f"need 16-bit PCM or 32-bit float)"
         )
-    return Signal(arr)
+    return Signal(frozen(arr))
 
 
 def _extensible_subformat(fmt_chunk: bytes, path) -> int:

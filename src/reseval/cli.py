@@ -4,6 +4,11 @@ Subcommands: simulate, suppress, evaluate, sweep, correlate.  Every
 command is deterministic given its inputs and seed; per-entry failures
 are recorded and reported without aborting the batch, and the exit
 status is nonzero when any entry failed.
+
+Each command imports the modules it runs when it runs, so --help and
+correlate start without numpy.  The imports sit in the functions that
+call into those modules and look each function up on its module at
+call time, where a tracer or a test may have replaced it.
 """
 
 from __future__ import annotations
@@ -15,26 +20,15 @@ import io
 import json
 import os
 import sys
-import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .common import _WAV_NAMES, CLAMP_DB, DEFAULT_THRESHOLD_DB, atomic_write_bytes
 
-from .activity import DEFAULT_THRESHOLD_DB, classify, echo_reference
-from .audio import SceneComponents, atomic_write_bytes, load_wav, save_wav
-from .framing import make_grid
-from .metrics import (
-    CLAMP_DB,
-    METRIC_CONDITIONS,
-    METRIC_NAMES,
-    MetricReport,
-    aggregate,
-    evaluate_scene,
-)
-from .simulate import _WAV_NAMES, SceneSpec, generate_scene, save_scene
-from .stats import ScoreTable, correlate_table
-from .suppressor import SuppressorConfig, beta_schedule, oracle_suppress
+if TYPE_CHECKING:
+    from .audio import SceneComponents
+    from .metrics import MetricReport
+    from .simulate import SceneSpec
 
 SEED_ENV_VAR = "RES_EVAL_SEED"
 
@@ -52,6 +46,8 @@ class ManifestEntry:
 
     def load_components(self, keys) -> SceneComponents:
         """The components of keys that the entry names; keys it lacks are skipped."""
+        from .audio import SceneComponents, load_wav
+
         return SceneComponents(**{k: load_wav(self.paths[k]) for k in keys if k in self.paths})
 
 
@@ -190,6 +186,8 @@ def _map_entries(fn, items, jobs: int):
     """Apply fn over items with bounded parallelism, preserving order."""
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
 
@@ -220,6 +218,8 @@ def _run_batch(command: str, step, entries, *extra, jobs: int = 1):
 
 
 def _load_scene_specs(path, count: int, seed: int) -> list[SceneSpec]:
+    from .simulate import SceneSpec
+
     raw = _read_json(path)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: scene spec must be a JSON object")
@@ -243,6 +243,8 @@ def _load_scene_specs(path, count: int, seed: int) -> list[SceneSpec]:
 
 
 def _simulate_one(task):
+    from .simulate import generate_scene, save_scene
+
     spec, scene_dir = task
     save_scene(generate_scene(spec), spec, scene_dir)
 
@@ -263,17 +265,25 @@ def cmd_simulate(args) -> int:
 
 
 def _suppress_entry(entry, config, out_dir):
+    from .audio import save_wav
+    from .suppressor import _gain_tracks, oracle_suppress
+
     entry.require(("s", "e"))
     components = entry.load_components(("s", "e"))
     if out_dir:
         out_path = os.path.join(out_dir, f"{entry.id}.shat.wav")
     else:
         out_path = os.path.join(os.path.dirname(entry.paths["e"]), "shat.wav")
-    save_wav(oracle_suppress(components.e, components.s, config), out_path)
+    try:
+        save_wav(oracle_suppress(components.e, components.s, config), out_path)
+    finally:
+        _gain_tracks.cache_clear()  # it holds this entry's e and s
     return out_path
 
 
 def cmd_suppress(args) -> int:
+    from .suppressor import SuppressorConfig, beta_schedule
+
     manifest = _resolve_manifest(args)
     beta = args.beta if args.alpha is None else beta_schedule([args.alpha])[0]
     config = SuppressorConfig(beta=beta, floor=args.floor)
@@ -296,6 +306,9 @@ _SCENE_KEYS = ("s", "y", "w", "m", "y_hat", "e")
 
 def _load_labeled(entry, extra, threshold_db):
     """An entry's scene components (s and e required) plus extra, and its activity mask."""
+    from .activity import classify, echo_reference
+    from .framing import make_grid
+
     entry.require(("s", "e", *extra))
     components = entry.load_components(_SCENE_KEYS + extra)
     grid = make_grid(len(components.s))
@@ -303,12 +316,18 @@ def _load_labeled(entry, extra, threshold_db):
 
 
 def _evaluate_entry(entry, threshold_db, clamp_db) -> MetricReport:
+    from .metrics import evaluate_scene
+
     components, mask = _load_labeled(entry, ("s_hat",), threshold_db)
     return evaluate_scene(components, mask, clamp_db)
 
 
 def _pooled_aggregates(reports) -> dict:
     """Aggregates of each metric over the frames of all reports, in order."""
+    import numpy as np
+
+    from .metrics import METRIC_CONDITIONS, METRIC_NAMES, aggregate
+
     reports = list(reports)
     if not reports:
         return {}
@@ -347,15 +366,22 @@ def cmd_evaluate(args) -> int:
 
 def _sweep_entry(entry, configs, threshold_db, clamp_db) -> list[MetricReport]:
     """One report per suppressor config for one scene."""
+    from .audio import SceneComponents
+    from .metrics import evaluate_scene
+    from .suppressor import _gain_tracks, oracle_suppress
+
     components, mask = _load_labeled(entry, (), threshold_db)
     reports = []
-    for config in configs:
-        s_hat = oracle_suppress(components.e, components.s, config)
-        # only what evaluate_scene reads: the m and e identities were
-        # checked once when the scene was loaded
-        scene = SceneComponents(s=components.s, y=components.y, w=components.w,
-                                e=components.e, s_hat=s_hat)
-        reports.append(evaluate_scene(scene, mask, clamp_db))
+    try:
+        for config in configs:
+            s_hat = oracle_suppress(components.e, components.s, config)
+            # only what evaluate_scene reads: the m and e identities were
+            # checked once when the scene was loaded
+            scene = SceneComponents(s=components.s, y=components.y, w=components.w,
+                                    e=components.e, s_hat=s_hat)
+            reports.append(evaluate_scene(scene, mask, clamp_db))
+    finally:
+        _gain_tracks.cache_clear()  # it holds this scene's e and s
     return reports
 
 
@@ -370,6 +396,11 @@ def _group_of(entry, tag):
 
 
 def cmd_sweep(args) -> int:
+    import tempfile
+
+    from .metrics import METRIC_NAMES
+    from .suppressor import SuppressorConfig, beta_schedule
+
     alphas = [float(a) for a in args.alphas.split(",") if a.strip() != ""]
     if not alphas:
         raise ValueError("empty alpha list")
@@ -419,6 +450,8 @@ def _csv_cell(value) -> str:
 
 
 def cmd_correlate(args) -> int:
+    from .stats import ScoreTable, correlate_table
+
     table = ScoreTable.from_csv(args.table)
     results = []
     if args.group_by:

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import ENERGY_FLOOR, SceneComponents, atomic_write_bytes
+from .audio import ENERGY_FLOOR, SceneComponents
 from .activity import _LABEL_OF_CODE, ActivityMask, FrameLabel
+from .common import CLAMP_DB, atomic_write_bytes
 
-CLAMP_DB = 120.0
 GAIN_DENOM_FLOOR = 1e-8
 COMP_DEGENERATE = 1e-12
 

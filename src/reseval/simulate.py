@@ -16,14 +16,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .audio import (
-    SAMPLE_RATE,
-    SceneComponents,
-    Signal,
-    atomic_write_bytes,
-    load_wav,
-    save_wav,
-)
+from .audio import SAMPLE_RATE, SceneComponents, Signal, frozen, load_wav, save_wav
+from .common import _WAV_NAMES, atomic_write_bytes
 
 # talk pattern: within each 2.5 s cycle the far end speaks during
 # [0, 1.5) s and the near end during [1.0, 2.5) s, so the canceller
@@ -145,7 +139,7 @@ def nonlinear_distort(x: Signal, hardness: float) -> Signal:
     """Memoryless loudspeaker saturation tanh(hardness*x)/hardness."""
     if not hardness > 0:
         raise ValueError(f"hardness must be > 0, got {hardness}")
-    return Signal(np.tanh(hardness * x.samples) / hardness)
+    return Signal(frozen(np.tanh(hardness * x.samples) / hardness))
 
 
 def synth_rir(spec: SceneSpec, variant: int = 0) -> np.ndarray:
@@ -165,27 +159,32 @@ def synth_rir(spec: SceneSpec, variant: int = 0) -> np.ndarray:
 
 
 def _talk_envelope(n: int, span: tuple[float, float]) -> np.ndarray:
-    """Periodic on/off envelope with raised-cosine ramps."""
-    t = np.arange(n) / SAMPLE_RATE
-    phase = np.mod(t, TALK_CYCLE_S)
+    """Periodic on/off envelope with raised-cosine ramps, one cycle repeated."""
+    phase = np.arange(int(round(TALK_CYCLE_S * SAMPLE_RATE))) / SAMPLE_RATE
     start, stop = span
     ramp = RAMP_S
-    env = np.zeros(n)
+    env = np.zeros(phase.size)
     inside = (phase >= start) & (phase < stop)
     env[inside] = 1.0
     rise = (phase >= start) & (phase < start + ramp)
     env[rise] = 0.5 - 0.5 * np.cos(np.pi * (phase[rise] - start) / ramp)
     fall = (phase >= stop - ramp) & (phase < stop)
     env[fall] = 0.5 + 0.5 * np.cos(np.pi * (phase[fall] - (stop - ramp)) / ramp)
-    return env
+    return np.resize(env, n)
 
 
-def _fft_convolve(signal: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Full linear convolution of a 1-D signal with kernel."""
-    n = signal.size + kernel.size - 1
-    n_fft = 1 << (n - 1).bit_length()
-    spectrum = np.fft.rfft(signal, n_fft) * np.fft.rfft(kernel, n_fft)
-    return np.fft.irfft(spectrum, n_fft)[:n]
+def _fft_length(n: int) -> int:
+    """The least of 2^k, 3*2^k and 5*2^k that is >= n, a fast FFT length."""
+    return min(m << (-(-n // m) - 1).bit_length() for m in (1, 3, 5))
+
+
+def _fft_convolve(signal: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """Full linear convolution of a 1-D signal with one kernel, or with each row of a 2-D array
+    of kernels; the signal's spectrum is computed once for all of them."""
+    n = signal.size + kernels.shape[-1] - 1
+    n_fft = _fft_length(n)
+    spectrum = np.fft.rfft(signal, n_fft) * np.fft.rfft(kernels, n_fft)
+    return np.fft.irfft(spectrum, n_fft)[..., :n]
 
 
 def _band_gates(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -199,15 +198,24 @@ def _band_gates(n: int, rng: np.random.Generator) -> np.ndarray:
     k = int(0.02 * SAMPLE_RATE)
     kernel = np.hanning(k)
     kernel /= kernel.sum()
-    # a step gate convolved with the kernel is the running sum of one
-    # kernel copy per step, scaled by its jump: the rise at 0, every
+    # a step gate convolved with the kernel is the level held since the
+    # last step plus, over the k samples from each step on, the step's
+    # jump times (cumsum(kernel) - 1); the steps are the rise at 0, every
     # segment boundary, and the fall to zero at n
+    ramp = np.cumsum(kernel) - 1.0
     jumps = np.diff(levels, prepend=0.0, append=0.0)
-    steps = np.zeros((N_BANDS, n + k))
-    for pos, jump in zip([*starts, n], jumps.T, strict=True):
-        steps[:, pos : pos + k] += jump[:, None] * kernel
+    # output sample i is step-signal sample i + start (the "same" slice)
     start = (k - 1) // 2
-    return np.cumsum(steps, axis=1)[:, start : start + n]
+    steps = [*starts, n]
+    held_from = np.clip(np.array(steps) - start, 0, n)
+    gates = np.repeat(np.hstack([levels, np.zeros((N_BANDS, 1))]),
+                      [*np.diff(held_from), n - held_from[-1]], axis=1)
+    for pos, jump in zip(steps, jumps.T, strict=True):
+        offset = pos - start
+        lo, hi = max(offset, 0), min(offset + k, n)
+        if lo < hi:
+            gates[:, lo:hi] += jump[:, None] * ramp[lo - offset : hi - offset]
+    return gates
 
 
 def _speech_shaped_bursts(n: int, rng: np.random.Generator, span: tuple[float, float]) -> np.ndarray:
@@ -218,11 +226,16 @@ def _speech_shaped_bursts(n: int, rng: np.random.Generator, span: tuple[float, f
     freqs = np.fft.rfftfreq(n, 1.0 / SAMPLE_RATE)
     edges = np.geomspace(BAND_RANGE_HZ[0], BAND_RANGE_HZ[1], N_BANDS + 1)
     gates = _band_gates(n, rng)
+    # freqs ascend, so the bins in [edges[b], edges[b + 1]) are one slice
+    bounds = np.searchsorted(freqs, edges)
 
     out = np.zeros(n)
+    band = np.zeros_like(spectrum)
     for b in range(N_BANDS):
-        mask = (freqs >= edges[b]) & (freqs < edges[b + 1])
-        carrier = np.fft.irfft(spectrum * mask, n=n)
+        lo, hi = bounds[b], bounds[b + 1]
+        band[lo:hi] = spectrum[lo:hi]
+        carrier = np.fft.irfft(band, n=n)
+        band[lo:hi] = 0.0
         weight = 1.0 / math.sqrt(edges[b])
         out += weight * gates[b] * carrier
 
@@ -251,9 +264,9 @@ def mix_at_ser_snr(
         raise ValueError("cannot scale silent noise to an SNR target")
     y = y_raw.samples * math.sqrt(es * 10.0 ** (-ser_db / 10.0) / ey)
     w = w_raw.samples * math.sqrt(es * 10.0 ** (-snr_db / 10.0) / ew)
-    y_sig = Signal(y)
-    w_sig = Signal(w)
-    m = Signal(s.samples + y + w)
+    y_sig = Signal(frozen(y))
+    w_sig = Signal(frozen(w))
+    m = Signal(frozen(s.samples + y + w))
     return SceneComponents(s=s, y=y_sig, w=w_sig, m=m)
 
 
@@ -325,7 +338,7 @@ def simulate_aec(m: Signal, x: Signal, spec: SceneSpec) -> tuple[Signal, Signal]
             elif e_bg > 4.0 * e_fg:
                 h_bg = h_fg.copy()
     y_hat = y_hat[:n]
-    return Signal(y_hat), Signal(m.samples - y_hat)
+    return Signal(y_hat), Signal(frozen(m.samples - y_hat))
 
 
 def generate_scene(spec: SceneSpec) -> SceneComponents:
@@ -347,19 +360,21 @@ def generate_scene(spec: SceneSpec) -> SceneComponents:
         s_raw = _speech_shaped_bursts(n, _rng(spec.seed, _STREAM_NEAR), NEAR_SPAN)
         x_raw = _speech_shaped_bursts(n, _rng(spec.seed, _STREAM_FAR), FAR_SPAN)
 
-    x_sig = Signal(x_raw)
+    x_sig = Signal(frozen(x_raw))
     x_nl = nonlinear_distort(x_sig, spec.clip_hardness)
 
-    rir = synth_rir(spec, variant=0)
-    y_raw = _fft_convolve(x_nl.samples, rir)[:n]
+    # the echo path switches to a second response at the change, if any
+    rirs = [synth_rir(spec, variant=0)]
+    switch = n
     if spec.echo_path_change_at is not None:
-        rir2 = synth_rir(spec, variant=1)
-        y_alt = _fft_convolve(x_nl.samples, rir2)[:n]
+        rirs.append(synth_rir(spec, variant=1))
         switch = int(round(spec.echo_path_change_at * SAMPLE_RATE))
-        y_raw = np.concatenate([y_raw[:switch], y_alt[switch:]])
+    echoes = _fft_convolve(x_nl.samples, np.stack(rirs))[:, :n]
+    y_raw = np.concatenate([echoes[0, :switch], echoes[-1, switch:]])
 
     w_raw = _rng(spec.seed, _STREAM_NOISE).standard_normal(n)
-    mixed = mix_at_ser_snr(Signal(s_raw), Signal(y_raw), Signal(w_raw), spec.ser_db, spec.snr_db)
+    mixed = mix_at_ser_snr(Signal(frozen(s_raw)), Signal(frozen(y_raw)), Signal(frozen(w_raw)),
+                           spec.ser_db, spec.snr_db)
     y_hat, e = simulate_aec(mixed.m, x_sig, spec)
     return SceneComponents(
         s=mixed.s, x=x_sig, y=mixed.y, w=mixed.w, m=mixed.m, y_hat=y_hat, e=e
@@ -377,18 +392,6 @@ def achieved_levels(components: SceneComponents) -> dict:
         ew = float(np.dot(components.w.samples, components.w.samples))
         out["snr_db"] = 10.0 * math.log10(es / ew) if ew > 0 else float("inf")
     return out
-
-
-_WAV_NAMES = {
-    "s": "s.wav",
-    "x": "x.wav",
-    "y": "y.wav",
-    "w": "w.wav",
-    "m": "m.wav",
-    "y_hat": "yhat.wav",
-    "e": "e.wav",
-    "s_hat": "shat.wav",
-}
 
 
 def save_scene(components: SceneComponents, spec: SceneSpec, out_dir) -> dict:

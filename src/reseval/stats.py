@@ -1,4 +1,8 @@
-"""Pearson and Spearman correlation over per-utterance score tables."""
+"""Pearson and Spearman correlation over per-utterance score tables.
+
+Pure Python, with correctly rounded sums (math.fsum): score tables are
+a few hundred rows, and correlate runs without importing numpy.
+"""
 
 from __future__ import annotations
 
@@ -6,19 +10,23 @@ import csv
 import math
 from dataclasses import dataclass
 
-import numpy as np
+
+def _floats(values) -> list[float]:
+    try:
+        return [float(v) for v in values]
+    except TypeError:
+        raise ValueError("correlation inputs must be 1-D sequences of numbers") from None
 
 
-def _validated_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError(f"sequences must be equal-length 1-D, got {x.shape} vs {y.shape}")
-    if x.size < 2:
+def _validated_pair(x, y) -> tuple[list[float], list[float]]:
+    x, y = _floats(x), _floats(y)
+    if len(x) != len(y):
+        raise ValueError(f"sequences must be equal-length 1-D, got {len(x)} vs {len(y)} values")
+    if len(x) < 2:
         raise ValueError("correlation needs at least 2 points")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    if not all(map(math.isfinite, x + y)):
         raise ValueError("correlation inputs must be finite")
-    if np.ptp(x) == 0 or np.ptp(y) == 0:
+    if min(x) == max(x) or min(y) == max(y):
         raise ValueError("correlation undefined for a constant sequence")
     return x, y
 
@@ -26,25 +34,26 @@ def _validated_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
 def pcc(x, y) -> float:
     """Sample Pearson correlation coefficient."""
     x, y = _validated_pair(x, y)
-    dx = x - x.mean()
-    dy = y - y.mean()
-    num = float(np.dot(dx, dy))
-    den = math.sqrt(float(np.dot(dx, dx)) * float(np.dot(dy, dy)))
+    mx, my = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx = [v - mx for v in x]
+    dy = [v - my for v in y]
+    num = math.fsum(a * b for a, b in zip(dx, dy))
+    den = math.sqrt(math.fsum(a * a for a in dx) * math.fsum(b * b for b in dy))
     return min(1.0, max(-1.0, num / den))
 
 
-def average_ranks(values) -> np.ndarray:
+def average_ranks(values) -> list[float]:
     """1-based ranks; ties get the mean of their rank span."""
-    v = np.asarray(values, dtype=np.float64)
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size, dtype=np.float64)
+    v = _floats(values)
+    order = sorted(range(len(v)), key=v.__getitem__)
+    ranks = [0.0] * len(v)
     i = 0
-    sv = v[order]
-    while i < v.size:
+    while i < len(v):
         j = i
-        while j + 1 < v.size and sv[j + 1] == sv[i]:
+        while j + 1 < len(v) and v[order[j + 1]] == v[order[i]]:
             j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        for k in order[i : j + 1]:
+            ranks[k] = 0.5 * (i + j) + 1.0
         i = j + 1
     return ranks
 

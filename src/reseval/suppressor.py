@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import Signal
+from .audio import Signal, frozen
 from .framing import gain_envelope, spectral_energy
 
 GAIN_EPS = 1e-12
@@ -169,7 +169,7 @@ def oracle_suppress(e: Signal, s: Signal, config: SuppressorConfig) -> Signal:
     The output has the same length as the input (tail zero-padded).
     """
     gains = frame_gains(e, s, config)
-    return Signal(e.samples * gain_envelope(gains, len(e)))
+    return Signal(frozen(e.samples * gain_envelope(gains, len(e))))
 
 
 def beta_schedule(alphas) -> list[float]:

@@ -11,6 +11,7 @@ from reseval import (
     load_wav,
     save_wav,
 )
+from reseval.audio import frozen
 
 
 def write_pcm16(path, samples, rate=16000, channels=1):
@@ -52,6 +53,26 @@ class TestSignal:
         sig = Signal(np.zeros(4))
         with pytest.raises(ValueError):
             sig.samples[0] = 1.0
+
+    @pytest.mark.parametrize("source", ["writable array", "read-only view of a writable array", "list"])
+    def test_unchanged_when_its_source_is_written(self, source):
+        data = np.arange(1.0, 7.0)
+        if source == "writable array":
+            given = data
+        elif source == "read-only view of a writable array":
+            given = data[1:]
+            given.setflags(write=False)
+        else:
+            data = data.tolist()
+            given = data
+        sig = Signal(given)
+        before = sig.samples.copy()
+        data[2] = 99.0
+        np.testing.assert_array_equal(sig.samples, before)
+
+    def test_frozen_array_kept_without_copy(self):
+        owned = frozen(np.arange(4.0))
+        assert Signal(owned).samples is owned
 
 
 class TestWavIO:

@@ -308,7 +308,7 @@ class TestSweep:
         manifest.entries[-1].tags["ser_db"] = [0.0, 10.0]
         manifest.write_json(tmp_path / "m.json")
         calls = []
-        monkeypatch.setattr(cli, "oracle_suppress", lambda *a: calls.append(a))
+        monkeypatch.setattr(rv.suppressor, "oracle_suppress", lambda *a: calls.append(a))
         assert run("sweep", "--manifest", tmp_path / "m.json", "--alphas", "0", "--group-by", "ser_db",
                    "--out", tmp_path / "x.csv") == 2
         err = capsys.readouterr().err
@@ -506,7 +506,7 @@ def _malformed_sidecar(tmp_path, scene_dir):
 def test_file_errors_name_the_file(scene_dir, tmp_path, monkeypatch, capsys, make):
     argv, path = make(tmp_path, scene_dir)
     calls = []
-    monkeypatch.setattr(cli, "oracle_suppress", lambda *a: calls.append(a))
+    monkeypatch.setattr(rv.suppressor, "oracle_suppress", lambda *a: calls.append(a))
     assert run(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
@@ -521,8 +521,8 @@ def test_batch_commands_load_only_what_they_read(scene_dir, tmp_path, monkeypatc
     shutil.copytree(scene_dir, tmp_path / "scenes")
     assert run("suppress", "--scenes", tmp_path / "scenes", "--alpha", 0.5) == 0
     loaded = []
-    load_wav = cli.load_wav
-    monkeypatch.setattr(cli, "load_wav", lambda path: loaded.append(path) or load_wav(path))
+    load_wav = rv.audio.load_wav
+    monkeypatch.setattr(rv.audio, "load_wav", lambda path: loaded.append(path) or load_wav(path))
     scene_wavs = ["e.wav", "m.wav", "s.wav", "w.wav", "y.wav", "yhat.wav"]
     for argv, wavs in ((["sweep", "--alphas", "0", "--out", tmp_path / "x.csv"], scene_wavs),
                        (["evaluate", "--out", tmp_path / "r"], sorted(scene_wavs + ["shat.wav"]))):
@@ -552,6 +552,39 @@ def test_readme_flag_table_matches_parser():
     options = {name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
                for name, sub in commands.choices.items()}
     assert table == options
+
+
+def test_entries_release_the_gain_track_cache(scene_dir, tmp_path):
+    """The cached suppressor tracks hold an entry's e and s; they go when the entry ends."""
+    (entry, *_) = manifest_from_scenes(scene_dir).entries
+    config = rv.SuppressorConfig(beta=8.0)
+    cli._suppress_entry(entry, config, str(tmp_path))
+    assert rv.suppressor._gain_tracks.cache_info().currsize == 0
+    cli._sweep_entry(entry, [config, config], rv.activity.DEFAULT_THRESHOLD_DB, rv.metrics.CLAMP_DB)
+    assert rv.suppressor._gain_tracks.cache_info().currsize == 0
+
+
+def test_cli_imports_only_what_the_command_runs(tmp_path):
+    """A fresh interpreter: importing the CLI loads no numpy, process pool or compute
+    module, and correlate runs without numpy."""
+    table = tmp_path / "t.csv"
+    table.write_text("id,a,b\nu0,1.0,2.0\nu1,2.0,1.5\nu2,3.0,4.0\n")
+    src = os.path.dirname(os.path.dirname(rv.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "\n".join([
+        "import json, sys, reseval.cli",
+        "heavy = ['numpy', 'concurrent.futures.process'] + ['reseval.' + m for m in",
+        "    ('audio', 'activity', 'framing', 'metrics', 'simulate', 'stats', 'suppressor')]",
+        "loaded = [m for m in heavy if m in sys.modules]",
+        "code = reseval.cli.main(['correlate', '--table', sys.argv[1], '--metric-col', 'a',",
+        "                         '--score-col', 'b', '--out', sys.argv[2]])",
+        "print(json.dumps([loaded, code, 'numpy' in sys.modules]))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code, str(table), str(tmp_path / "r.json")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0, False]
+    assert json.loads((tmp_path / "r.json").read_text())["groups"][0]["n"] == 3
 
 
 def test_cli_import_loads_no_scipy():

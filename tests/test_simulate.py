@@ -19,11 +19,18 @@ from reseval import (
 from reseval.audio import SAMPLE_RATE
 from reseval.cli import manifest_from_scenes
 from reseval.simulate import (
+    FAR_SPAN,
     GATE_OFF_LEVEL,
     GATE_SEGMENT_S,
     N_BANDS,
+    NEAR_SPAN,
+    RAMP_S,
+    TALK_CYCLE_S,
     _WAV_NAMES,
     _band_gates,
+    _fft_convolve,
+    _fft_length,
+    _talk_envelope,
     achieved_levels,
 )
 
@@ -165,6 +172,54 @@ class TestBandGates:
         oracle_rng = np.random.default_rng(4)
         band_gates_oracle(40000, oracle_rng)
         assert a_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def talk_envelope_oracle(n, span):
+    """The talk envelope sample by sample, from each sample's own time in the cycle."""
+    start, stop = span
+    env = np.zeros(n)
+    for i in range(n):
+        phase = math.fmod(i / SAMPLE_RATE, TALK_CYCLE_S)
+        if start <= phase < start + RAMP_S:
+            env[i] = 0.5 - 0.5 * math.cos(math.pi * (phase - start) / RAMP_S)
+        elif stop - RAMP_S <= phase < stop:
+            env[i] = 0.5 + 0.5 * math.cos(math.pi * (phase - (stop - RAMP_S)) / RAMP_S)
+        elif start <= phase < stop:
+            env[i] = 1.0
+    return env
+
+
+class TestTalkEnvelope:
+    # inside the first cycle, one cycle and its neighbours, four cycles
+    # and one past them
+    @pytest.mark.parametrize("n", [100, 39999, 40000, 40001, 160000, 160001])
+    @pytest.mark.parametrize("span", [NEAR_SPAN, FAR_SPAN])
+    def test_matches_per_sample_formula(self, n, span):
+        got = _talk_envelope(n, span)
+        want = talk_envelope_oracle(n, span)
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestFftConvolve:
+    @pytest.mark.parametrize("rir_len", [1, 1600])
+    @pytest.mark.parametrize("n_kernels", [1, 2])
+    @pytest.mark.parametrize("n", [1, 1000, 160000])
+    def test_matches_direct_convolution(self, n, rir_len, n_kernels):
+        rng = np.random.default_rng(n + rir_len)
+        signal = rng.standard_normal(n)
+        kernels = rng.standard_normal((n_kernels, rir_len))
+        got = _fft_convolve(signal, kernels if n_kernels > 1 else kernels[0])
+        want = np.stack([np.convolve(signal, k) for k in kernels])
+        assert got.shape == (want if n_kernels > 1 else want[0]).shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_length_is_least_fast_length(self):
+        fast = sorted(m << k for m in (1, 3, 5) for k in range(20))
+        for n in [*range(1, 2000), 262144, 262145]:
+            assert _fft_length(n) == min(f for f in fast if f >= n), n
+        # a 10 s scene convolved with a 1600-tap response
+        assert _fft_length(160000 + 1600 - 1) == 163840
 
 
 class TestMixer:
