@@ -40,9 +40,12 @@ _LABEL_OF_CODE = (FrameLabel.SILENCE, FrameLabel.NEAR_END, FrameLabel.FAR_END, F
 _CODE_OF_LABEL = {label: code for code, label in enumerate(_LABEL_OF_CODE)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ActivityMask:
-    """One label per frame plus the grid; codes holds the labels as read-only int8 codes."""
+    """One label per frame plus the grid; codes holds the labels as read-only int8 codes.
+
+    Masks compare and hash by identity, so a cache keyed on one is exact and cheap.
+    """
 
     labels: tuple[FrameLabel, ...]
     grid: FrameGrid

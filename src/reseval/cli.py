@@ -20,7 +20,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
 from .common import _WAV_NAMES, CLAMP_DB, DEFAULT_THRESHOLD_DB, atomic_write_bytes
@@ -33,11 +32,11 @@ if TYPE_CHECKING:
 SEED_ENV_VAR = "RES_EVAL_SEED"
 
 
-@dataclass
 class ManifestEntry:
-    id: str
-    paths: dict[str, str]
-    tags: dict = field(default_factory=dict)
+    def __init__(self, id: str, paths: dict[str, str], tags: dict | None = None):
+        self.id = id
+        self.paths = paths
+        self.tags = {} if tags is None else tags
 
     def require(self, keys) -> None:
         missing = [k for k in keys if k not in self.paths]
@@ -51,18 +50,17 @@ class ManifestEntry:
         return SceneComponents(**{k: load_wav(self.paths[k]) for k in keys if k in self.paths})
 
 
-@dataclass
 class Manifest:
-    entries: list[ManifestEntry]
-    threshold_db: float = DEFAULT_THRESHOLD_DB
-    clamp_db: float = CLAMP_DB
-
-    def __post_init__(self):
+    def __init__(self, entries: list[ManifestEntry], threshold_db: float = DEFAULT_THRESHOLD_DB,
+                 clamp_db: float = CLAMP_DB):
         seen = set()
-        for entry in self.entries:
+        for entry in entries:
             if entry.id in seen:
                 raise ValueError(f"duplicate entry id {entry.id!r}")
             seen.add(entry.id)
+        self.entries = entries
+        self.threshold_db = threshold_db
+        self.clamp_db = clamp_db
 
     @classmethod
     def from_json(cls, path) -> "Manifest":
@@ -316,14 +314,19 @@ def _load_labeled(entry, extra, threshold_db):
 
 
 def _evaluate_entry(entry, threshold_db, clamp_db) -> MetricReport:
-    from .metrics import evaluate_scene
+    from .metrics import _scene_rows, evaluate_scene
 
     components, mask = _load_labeled(entry, ("s_hat",), threshold_db)
-    return evaluate_scene(components, mask, clamp_db)
+    try:
+        return evaluate_scene(components, mask, clamp_db)
+    finally:
+        _scene_rows.cache_clear()  # it holds this entry's scene
 
 
 def _pooled_aggregates(reports) -> dict:
     """Aggregates of each metric over the frames of all reports, in order."""
+    from dataclasses import asdict
+
     import numpy as np
 
     from .metrics import METRIC_CONDITIONS, METRIC_NAMES, aggregate
@@ -340,6 +343,8 @@ def _pooled_aggregates(reports) -> dict:
 
 
 def cmd_evaluate(args) -> int:
+    from dataclasses import asdict
+
     manifest = _resolve_manifest(args)
     os.makedirs(args.out, exist_ok=True)
     reports, errors = _run_batch("evaluate", _evaluate_entry, manifest.entries,
@@ -367,7 +372,7 @@ def cmd_evaluate(args) -> int:
 def _sweep_entry(entry, configs, threshold_db, clamp_db) -> list[MetricReport]:
     """One report per suppressor config for one scene."""
     from .audio import SceneComponents
-    from .metrics import evaluate_scene
+    from .metrics import _scene_rows, evaluate_scene
     from .suppressor import _gain_tracks, oracle_suppress
 
     components, mask = _load_labeled(entry, (), threshold_db)
@@ -381,7 +386,9 @@ def _sweep_entry(entry, configs, threshold_db, clamp_db) -> list[MetricReport]:
                                     e=components.e, s_hat=s_hat)
             reports.append(evaluate_scene(scene, mask, clamp_db))
     finally:
-        _gain_tracks.cache_clear()  # it holds this scene's e and s
+        # both hold this scene's signals
+        _gain_tracks.cache_clear()
+        _scene_rows.cache_clear()
     return reports
 
 

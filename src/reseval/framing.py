@@ -162,9 +162,13 @@ def gain_envelope(gains: np.ndarray, signal_len: int) -> np.ndarray:
     n_frames = gains.shape[0]
     g = gains[:, None]
     head, tail = _WINDOW[:HOP], _WINDOW[HOP:]
-    num = np.zeros((n_frames + 1, HOP))
-    num[:-1] = (g * head) * head
-    num[1:] += (g * tail) * tail
+    num = np.empty((n_frames + 1, HOP))
+    np.multiply(g, head, out=num[:-1])
+    num[:-1] *= head
+    num[-1] = 0.0
+    tail_part = g * tail
+    tail_part *= tail
+    num[1:] += tail_part
     out = np.zeros(signal_len)
     rows = out[: num.size].reshape(num.shape)
     for hops, ola in _OLA_ROWS:

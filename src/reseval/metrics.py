@@ -15,13 +15,14 @@ frames keep their precision.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import ENERGY_FLOOR, SceneComponents
+from .audio import ENERGY_FLOOR, SceneComponents, Signal
 from .activity import _LABEL_OF_CODE, ActivityMask, FrameLabel
 from .common import CLAMP_DB, atomic_write_bytes
 
@@ -60,55 +61,60 @@ def _ratio_rows(num: np.ndarray, den: np.ndarray, clamp_db: float) -> np.ndarray
     return np.where(num <= ENERGY_FLOOR, -clamp_db, np.where(den <= ENERGY_FLOOR, clamp_db, value))
 
 
-def _gain_rows(s_hat: np.ndarray, e: np.ndarray) -> np.ndarray:
-    den = np.where(
+def _gain_denominator(e: np.ndarray) -> np.ndarray:
+    """The denominator of the gain s_hat / e: e with |e| < 1e-8 replaced by
+    sign(e)*1e-8, the sign of zero taken positive."""
+    return np.where(
         np.abs(e) < GAIN_DENOM_FLOOR,
         np.where(e < 0.0, -GAIN_DENOM_FLOOR, GAIN_DENOM_FLOOR),
         e,
     )
-    return s_hat / den
 
 
-def _compensation_rows(gain: np.ndarray, s: np.ndarray) -> np.ndarray:
-    den = _row_energy(s)
-    degenerate = den <= COMP_DEGENERATE
-    return np.where(degenerate, 1.0, _row_dot(gain * s, s) / np.where(degenerate, 1.0, den))
+# The kernels below take the energy of their s rows (s_energy = _row_energy(s))
+# or the noisy residual r = e - s with its energy, which do not depend on
+# s_hat: evaluate_scene computes them once per scene (_scene_rows), the
+# scalar functions for their single row.
 
 
-def _dsml_rows(s: np.ndarray, gain: np.ndarray, clamp_db: float) -> np.ndarray:
-    s_tilde = _compensation_rows(gain, s)[:, None] * s
+def _compensation_rows(gain: np.ndarray, s: np.ndarray, s_energy: np.ndarray) -> np.ndarray:
+    degenerate = s_energy <= COMP_DEGENERATE
+    return np.where(degenerate, 1.0, _row_dot(gain * s, s) / np.where(degenerate, 1.0, s_energy))
+
+
+def _dsml_rows(s: np.ndarray, s_energy: np.ndarray, gain: np.ndarray, clamp_db: float) -> np.ndarray:
+    s_tilde = _compensation_rows(gain, s, s_energy)[:, None] * s
     return _ratio_rows(_row_energy(s_tilde), _row_energy(s_tilde - gain * s), clamp_db)
 
 
-def _resl_rows(s: np.ndarray, e: np.ndarray, gain: np.ndarray, clamp_db: float) -> np.ndarray:
-    r = e - s
-    return _ratio_rows(_row_energy(r), _row_energy(gain * r), clamp_db)
+def _resl_rows(r: np.ndarray, r_energy: np.ndarray, gain: np.ndarray, clamp_db: float) -> np.ndarray:
+    return _ratio_rows(r_energy, _row_energy(gain * r), clamp_db)
 
 
-def _projected_rows(s: np.ndarray, s_hat: np.ndarray, clamp_db: float) -> np.ndarray:
+def _projected_rows(s: np.ndarray, s_energy: np.ndarray, s_hat: np.ndarray, clamp_db: float) -> np.ndarray:
     # rescale s_hat so a constant attenuation cancels; degenerate
     # projections (silent s or zero s_hat) leave s_hat unscaled
-    den = _row_energy(s)
-    proj = _row_dot(s_hat, s) / np.where(den > COMP_DEGENERATE, den, 1.0)
-    scale = np.where((den > COMP_DEGENERATE) & (np.abs(proj) > COMP_DEGENERATE), proj, 1.0)
-    return _ratio_rows(den, _row_energy(s - s_hat / scale[:, None]), clamp_db)
+    proj = _row_dot(s_hat, s) / np.where(s_energy > COMP_DEGENERATE, s_energy, 1.0)
+    scale = np.where((s_energy > COMP_DEGENERATE) & (np.abs(proj) > COMP_DEGENERATE), proj, 1.0)
+    return _ratio_rows(s_energy, _row_energy(s - s_hat / scale[:, None]), clamp_db)
 
 
-def _energy_ratio_rows(num_frames: np.ndarray, den_frames: np.ndarray, clamp_db: float) -> np.ndarray:
-    return _ratio_rows(_row_energy(num_frames), _row_energy(den_frames), clamp_db)
+def _energy_ratio_rows(num_energy: np.ndarray, den_frames: np.ndarray, clamp_db: float) -> np.ndarray:
+    return _ratio_rows(num_energy, _row_energy(den_frames), clamp_db)
 
 
-def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"frames must be equal-length 1-D, got {a.shape} vs {b.shape}")
-    return a, b
+def _rows(*frames) -> list[np.ndarray]:
+    """Equal-length 1-D frames as float64 single-row matrices."""
+    arrays = [np.asarray(f, dtype=np.float64) for f in frames]
+    if any(a.ndim != 1 or a.shape != arrays[0].shape for a in arrays):
+        shapes = " vs ".join(str(a.shape) for a in arrays)
+        raise ValueError(f"frames must be equal-length 1-D, got {shapes}")
+    return [a[None, :] for a in arrays]
 
 
-def _one_row(kernel, *frames, **kwargs) -> float:
-    """Apply a row kernel to 1-D frames as a single-row matrix."""
-    return float(kernel(*(f[None, :] for f in frames), **kwargs)[0])
+def _energy_ratio(num_frame, den_frame, clamp_db: float) -> float:
+    num, den = _rows(num_frame, den_frame)
+    return float(_energy_ratio_rows(_row_energy(num), den, clamp_db)[0])
 
 
 def ratio_db(num: float, den: float, clamp_db: float = CLAMP_DB) -> float:
@@ -122,12 +128,14 @@ def compute_gain(s_hat_frame, e_frame) -> np.ndarray:
     |e| below 1e-8 is replaced by sign(e)*1e-8 (sign of zero taken
     positive) so the gain stays finite.
     """
-    return _gain_rows(*_pair(s_hat_frame, e_frame))
+    s_hat, e = _rows(s_hat_frame, e_frame)
+    return (s_hat / _gain_denominator(e))[0]
 
 
 def compensation_scalar(gain, s_frame) -> float:
     """Projection <gain*s, s> / ||s||^2; 1 when s is (near) silent."""
-    return _one_row(_compensation_rows, *_pair(gain, s_frame))
+    gain, s = _rows(gain, s_frame)
+    return float(_compensation_rows(gain, s, _row_energy(s))[0])
 
 
 def dsml(s_frame, gain, clamp_db: float = CLAMP_DB) -> float:
@@ -136,7 +144,8 @@ def dsml(s_frame, gain, clamp_db: float = CLAMP_DB) -> float:
     The gain is applied to the clean speech only; a constant attenuation
     is projected out first so it does not register as distortion.
     """
-    return _one_row(_dsml_rows, *_pair(s_frame, gain), clamp_db=clamp_db)
+    s, gain = _rows(s_frame, gain)
+    return float(_dsml_rows(s, _row_energy(s), gain, clamp_db)[0])
 
 
 def resl(s_frame, e_frame, gain, clamp_db: float = CLAMP_DB) -> float:
@@ -145,34 +154,35 @@ def resl(s_frame, e_frame, gain, clamp_db: float = CLAMP_DB) -> float:
     The noisy residual is estimated as e - s; the metric is the energy
     ratio of the residual before and after the gain.
     """
-    s_frame, e_frame = _pair(s_frame, e_frame)
-    _, gain = _pair(s_frame, gain)
-    return _one_row(_resl_rows, s_frame, e_frame, gain, clamp_db=clamp_db)
+    s, e, gain = _rows(s_frame, e_frame, gain)
+    r = e - s
+    return float(_resl_rows(r, _row_energy(r), gain, clamp_db)[0])
 
 
 def sdr(s_frame, s_hat_frame, clamp_db: float = CLAMP_DB) -> float:
     """Signal-to-distortion ratio in dB (double-talk), attenuation-compensated."""
-    return _one_row(_projected_rows, *_pair(s_frame, s_hat_frame), clamp_db=clamp_db)
+    s, s_hat = _rows(s_frame, s_hat_frame)
+    return float(_projected_rows(s, _row_energy(s), s_hat, clamp_db)[0])
 
 
 def sar(s_frame, s_hat_frame, clamp_db: float = CLAMP_DB) -> float:
     """Signal-to-artifacts ratio in dB (near-end single-talk), same form as sdr."""
-    return _one_row(_projected_rows, *_pair(s_frame, s_hat_frame), clamp_db=clamp_db)
+    return sdr(s_frame, s_hat_frame, clamp_db)
 
 
 def erle(e_frame, s_hat_frame, clamp_db: float = CLAMP_DB) -> float:
     """Echo-return-loss enhancement in dB (far-end single-talk), uncompensated."""
-    return _one_row(_energy_ratio_rows, *_pair(e_frame, s_hat_frame), clamp_db=clamp_db)
+    return _energy_ratio(e_frame, s_hat_frame, clamp_db)
 
 
 def ser(s_frame, y_frame, clamp_db: float = CLAMP_DB) -> float:
     """Signal-to-echo ratio in dB."""
-    return _one_row(_energy_ratio_rows, *_pair(s_frame, y_frame), clamp_db=clamp_db)
+    return _energy_ratio(s_frame, y_frame, clamp_db)
 
 
 def snr(s_frame, w_frame, clamp_db: float = CLAMP_DB) -> float:
     """Signal-to-noise ratio in dB."""
-    return _one_row(_energy_ratio_rows, *_pair(s_frame, w_frame), clamp_db=clamp_db)
+    return _energy_ratio(s_frame, w_frame, clamp_db)
 
 
 @dataclass(frozen=True)
@@ -221,6 +231,73 @@ def aggregate(values: np.ndarray, condition: str) -> MetricAggregate | None:
     return MetricAggregate(condition=condition, mean=mean, std=std, count=int(present.size))
 
 
+@dataclass(frozen=True)
+class _SceneRows:
+    """What evaluate_scene needs of a scene besides s_hat; every array is read-only.
+
+    dt, ne and fe index the double-talk, near-end and far-end frames;
+    the rows after each are the frames of that condition.
+    """
+
+    labels: tuple[str, ...]
+    dt: np.ndarray
+    s_dt: np.ndarray
+    s_dt_energy: np.ndarray
+    r_dt: np.ndarray  # noisy residual e - s
+    r_dt_energy: np.ndarray
+    e_dt_den: np.ndarray  # _gain_denominator(e)
+    ne: np.ndarray
+    s_ne: np.ndarray
+    s_ne_energy: np.ndarray
+    fe: np.ndarray
+    e_fe_energy: np.ndarray
+    values: dict[str, np.ndarray]  # ser and snr, which need no s_hat
+    aggregates: dict[str, MetricAggregate]
+
+
+@functools.lru_cache(maxsize=1)
+def _scene_rows(s: Signal, e: Signal, y: Signal | None, w: Signal | None,
+                mask: ActivityMask, clamp_db: float) -> _SceneRows:
+    """The s_hat-independent part of evaluate_scene for one scene.
+
+    Signal and ActivityMask hash by identity, so a sweep, which scores one
+    scene's components and mask under every alpha, computes this once per
+    scene.  The batch entry that loaded the scene clears the cache when it
+    ends, so no scene outlives its entry.
+    """
+    grid = mask.grid
+    s_frames = grid.frame_matrix(s.samples)
+    e_frames = grid.frame_matrix(e.samples)
+    dt = mask.indices(FrameLabel.DOUBLE_TALK)
+    s_dt, e_dt = s_frames[dt], e_frames[dt]
+    r_dt = e_dt - s_dt
+    ne = mask.indices(FrameLabel.NEAR_END)
+    s_ne = s_frames[ne]
+    fe = mask.indices(FrameLabel.FAR_END)
+    values, aggregates = {}, {}
+    s_energy = _row_energy(s_frames)
+    for name, other in (("ser", y), ("snr", w)):
+        if other is None:
+            values[name] = np.full(grid.n_frames, np.nan)
+        else:
+            values[name] = _energy_ratio_rows(s_energy, grid.frame_matrix(other.samples), clamp_db)
+        agg = aggregate(values[name], METRIC_CONDITIONS[name])
+        if agg is not None:
+            aggregates[name] = agg
+    rows = _SceneRows(
+        labels=tuple(_VALUE_OF_CODE[mask.codes].tolist()),
+        dt=dt, s_dt=s_dt, s_dt_energy=_row_energy(s_dt),
+        r_dt=r_dt, r_dt_energy=_row_energy(r_dt), e_dt_den=_gain_denominator(e_dt),
+        ne=ne, s_ne=s_ne, s_ne_energy=_row_energy(s_ne),
+        fe=fe, e_fe_energy=_row_energy(e_frames[fe]),
+        values=values, aggregates=aggregates,
+    )
+    for array in (*vars(rows).values(), *values.values()):
+        if isinstance(array, np.ndarray):
+            array.setflags(write=False)
+    return rows
+
+
 def evaluate_scene(
     components: SceneComponents,
     mask: ActivityMask,
@@ -230,7 +307,9 @@ def evaluate_scene(
 
     Needs s, e and s_hat; ser/snr additionally need y/w.  Metrics whose
     condition never occurs are omitted from the aggregates rather than
-    reported as zero.
+    reported as zero.  What does not depend on s_hat comes from
+    _scene_rows, so scoring one scene under several suppressors computes
+    it once.
     """
     if components.e is None or components.s_hat is None:
         missing = [n for n in ("e", "s_hat") if getattr(components, n) is None]
@@ -239,31 +318,21 @@ def evaluate_scene(
     if grid.signal_len != len(components.s):
         raise ValueError("mask grid does not match component length")
 
-    s_frames = grid.frame_matrix(components.s.samples)
-    e_frames = grid.frame_matrix(components.e.samples)
+    rows = _scene_rows(components.s, components.e, components.y, components.w, mask, clamp_db)
     sh_frames = grid.frame_matrix(components.s_hat.samples)
-
-    values = {name: np.full(grid.n_frames, np.nan) for name in METRIC_NAMES}
-    dt = mask.indices(FrameLabel.DOUBLE_TALK)
-    s_dt, e_dt, sh_dt = s_frames[dt], e_frames[dt], sh_frames[dt]
-    gain = _gain_rows(sh_dt, e_dt)
-    values["dsml"][dt] = _dsml_rows(s_dt, gain, clamp_db)
-    values["resl"][dt] = _resl_rows(s_dt, e_dt, gain, clamp_db)
-    values["sdr"][dt] = _projected_rows(s_dt, sh_dt, clamp_db)
-    ne = mask.indices(FrameLabel.NEAR_END)
-    values["sar"][ne] = _projected_rows(s_frames[ne], sh_frames[ne], clamp_db)
-    fe = mask.indices(FrameLabel.FAR_END)
-    values["erle"][fe] = _energy_ratio_rows(e_frames[fe], sh_frames[fe], clamp_db)
-    if components.y is not None:
-        values["ser"] = _energy_ratio_rows(s_frames, grid.frame_matrix(components.y.samples), clamp_db)
-    if components.w is not None:
-        values["snr"] = _energy_ratio_rows(s_frames, grid.frame_matrix(components.w.samples), clamp_db)
+    values = {name: np.full(grid.n_frames, np.nan) for name in METRIC_NAMES if name not in rows.values}
+    sh_dt = sh_frames[rows.dt]
+    gain = sh_dt / rows.e_dt_den
+    values["dsml"][rows.dt] = _dsml_rows(rows.s_dt, rows.s_dt_energy, gain, clamp_db)
+    values["resl"][rows.dt] = _resl_rows(rows.r_dt, rows.r_dt_energy, gain, clamp_db)
+    values["sdr"][rows.dt] = _projected_rows(rows.s_dt, rows.s_dt_energy, sh_dt, clamp_db)
+    values["sar"][rows.ne] = _projected_rows(rows.s_ne, rows.s_ne_energy, sh_frames[rows.ne], clamp_db)
+    values["erle"][rows.fe] = _energy_ratio_rows(rows.e_fe_energy, sh_frames[rows.fe], clamp_db)
 
     aggregates = {}
-    for name in METRIC_NAMES:
-        agg = aggregate(values[name], METRIC_CONDITIONS[name])
+    for name, metric_values in values.items():
+        agg = aggregate(metric_values, METRIC_CONDITIONS[name])
         if agg is not None:
             aggregates[name] = agg
-
-    labels = tuple(_VALUE_OF_CODE[mask.codes].tolist())
-    return MetricReport(labels=labels, values=values, aggregates=aggregates)
+    return MetricReport(labels=rows.labels, values={**values, **rows.values},
+                        aggregates={**aggregates, **rows.aggregates})

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 
 
 def _floats(values) -> list[float]:
@@ -64,40 +63,38 @@ def srcc(x, y) -> float:
     return pcc(average_ranks(x), average_ranks(y))
 
 
-@dataclass(frozen=True)
 class CorrelationResult:
-    pcc: float
-    srcc: float
-    n: int
+    def __init__(self, pcc: float, srcc: float, n: int):
+        self.pcc = pcc
+        self.srcc = srcc
+        self.n = n
 
 
-@dataclass(frozen=True)
 class ScoreTable:
     """Rectangular per-utterance table: one id column plus numeric columns.
 
     Numeric cells are floats; missing cells are None.
     """
 
-    columns: tuple[str, ...]
-    rows: tuple[dict, ...]
-    id_column: str
-
-    def __post_init__(self):
-        if self.id_column not in self.columns:
-            raise ValueError(f"id column {self.id_column!r} not among columns")
+    def __init__(self, columns: tuple[str, ...], rows: tuple[dict, ...], id_column: str):
+        if id_column not in columns:
+            raise ValueError(f"id column {id_column!r} not among columns")
         seen = set()
-        for row in self.rows:
-            if set(row) != set(self.columns):
+        for row in rows:
+            if set(row) != set(columns):
                 raise ValueError("rows must carry exactly the declared columns")
-            rid = row[self.id_column]
+            rid = row[id_column]
             if rid in seen:
                 raise ValueError(f"duplicate utterance id {rid!r}")
             seen.add(rid)
             for col, val in row.items():
-                if col == self.id_column or val is None:
+                if col == id_column or val is None:
                     continue
                 if not isinstance(val, float) or not math.isfinite(val):
                     raise ValueError(f"cell ({rid!r}, {col!r}) is not finite: {val!r}")
+        self.columns = columns
+        self.rows = rows
+        self.id_column = id_column
 
     def column(self, name: str) -> list:
         if name not in self.columns:

@@ -554,36 +554,62 @@ def test_readme_flag_table_matches_parser():
     assert table == options
 
 
-def test_entries_release_the_gain_track_cache(scene_dir, tmp_path):
-    """The cached suppressor tracks hold an entry's e and s; they go when the entry ends."""
+def test_entries_release_the_gain_track_cache(scene_dir, tmp_path, monkeypatch):
+    """The cached suppressor tracks and evaluation rows hold an entry's signals; they go
+    when the entry ends, also when evaluate_scene raises."""
     (entry, *_) = manifest_from_scenes(scene_dir).entries
     config = rv.SuppressorConfig(beta=8.0)
-    cli._suppress_entry(entry, config, str(tmp_path))
-    assert rv.suppressor._gain_tracks.cache_info().currsize == 0
-    cli._sweep_entry(entry, [config, config], rv.activity.DEFAULT_THRESHOLD_DB, rv.metrics.CLAMP_DB)
-    assert rv.suppressor._gain_tracks.cache_info().currsize == 0
+    options = (rv.activity.DEFAULT_THRESHOLD_DB, rv.metrics.CLAMP_DB)
+    caches = (rv.suppressor._gain_tracks, rv.metrics._scene_rows)
+
+    def assert_released():
+        assert [cache.cache_info().currsize for cache in caches] == [0, 0]
+
+    for cache in caches:  # filled by library calls of earlier tests
+        cache.cache_clear()
+    entry.paths["s_hat"] = cli._suppress_entry(entry, config, str(tmp_path))
+    assert_released()
+    cli._evaluate_entry(entry, *options)
+    assert_released()
+    cli._sweep_entry(entry, [config, config], *options)
+    assert_released()
+
+    evaluate_scene = rv.metrics.evaluate_scene
+
+    def fails_after_caching(*args):
+        evaluate_scene(*args)
+        assert rv.metrics._scene_rows.cache_info().currsize == 1
+        raise RuntimeError("evaluation failed")
+
+    monkeypatch.setattr(rv.metrics, "evaluate_scene", fails_after_caching)
+    with pytest.raises(RuntimeError, match="evaluation failed"):
+        cli._evaluate_entry(entry, *options)
+    assert_released()
+    with pytest.raises(RuntimeError, match="evaluation failed"):
+        cli._sweep_entry(entry, [config], *options)
+    assert_released()
 
 
 def test_cli_imports_only_what_the_command_runs(tmp_path):
-    """A fresh interpreter: importing the CLI loads no numpy, process pool or compute
-    module, and correlate runs without numpy."""
+    """A fresh interpreter: importing the CLI loads no numpy, dataclasses, process pool
+    or compute module, and correlate runs without numpy or dataclasses."""
     table = tmp_path / "t.csv"
     table.write_text("id,a,b\nu0,1.0,2.0\nu1,2.0,1.5\nu2,3.0,4.0\n")
     src = os.path.dirname(os.path.dirname(rv.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "\n".join([
         "import json, sys, reseval.cli",
-        "heavy = ['numpy', 'concurrent.futures.process'] + ['reseval.' + m for m in",
+        "heavy = ['numpy', 'dataclasses', 'concurrent.futures.process'] + ['reseval.' + m for m in",
         "    ('audio', 'activity', 'framing', 'metrics', 'simulate', 'stats', 'suppressor')]",
         "loaded = [m for m in heavy if m in sys.modules]",
         "code = reseval.cli.main(['correlate', '--table', sys.argv[1], '--metric-col', 'a',",
         "                         '--score-col', 'b', '--out', sys.argv[2]])",
-        "print(json.dumps([loaded, code, 'numpy' in sys.modules]))",
+        "print(json.dumps([loaded, code, [m for m in ('numpy', 'dataclasses') if m in sys.modules]]))",
     ])
     proc = subprocess.run([sys.executable, "-c", code, str(table), str(tmp_path / "r.json")],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0, False]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0, []]
     assert json.loads((tmp_path / "r.json").read_text())["groups"][0]["n"] == 3
 
 

@@ -38,9 +38,11 @@ from reseval.metrics import (
     MetricReport,
     _dsml_rows,
     _energy_ratio_rows,
-    _gain_rows,
+    _gain_denominator,
     _projected_rows,
     _resl_rows,
+    _row_energy,
+    _scene_rows,
     aggregate,
     ratio_db,
 )
@@ -412,6 +414,66 @@ class TestEvaluateSceneOracles:
         assert hit_clamp > 0
 
 
+def assert_same_report(got, want):
+    assert got.labels == want.labels
+    assert list(got.values) == list(want.values)
+    for name in want.values:
+        assert np.array_equal(got.values[name], want.values[name], equal_nan=True), name
+    assert got.aggregates == want.aggregates
+    assert list(got.aggregates) == list(want.aggregates)
+
+
+class TestSceneRowsCache:
+    """evaluate_scene takes a scene's s_hat-independent rows from _scene_rows' cache."""
+
+    @staticmethod
+    def edge_scene():
+        """Edge frames under every label, and s_hats that reach the +-clamp bound."""
+        segments = list(edge_case_segments(np.random.default_rng(32)))
+        s, e, s_hat, y, w = (np.concatenate(parts) for parts in zip(*segments))
+        grid = make_grid(len(s))
+        labels = tuple(LABEL_CYCLE[i % len(LABEL_CYCLE)] for i in range(grid.n_frames))
+        components = SceneComponents(s=Signal(s), e=Signal(e), y=Signal(y), w=Signal(w))
+        s_hats = [s_hat, np.zeros_like(e), e, 0.5 * s, 1e-7 * e,
+                  np.random.default_rng(33).standard_normal(len(e)) * 0.1]
+        return components, ActivityMask(labels=labels, grid=grid), [Signal(x) for x in s_hats]
+
+    @staticmethod
+    def scored(components, s_hat):
+        return SceneComponents(s=components.s, e=components.e, y=components.y, w=components.w,
+                               s_hat=s_hat)
+
+    @pytest.mark.parametrize("clamp", [120.0, 60.0])
+    def test_reused_rows_give_the_cold_report(self, clamp):
+        components, mask, s_hats = self.edge_scene()
+        _scene_rows.cache_clear()
+        warm = [evaluate_scene(self.scored(components, sh), mask, clamp) for sh in s_hats]
+        info = _scene_rows.cache_info()
+        assert (info.misses, info.hits) == (1, len(s_hats) - 1)
+        hit_clamp = 0
+        for s_hat, report in zip(s_hats, warm):
+            _scene_rows.cache_clear()
+            assert_same_report(report, evaluate_scene(self.scored(components, s_hat), mask, clamp))
+            hit_clamp += sum(np.count_nonzero(np.abs(v) == clamp) for v in report.values.values())
+        assert hit_clamp > 0
+        _scene_rows.cache_clear()
+
+    def test_other_mask_or_clamp_misses(self):
+        components, mask, (s_hat, *_) = self.edge_scene()
+        shifted = ActivityMask(labels=mask.labels[1:] + mask.labels[:1], grid=mask.grid)
+        scene = self.scored(components, s_hat)
+        cold = {}
+        # each key differs from the one before it in one part only
+        for key in ((mask, 120.0), (mask, 60.0), (shifted, 60.0)):
+            _scene_rows.cache_clear()
+            cold[key] = evaluate_scene(scene, *key)
+        _scene_rows.cache_clear()
+        for i, key in enumerate(cold):
+            assert_same_report(evaluate_scene(scene, *key), cold[key])
+            assert _scene_rows.cache_info().misses == i + 1
+        _scene_rows.cache_clear()
+
+
 @st.composite
 def frame_matrices(draw):
     """Equal-shape small (s, e, s_hat, y) matrices; zeros and 1e-9 amplitudes included."""
@@ -426,13 +488,14 @@ class TestRowKernelProperties:
     @given(frame_matrices())
     def test_row_kernels_match_oracles(self, mats):
         s, e, s_hat, y = mats
-        gain = _gain_rows(s_hat, e)
+        gain = s_hat / _gain_denominator(e)
+        s_energy, r = _row_energy(s), e - s
         got = {
-            "dsml": _dsml_rows(s, gain, 120.0),
-            "resl": _resl_rows(s, e, gain, 120.0),
-            "sdr": _projected_rows(s, s_hat, 120.0),
-            "erle": _energy_ratio_rows(e, s_hat, 120.0),
-            "ser": _energy_ratio_rows(s, y, 120.0),
+            "dsml": _dsml_rows(s, s_energy, gain, 120.0),
+            "resl": _resl_rows(r, _row_energy(r), gain, 120.0),
+            "sdr": _projected_rows(s, s_energy, s_hat, 120.0),
+            "erle": _energy_ratio_rows(_row_energy(e), s_hat, 120.0),
+            "ser": _energy_ratio_rows(s_energy, y, 120.0),
         }
         for i in range(s.shape[0]):
             rows = [list(map(float, a[i])) for a in (s, e, s_hat, y)]
