@@ -97,19 +97,22 @@ class SceneComponents:
                 raise ValueError(
                     f"component '{name}' has length {len(sig)}, expected {ref}"
                 )
-        if self.y is not None and self.w is not None and self.m is not None:
-            mix = self.s.samples + self.y.samples + self.w.samples
-            err = np.max(np.abs(mix - self.m.samples))
-            if err > MIX_TOL:
-                raise ValueError(
-                    f"m != s + y + w (max deviation {err:.3e} > {MIX_TOL})"
-                )
-        if self.m is not None and self.y_hat is not None and self.e is not None:
-            err = np.max(np.abs(self.m.samples - self.y_hat.samples - self.e.samples))
-            if err > MIX_TOL:
-                raise ValueError(
-                    f"e != m - y_hat (max deviation {err:.3e} > {MIX_TOL})"
-                )
+        check_mix = self.y is not None and self.w is not None and self.m is not None
+        check_residual = self.m is not None and self.y_hat is not None and self.e is not None
+        if not (check_mix or check_residual):
+            return
+        # both identities are evaluated in one scratch buffer, in the order
+        # of the plain expressions ((s + y) + w - m and (m - y_hat) - e)
+        buf = np.empty(ref)
+        if check_mix:
+            np.add(self.s.samples, self.y.samples, out=buf)
+            buf += self.w.samples
+            buf -= self.m.samples
+            _check_identity(buf, "m != s + y + w")
+        if check_residual:
+            np.subtract(self.m.samples, self.y_hat.samples, out=buf)
+            buf -= self.e.samples
+            _check_identity(buf, "e != m - y_hat")
 
     def present(self) -> dict[str, Signal]:
         out = {}
@@ -118,6 +121,13 @@ class SceneComponents:
             if sig is not None:
                 out[name] = sig
         return out
+
+
+def _check_identity(deviation: np.ndarray, identity: str) -> None:
+    """Raise unless every |deviation| is within MIX_TOL; deviation is overwritten."""
+    err = np.abs(deviation, out=deviation).max()
+    if err > MIX_TOL:
+        raise ValueError(f"{identity} (max deviation {err:.3e} > {MIX_TOL})")
 
 
 def load_wav(path) -> Signal:

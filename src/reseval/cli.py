@@ -180,13 +180,44 @@ def _default_seed(args) -> int:
     return 0
 
 
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Keep the heap memory this process frees for its next arrays (glibc only).
+
+    By default glibc maps every array above its dynamic mmap threshold on
+    its own and hands it back to the kernel when it is freed, so each
+    fresh scene-length array of a batch is faulted in again page by page.
+    A fixed 32 MiB mmap threshold serves these arrays from the heap, and a
+    256 MiB trim threshold keeps the freed heap top.  Either one alone
+    turns off the dynamic threshold and faults more than neither, so the
+    trim threshold is set only once the mmap threshold has taken.  Where
+    the C library has no mallopt this does nothing.  Only the batch
+    commands call it; importing reseval leaves the allocator as it is.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no C library handle, or no mallopt in it
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, 32 << 20):
+        mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
 def _map_entries(fn, items, jobs: int):
     """Apply fn over items with bounded parallelism, preserving order."""
+    _keep_freed_memory()
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_keep_freed_memory) as pool:
         return list(pool.map(fn, items))
 
 

@@ -202,8 +202,9 @@ class TestSceneComponents:
         good = Signal(s.samples + y.samples + w.samples)
         SceneComponents(s=s, y=y, w=w, m=good)
         bad = Signal(good.samples + 1e-3)
-        with pytest.raises(ValueError, match="m != s"):
+        with pytest.raises(ValueError) as info:
             SceneComponents(s=s, y=y, w=w, m=bad)
+        assert str(info.value) == "m != s + y + w (max deviation 1.000e-03 > 1e-06)"
 
     def test_residual_identity_enforced(self):
         n = 400
@@ -211,8 +212,15 @@ class TestSceneComponents:
         m, y_hat = (Signal(rng.standard_normal(n) * 0.1) for _ in range(2))
         e = Signal(m.samples - y_hat.samples)
         SceneComponents(s=Signal(np.ones(n)), m=m, y_hat=y_hat, e=e)
-        with pytest.raises(ValueError, match="e != m"):
+        with pytest.raises(ValueError) as info:
             SceneComponents(s=Signal(np.ones(n)), m=m, y_hat=y_hat, e=Signal(e.samples * 1.01))
+        assert str(info.value) == "e != m - y_hat (max deviation 4.562e-03 > 1e-06)"
+        # the same deviation once the mix identity has passed in the shared buffer
+        mix = dict(s=Signal(np.ones(n)), y=Signal(m.samples - 1.0), w=Signal(np.zeros(n)), m=m)
+        SceneComponents(**mix, y_hat=y_hat, e=e)
+        with pytest.raises(ValueError) as info:
+            SceneComponents(**mix, y_hat=y_hat, e=Signal(e.samples * 1.01))
+        assert str(info.value) == "e != m - y_hat (max deviation 4.562e-03 > 1e-06)"
 
     def test_present(self):
         comps = SceneComponents(s=Signal(np.ones(4)), e=Signal(np.ones(4)))

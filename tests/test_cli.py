@@ -591,20 +591,20 @@ def test_entries_release_the_gain_track_cache(scene_dir, tmp_path, monkeypatch):
 
 
 def test_cli_imports_only_what_the_command_runs(tmp_path):
-    """A fresh interpreter: importing the CLI loads no numpy, dataclasses, process pool
-    or compute module, and correlate runs without numpy or dataclasses."""
+    """A fresh interpreter: importing the CLI loads no numpy, dataclasses, ctypes, process
+    pool or compute module, and correlate runs without numpy, dataclasses or ctypes."""
     table = tmp_path / "t.csv"
     table.write_text("id,a,b\nu0,1.0,2.0\nu1,2.0,1.5\nu2,3.0,4.0\n")
     src = os.path.dirname(os.path.dirname(rv.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "\n".join([
         "import json, sys, reseval.cli",
-        "heavy = ['numpy', 'dataclasses', 'concurrent.futures.process'] + ['reseval.' + m for m in",
+        "heavy = ['numpy', 'dataclasses', 'ctypes', 'concurrent.futures.process'] + ['reseval.' + m for m in",
         "    ('audio', 'activity', 'framing', 'metrics', 'simulate', 'stats', 'suppressor')]",
         "loaded = [m for m in heavy if m in sys.modules]",
         "code = reseval.cli.main(['correlate', '--table', sys.argv[1], '--metric-col', 'a',",
         "                         '--score-col', 'b', '--out', sys.argv[2]])",
-        "print(json.dumps([loaded, code, [m for m in ('numpy', 'dataclasses') if m in sys.modules]]))",
+        "print(json.dumps([loaded, code, [m for m in ('numpy', 'dataclasses', 'ctypes') if m in sys.modules]]))",
     ])
     proc = subprocess.run([sys.executable, "-c", code, str(table), str(tmp_path / "r.json")],
                           env=env, capture_output=True, text=True, timeout=60)
@@ -620,3 +620,87 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _has_glibc_mallopt() -> bool:
+    import ctypes
+    import platform
+
+    return platform.libc_ver()[0] == "glibc" and hasattr(ctypes.CDLL(None), "mallopt")
+
+
+@pytest.mark.skipif(not _has_glibc_mallopt(), reason="needs glibc's mallopt")
+def test_kept_memory_serves_the_next_array_without_page_faults():
+    """A fresh interpreter: once the batch runner keeps freed memory, a second
+    scene-length array reuses the first one's pages (the default allocator
+    faults in about 300 new ones)."""
+    src = os.path.dirname(os.path.dirname(rv.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "\n".join([
+        "import resource, numpy as np, reseval.cli",
+        "reseval.cli._keep_freed_memory()",
+        "a = np.ones(160000); del a",
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+        "a = np.ones(160000)",
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.splitlines()[-1]) < 50
+
+
+def test_map_entries_keeps_freed_memory_in_every_process(monkeypatch):
+    import concurrent.futures
+
+    kept, pools = [], []
+
+    class Pool:
+        def __init__(self, **kwargs):
+            pools.append(kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "_keep_freed_memory", lambda: kept.append(True))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    assert cli._map_entries(abs, [-1, -2], 1) == [1, 2]
+    assert (len(kept), pools) == (1, [])
+    assert cli._map_entries(abs, [-1, -2], 2) == [1, 2]
+    assert (len(kept), pools) == (2, [{"max_workers": 2, "initializer": cli._keep_freed_memory}])
+
+
+def _raise_os_error(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [lambda name: object(), _raise_os_error], ids=["no-mallopt", "no-libc"])
+def test_keep_freed_memory_is_a_no_op_without_mallopt(monkeypatch, cdll):
+    import ctypes
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert cli._keep_freed_memory() is None
+
+
+@pytest.mark.parametrize("taken, expected", [(1, [(-3, 32 << 20), (-1, 256 << 20)]), (0, [(-3, 32 << 20)])],
+                         ids=["both", "neither"])
+def test_keep_freed_memory_sets_both_thresholds_or_neither(monkeypatch, taken, expected):
+    """Either threshold alone turns off glibc's dynamic one, so the trim threshold
+    follows only an mmap threshold that took."""
+    import ctypes
+    import types
+
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return taken
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    cli._keep_freed_memory()
+    assert calls == expected
