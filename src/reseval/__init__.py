@@ -29,6 +29,7 @@ _EXPORTS = {
         "evaluate_scene",
         "resl",
         "sar",
+        "scene_rows",
         "sdr",
         "ser",
         "snr",
@@ -43,7 +44,8 @@ _EXPORTS = {
         "synth_rir",
     ),
     "stats": ("CorrelationResult", "ScoreTable", "correlate_table", "pcc", "srcc"),
-    "suppressor": ("LossInputs", "SuppressorConfig", "beta_schedule", "loss_j", "oracle_suppress"),
+    "suppressor": ("LossInputs", "SuppressorConfig", "beta_schedule", "gain_tracks", "loss_j",
+                   "oracle_suppress"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -44,7 +44,7 @@ _CODE_OF_LABEL = {label: code for code, label in enumerate(_LABEL_OF_CODE)}
 class ActivityMask:
     """One label per frame plus the grid; codes holds the labels as read-only int8 codes.
 
-    Masks compare and hash by identity, so a cache keyed on one is exact and cheap.
+    Masks compare and hash by identity, as an array has no value equality.
     """
 
     labels: tuple[FrameLabel, ...]

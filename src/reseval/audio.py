@@ -34,7 +34,7 @@ class Signal:
 
     Samples are dimensionless amplitudes, nominal full scale +-1.0.
     Instances are immutable and safe to share across threads; equality
-    and hashing go by identity, so a Signal can key a cache.  The
+    and hashing go by identity, as an array has no value equality.  The
     samples are copied unless they are a read-only float64 array that
     owns its memory (see frozen()).
     """

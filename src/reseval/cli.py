@@ -18,6 +18,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import sys
 from typing import TYPE_CHECKING
@@ -165,6 +166,10 @@ def _resolve_manifest(args, scenes_dir=None) -> Manifest:
         manifest.threshold_db = args.threshold_db
     if getattr(args, "clamp_db", None) is not None:
         manifest.clamp_db = args.clamp_db
+    if not math.isfinite(manifest.threshold_db):
+        raise ValueError(f"threshold_db must be finite, got {manifest.threshold_db}")
+    if not 0 < manifest.clamp_db < math.inf:
+        raise ValueError(f"clamp_db must be finite and > 0, got {manifest.clamp_db}")
     return manifest
 
 
@@ -295,7 +300,7 @@ def cmd_simulate(args) -> int:
 
 def _suppress_entry(entry, config, out_dir):
     from .audio import save_wav
-    from .suppressor import _gain_tracks, oracle_suppress
+    from .suppressor import oracle_suppress
 
     entry.require(("s", "e"))
     components = entry.load_components(("s", "e"))
@@ -303,10 +308,7 @@ def _suppress_entry(entry, config, out_dir):
         out_path = os.path.join(out_dir, f"{entry.id}.shat.wav")
     else:
         out_path = os.path.join(os.path.dirname(entry.paths["e"]), "shat.wav")
-    try:
-        save_wav(oracle_suppress(components.e, components.s, config), out_path)
-    finally:
-        _gain_tracks.cache_clear()  # it holds this entry's e and s
+    save_wav(oracle_suppress(components.e, components.s, config), out_path)
     return out_path
 
 
@@ -345,13 +347,10 @@ def _load_labeled(entry, extra, threshold_db):
 
 
 def _evaluate_entry(entry, threshold_db, clamp_db) -> MetricReport:
-    from .metrics import _scene_rows, evaluate_scene
+    from .metrics import evaluate_scene
 
     components, mask = _load_labeled(entry, ("s_hat",), threshold_db)
-    try:
-        return evaluate_scene(components, mask, clamp_db)
-    finally:
-        _scene_rows.cache_clear()  # it holds this entry's scene
+    return evaluate_scene(components, mask, clamp_db)
 
 
 def _pooled_aggregates(reports) -> dict:
@@ -401,25 +400,23 @@ def cmd_evaluate(args) -> int:
 
 
 def _sweep_entry(entry, configs, threshold_db, clamp_db) -> list[MetricReport]:
-    """One report per suppressor config for one scene."""
+    """One report per suppressor config for one scene, whose gain tracks and rows are computed once."""
     from .audio import SceneComponents
-    from .metrics import _scene_rows, evaluate_scene
-    from .suppressor import _gain_tracks, oracle_suppress
+    from .metrics import evaluate_scene, scene_rows
+    from .suppressor import gain_tracks, oracle_suppress
 
     components, mask = _load_labeled(entry, (), threshold_db)
+    # tracks first: a scene shorter than one frame fails there, as in suppress
+    tracks = gain_tracks(components.e, components.s)
+    rows = scene_rows(components, mask, clamp_db)
     reports = []
-    try:
-        for config in configs:
-            s_hat = oracle_suppress(components.e, components.s, config)
-            # only what evaluate_scene reads: the m and e identities were
-            # checked once when the scene was loaded
-            scene = SceneComponents(s=components.s, y=components.y, w=components.w,
-                                    e=components.e, s_hat=s_hat)
-            reports.append(evaluate_scene(scene, mask, clamp_db))
-    finally:
-        # both hold this scene's signals
-        _gain_tracks.cache_clear()
-        _scene_rows.cache_clear()
+    for config in configs:
+        s_hat = oracle_suppress(components.e, components.s, config, tracks=tracks)
+        # only what evaluate_scene reads: the m and e identities were
+        # checked once when the scene was loaded
+        scene = SceneComponents(s=components.s, y=components.y, w=components.w,
+                                e=components.e, s_hat=s_hat)
+        reports.append(evaluate_scene(scene, mask, clamp_db, rows=rows))
     return reports
 
 

@@ -15,7 +15,6 @@ frames keep their precision.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 from dataclasses import dataclass
@@ -73,8 +72,8 @@ def _gain_denominator(e: np.ndarray) -> np.ndarray:
 
 # The kernels below take the energy of their s rows (s_energy = _row_energy(s))
 # or the noisy residual r = e - s with its energy, which do not depend on
-# s_hat: evaluate_scene computes them once per scene (_scene_rows), the
-# scalar functions for their single row.
+# s_hat: evaluate_scene takes them from the scene's rows (scene_rows), built
+# once for several s_hats of one scene, the scalar functions for their row.
 
 
 def _compensation_rows(gain: np.ndarray, s: np.ndarray, s_energy: np.ndarray) -> np.ndarray:
@@ -239,6 +238,9 @@ class _SceneRows:
     the rows after each are the frames of that condition.
     """
 
+    signals: tuple[Signal | None, ...]  # the (s, e, y, w) the rows were built from, with mask and clamp_db
+    mask: ActivityMask
+    clamp_db: float
     labels: tuple[str, ...]
     dt: np.ndarray
     s_dt: np.ndarray
@@ -255,16 +257,13 @@ class _SceneRows:
     aggregates: dict[str, MetricAggregate]
 
 
-@functools.lru_cache(maxsize=1)
-def _scene_rows(s: Signal, e: Signal, y: Signal | None, w: Signal | None,
-                mask: ActivityMask, clamp_db: float) -> _SceneRows:
-    """The s_hat-independent part of evaluate_scene for one scene.
+def scene_rows(components: SceneComponents, mask: ActivityMask, clamp_db: float = CLAMP_DB) -> _SceneRows:
+    """The s_hat-independent part of evaluate_scene for one scene (s and e required).
 
-    Signal and ActivityMask hash by identity, so a sweep, which scores one
-    scene's components and mask under every alpha, computes this once per
-    scene.  The batch entry that loaded the scene clears the cache when it
-    ends, so no scene outlives its entry.
+    To score one scene under several suppressors, build these once and
+    pass them to every evaluate_scene call.
     """
+    s, e, y, w = signals = (components.s, components.e, components.y, components.w)
     grid = mask.grid
     s_frames = grid.frame_matrix(s.samples)
     e_frames = grid.frame_matrix(e.samples)
@@ -285,6 +284,7 @@ def _scene_rows(s: Signal, e: Signal, y: Signal | None, w: Signal | None,
         if agg is not None:
             aggregates[name] = agg
     rows = _SceneRows(
+        signals=signals, mask=mask, clamp_db=clamp_db,
         labels=tuple(_VALUE_OF_CODE[mask.codes].tolist()),
         dt=dt, s_dt=s_dt, s_dt_energy=_row_energy(s_dt),
         r_dt=r_dt, r_dt_energy=_row_energy(r_dt), e_dt_den=_gain_denominator(e_dt),
@@ -302,23 +302,26 @@ def evaluate_scene(
     components: SceneComponents,
     mask: ActivityMask,
     clamp_db: float = CLAMP_DB,
+    rows: _SceneRows | None = None,
 ) -> MetricReport:
     """Compute every applicable metric per frame and aggregate per condition.
 
     Needs s, e and s_hat; ser/snr additionally need y/w.  Metrics whose
     condition never occurs are omitted from the aggregates rather than
-    reported as zero.  What does not depend on s_hat comes from
-    _scene_rows, so scoring one scene under several suppressors computes
-    it once.
+    reported as zero.  What does not depend on s_hat comes from rows,
+    scene_rows(components, mask, clamp_db), computed here when not given;
+    rows built from other signals, another mask or clamp raise ValueError.
     """
     if components.e is None or components.s_hat is None:
         missing = [n for n in ("e", "s_hat") if getattr(components, n) is None]
         raise ValueError(f"evaluate_scene needs s, e and s_hat (missing: {', '.join(missing)})")
+    signals = (components.s, components.e, components.y, components.w)
+    if rows is None:
+        rows = scene_rows(components, mask, clamp_db)
+    elif (rows.mask is not mask or rows.clamp_db != clamp_db
+          or any(a is not b for a, b in zip(rows.signals, signals))):
+        raise ValueError("rows were built for another scene, mask or clamp_db")
     grid = mask.grid
-    if grid.signal_len != len(components.s):
-        raise ValueError("mask grid does not match component length")
-
-    rows = _scene_rows(components.s, components.e, components.y, components.w, mask, clamp_db)
     sh_frames = grid.frame_matrix(components.s_hat.samples)
     values = {name: np.full(grid.n_frames, np.nan) for name in METRIC_NAMES if name not in rows.values}
     sh_dt = sh_frames[rows.dt]

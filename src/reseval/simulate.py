@@ -59,10 +59,11 @@ class SceneSpec:
     far_wav: str | None = None
 
     def __post_init__(self):
+        for name, value in self.to_dict().items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.duration > 0:
             raise ValueError(f"duration must be > 0, got {self.duration}")
-        if not np.isfinite(self.ser_db) or not np.isfinite(self.snr_db):
-            raise ValueError("ser_db and snr_db must be finite")
         if not self.clip_hardness > 0:
             raise ValueError(f"clip_hardness must be > 0, got {self.clip_hardness}")
         if not self.t60 > 0:
@@ -112,7 +113,7 @@ class SceneSpec:
                     value = None if value is None else float(value)
                 else:
                     value = float(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):  # int() of an infinity overflows
                 raise ValueError(f"field {key!r} has invalid value {value!r}") from None
             kwargs[key] = value
         try:

@@ -15,7 +15,6 @@ distorts the speech.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,7 +93,7 @@ def loss_j(inputs: LossInputs) -> float:
     return value
 
 
-def frame_gains(e: Signal, s: Signal, config: SuppressorConfig) -> np.ndarray:
+def frame_gains(e: Signal, s: Signal, config: SuppressorConfig, tracks: tuple | None = None) -> np.ndarray:
     """Per-frame broadband gain in [floor, 1].
 
     The base gain is ||S||^2 / (||S||^2 + beta * ||R||^2) per frame,
@@ -103,11 +102,12 @@ def frame_gains(e: Signal, s: Signal, config: SuppressorConfig) -> np.ndarray:
     the gain toward passthrough once the residual dominates, and a
     deterministic log-normal jitter wobbles it where speech and residual
     are confusable or the noise floor is high.  Frames without speech
-    stay confidently floored.
+    stay confidently floored.  tracks, when given, must be gain_tracks(e, s),
+    so a caller trying several betas on one (e, s) computes them once.
     """
     if len(e) != len(s):
         raise ValueError(f"length mismatch: e has {len(e)} samples, s {len(s)}")
-    ps, pr, collapse, jitter = _gain_tracks(e, s)
+    ps, pr, collapse, jitter = gain_tracks(e, s) if tracks is None else tracks
     base = ps / (ps + config.beta * pr + GAIN_EPS)
     gains = jitter * (collapse + (1.0 - collapse) * base)
     # reflect at unity so the wobble survives in barely-suppressed frames
@@ -115,13 +115,8 @@ def frame_gains(e: Signal, s: Signal, config: SuppressorConfig) -> np.ndarray:
     return np.clip(gains, config.floor, 1.0)
 
 
-@functools.lru_cache(maxsize=1)
-def _gain_tracks(e: Signal, s: Signal) -> tuple[np.ndarray, ...]:
-    """The beta-independent part of frame_gains, read-only: (ps, pr, collapse, jitter).
-
-    Signals hash by identity and are immutable, so a sweep that calls
-    frame_gains once per beta on the same (e, s) computes these once.
-    """
+def gain_tracks(e: Signal, s: Signal) -> tuple[np.ndarray, ...]:
+    """The beta-independent part of frame_gains, read-only: (ps, pr, collapse, jitter)."""
     ps = _smooth_frames(spectral_energy(s.samples))
     pr = _smooth_frames(spectral_energy(e.samples - s.samples))
     total = ps + pr + GAIN_EPS
@@ -159,7 +154,7 @@ def _smooth_frames(track: np.ndarray) -> np.ndarray:
     return np.convolve(np.pad(track, width // 2, mode="edge"), kernel, mode="valid")
 
 
-def oracle_suppress(e: Signal, s: Signal, config: SuppressorConfig) -> Signal:
+def oracle_suppress(e: Signal, s: Signal, config: SuppressorConfig, tracks: tuple | None = None) -> Signal:
     """Suppress the residual in e given the clean speech s.
 
     The frame gains are flat across frequency, so scaling e's STFT
@@ -168,7 +163,7 @@ def oracle_suppress(e: Signal, s: Signal, config: SuppressorConfig) -> Signal:
     hop by hop.
     The output has the same length as the input (tail zero-padded).
     """
-    gains = frame_gains(e, s, config)
+    gains = frame_gains(e, s, config, tracks=tracks)
     return Signal(frozen(e.samples * gain_envelope(gains, len(e))))
 
 

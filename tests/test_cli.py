@@ -2,15 +2,18 @@ import argparse
 import ast
 import csv
 import gc
+import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import shutil
 import subprocess
 import sys
 import tempfile
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -82,10 +85,27 @@ class TestSimulate:
             assert abs(sidecar["achieved"]["ser_db"] - target) < 1e-9
             assert sidecar["spec"]["ser_db"] == target
 
-    def test_invalid_spec_field_reported(self, tmp_path, capsys):
-        spec = write_spec(tmp_path, {"duration": "long"})
-        assert run("simulate", "--spec", spec, "--out", tmp_path / "x", "--count", 1) == 2
-        assert "'duration'" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("field,value,match", [
+        ("duration", "long", "field 'duration' has invalid value 'long'"),
+        ("duration", math.inf, "invalid scene spec: duration must be finite, got inf"),
+        ("clip_hardness", math.inf, "invalid scene spec: clip_hardness must be finite, got inf"),
+        ("t60", math.inf, "invalid scene spec: t60 must be finite, got inf"),
+        ("snr_db", -math.inf, "invalid scene spec: snr_db must be finite, got -inf"),
+        ("ser_db", math.nan, "invalid scene spec: ser_db must be finite, got nan"),
+        ("rir_len", math.inf, "field 'rir_len' has invalid value inf"),
+    ], ids=["duration-text", "duration-inf", "clip_hardness-inf", "t60-inf", "snr_db-minus-inf", "ser_db-nan",
+            "rir_len-inf"])
+    def test_invalid_spec_field_reported(self, tmp_path, capsys, command, field, value, match):
+        spec = write_spec(tmp_path, {**SPEC, field: value})
+        argv = {"simulate": ["--out", tmp_path / "x"],
+                "sweep": ["--alphas", "0", "--out", tmp_path / "x.csv"]}[command]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(command, "--spec", spec, "--count", 1, *argv) == 2
+        assert capsys.readouterr().err == f"error: {match}\n"
+        assert caught == []
+        assert not os.path.exists(argv[-1])
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         spec = write_spec(tmp_path)
@@ -321,12 +341,17 @@ class TestSweep:
         manifest = manifest_from_scenes(scene_dir)
         manifest.entries.insert(1, ManifestEntry("broken", {"s": str(tmp_path / "nope.wav"),
                                                             "e": str(tmp_path / "nope.wav")}))
+        # shorter than one frame
+        short = rv.Signal(np.random.default_rng(5).standard_normal(200) * 0.1)
+        rv.save_wav(short, tmp_path / "short.wav")
+        manifest.entries.append(ManifestEntry("short", {"s": str(tmp_path / "short.wav"),
+                                                        "e": str(tmp_path / "short.wav")}))
         manifest.write_json(tmp_path / "m.json")
         out = tmp_path / "partial.csv"
         assert run("sweep", "--manifest", tmp_path / "m.json", "--alphas", "0,1", "--out", out) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("sweep: broken: FileNotFoundError: ")
-        assert err.count("\n") == 1
+        broken, short_line = capsys.readouterr().err.splitlines(keepends=True)
+        assert broken.startswith("sweep: broken: FileNotFoundError: ")
+        assert short_line == "sweep: short: ValueError: signal length 200 shorter than one frame (320)\n"
         rows = read_rows(out)
         assert [r["n_scenes"] for r in rows] == ["3", "3"]
 
@@ -362,6 +387,33 @@ class TestSweep:
                 assert report.labels == fresh.labels
                 for name in rv.metrics.METRIC_NAMES:
                     assert np.array_equal(report.values[name], fresh.values[name], equal_nan=True), name
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+@pytest.mark.parametrize("flags,options,match", [
+    (["--clamp-db", -5], {}, "clamp_db must be finite and > 0, got -5.0"),
+    (["--clamp-db", 0], {}, "clamp_db must be finite and > 0, got 0.0"),
+    (["--clamp-db", "nan"], {}, "clamp_db must be finite and > 0, got nan"),
+    (["--clamp-db", "inf"], {}, "clamp_db must be finite and > 0, got inf"),
+    ([], {"clamp_db": -5}, "clamp_db must be finite and > 0, got -5.0"),
+    (["--threshold-db", "nan"], {}, "threshold_db must be finite, got nan"),
+    (["--threshold-db=-inf"], {}, "threshold_db must be finite, got -inf"),
+    ([], {"threshold_db": "inf"}, "threshold_db must be finite, got inf"),
+], ids=["clamp-negative", "clamp-zero", "clamp-nan", "clamp-inf", "option-clamp-negative", "threshold-nan",
+        "threshold-minus-inf", "option-threshold-inf"])
+def test_meaningless_clamp_or_threshold_rejected_before_any_entry(scene_dir, tmp_path, monkeypatch, capsys,
+                                                                  command, flags, options, match):
+    manifest = tmp_path / "m.json"
+    manifest_from_scenes(scene_dir).write_json(manifest)
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "options": options}))
+    out = {"evaluate": tmp_path / "r", "sweep": tmp_path / "x.csv"}[command]
+    calls = []
+    monkeypatch.setattr(rv.activity, "classify", lambda *a: calls.append(a))
+    assert run(command, "--manifest", manifest, "--out", out, *flags,
+               *(["--alphas", "0"] if command == "sweep" else [])) == 2
+    assert capsys.readouterr().err == f"error: {match}\n"
+    assert calls == []
+    assert not os.path.exists(out)
 
 
 class TestCorrelate:
@@ -554,40 +606,73 @@ def test_readme_flag_table_matches_parser():
     assert table == options
 
 
-def test_entries_release_the_gain_track_cache(scene_dir, tmp_path, monkeypatch):
-    """The cached suppressor tracks and evaluation rows hold an entry's signals; they go
-    when the entry ends, also when evaluate_scene raises."""
+def test_nothing_keeps_a_scene_alive(scene_dir, tmp_path, monkeypatch):
+    """Once a library call or a batch entry returns or raises, nothing holds its scene's
+    signals or mask: no call keeps the last scene it saw."""
     (entry, *_) = manifest_from_scenes(scene_dir).entries
     config = rv.SuppressorConfig(beta=8.0)
     options = (rv.activity.DEFAULT_THRESHOLD_DB, rv.metrics.CLAMP_DB)
-    caches = (rv.suppressor._gain_tracks, rv.metrics._scene_rows)
+    refs = []
+
+    def watch(*objects):
+        refs.extend(weakref.ref(obj) for obj in objects)
 
     def assert_released():
-        assert [cache.cache_info().currsize for cache in caches] == [0, 0]
+        gc.collect()
+        assert refs and [ref() for ref in refs] == [None] * len(refs)
+        refs.clear()
 
-    for cache in caches:  # filled by library calls of earlier tests
-        cache.cache_clear()
     entry.paths["s_hat"] = cli._suppress_entry(entry, config, str(tmp_path))
+    components, mask = cli._load_labeled(entry, ("s_hat",), options[0])
+    watch(components.s, components.e, rv.oracle_suppress(components.e, components.s, config))
+    del components, mask
+    assert_released()
+    components, mask = cli._load_labeled(entry, ("s_hat",), options[0])
+    rv.evaluate_scene(components, mask)
+    watch(components.s, components.e, components.s_hat, mask)
+    del components, mask
+    assert_released()
+
+    oracle_suppress, evaluate_scene = rv.suppressor.oracle_suppress, rv.metrics.evaluate_scene
+
+    def watched_suppress(e, s, *args, **kwargs):
+        watch(e, s)
+        return oracle_suppress(e, s, *args, **kwargs)
+
+    def watched_evaluate(components, mask, *args, **kwargs):
+        watch(components.s, components.e, components.s_hat, mask)
+        return evaluate_scene(components, mask, *args, **kwargs)
+
+    monkeypatch.setattr(rv.suppressor, "oracle_suppress", watched_suppress)
+    monkeypatch.setattr(rv.metrics, "evaluate_scene", watched_evaluate)
+    cli._suppress_entry(entry, config, str(tmp_path))
     assert_released()
     cli._evaluate_entry(entry, *options)
     assert_released()
     cli._sweep_entry(entry, [config, config], *options)
     assert_released()
 
-    evaluate_scene = rv.metrics.evaluate_scene
-
-    def fails_after_caching(*args):
-        evaluate_scene(*args)
-        assert rv.metrics._scene_rows.cache_info().currsize == 1
+    def fails_after_evaluating(*args, **kwargs):
+        watched_evaluate(*args, **kwargs)
         raise RuntimeError("evaluation failed")
 
-    monkeypatch.setattr(rv.metrics, "evaluate_scene", fails_after_caching)
+    monkeypatch.setattr(rv.metrics, "evaluate_scene", fails_after_evaluating)
     with pytest.raises(RuntimeError, match="evaluation failed"):
         cli._evaluate_entry(entry, *options)
     assert_released()
     with pytest.raises(RuntimeError, match="evaluation failed"):
-        cli._sweep_entry(entry, [config], *options)
+        cli._sweep_entry(entry, [config, config], *options)
     assert_released()
+
+
+def test_no_module_holds_a_cache():
+    """A module-level functools cache is hidden state that outlives its caller's data."""
+    names = [m.name for m in pkgutil.iter_modules(rv.__path__)]
+    assert {"metrics", "suppressor", "cli"} <= set(names)
+    cached = [f"{name}.{attr}" for name in names
+              for attr, value in vars(importlib.import_module(f"reseval.{name}")).items()
+              if callable(getattr(value, "cache_info", None))]
+    assert cached == []
 
 
 def test_cli_imports_only_what_the_command_runs(tmp_path):

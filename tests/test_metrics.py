@@ -31,6 +31,7 @@ from reseval import (
     ser,
     snr,
 )
+from reseval import metrics as metrics_module
 from reseval.cli import main
 from reseval.framing import HOP
 from reseval.metrics import (
@@ -42,9 +43,9 @@ from reseval.metrics import (
     _projected_rows,
     _resl_rows,
     _row_energy,
-    _scene_rows,
     aggregate,
     ratio_db,
+    scene_rows,
 )
 
 
@@ -424,7 +425,7 @@ def assert_same_report(got, want):
 
 
 class TestSceneRowsCache:
-    """evaluate_scene takes a scene's s_hat-independent rows from _scene_rows' cache."""
+    """evaluate_scene reuses the s_hat-independent rows a caller built once with scene_rows."""
 
     @staticmethod
     def edge_scene():
@@ -444,34 +445,35 @@ class TestSceneRowsCache:
                                s_hat=s_hat)
 
     @pytest.mark.parametrize("clamp", [120.0, 60.0])
-    def test_reused_rows_give_the_cold_report(self, clamp):
+    def test_reused_rows_give_the_cold_report(self, clamp, monkeypatch):
         components, mask, s_hats = self.edge_scene()
-        _scene_rows.cache_clear()
-        warm = [evaluate_scene(self.scored(components, sh), mask, clamp) for sh in s_hats]
-        info = _scene_rows.cache_info()
-        assert (info.misses, info.hits) == (1, len(s_hats) - 1)
+        rows = scene_rows(components, mask, clamp)
+        built = []
+        monkeypatch.setattr(metrics_module, "scene_rows",
+                            lambda *args: built.append(args) or scene_rows(*args))
+        warm = [evaluate_scene(self.scored(components, sh), mask, clamp, rows=rows) for sh in s_hats]
+        assert built == []  # every warm call took the given rows
         hit_clamp = 0
         for s_hat, report in zip(s_hats, warm):
-            _scene_rows.cache_clear()
             assert_same_report(report, evaluate_scene(self.scored(components, s_hat), mask, clamp))
             hit_clamp += sum(np.count_nonzero(np.abs(v) == clamp) for v in report.values.values())
+        assert len(built) == len(s_hats)  # every cold call built its own
         assert hit_clamp > 0
-        _scene_rows.cache_clear()
+        assert all(not a.flags.writeable for a in vars(rows).values() if isinstance(a, np.ndarray))
 
-    def test_other_mask_or_clamp_misses(self):
+    def test_rows_for_another_scene_mask_or_clamp_rejected(self):
         components, mask, (s_hat, *_) = self.edge_scene()
         shifted = ActivityMask(labels=mask.labels[1:] + mask.labels[:1], grid=mask.grid)
         scene = self.scored(components, s_hat)
-        cold = {}
-        # each key differs from the one before it in one part only
-        for key in ((mask, 120.0), (mask, 60.0), (shifted, 60.0)):
-            _scene_rows.cache_clear()
-            cold[key] = evaluate_scene(scene, *key)
-        _scene_rows.cache_clear()
-        for i, key in enumerate(cold):
-            assert_same_report(evaluate_scene(scene, *key), cold[key])
-            assert _scene_rows.cache_info().misses == i + 1
-        _scene_rows.cache_clear()
+        rows = scene_rows(components, mask, 120.0)
+        assert_same_report(evaluate_scene(scene, mask, 120.0, rows=rows), evaluate_scene(scene, mask, 120.0))
+        same_samples = SceneComponents(s=components.s, e=Signal(components.e.samples), y=components.y,
+                                       w=components.w, s_hat=s_hat)
+        # each differs from the rows' scene, mask and clamp in one part only
+        for other_scene, other_mask, other_clamp in ((scene, shifted, 120.0), (scene, mask, 60.0),
+                                                     (same_samples, mask, 120.0)):
+            with pytest.raises(ValueError, match="rows were built for another scene, mask or clamp_db"):
+                evaluate_scene(other_scene, other_mask, other_clamp, rows=rows)
 
 
 @st.composite

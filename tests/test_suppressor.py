@@ -7,7 +7,7 @@ import oracles
 import reseval as rv
 from conftest import batch_metric_means, make_scene_batch
 from reseval import LossInputs, SuppressorConfig, beta_schedule, loss_j, oracle_suppress
-from reseval.suppressor import _gain_tracks, _smooth_frames, frame_gains
+from reseval.suppressor import _smooth_frames, frame_gains, gain_tracks
 
 
 class TestConfig:
@@ -194,20 +194,21 @@ class TestOracleSuppress:
 
 class TestGainTrackCache:
     def test_results_never_stale(self):
-        """Each pair's first call finds the previous pair in the cache."""
+        """Passing gain_tracks(e, s) gives what computing them inside the call gives."""
         cfg = SuppressorConfig(beta=8.0)
         (c1, _), (c2, _) = make_scene_batch(2, 900)
         e1_copy = rv.Signal(np.array(c1.e.samples))
         calls = [(c1.e, c1.s), (c2.e, c2.s), (c1.e, c1.s), (e1_copy, c1.s)]
         for e, s in calls:
-            gains, out = frame_gains(e, s, cfg), oracle_suppress(e, s, cfg)
-            cached = _gain_tracks(e, s)
-            assert all(not track.flags.writeable for track in cached)
-            _gain_tracks.cache_clear()
-            assert np.array_equal(gains, frame_gains(e, s, cfg))
-            _gain_tracks.cache_clear()
-            assert np.array_equal(out.samples, oracle_suppress(e, s, cfg).samples)
+            tracks = gain_tracks(e, s)
+            assert all(not track.flags.writeable for track in tracks)
+            assert np.array_equal(frame_gains(e, s, cfg, tracks=tracks), frame_gains(e, s, cfg))
+            assert np.array_equal(oracle_suppress(e, s, cfg, tracks=tracks).samples,
+                                  oracle_suppress(e, s, cfg).samples)
         assert not np.array_equal(frame_gains(c1.e, c1.s, cfg), frame_gains(c2.e, c2.s, cfg))
+        # the given tracks are the ones used
+        assert np.array_equal(frame_gains(c1.e, c1.s, cfg, tracks=gain_tracks(c2.e, c2.s)),
+                              frame_gains(c2.e, c2.s, cfg))
 
     def test_signals_compare_and_hash_by_identity(self):
         a, b = rv.Signal(np.ones(4)), rv.Signal(np.ones(4))
