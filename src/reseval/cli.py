@@ -166,11 +166,17 @@ def _resolve_manifest(args, scenes_dir=None) -> Manifest:
         manifest.threshold_db = args.threshold_db
     if getattr(args, "clamp_db", None) is not None:
         manifest.clamp_db = args.clamp_db
-    if not math.isfinite(manifest.threshold_db):
-        raise ValueError(f"threshold_db must be finite, got {manifest.threshold_db}")
-    if not 0 < manifest.clamp_db < math.inf:
-        raise ValueError(f"clamp_db must be finite and > 0, got {manifest.clamp_db}")
+    _check_levels(manifest.threshold_db, manifest.clamp_db)
     return manifest
+
+
+def _check_levels(threshold_db: float | None, clamp_db: float | None) -> None:
+    """Reject a threshold that is not finite and a clamp that is not finite
+    and > 0; None is a value not given."""
+    if threshold_db is not None and not math.isfinite(threshold_db):
+        raise ValueError(f"threshold_db must be finite, got {threshold_db}")
+    if clamp_db is not None and not 0 < clamp_db < math.inf:
+        raise ValueError(f"clamp_db must be finite and > 0, got {clamp_db}")
 
 
 def _default_seed(args) -> int:
@@ -444,6 +450,8 @@ def cmd_sweep(args) -> int:
         raise IsADirectoryError(f"{args.out}: is a directory")
     if not os.path.isdir(os.path.dirname(args.out) or "."):
         raise FileNotFoundError(f"{args.out}: no such directory to write it in")
+    # before --spec simulates anything
+    _check_levels(args.threshold_db, args.clamp_db)
     with contextlib.ExitStack() as stack:
         scenes_dir = None
         if args.spec:

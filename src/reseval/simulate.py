@@ -12,12 +12,18 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .audio import SAMPLE_RATE, SceneComponents, Signal, frozen, load_wav, save_wav
 from .common import _WAV_NAMES, atomic_write_bytes
+
+try:  # numpy >= 2.0: the FFT gufuncs behind np.fft, which write into an out buffer
+    from numpy.fft import _pocketfft_umath as _pocketfft
+except ImportError:
+    _pocketfft = None
 
 # talk pattern: within each 2.5 s cycle the far end speaks during
 # [0, 1.5) s and the near end during [1.0, 2.5) s, so the canceller
@@ -114,7 +120,7 @@ class SceneSpec:
                 else:
                     value = float(value)
             except (TypeError, ValueError, OverflowError):  # int() of an infinity overflows
-                raise ValueError(f"field {key!r} has invalid value {value!r}") from None
+                raise ValueError(f"invalid scene spec: field {key!r} has invalid value {value!r}") from None
             kwargs[key] = value
         try:
             return cls(**kwargs)
@@ -179,17 +185,57 @@ def _fft_length(n: int) -> int:
     return min(m << (-(-n // m) - 1).bit_length() for m in (1, 3, 5))
 
 
-def _fft_convolve(signal: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """Full linear convolution of a 1-D signal with one kernel, or with each row of a 2-D array
-    of kernels; the signal's spectrum is computed once for all of them."""
-    n = signal.size + kernels.shape[-1] - 1
-    n_fft = _fft_length(n)
-    spectrum = np.fft.rfft(signal, n_fft) * np.fft.rfft(kernels, n_fft)
-    return np.fft.irfft(spectrum, n_fft)[..., :n]
+def _rfft(x: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """np.fft.rfft(x, n), written into out (n // 2 + 1 bins).
+
+    Calls numpy's FFT gufunc directly where there is one: for the
+    canceller's short transforms the np.fft wrapper costs more than the
+    transform.  The result is the same bit for bit.
+    """
+    if _pocketfft is None:
+        out[...] = np.fft.rfft(x, n)
+        return out
+    return (_pocketfft.rfft_n_even if n % 2 == 0 else _pocketfft.rfft_n_odd)(x, 1.0, out=out)
 
 
-def _band_gates(n: int, rng: np.random.Generator) -> np.ndarray:
-    """(n_bands, n) smooth gating patterns between GATE_OFF_LEVEL and 1."""
+def _irfft(spectrum: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """np.fft.irfft(spectrum, n), written into out (n samples); see _rfft."""
+    if _pocketfft is None:
+        out[...] = np.fft.irfft(spectrum, n)
+        return out
+    return _pocketfft.irfft(spectrum, 1.0 / n, out=out)
+
+
+def _fft_convolve(signal: np.ndarray, kernels: list[np.ndarray], stops: list[int]) -> np.ndarray:
+    """Linear convolution of a 1-D signal with a response that switches
+    over time: output samples stops[j - 1]:stops[j] (from 0 for j = 0) are
+    those of the full convolution with kernels[j].
+
+    The signal's spectrum is computed once, and one kernel's spectrum and
+    convolution are alive at a time.
+    """
+    n_fft = _fft_length(signal.size + len(kernels[0]) - 1)
+    signal_spec = _rfft(signal, n_fft, np.empty(n_fft // 2 + 1, dtype=np.complex128))
+    spectrum = np.empty_like(signal_spec)
+    full = np.empty(n_fft)
+    out = np.empty(stops[-1])
+    lo = 0
+    for kernel, hi in zip(kernels, stops, strict=True):
+        _rfft(kernel, n_fft, spectrum)
+        # signal spectrum first: complex multiplication may fuse a
+        # multiply-add, which makes the operand order show in the last bit
+        np.multiply(signal_spec, spectrum, out=spectrum)
+        out[lo:hi] = _irfft(spectrum, n_fft, full)[lo:hi]
+        lo = hi
+    return out
+
+
+def _band_gates(n: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """The n_bands smooth gating patterns between GATE_OFF_LEVEL and 1, as
+    an iterator of fresh (n,) rows built one at a time.
+
+    Everything is drawn from rng in this call, before any row is built.
+    """
     seg_len = int(GATE_SEGMENT_S * SAMPLE_RATE)
     n_segs = n // seg_len + 2
     states = rng.random((N_BANDS, n_segs)) < 0.5
@@ -209,21 +255,24 @@ def _band_gates(n: int, rng: np.random.Generator) -> np.ndarray:
     start = (k - 1) // 2
     steps = [*starts, n]
     held_from = np.clip(np.array(steps) - start, 0, n)
-    gates = np.repeat(np.hstack([levels, np.zeros((N_BANDS, 1))]),
-                      [*np.diff(held_from), n - held_from[-1]], axis=1)
-    for pos, jump in zip(steps, jumps.T, strict=True):
-        offset = pos - start
-        lo, hi = max(offset, 0), min(offset + k, n)
-        if lo < hi:
-            gates[:, lo:hi] += jump[:, None] * ramp[lo - offset : hi - offset]
-    return gates
+    held_len = [*np.diff(held_from), n - held_from[-1]]
+
+    def gate(b: int) -> np.ndarray:
+        row = np.repeat(np.append(levels[b], 0.0), held_len)
+        for pos, jump in zip(steps, jumps[b], strict=True):
+            offset = pos - start
+            lo, hi = max(offset, 0), min(offset + k, n)
+            if lo < hi:
+                row[lo:hi] += jump * ramp[lo - offset : hi - offset]
+        return row
+
+    return map(gate, range(N_BANDS))
 
 
 def _speech_shaped_bursts(n: int, rng: np.random.Generator, span: tuple[float, float]) -> np.ndarray:
     """Pink-weighted band noise with per-band syllabic gating, gated by
     the talk-cycle envelope, normalized to SOURCE_RMS overall."""
-    white = rng.standard_normal(n)
-    spectrum = np.fft.rfft(white)
+    spectrum = _rfft(rng.standard_normal(n), n, np.empty(n // 2 + 1, dtype=np.complex128))
     freqs = np.fft.rfftfreq(n, 1.0 / SAMPLE_RATE)
     edges = np.geomspace(BAND_RANGE_HZ[0], BAND_RANGE_HZ[1], N_BANDS + 1)
     gates = _band_gates(n, rng)
@@ -232,19 +281,23 @@ def _speech_shaped_bursts(n: int, rng: np.random.Generator, span: tuple[float, f
 
     out = np.zeros(n)
     band = np.zeros_like(spectrum)
-    for b in range(N_BANDS):
+    carrier = np.empty(n)
+    for b, gate in enumerate(gates):
         lo, hi = bounds[b], bounds[b + 1]
         band[lo:hi] = spectrum[lo:hi]
-        carrier = np.fft.irfft(band, n=n)
+        _irfft(band, n, carrier)
         band[lo:hi] = 0.0
-        weight = 1.0 / math.sqrt(edges[b])
-        out += weight * gates[b] * carrier
+        # out += (weight * gate) * carrier, in the gate's own memory
+        gate *= 1.0 / math.sqrt(edges[b])
+        gate *= carrier
+        out += gate
 
     out *= _talk_envelope(n, span)
     rms = math.sqrt(float(np.dot(out, out)) / n)
     if rms <= 0:
         raise ValueError("generated source is silent")
-    return out * (SOURCE_RMS / rms)
+    out *= SOURCE_RMS / rms
+    return out
 
 
 def mix_at_ser_snr(
@@ -292,54 +345,60 @@ def simulate_aec(m: Signal, x: Signal, spec: SceneSpec) -> tuple[Signal, Signal]
     mu = spec.aec_step
     delta = 1e-8
     fft_len = 2 * taps
+    bins = taps + 1
     n_blocks = (n + taps - 1) // taps
     padded = n_blocks * taps
     xs = np.concatenate([np.zeros(taps), x.samples, np.zeros(padded - n)])
     ms = np.concatenate([m.samples, np.zeros(padded - n)])
 
-    # the block spectra do not depend on the filter state
-    spectra = np.fft.rfft(np.lib.stride_tricks.sliding_window_view(xs, fft_len)[::taps])
-    powers = np.abs(spectra) ** 2
-
-    h_bg = np.zeros(fft_len // 2 + 1, dtype=np.complex128)
+    h_bg = np.zeros(bins, dtype=np.complex128)
     h_fg = np.zeros_like(h_bg)
-    psd = np.zeros(fft_len // 2 + 1)
-    y_hat = np.empty(padded)
+    psd = np.zeros(bins)
+    y_hat = np.empty(n)
     smooth = 0.5
+    # per-block buffers: the input spectrum, a product of spectra, the
+    # error spectrum, and one time-domain frame that holds the
+    # predictions, the zero-padded error and the gradient in turn
+    spec_x = np.empty_like(h_bg)
+    prod = np.empty_like(h_bg)
+    spec_err = np.empty_like(h_bg)
+    frame = np.empty(fft_len)
     for _ in range(spec.aec_passes):
         for k in range(n_blocks):
             start = k * taps
-            spec_x = spectra[k]
+            _rfft(xs[start : start + fft_len], fft_len, spec_x)
             blk_m = ms[start : start + taps]
 
-            pred_fg = np.fft.irfft(spec_x * h_fg)[taps:]
+            np.multiply(spec_x, h_fg, out=prod)
+            pred_fg = _irfft(prod, fft_len, frame)[taps:]
             err_fg = blk_m - pred_fg
-            y_hat[start : start + taps] = pred_fg
+            y_hat[start : start + taps] = pred_fg[: n - start]
 
-            pred_bg = np.fft.irfft(spec_x * h_bg)[taps:]
-            err_bg = blk_m - pred_bg
+            np.multiply(spec_x, h_bg, out=prod)
+            # the error replaces the prediction in the frame's second half
+            err_bg = np.subtract(blk_m, _irfft(prod, fft_len, frame)[taps:], out=frame[taps:])
+            e_fg = float(err_fg @ err_fg)
+            e_bg = float(err_bg @ err_bg)
+            e_m = float(blk_m @ blk_m)
 
             # NLMS update of the background, gradient constrained to a
             # causal taps-long impulse response
-            psd = smooth * psd + (1.0 - smooth) * powers[k]
-            spec_err = np.fft.rfft(np.concatenate([np.zeros(taps), err_bg]))
+            psd = smooth * psd + (1.0 - smooth) * np.abs(spec_x) ** 2
+            frame[:taps] = 0.0
+            _rfft(frame, fft_len, spec_err)
             h_bg = h_bg + mu * np.conj(spec_x) * spec_err / (psd + delta)
-            grad = np.fft.irfft(h_bg)
+            grad = _irfft(h_bg, fft_len, frame)
             grad[taps:] = 0.0
-            h_bg = np.fft.rfft(grad)
+            _rfft(grad, fft_len, h_bg)
 
             # take the background weights only on real echo reduction;
             # during double talk its error cannot drop far below the
             # microphone energy, which blocks poisoned copies
-            e_fg = float(err_fg @ err_fg)
-            e_bg = float(err_bg @ err_bg)
-            e_m = float(blk_m @ blk_m)
             if e_bg < 0.7 * e_fg and e_bg < 0.25 * e_m:
                 h_fg = h_bg.copy()
             elif e_bg > 4.0 * e_fg:
                 h_bg = h_fg.copy()
-    y_hat = y_hat[:n]
-    return Signal(y_hat), Signal(frozen(m.samples - y_hat))
+    return Signal(frozen(y_hat)), Signal(frozen(m.samples - y_hat))
 
 
 def generate_scene(spec: SceneSpec) -> SceneComponents:
@@ -362,20 +421,20 @@ def generate_scene(spec: SceneSpec) -> SceneComponents:
         x_raw = _speech_shaped_bursts(n, _rng(spec.seed, _STREAM_FAR), FAR_SPAN)
 
     x_sig = Signal(frozen(x_raw))
-    x_nl = nonlinear_distort(x_sig, spec.clip_hardness)
 
     # the echo path switches to a second response at the change, if any
     rirs = [synth_rir(spec, variant=0)]
-    switch = n
+    stops = [n]
     if spec.echo_path_change_at is not None:
         rirs.append(synth_rir(spec, variant=1))
-        switch = int(round(spec.echo_path_change_at * SAMPLE_RATE))
-    echoes = _fft_convolve(x_nl.samples, np.stack(rirs))[:, :n]
-    y_raw = np.concatenate([echoes[0, :switch], echoes[-1, switch:]])
+        stops.insert(0, int(round(spec.echo_path_change_at * SAMPLE_RATE)))
+    y_raw = _fft_convolve(nonlinear_distort(x_sig, spec.clip_hardness).samples, rirs, stops)
 
     w_raw = _rng(spec.seed, _STREAM_NOISE).standard_normal(n)
     mixed = mix_at_ser_snr(Signal(frozen(s_raw)), Signal(frozen(y_raw)), Signal(frozen(w_raw)),
                            spec.ser_db, spec.snr_db)
+    # the scaled copies are in mixed; free the raw ones before the canceller
+    del y_raw, w_raw
     y_hat, e = simulate_aec(mixed.m, x_sig, spec)
     return SceneComponents(
         s=mixed.s, x=x_sig, y=mixed.y, w=mixed.w, m=mixed.m, y_hat=y_hat, e=e

@@ -87,13 +87,13 @@ class TestSimulate:
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     @pytest.mark.parametrize("field,value,match", [
-        ("duration", "long", "field 'duration' has invalid value 'long'"),
+        ("duration", "long", "invalid scene spec: field 'duration' has invalid value 'long'"),
         ("duration", math.inf, "invalid scene spec: duration must be finite, got inf"),
         ("clip_hardness", math.inf, "invalid scene spec: clip_hardness must be finite, got inf"),
         ("t60", math.inf, "invalid scene spec: t60 must be finite, got inf"),
         ("snr_db", -math.inf, "invalid scene spec: snr_db must be finite, got -inf"),
         ("ser_db", math.nan, "invalid scene spec: ser_db must be finite, got nan"),
-        ("rir_len", math.inf, "field 'rir_len' has invalid value inf"),
+        ("rir_len", math.inf, "invalid scene spec: field 'rir_len' has invalid value inf"),
     ], ids=["duration-text", "duration-inf", "clip_hardness-inf", "t60-inf", "snr_db-minus-inf", "ser_db-nan",
             "rir_len-inf"])
     def test_invalid_spec_field_reported(self, tmp_path, capsys, command, field, value, match):
@@ -414,6 +414,22 @@ def test_meaningless_clamp_or_threshold_rejected_before_any_entry(scene_dir, tmp
     assert capsys.readouterr().err == f"error: {match}\n"
     assert calls == []
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("flags,match", [
+    (["--clamp-db", -5], "clamp_db must be finite and > 0, got -5.0"),
+    (["--threshold-db", "nan"], "threshold_db must be finite, got nan"),
+], ids=["clamp-negative", "threshold-nan"])
+def test_sweep_spec_rejects_meaningless_flag_before_simulating(tmp_path, monkeypatch, capsys, flags, match):
+    generate_scene = rv.simulate.generate_scene
+    calls = []
+    monkeypatch.setattr(rv.simulate, "generate_scene", lambda spec: calls.append(spec) or generate_scene(spec))
+    out, scenes = tmp_path / "x.csv", tmp_path / "scenes"
+    assert run("sweep", "--spec", write_spec(tmp_path), "--count", 2, "--alphas", "0", "--out", out,
+               "--scenes-dir", scenes, *flags) == 2
+    assert capsys.readouterr().err == f"error: {match}\n"
+    assert calls == []
+    assert not os.path.exists(out) and not os.path.exists(scenes)
 
 
 class TestCorrelate:

@@ -149,7 +149,7 @@ class TestBandGates:
 
     @pytest.mark.parametrize("n", LENGTHS)
     def test_matches_direct_convolution(self, n):
-        got = _band_gates(n, np.random.default_rng(n))
+        got = np.stack(list(_band_gates(n, np.random.default_rng(n))))
         want = band_gates_oracle(n, np.random.default_rng(n))
         assert got.shape == (N_BANDS, n)
         assert np.max(np.abs(got - want)) <= 1e-12
@@ -158,20 +158,22 @@ class TestBandGates:
     # both ends
     @pytest.mark.parametrize("n", LENGTHS[1:])
     def test_interior_between_off_level_and_one(self, n):
-        gates = _band_gates(n, np.random.default_rng(n + 1))
         half = int(0.02 * SAMPLE_RATE) // 2
-        interior = gates[:, half : n - half]
-        assert np.all(interior >= GATE_OFF_LEVEL - 1e-12)
-        assert np.all(interior <= 1.0 + 1e-12)
+        for gate in _band_gates(n, np.random.default_rng(n + 1)):
+            interior = gate[half : n - half]
+            assert np.all(interior >= GATE_OFF_LEVEL - 1e-12)
+            assert np.all(interior <= 1.0 + 1e-12)
 
     def test_same_rng_state_same_gates(self):
         a_rng, b_rng = np.random.default_rng(4), np.random.default_rng(4)
-        assert np.array_equal(_band_gates(40000, a_rng), _band_gates(40000, b_rng))
-        # and it draws exactly what the oracle draws, so later draws
-        # from the same generator do not shift
+        a_gates = _band_gates(40000, a_rng)
+        # it draws exactly what the oracle draws, and all of it before the
+        # first row is built, so later draws from the same generator do
+        # not shift
         oracle_rng = np.random.default_rng(4)
         band_gates_oracle(40000, oracle_rng)
         assert a_rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert np.array_equal(np.stack(list(a_gates)), np.stack(list(_band_gates(40000, b_rng))))
 
 
 def talk_envelope_oracle(n, span):
@@ -209,9 +211,12 @@ class TestFftConvolve:
         rng = np.random.default_rng(n + rir_len)
         signal = rng.standard_normal(n)
         kernels = rng.standard_normal((n_kernels, rir_len))
-        got = _fft_convolve(signal, kernels if n_kernels > 1 else kernels[0])
-        want = np.stack([np.convolve(signal, k) for k in kernels])
-        assert got.shape == (want if n_kernels > 1 else want[0]).shape
+        full = n + rir_len - 1
+        # the response switches to the next kernel at evenly spaced samples
+        stops = [full * (j + 1) // n_kernels for j in range(n_kernels)]
+        got = _fft_convolve(signal, list(kernels), stops)
+        want = np.concatenate([np.convolve(signal, k)[lo:hi] for k, lo, hi in zip(kernels, [0, *stops], stops)])
+        assert got.shape == (full,)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_length_is_least_fast_length(self):
