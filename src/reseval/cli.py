@@ -1,498 +1,48 @@
-"""Manifest-driven batch front end.
+"""Command-line front end: the parser and one cmd_<name> per subcommand.
 
 Subcommands: simulate, suppress, evaluate, sweep, correlate.  Every
-command is deterministic given its inputs and seed; per-entry failures
-are recorded and reported without aborting the batch, and the exit
-status is nonzero when any entry failed.
-
-Each command imports the modules it runs when it runs, so --help and
-correlate start without numpy.  The imports sit in the functions that
-call into those modules and look each function up on its module at
-call time, where a tracer or a test may have replaced it.
+command is deterministic given its inputs and seed.  The batch commands
+live in reseval.batch, which each cmd_<name> imports when it runs, so
+--help and correlate compile only this module and start without numpy.
+build_parser looks each cmd_<name> up on this module when it is called,
+where a tracer or a test may have replaced it.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
-import io
-import json
-import math
-import os
 import sys
-from typing import TYPE_CHECKING
 
-from .common import _WAV_NAMES, CLAMP_DB, DEFAULT_THRESHOLD_DB, atomic_write_bytes
-
-if TYPE_CHECKING:
-    from .audio import SceneComponents
-    from .metrics import MetricReport
-    from .simulate import SceneSpec
-
-SEED_ENV_VAR = "RES_EVAL_SEED"
-
-
-class ManifestEntry:
-    def __init__(self, id: str, paths: dict[str, str], tags: dict | None = None):
-        self.id = id
-        self.paths = paths
-        self.tags = {} if tags is None else tags
-
-    def require(self, keys) -> None:
-        missing = [k for k in keys if k not in self.paths]
-        if missing:
-            raise ValueError(f"entry {self.id!r} is missing paths: {', '.join(missing)}")
-
-    def load_components(self, keys) -> SceneComponents:
-        """The components of keys that the entry names; keys it lacks are skipped."""
-        from .audio import SceneComponents, load_wav
-
-        return SceneComponents(**{k: load_wav(self.paths[k]) for k in keys if k in self.paths})
-
-
-class Manifest:
-    def __init__(self, entries: list[ManifestEntry], threshold_db: float = DEFAULT_THRESHOLD_DB,
-                 clamp_db: float = CLAMP_DB):
-        seen = set()
-        for entry in entries:
-            if entry.id in seen:
-                raise ValueError(f"duplicate entry id {entry.id!r}")
-            seen.add(entry.id)
-        self.entries = entries
-        self.threshold_db = threshold_db
-        self.clamp_db = clamp_db
-
-    @classmethod
-    def from_json(cls, path) -> "Manifest":
-        base = os.path.dirname(os.path.abspath(path))
-        raw = _read_json(path)
-        if not isinstance(raw, dict) or not isinstance(raw.get("entries"), list):
-            raise ValueError(f"{path}: manifest must be an object with an 'entries' list")
-        options = raw.get("options", {})
-        if not isinstance(options, dict):
-            raise ValueError(f"{path}: 'options' must be an object")
-        entries = []
-        for idx, item in enumerate(raw["entries"]):
-            try:
-                entries.append(_parse_entry(item, base))
-            except ValueError as exc:
-                raise ValueError(f"{path}: entry {idx}: {exc}") from None
-        try:
-            threshold_db = float(options.get("threshold_db", DEFAULT_THRESHOLD_DB))
-            clamp_db = float(options.get("clamp_db", CLAMP_DB))
-        except (TypeError, ValueError):
-            raise ValueError(f"{path}: options 'threshold_db' and 'clamp_db' must be numbers") from None
-        return cls(entries=entries, threshold_db=threshold_db, clamp_db=clamp_db)
-
-    def write_json(self, path) -> None:
-        """Write the manifest with paths relative to its own directory."""
-        base = os.path.dirname(os.path.abspath(path))
-        items = []
-        for entry in self.entries:
-            item = {"id": entry.id, **{k: os.path.relpath(p, base) for k, p in entry.paths.items()}}
-            if entry.tags:
-                item["tags"] = entry.tags
-            items.append(item)
-        blob = json.dumps(
-            {"options": {"threshold_db": self.threshold_db, "clamp_db": self.clamp_db},
-             "entries": items},
-            indent=2, sort_keys=True) + "\n"
-        atomic_write_bytes(path, blob.encode())
-
-
-def _parse_entry(item, base: str) -> ManifestEntry:
-    """One manifest entry; relative component paths resolve against base."""
-    if not isinstance(item, dict):
-        raise ValueError(f"must be an object, got {type(item).__name__}")
-    if "id" not in item:
-        raise ValueError("has no 'id'")
-    paths = {}
-    for key in _WAV_NAMES:
-        if key in item:
-            p = item[key]
-            if not isinstance(p, str) or not p:
-                raise ValueError(f"path {key!r} must be a non-empty string, got {p!r}")
-            paths[key] = os.path.join(base, p)
-    tags = item.get("tags", {})
-    if not isinstance(tags, dict):
-        raise ValueError(f"'tags' must be an object, got {type(tags).__name__}")
-    return ManifestEntry(id=str(item["id"]), paths=paths, tags=tags)
-
-
-def manifest_from_scenes(scenes_dir) -> Manifest:
-    """Build a manifest from a directory of scene subdirectories."""
-    names = sorted(
-        d for d in os.listdir(scenes_dir)
-        if os.path.isfile(os.path.join(scenes_dir, d, "scene.json"))
-    )
-    if not names:
-        raise ValueError(f"{scenes_dir}: no scene directories (missing scene.json sidecars)")
-    entries = []
-    for name in names:
-        scene_dir = os.path.join(scenes_dir, name)
-        sidecar = _read_json(os.path.join(scene_dir, "scene.json"))
-        paths = {}
-        for key, fname in _WAV_NAMES.items():
-            p = os.path.join(scene_dir, fname)
-            if os.path.exists(p):
-                paths[key] = p
-        tags = dict(sidecar.get("spec", {}))
-        for key, value in sidecar.get("achieved", {}).items():
-            tags[f"achieved_{key}"] = value
-        entries.append(ManifestEntry(id=name, paths=paths, tags=tags))
-    return Manifest(entries=entries)
-
-
-def _read_json(path):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from None
-
-
-def _resolve_manifest(args, scenes_dir=None) -> Manifest:
-    """The batch of --manifest or --scenes, or of scenes_dir when given."""
-    if scenes_dir is None and args.manifest:
-        manifest = Manifest.from_json(args.manifest)
-    elif scenes_dir or args.scenes:
-        manifest = manifest_from_scenes(scenes_dir or args.scenes)
-    else:
-        raise ValueError("need --manifest or --scenes")
-    if not manifest.entries:
-        raise ValueError("no entries")
-    if getattr(args, "threshold_db", None) is not None:
-        manifest.threshold_db = args.threshold_db
-    if getattr(args, "clamp_db", None) is not None:
-        manifest.clamp_db = args.clamp_db
-    _check_levels(manifest.threshold_db, manifest.clamp_db)
-    return manifest
-
-
-def _check_levels(threshold_db: float | None, clamp_db: float | None) -> None:
-    """Reject a threshold that is not finite and a clamp that is not finite
-    and > 0; None is a value not given."""
-    if threshold_db is not None and not math.isfinite(threshold_db):
-        raise ValueError(f"threshold_db must be finite, got {threshold_db}")
-    if clamp_db is not None and not 0 < clamp_db < math.inf:
-        raise ValueError(f"clamp_db must be finite and > 0, got {clamp_db}")
-
-
-def _default_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{SEED_ENV_VAR}={env!r} is not an integer") from None
-    return 0
-
-
-# glibc mallopt parameters (malloc.h)
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-def _keep_freed_memory() -> None:
-    """Keep the heap memory this process frees for its next arrays (glibc only).
-
-    By default glibc maps every array above its dynamic mmap threshold on
-    its own and hands it back to the kernel when it is freed, so each
-    fresh scene-length array of a batch is faulted in again page by page.
-    A fixed 32 MiB mmap threshold serves these arrays from the heap, and a
-    256 MiB trim threshold keeps the freed heap top.  Either one alone
-    turns off the dynamic threshold and faults more than neither, so the
-    trim threshold is set only once the mmap threshold has taken.  Where
-    the C library has no mallopt this does nothing.  Only the batch
-    commands call it; importing reseval leaves the allocator as it is.
-    """
-    import ctypes
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):  # no C library handle, or no mallopt in it
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    if mallopt(_M_MMAP_THRESHOLD, 32 << 20):
-        mallopt(_M_TRIM_THRESHOLD, 256 << 20)
-
-
-def _map_entries(fn, items, jobs: int):
-    """Apply fn over items with bounded parallelism, preserving order."""
-    _keep_freed_memory()
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_keep_freed_memory) as pool:
-        return list(pool.map(fn, items))
-
-
-def _isolated(task):
-    """step(entry, *extra) -> (id, result, None), or (id, None, error line)."""
-    step, entry, *extra = task
-    try:
-        return entry.id, step(entry, *extra), None
-    except Exception as exc:  # per-entry isolation
-        return entry.id, None, f"{type(exc).__name__}: {exc}"
-
-
-def _run_batch(command: str, step, entries, *extra, jobs: int = 1):
-    """Run step over the entries in order; failures are reported, not raised.
-
-    Returns ({id: result}, {id: error}) and prints one
-    "<command>: <id>: <error>" line per failed entry to stderr.
-    """
-    results, errors = {}, {}
-    for eid, result, err in _map_entries(_isolated, [(step, entry, *extra) for entry in entries], jobs):
-        if err is None:
-            results[eid] = result
-        else:
-            errors[eid] = err
-            print(f"{command}: {eid}: {err}", file=sys.stderr)
-    return results, errors
-
-
-def _load_scene_specs(path, count: int, seed: int) -> list[SceneSpec]:
-    from .simulate import SceneSpec
-
-    raw = _read_json(path)
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: scene spec must be a JSON object")
-    list_fields = {}
-    scalar = {}
-    for key, value in raw.items():
-        if isinstance(value, list):
-            if not value:
-                raise ValueError(f"field {key!r} is an empty list")
-            list_fields[key] = value
-        else:
-            scalar[key] = value
-    specs = []
-    for i in range(count):
-        data = dict(scalar)
-        for key, values in list_fields.items():
-            data[key] = values[i % len(values)]
-        data["seed"] = seed + i
-        specs.append(SceneSpec.from_dict(data))
-    return specs
-
-
-def _simulate_one(task):
-    from .simulate import generate_scene, save_scene
-
-    spec, scene_dir = task
-    save_scene(generate_scene(spec), spec, scene_dir)
-
-
-def _simulate_scenes(args, out_dir, jobs: int = 1) -> int:
-    """Write the --spec/--count/--seed scenes as out_dir/scene_NNNN."""
-    specs = _load_scene_specs(args.spec, args.count, _default_seed(args))
-    os.makedirs(out_dir, exist_ok=True)
-    tasks = [(spec, os.path.join(out_dir, f"scene_{i:04d}")) for i, spec in enumerate(specs)]
-    _map_entries(_simulate_one, tasks, jobs)
-    return len(specs)
+from .common import CLAMP_DB, DEFAULT_THRESHOLD_DB, SEED_ENV_VAR, atomic_write_bytes
 
 
 def cmd_simulate(args) -> int:
-    count = _simulate_scenes(args, args.out, args.jobs)
-    print(f"simulate: wrote {count} scenes to {args.out}")
-    return 0
+    from .batch import run_simulate
 
-
-def _suppress_entry(entry, config, out_dir):
-    from .audio import save_wav
-    from .suppressor import oracle_suppress
-
-    entry.require(("s", "e"))
-    components = entry.load_components(("s", "e"))
-    if out_dir:
-        out_path = os.path.join(out_dir, f"{entry.id}.shat.wav")
-    else:
-        out_path = os.path.join(os.path.dirname(entry.paths["e"]), "shat.wav")
-    save_wav(oracle_suppress(components.e, components.s, config), out_path)
-    return out_path
+    return run_simulate(args)
 
 
 def cmd_suppress(args) -> int:
-    from .suppressor import SuppressorConfig, beta_schedule
+    from .batch import run_suppress
 
-    manifest = _resolve_manifest(args)
-    beta = args.beta if args.alpha is None else beta_schedule([args.alpha])[0]
-    config = SuppressorConfig(beta=beta, floor=args.floor)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-    written, errors = _run_batch("suppress", _suppress_entry, manifest.entries, config, args.out,
-                                 jobs=args.jobs)
-    for entry in manifest.entries:
-        if entry.id in written:
-            entry.paths["s_hat"] = written[entry.id]
-    if args.out:
-        manifest.write_json(os.path.join(args.out, "manifest.json"))
-    print(f"suppress: beta={beta:g}, {len(written)} ok, {len(errors)} failed")
-    return 1 if errors else 0
-
-
-# read by evaluate_scene and echo_reference; m and y_hat only for the identity checks
-_SCENE_KEYS = ("s", "y", "w", "m", "y_hat", "e")
-
-
-def _load_labeled(entry, extra, threshold_db):
-    """An entry's scene components (s and e required) plus extra, and its activity mask."""
-    from .activity import classify, echo_reference
-    from .framing import make_grid
-
-    entry.require(("s", "e", *extra))
-    components = entry.load_components(_SCENE_KEYS + extra)
-    grid = make_grid(len(components.s))
-    return components, classify(components.s, echo_reference(components), grid, threshold_db)
-
-
-def _evaluate_entry(entry, threshold_db, clamp_db) -> MetricReport:
-    from .metrics import evaluate_scene
-
-    components, mask = _load_labeled(entry, ("s_hat",), threshold_db)
-    return evaluate_scene(components, mask, clamp_db)
-
-
-def _pooled_aggregates(reports) -> dict:
-    """Aggregates of each metric over the frames of all reports, in order."""
-    from dataclasses import asdict
-
-    import numpy as np
-
-    from .metrics import METRIC_CONDITIONS, METRIC_NAMES, aggregate
-
-    reports = list(reports)
-    if not reports:
-        return {}
-    pooled = {}
-    for name in METRIC_NAMES:
-        agg = aggregate(np.concatenate([rep.values[name] for rep in reports]), METRIC_CONDITIONS[name])
-        if agg is not None:
-            pooled[name] = asdict(agg)
-    return pooled
+    return run_suppress(args)
 
 
 def cmd_evaluate(args) -> int:
-    from dataclasses import asdict
+    from .batch import run_evaluate
 
-    manifest = _resolve_manifest(args)
-    os.makedirs(args.out, exist_ok=True)
-    reports, errors = _run_batch("evaluate", _evaluate_entry, manifest.entries,
-                                 manifest.threshold_db, manifest.clamp_db, jobs=args.jobs)
-    for eid, report in reports.items():
-        report.write_csv(os.path.join(args.out, f"frames_{eid}.csv"))
-
-    payload = {
-        "threshold_db": manifest.threshold_db,
-        "clamp_db": manifest.clamp_db,
-        "n_entries": len(manifest.entries),
-        "n_failed": len(errors),
-        "metrics": _pooled_aggregates(reports.values()),
-        "per_utterance": {
-            eid: {name: asdict(agg) for name, agg in rep.aggregates.items()} for eid, rep in reports.items()
-        },
-        "errors": errors,
-    }
-    blob = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    atomic_write_bytes(os.path.join(args.out, "report.json"), blob.encode())
-    print(f"evaluate: {len(reports)} ok, {len(errors)} failed -> {args.out}")
-    return 1 if errors else 0
-
-
-def _sweep_entry(entry, configs, threshold_db, clamp_db) -> list[MetricReport]:
-    """One report per suppressor config for one scene, whose gain tracks and rows are computed once."""
-    from .audio import SceneComponents
-    from .metrics import evaluate_scene, scene_rows
-    from .suppressor import gain_tracks, oracle_suppress
-
-    components, mask = _load_labeled(entry, (), threshold_db)
-    # tracks first: a scene shorter than one frame fails there, as in suppress
-    tracks = gain_tracks(components.e, components.s)
-    rows = scene_rows(components, mask, clamp_db)
-    reports = []
-    for config in configs:
-        s_hat = oracle_suppress(components.e, components.s, config, tracks=tracks)
-        # only what evaluate_scene reads: the m and e identities were
-        # checked once when the scene was loaded
-        scene = SceneComponents(s=components.s, y=components.y, w=components.w,
-                                e=components.e, s_hat=s_hat)
-        reports.append(evaluate_scene(scene, mask, clamp_db, rows=rows))
-    return reports
-
-
-def _group_of(entry, tag):
-    value = entry.tags.get(tag)
-    if value is None:
-        raise ValueError(f"entry {entry.id!r} has no tag {tag!r}")
-    if not isinstance(value, (str, int, float)):
-        raise ValueError(f"entry {entry.id!r}: tag {tag!r} must be a string or a number, "
-                         f"got {type(value).__name__}")
-    return value
+    return run_evaluate(args)
 
 
 def cmd_sweep(args) -> int:
-    import tempfile
+    from .batch import run_sweep
 
-    from .metrics import METRIC_NAMES
-    from .suppressor import SuppressorConfig, beta_schedule
-
-    alphas = [float(a) for a in args.alphas.split(",") if a.strip() != ""]
-    if not alphas:
-        raise ValueError("empty alpha list")
-    configs = [SuppressorConfig(beta=beta, floor=args.floor) for beta in beta_schedule(alphas)]
-    if os.path.isdir(args.out):
-        raise IsADirectoryError(f"{args.out}: is a directory")
-    if not os.path.isdir(os.path.dirname(args.out) or "."):
-        raise FileNotFoundError(f"{args.out}: no such directory to write it in")
-    # before --spec simulates anything
-    _check_levels(args.threshold_db, args.clamp_db)
-    with contextlib.ExitStack() as stack:
-        scenes_dir = None
-        if args.spec:
-            scenes_dir = args.scenes_dir or stack.enter_context(
-                tempfile.TemporaryDirectory(prefix="reseval-sweep-"))
-            _simulate_scenes(args, scenes_dir)
-        manifest = _resolve_manifest(args, scenes_dir)
-        groups = {e.id: _group_of(e, args.group_by) for e in manifest.entries} if args.group_by else {}
-        reports, errors = _run_batch("sweep", _sweep_entry, manifest.entries, configs,
-                                     manifest.threshold_db, manifest.clamp_db)
-
-    rows = []
-    for group in sorted({groups.get(eid) for eid in reports}, key=lambda v: (str(type(v)), v)):
-        members = [rep for eid, rep in reports.items() if groups.get(eid) == group]
-        for i, (alpha, config) in enumerate(zip(alphas, configs)):
-            row = {"alpha": alpha, "beta": config.beta, "n_scenes": len(members)}
-            if args.group_by:
-                row[args.group_by] = group
-            # a metric no frame qualified for stays an empty cell
-            for name, agg in _pooled_aggregates(rep[i] for rep in members).items():
-                row[f"{name}_mean"], row[f"{name}_std"] = agg["mean"], agg["std"]
-            rows.append(row)
-
-    columns = ([args.group_by] if args.group_by else []) + ["alpha", "beta", "n_scenes"]
-    for name in METRIC_NAMES:
-        columns += [f"{name}_mean", f"{name}_std"]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_csv_cell(row.get(c, "")) for c in columns])
-    atomic_write_bytes(args.out, buf.getvalue().encode())
-    print(f"sweep: {len(rows)} rows, {len(reports)} ok, {len(errors)} failed -> {args.out}")
-    return 1 if errors else 0
-
-
-def _csv_cell(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
+    return run_sweep(args)
 
 
 def cmd_correlate(args) -> int:
+    import json
+
     from .stats import ScoreTable, correlate_table
 
     table = ScoreTable.from_csv(args.table)

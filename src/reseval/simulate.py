@@ -94,22 +94,23 @@ class SceneSpec:
     @classmethod
     def from_dict(cls, raw: dict) -> "SceneSpec":
         if not isinstance(raw, dict):
-            raise ValueError("scene spec must be a JSON object")
+            raise ValueError("invalid scene spec: must be a JSON object")
         data = dict(raw)
         aec = data.pop("aec", None)
         if aec is not None:
             if not isinstance(aec, dict):
-                raise ValueError("field 'aec' must be an object")
+                raise ValueError("invalid scene spec: field 'aec' must be an object")
+            aec = dict(aec)  # the caller's spec may build more scenes
             for key, target in (("taps", "aec_taps"), ("step", "aec_step"), ("passes", "aec_passes")):
                 if key in aec:
                     data[target] = aec.pop(key)
             if aec:
-                raise ValueError(f"unknown field 'aec.{sorted(aec)[0]}'")
+                raise ValueError(f"invalid scene spec: unknown field 'aec.{sorted(aec)[0]}'")
         known = {f.name: f for f in fields(cls)}
         kwargs = {}
         for key, value in data.items():
             if key not in known:
-                raise ValueError(f"unknown field {key!r}")
+                raise ValueError(f"invalid scene spec: unknown field {key!r}")
             try:
                 if key in ("seed", "rir_len", "aec_taps", "aec_passes"):
                     value = int(value) if value is not None else None
@@ -398,6 +399,10 @@ def simulate_aec(m: Signal, x: Signal, spec: SceneSpec) -> tuple[Signal, Signal]
                 h_fg = h_bg.copy()
             elif e_bg > 4.0 * e_fg:
                 h_bg = h_fg.copy()
+    # free the padded x before e is formed.  The padded m stays: freeing it
+    # too moves where the kept heap places later arrays, and a cold
+    # simulate of 8 x 10 s scenes then peaks about 1 MB higher in RSS
+    del xs
     return Signal(frozen(y_hat)), Signal(frozen(m.samples - y_hat))
 
 

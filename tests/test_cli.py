@@ -19,8 +19,9 @@ import numpy as np
 import pytest
 
 import reseval as rv
-from reseval import cli
-from reseval.cli import Manifest, ManifestEntry, build_parser, main, manifest_from_scenes
+from reseval import batch, cli
+from reseval.batch import Manifest, ManifestEntry, manifest_from_scenes
+from reseval.cli import build_parser, main
 
 SPEC = {"duration": 2.5, "ser_db": 0.0, "snr_db": 30.0}
 
@@ -94,8 +95,12 @@ class TestSimulate:
         ("snr_db", -math.inf, "invalid scene spec: snr_db must be finite, got -inf"),
         ("ser_db", math.nan, "invalid scene spec: ser_db must be finite, got nan"),
         ("rir_len", math.inf, "invalid scene spec: field 'rir_len' has invalid value inf"),
+        ("rir_length", 100, "invalid scene spec: unknown field 'rir_length'"),
+        ("aec", 256, "invalid scene spec: field 'aec' must be an object"),
+        ("aec", {"tap": 256}, "invalid scene spec: unknown field 'aec.tap'"),
+        ("ser_db", [], "invalid scene spec: field 'ser_db' is an empty list"),
     ], ids=["duration-text", "duration-inf", "clip_hardness-inf", "t60-inf", "snr_db-minus-inf", "ser_db-nan",
-            "rir_len-inf"])
+            "rir_len-inf", "unknown-field", "aec-not-an-object", "unknown-aec-key", "empty-list"])
     def test_invalid_spec_field_reported(self, tmp_path, capsys, command, field, value, match):
         spec = write_spec(tmp_path, {**SPEC, field: value})
         argv = {"simulate": ["--out", tmp_path / "x"],
@@ -106,6 +111,19 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: {match}\n"
         assert caught == []
         assert not os.path.exists(argv[-1])
+
+    def test_non_object_spec_reported(self, tmp_path, capsys):
+        path = write_spec(tmp_path, [SPEC])
+        assert run("simulate", "--spec", path, "--out", tmp_path / "x") == 2
+        assert capsys.readouterr().err == f"error: invalid scene spec: {path}: must be a JSON object\n"
+        assert not os.path.exists(tmp_path / "x")
+
+    def test_nested_aec_applies_to_every_scene(self, tmp_path):
+        spec = write_spec(tmp_path, {**SPEC, "aec": {"taps": 256, "step": 0.25}})
+        assert run("simulate", "--spec", spec, "--out", tmp_path / "out", "--count", 2, "--seed", 3) == 0
+        for i in range(2):
+            sidecar = json.loads((tmp_path / "out" / f"scene_{i:04d}" / "scene.json").read_text())
+            assert (sidecar["spec"]["aec_taps"], sidecar["spec"]["aec_step"]) == (256, 0.25)
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         spec = write_spec(tmp_path)
@@ -377,7 +395,7 @@ class TestSweep:
         """Reports of one sweep entry equal fresh per-alpha suppress + evaluate calls, bit for bit."""
         configs = [rv.SuppressorConfig(beta=b) for b in rv.beta_schedule([0, 0.25, 0.5, 0.75, 1])]
         for entry in manifest_from_scenes(scene_dir).entries:
-            reports = cli._sweep_entry(entry, configs, rv.activity.DEFAULT_THRESHOLD_DB, rv.metrics.CLAMP_DB)
+            reports = batch._sweep_entry(entry, configs, rv.activity.DEFAULT_THRESHOLD_DB, rv.metrics.CLAMP_DB)
             assert len(reports) == len(configs)
             for config, report in zip(configs, reports):
                 c = {k: rv.load_wav(entry.paths[k]) for k in ("s", "y", "w", "e")}
@@ -638,12 +656,12 @@ def test_nothing_keeps_a_scene_alive(scene_dir, tmp_path, monkeypatch):
         assert refs and [ref() for ref in refs] == [None] * len(refs)
         refs.clear()
 
-    entry.paths["s_hat"] = cli._suppress_entry(entry, config, str(tmp_path))
-    components, mask = cli._load_labeled(entry, ("s_hat",), options[0])
+    entry.paths["s_hat"] = batch._suppress_entry(entry, config, str(tmp_path))
+    components, mask = batch._load_labeled(entry, ("s_hat",), options[0])
     watch(components.s, components.e, rv.oracle_suppress(components.e, components.s, config))
     del components, mask
     assert_released()
-    components, mask = cli._load_labeled(entry, ("s_hat",), options[0])
+    components, mask = batch._load_labeled(entry, ("s_hat",), options[0])
     rv.evaluate_scene(components, mask)
     watch(components.s, components.e, components.s_hat, mask)
     del components, mask
@@ -661,11 +679,11 @@ def test_nothing_keeps_a_scene_alive(scene_dir, tmp_path, monkeypatch):
 
     monkeypatch.setattr(rv.suppressor, "oracle_suppress", watched_suppress)
     monkeypatch.setattr(rv.metrics, "evaluate_scene", watched_evaluate)
-    cli._suppress_entry(entry, config, str(tmp_path))
+    batch._suppress_entry(entry, config, str(tmp_path))
     assert_released()
-    cli._evaluate_entry(entry, *options)
+    batch._evaluate_entry(entry, *options)
     assert_released()
-    cli._sweep_entry(entry, [config, config], *options)
+    batch._sweep_entry(entry, [config, config], *options)
     assert_released()
 
     def fails_after_evaluating(*args, **kwargs):
@@ -674,10 +692,10 @@ def test_nothing_keeps_a_scene_alive(scene_dir, tmp_path, monkeypatch):
 
     monkeypatch.setattr(rv.metrics, "evaluate_scene", fails_after_evaluating)
     with pytest.raises(RuntimeError, match="evaluation failed"):
-        cli._evaluate_entry(entry, *options)
+        batch._evaluate_entry(entry, *options)
     assert_released()
     with pytest.raises(RuntimeError, match="evaluation failed"):
-        cli._sweep_entry(entry, [config, config], *options)
+        batch._sweep_entry(entry, [config, config], *options)
     assert_released()
 
 
@@ -692,26 +710,45 @@ def test_no_module_holds_a_cache():
 
 
 def test_cli_imports_only_what_the_command_runs(tmp_path):
-    """A fresh interpreter: importing the CLI loads no numpy, dataclasses, ctypes, process
-    pool or compute module, and correlate runs without numpy, dataclasses or ctypes."""
+    """A fresh interpreter: importing the CLI loads no numpy, dataclasses, ctypes, json, csv,
+    process pool, batch or compute module, and correlate runs without numpy, dataclasses,
+    ctypes or the batch module."""
     table = tmp_path / "t.csv"
     table.write_text("id,a,b\nu0,1.0,2.0\nu1,2.0,1.5\nu2,3.0,4.0\n")
     src = os.path.dirname(os.path.dirname(rv.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "\n".join([
-        "import json, sys, reseval.cli",
-        "heavy = ['numpy', 'dataclasses', 'ctypes', 'concurrent.futures.process'] + ['reseval.' + m for m in",
-        "    ('audio', 'activity', 'framing', 'metrics', 'simulate', 'stats', 'suppressor')]",
+        "import sys, reseval.cli",
+        "heavy = ['numpy', 'dataclasses', 'ctypes', 'json', 'csv', 'concurrent.futures.process'] + [",
+        "    'reseval.' + m for m in",
+        "    ('audio', 'activity', 'batch', 'framing', 'metrics', 'simulate', 'stats', 'suppressor')]",
         "loaded = [m for m in heavy if m in sys.modules]",
         "code = reseval.cli.main(['correlate', '--table', sys.argv[1], '--metric-col', 'a',",
         "                         '--score-col', 'b', '--out', sys.argv[2]])",
-        "print(json.dumps([loaded, code, [m for m in ('numpy', 'dataclasses', 'ctypes') if m in sys.modules]]))",
+        "after = [m for m in ('numpy', 'dataclasses', 'ctypes', 'reseval.batch') if m in sys.modules]",
+        "import json",
+        "print(json.dumps([loaded, code, after]))",
     ])
     proc = subprocess.run([sys.executable, "-c", code, str(table), str(tmp_path / "r.json")],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0, []]
     assert json.loads((tmp_path / "r.json").read_text())["groups"][0]["n"] == 3
+
+
+def test_main_reaches_each_command_through_its_cli_function(tmp_path, monkeypatch):
+    """Every subcommand runs reseval.cli.cmd_<name>, looked up when the parser is built,
+    so a wrapper set on that attribute (as bench/tracer.py sets one) sees the call."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, sub in commands.choices.items():
+        fn = getattr(cli, f"cmd_{name}")
+        assert callable(fn) and fn.__module__ == "reseval.cli", name
+        assert sub.get_default("func") is fn, name
+    calls = []
+    monkeypatch.setattr(cli, "cmd_sweep", lambda args: calls.append(args) or 7)
+    assert main(["sweep", "--alphas", "0", "--out", str(tmp_path / "t.csv")]) == 7
+    assert [(args.command, args.alphas) for args in calls] == [("sweep", "0")]
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_cli_import_loads_no_scipy():
@@ -738,8 +775,8 @@ def test_kept_memory_serves_the_next_array_without_page_faults():
     src = os.path.dirname(os.path.dirname(rv.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "\n".join([
-        "import resource, numpy as np, reseval.cli",
-        "reseval.cli._keep_freed_memory()",
+        "import resource, numpy as np, reseval.batch",
+        "reseval.batch._keep_freed_memory()",
         "a = np.ones(160000); del a",
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
         "a = np.ones(160000)",
@@ -768,12 +805,12 @@ def test_map_entries_keeps_freed_memory_in_every_process(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "_keep_freed_memory", lambda: kept.append(True))
+    monkeypatch.setattr(batch, "_keep_freed_memory", lambda: kept.append(True))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    assert cli._map_entries(abs, [-1, -2], 1) == [1, 2]
+    assert batch._map_entries(abs, [-1, -2], 1) == [1, 2]
     assert (len(kept), pools) == (1, [])
-    assert cli._map_entries(abs, [-1, -2], 2) == [1, 2]
-    assert (len(kept), pools) == (2, [{"max_workers": 2, "initializer": cli._keep_freed_memory}])
+    assert batch._map_entries(abs, [-1, -2], 2) == [1, 2]
+    assert (len(kept), pools) == (2, [{"max_workers": 2, "initializer": batch._keep_freed_memory}])
 
 
 def _raise_os_error(name):
@@ -785,7 +822,7 @@ def test_keep_freed_memory_is_a_no_op_without_mallopt(monkeypatch, cdll):
     import ctypes
 
     monkeypatch.setattr(ctypes, "CDLL", cdll)
-    assert cli._keep_freed_memory() is None
+    assert batch._keep_freed_memory() is None
 
 
 @pytest.mark.parametrize("taken, expected", [(1, [(-3, 32 << 20), (-1, 256 << 20)]), (0, [(-3, 32 << 20)])],
@@ -803,5 +840,16 @@ def test_keep_freed_memory_sets_both_thresholds_or_neither(monkeypatch, taken, e
         return taken
 
     monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
-    cli._keep_freed_memory()
+    batch._keep_freed_memory()
     assert calls == expected
+
+
+def test_batch_module_does_not_import_the_cli():
+    """`python -m reseval.cli` runs cli.py as __main__, so a batch module that imported
+    reseval.cli would make every batch command compile the front end a second time."""
+    src = os.path.dirname(os.path.dirname(rv.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, reseval.batch; print('reseval.cli' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

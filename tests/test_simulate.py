@@ -17,7 +17,7 @@ from reseval import (
     synth_rir,
 )
 from reseval.audio import SAMPLE_RATE
-from reseval.cli import manifest_from_scenes
+from reseval.batch import manifest_from_scenes
 from reseval.simulate import (
     FAR_SPAN,
     GATE_OFF_LEVEL,
