@@ -339,12 +339,18 @@ _SCENE_KEYS = ("s", "y", "w", "m", "y_hat", "e")
 
 
 def _load_labeled(entry, extra, threshold_db):
-    """An entry's scene components (s and e required) plus extra, and its activity mask."""
+    """An entry's s, y, w and e (s and e required) plus extra, and its activity mask.
+
+    m and y_hat are loaded for the identity checks alone and are let go
+    once those have passed.
+    """
+    from dataclasses import replace
+
     from .activity import classify, echo_reference
     from .framing import make_grid
 
     entry.require(("s", "e", *extra))
-    components = entry.load_components(_SCENE_KEYS + extra)
+    components = replace(entry.load_components(_SCENE_KEYS + extra), m=None, y_hat=None)
     grid = make_grid(len(components.s))
     return components, classify(components.s, echo_reference(components), grid, threshold_db)
 
@@ -404,7 +410,8 @@ def run_evaluate(args) -> int:
 
 def _sweep_entry(entry, configs, threshold_db, clamp_db) -> list[MetricReport]:
     """One report per suppressor config for one scene, whose gain tracks and rows are computed once."""
-    from .audio import SceneComponents
+    from dataclasses import replace
+
     from .metrics import evaluate_scene, scene_rows
     from .suppressor import gain_tracks, oracle_suppress
 
@@ -415,11 +422,9 @@ def _sweep_entry(entry, configs, threshold_db, clamp_db) -> list[MetricReport]:
     reports = []
     for config in configs:
         s_hat = oracle_suppress(components.e, components.s, config, tracks=tracks)
-        # only what evaluate_scene reads: the m and e identities were
-        # checked once when the scene was loaded
-        scene = SceneComponents(s=components.s, y=components.y, w=components.w,
-                                e=components.e, s_hat=s_hat)
-        reports.append(evaluate_scene(scene, mask, clamp_db, rows=rows))
+        reports.append(evaluate_scene(replace(components, s_hat=s_hat), mask, clamp_db, rows=rows))
+        # the next alpha's s_hat is built without this one alive
+        del s_hat
     return reports
 
 

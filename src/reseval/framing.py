@@ -22,12 +22,10 @@ N_BINS = FFT_LEN // 2 + 1
 _WINDOW = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(FRAME_LEN) / FRAME_LEN)
 _WINDOW.setflags(write=False)
 _WINDOW_SQ = _WINDOW * _WINDOW
-# OLA(w^2) per HOP-sample row: the first hop, every interior hop, the last hop
-_OLA_ROWS = (
-    (slice(0, 1), _WINDOW_SQ[:HOP]),
-    (slice(1, -1), _WINDOW_SQ[:HOP] + _WINDOW_SQ[HOP:]),
-    (slice(-1, None), _WINDOW_SQ[HOP:]),
-)
+# OLA(w^2) of every interior HOP-sample row: sin^4 + cos^4, so at least 0.5
+_OLA_INTERIOR = _WINDOW_SQ[:HOP] + _WINDOW_SQ[HOP:]
+# OLA(w^2) of the first and the last hop row; the first is 0 at sample 0
+_OLA_EDGES = ((slice(0, 1), _WINDOW_SQ[:HOP]), (slice(-1, None), _WINDOW_SQ[HOP:]))
 # columns: all ones (DC bin) and (-1)^n (Nyquist bin of the FFT_LEN-point DFT)
 _DC_NYQUIST = np.stack([np.ones(FRAME_LEN), (-1.0) ** np.arange(FRAME_LEN)], axis=1)
 
@@ -156,23 +154,25 @@ def gain_envelope(gains: np.ndarray, signal_len: int) -> np.ndarray:
     """wola(gains[:, None] * w, signal_len) for one flat gain per frame.
 
     Hop row j is (g_j w_head) w_head + (g_{j-1} w_tail) w_tail over the
-    constant OLA(w^2) of its row, computed straight on (n_frames + 1, HOP)
-    rows in wola's order of operations, so the two agree bit for bit.
+    constant OLA(w^2) of its row, computed in the output's own
+    (n_frames + 1, HOP) rows in wola's order of operations, so the two
+    agree bit for bit.
     """
     n_frames = gains.shape[0]
     g = gains[:, None]
     head, tail = _WINDOW[:HOP], _WINDOW[HOP:]
-    num = np.empty((n_frames + 1, HOP))
-    np.multiply(g, head, out=num[:-1])
-    num[:-1] *= head
-    num[-1] = 0.0
+    out = np.zeros(signal_len)
+    rows = out[: (n_frames + 1) * HOP].reshape(n_frames + 1, HOP)
+    np.multiply(g, head, out=rows[:-1])
+    rows[:-1] *= head
     tail_part = g * tail
     tail_part *= tail
-    num[1:] += tail_part
-    out = np.zeros(signal_len)
-    rows = out[: num.size].reshape(num.shape)
-    for hops, ola in _OLA_ROWS:
-        np.divide(num[hops], ola, out=rows[hops], where=ola > 1e-12)
+    rows[1:] += tail_part
+    rows[1:-1] /= _OLA_INTERIOR
+    for hops, ola in _OLA_EDGES:
+        nz = ola > 1e-12
+        np.divide(rows[hops], ola, out=rows[hops], where=nz)
+        rows[hops, ~nz] = 0.0
     return out
 
 

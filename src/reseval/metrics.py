@@ -76,14 +76,18 @@ def _gain_denominator(e: np.ndarray) -> np.ndarray:
 # once for several s_hats of one scene, the scalar functions for their row.
 
 
-def _compensation_rows(gain: np.ndarray, s: np.ndarray, s_energy: np.ndarray) -> np.ndarray:
+def _compensation_rows(gs: np.ndarray, s: np.ndarray, s_energy: np.ndarray) -> np.ndarray:
+    """<gain*s, s> / ||s||^2 per row, given gs = gain * s; 1 where s is (near) silent."""
     degenerate = s_energy <= COMP_DEGENERATE
-    return np.where(degenerate, 1.0, _row_dot(gain * s, s) / np.where(degenerate, 1.0, s_energy))
+    return np.where(degenerate, 1.0, _row_dot(gs, s) / np.where(degenerate, 1.0, s_energy))
 
 
 def _dsml_rows(s: np.ndarray, s_energy: np.ndarray, gain: np.ndarray, clamp_db: float) -> np.ndarray:
-    s_tilde = _compensation_rows(gain, s, s_energy)[:, None] * s
-    return _ratio_rows(_row_energy(s_tilde), _row_energy(s_tilde - gain * s), clamp_db)
+    gs = gain * s
+    s_tilde = _compensation_rows(gs, s, s_energy)[:, None] * s
+    s_tilde_energy = _row_energy(s_tilde)
+    distortion = np.subtract(s_tilde, gs, out=gs)
+    return _ratio_rows(s_tilde_energy, _row_energy(distortion), clamp_db)
 
 
 def _resl_rows(r: np.ndarray, r_energy: np.ndarray, gain: np.ndarray, clamp_db: float) -> np.ndarray:
@@ -134,7 +138,7 @@ def compute_gain(s_hat_frame, e_frame) -> np.ndarray:
 def compensation_scalar(gain, s_frame) -> float:
     """Projection <gain*s, s> / ||s||^2; 1 when s is (near) silent."""
     gain, s = _rows(gain, s_frame)
-    return float(_compensation_rows(gain, s, _row_energy(s))[0])
+    return float(_compensation_rows(gain * s, s, _row_energy(s))[0])
 
 
 def dsml(s_frame, gain, clamp_db: float = CLAMP_DB) -> float:
@@ -329,6 +333,8 @@ def evaluate_scene(
     values["dsml"][rows.dt] = _dsml_rows(rows.s_dt, rows.s_dt_energy, gain, clamp_db)
     values["resl"][rows.dt] = _resl_rows(rows.r_dt, rows.r_dt_energy, gain, clamp_db)
     values["sdr"][rows.dt] = _projected_rows(rows.s_dt, rows.s_dt_energy, sh_dt, clamp_db)
+    # the other conditions' kernels run without the double-talk temporaries
+    del sh_dt, gain
     values["sar"][rows.ne] = _projected_rows(rows.s_ne, rows.s_ne_energy, sh_frames[rows.ne], clamp_db)
     values["erle"][rows.fe] = _energy_ratio_rows(rows.e_fe_energy, sh_frames[rows.fe], clamp_db)
 

@@ -77,6 +77,9 @@ class ScoreTable:
     """
 
     def __init__(self, columns: tuple[str, ...], rows: tuple[dict, ...], id_column: str):
+        repeated = [col for i, col in enumerate(columns) if col in columns[:i]]
+        if repeated:
+            raise ValueError(f"duplicate column {repeated[0]!r}")
         if id_column not in columns:
             raise ValueError(f"id column {id_column!r} not among columns")
         seen = set()

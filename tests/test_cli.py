@@ -490,6 +490,15 @@ class TestCorrelate:
         assert out.count("pcc=") == 2
         assert "alpha=0.0" in out and "alpha=1.0" in out
 
+    def test_duplicate_column_reported(self, tmp_path, capsys):
+        """A repeated header name is an error, not a silent pick of its last column."""
+        table = self.write_table(tmp_path, ["u0,1,-1,0", "u1,2,-2,1", "u2,3,-3,3"], header="id,a,a,b")
+        assert run("correlate", "--table", table, "--metric-col", "a", "--score-col", "b",
+                   "--out", tmp_path / "r.json") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: duplicate column 'a'\n"
+        assert not (tmp_path / "r.json").exists()
+
     def test_constant_column_reported(self, tmp_path, capsys):
         table = self.write_table(tmp_path, [f"u{i},1.0,{i}" for i in range(5)])
         assert run("correlate", "--table", table, "--metric-col", "metric", "--score-col", "score") == 2
@@ -642,7 +651,8 @@ def test_readme_flag_table_matches_parser():
 
 def test_nothing_keeps_a_scene_alive(scene_dir, tmp_path, monkeypatch):
     """Once a library call or a batch entry returns or raises, nothing holds its scene's
-    signals or mask: no call keeps the last scene it saw."""
+    signals or mask: no call keeps the last scene it saw.  Within an entry, the loaded
+    m and y_hat are gone once checked, and a sweep's s_hat once scored."""
     (entry, *_) = manifest_from_scenes(scene_dir).entries
     config = rv.SuppressorConfig(beta=8.0)
     options = (rv.activity.DEFAULT_THRESHOLD_DB, rv.metrics.CLAMP_DB)
@@ -698,6 +708,39 @@ def test_nothing_keeps_a_scene_alive(scene_dir, tmp_path, monkeypatch):
         batch._sweep_entry(entry, [config, config], *options)
     assert_released()
 
+    # m and y_hat go once the load has checked them, and each alpha's s_hat
+    # goes before the next one is built
+    load_wav, loaded, shats = rv.audio.load_wav, {}, []
+
+    def watched_load(path):
+        signal = load_wav(path)
+        loaded[os.path.basename(path)] = weakref.ref(signal)
+        return signal
+
+    def assert_checked_components_gone():
+        assert [loaded[name]() for name in ("m.wav", "yhat.wav")] == [None, None]
+
+    def checked_suppress(e, s, *args, **kwargs):
+        assert_checked_components_gone()
+        assert [ref() for ref in shats] == [None] * len(shats)
+        s_hat = watched_suppress(e, s, *args, **kwargs)
+        shats.append(weakref.ref(s_hat))
+        return s_hat
+
+    def checked_evaluate(*args, **kwargs):
+        assert_checked_components_gone()
+        return watched_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(rv.audio, "load_wav", watched_load)
+    monkeypatch.setattr(rv.suppressor, "oracle_suppress", checked_suppress)
+    monkeypatch.setattr(rv.metrics, "evaluate_scene", checked_evaluate)
+    batch._evaluate_entry(entry, *options)
+    assert_released()
+    loaded.clear()
+    batch._sweep_entry(entry, [config, config, config], *options)
+    assert len(shats) == 3
+    assert_released()
+
 
 def test_no_module_holds_a_cache():
     """A module-level functools cache is hidden state that outlives its caller's data."""
@@ -734,6 +777,26 @@ def test_cli_imports_only_what_the_command_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0, []]
     assert json.loads((tmp_path / "r.json").read_text())["groups"][0]["n"] == 3
+
+
+def test_suppress_and_sweep_leave_numpy_ma_unimported(scene_dir, tmp_path):
+    """A fresh interpreter: a suppress run and a sweep run never import numpy.ma, which
+    np.percentile (through np.unique) would import for the suppressor's noise floor."""
+    src = os.path.dirname(os.path.dirname(rv.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "\n".join([
+        "import json, sys, reseval.cli",
+        "scenes, out = sys.argv[1:]",
+        "codes = [reseval.cli.main(['suppress', '--scenes', scenes, '--alpha', '0.5', '--out', out]),",
+        "         reseval.cli.main(['sweep', '--scenes', scenes, '--alphas', '0,1',",
+        "                           '--out', out + '/sweep.csv'])]",
+        "print(json.dumps([codes, 'numpy' in sys.modules, 'numpy.ma' in sys.modules]))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code, str(scene_dir), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], True, False]
+    assert len(read_rows(tmp_path / "sweep.csv")) == 2
 
 
 def test_main_reaches_each_command_through_its_cli_function(tmp_path, monkeypatch):

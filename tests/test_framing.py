@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from reseval import Signal, istft, make_grid, stft
@@ -168,3 +171,15 @@ class TestGainEnvelope:
         # the Hann window is 0 at sample 0, and nothing lies past the last full frame
         assert got[0] == 0.0
         assert np.all(got[(n_frames + 1) * HOP :] == 0.0)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_wola_for_any_gains_and_length(self, data):
+        """Any length from one frame up, a multiple of HOP or not, and gains in [0, 1]
+        with exact 0s and 1s: the edge rows' masked divide and the zero tail included."""
+        signal_len = data.draw(st.one_of(st.integers(FRAME_LEN, 4000),
+                                         st.integers(1, 24).map(lambda k: FRAME_LEN + k * HOP)))
+        n_frames = make_grid(signal_len).n_frames
+        elements = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+        g = data.draw(arrays(np.float64, n_frames, elements=elements))
+        assert np.array_equal(gain_envelope(g, signal_len), wola(g[:, None] * _WINDOW, signal_len))

@@ -101,6 +101,14 @@ class TestScoreTable:
         with pytest.raises(ValueError, match="duplicate"):
             ScoreTable.from_csv(path)
 
+    @pytest.mark.parametrize("header,name", [("id,a,a,b", "a"), ("id,a,b,a", "a"), ("id,id,a", "id")])
+    def test_duplicate_columns_rejected(self, tmp_path, header, name):
+        width = header.count(",")
+        rows = [f"u{i}" + f",{i}" * width for i in range(3)]
+        path = self.write(tmp_path / "t.csv", "\n".join([header, *rows]) + "\n")
+        with pytest.raises(ValueError, match=f"^duplicate column '{name}'$"):
+            ScoreTable.from_csv(path)
+
     def test_missing_column_lists_available(self, tmp_path):
         path = self.write(tmp_path / "t.csv", "utt,a\nx,1\n")
         table = ScoreTable.from_csv(path)

@@ -7,7 +7,7 @@ import oracles
 import reseval as rv
 from conftest import batch_metric_means, make_scene_batch
 from reseval import LossInputs, SuppressorConfig, beta_schedule, loss_j, oracle_suppress
-from reseval.suppressor import _smooth_frames, frame_gains, gain_tracks
+from reseval.suppressor import _percentile_20, _smooth_frames, frame_gains, gain_tracks
 
 
 class TestConfig:
@@ -226,3 +226,25 @@ class TestSmoothFrames:
             for i in range(size)
         ]
         np.testing.assert_allclose(_smooth_frames(track), expected, rtol=1e-12, atol=0.0)
+
+
+class TestPercentile20:
+    @staticmethod
+    def assert_same_bits(values):
+        got, want = _percentile_20(values), float(np.percentile(values, 20))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (values.size, got, want)
+
+    def test_matches_numpy_bit_for_bit(self):
+        for size in [*range(1, 301), 999, 1000]:
+            rng = np.random.default_rng(size)
+            self.assert_same_bits(rng.uniform(0.0, 1.0, size))
+            self.assert_same_bits(np.exp(rng.normal(0.0, 10.0, size)))  # energies spanning decades
+            self.assert_same_bits(rng.integers(0, 4, size).astype(np.float64))  # ties
+            self.assert_same_bits(np.full(size, rng.uniform()))  # constant
+            self.assert_same_bits(np.zeros(size))
+
+    def test_leaves_its_input_unsorted(self):
+        values = np.random.default_rng(0).uniform(size=50)
+        before = values.copy()
+        _percentile_20(values)
+        assert np.array_equal(values, before)
