@@ -212,15 +212,15 @@ def save_wav(signal: Signal, path) -> None:
     """Write a Signal as mono 32-bit float WAV, atomically."""
     if not isinstance(signal, Signal):
         raise TypeError("save_wav expects a Signal")
-    payload = signal.samples.astype("<f4").tobytes()
+    payload = signal.samples.astype("<f4")
     fmt = struct.pack("<HHIIHH", 3, 1, SAMPLE_RATE, SAMPLE_RATE * 4, 4, 32)
-    body = b"".join(
+    head = b"".join(
         [
             b"WAVE",
             b"fmt ", struct.pack("<I", len(fmt)), fmt,
             b"fact", struct.pack("<II", 4, len(signal)),
-            b"data", struct.pack("<I", len(payload)), payload,
+            b"data", struct.pack("<I", payload.nbytes),
         ]
     )
-    blob = b"RIFF" + struct.pack("<I", len(body)) + body
-    atomic_write_bytes(path, blob)
+    # the payload is written from the array itself, not from a bytes copy
+    atomic_write_bytes(path, b"RIFF" + struct.pack("<I", len(head) + payload.nbytes) + head, payload)

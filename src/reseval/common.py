@@ -28,8 +28,9 @@ _WAV_NAMES = {
 }
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write a file atomically (temp file in the same directory + rename).
+def atomic_write_bytes(path, *chunks) -> None:
+    """Write the bytes-like chunks, in order, to a file atomically (temp
+    file in the same directory + rename).
 
     An OSError names path, not the temporary file.
     """
@@ -40,7 +41,8 @@ def atomic_write_bytes(path, data: bytes) -> None:
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):

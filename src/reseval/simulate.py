@@ -44,6 +44,9 @@ _STREAM_FAR = 1
 _STREAM_NOISE = 2
 _STREAM_RIR = 3
 
+# the echo path's overlap-add FFT length
+OLA_FFT_LEN = 8192
+
 
 @dataclass(frozen=True)
 class SceneSpec:
@@ -212,21 +215,33 @@ def _fft_convolve(signal: np.ndarray, kernels: list[np.ndarray], stops: list[int
     over time: output samples stops[j - 1]:stops[j] (from 0 for j = 0) are
     those of the full convolution with kernels[j].
 
-    The signal's spectrum is computed once, and one kernel's spectrum and
-    convolution are alive at a time.
+    By overlap-add in blocks of OLA_FFT_LEN points (more for a kernel
+    longer than half of that), so no transform is signal-long.  A block's
+    leading and trailing zeros are skipped and it adds only the output
+    samples its nonzero input reaches, so the output is exactly 0 wherever
+    the signal has been silent for a kernel's length.
     """
-    n_fft = _fft_length(signal.size + len(kernels[0]) - 1)
-    signal_spec = _rfft(signal, n_fft, np.empty(n_fft // 2 + 1, dtype=np.complex128))
-    spectrum = np.empty_like(signal_spec)
-    full = np.empty(n_fft)
-    out = np.empty(stops[-1])
+    out = np.zeros(stops[-1])
     lo = 0
     for kernel, hi in zip(kernels, stops, strict=True):
-        _rfft(kernel, n_fft, spectrum)
-        # signal spectrum first: complex multiplication may fuse a
-        # multiply-add, which makes the operand order show in the last bit
-        np.multiply(signal_spec, spectrum, out=spectrum)
-        out[lo:hi] = _irfft(spectrum, n_fft, full)[lo:hi]
+        taps = kernel.size
+        n_fft = max(OLA_FFT_LEN, _fft_length(2 * taps - 1))
+        kernel_spec = _rfft(kernel, n_fft, np.empty(n_fft // 2 + 1, dtype=np.complex128))
+        spectrum = np.empty_like(kernel_spec)
+        block = np.empty(n_fft)
+        # a block of step inputs convolves into n_fft outputs
+        step = n_fft - taps + 1
+        for start in range(max(lo - taps + 1, 0), hi, step):
+            nonzero = np.flatnonzero(signal[start : min(start + step, hi)])
+            if nonzero.size == 0:
+                continue
+            first = start + nonzero[0]
+            segment = signal[first : start + nonzero[-1] + 1]
+            _rfft(segment, n_fft, spectrum)
+            np.multiply(spectrum, kernel_spec, out=spectrum)
+            _irfft(spectrum, n_fft, block)
+            out_lo, out_hi = max(first, lo), min(first + segment.size + taps - 1, hi)
+            out[out_lo:out_hi] += block[out_lo - first : out_hi - first]
         lo = hi
     return out
 
@@ -279,19 +294,23 @@ def _speech_shaped_bursts(n: int, rng: np.random.Generator, span: tuple[float, f
     gates = _band_gates(n, rng)
     # freqs ascend, so the bins in [edges[b], edges[b + 1]) are one slice
     bounds = np.searchsorted(freqs, edges)
+    del freqs
 
+    # band b's spectrum is spectrum[:hi] with the bins below lo zeroed:
+    # the transform zero-pads the bins past hi, and the bands run in
+    # ascending order, zeroing their own bins once they are synthesised
+    spectrum[: bounds[0]] = 0.0
     out = np.zeros(n)
-    band = np.zeros_like(spectrum)
     carrier = np.empty(n)
     for b, gate in enumerate(gates):
         lo, hi = bounds[b], bounds[b + 1]
-        band[lo:hi] = spectrum[lo:hi]
-        _irfft(band, n, carrier)
-        band[lo:hi] = 0.0
+        _irfft(spectrum[:hi], n, carrier)
+        spectrum[lo:hi] = 0.0
         # out += (weight * gate) * carrier, in the gate's own memory
         gate *= 1.0 / math.sqrt(edges[b])
         gate *= carrier
         out += gate
+    del spectrum, carrier, gate
 
     out *= _talk_envelope(n, span)
     rms = math.sqrt(float(np.dot(out, out)) / n)
@@ -321,8 +340,9 @@ def mix_at_ser_snr(
     w = w_raw.samples * math.sqrt(es * 10.0 ** (-snr_db / 10.0) / ew)
     y_sig = Signal(frozen(y))
     w_sig = Signal(frozen(w))
-    m = Signal(frozen(s.samples + y + w))
-    return SceneComponents(s=s, y=y_sig, w=w_sig, m=m)
+    m = np.add(s.samples, y)
+    m += w
+    return SceneComponents(s=s, y=y_sig, w=w_sig, m=Signal(frozen(m)))
 
 
 def simulate_aec(m: Signal, x: Signal, spec: SceneSpec) -> tuple[Signal, Signal]:
@@ -348,9 +368,7 @@ def simulate_aec(m: Signal, x: Signal, spec: SceneSpec) -> tuple[Signal, Signal]
     fft_len = 2 * taps
     bins = taps + 1
     n_blocks = (n + taps - 1) // taps
-    padded = n_blocks * taps
-    xs = np.concatenate([np.zeros(taps), x.samples, np.zeros(padded - n)])
-    ms = np.concatenate([m.samples, np.zeros(padded - n)])
+    x_in, m_in = x.samples, m.samples
 
     h_bg = np.zeros(bins, dtype=np.complex128)
     h_fg = np.zeros_like(h_bg)
@@ -364,11 +382,26 @@ def simulate_aec(m: Signal, x: Signal, spec: SceneSpec) -> tuple[Signal, Signal]
     prod = np.empty_like(h_bg)
     spec_err = np.empty_like(h_bg)
     frame = np.empty(fft_len)
+    # block k reads x[start - taps : start + taps] and m[start : start + taps];
+    # the first block starts before x and a last block may end past n, so
+    # those two read zero-padded copies of interior blocks' lengths (only
+    # the last block reads m_pad, so its zero tail is never overwritten)
+    x_pad = np.empty(fft_len)
+    m_pad = np.zeros(taps)
     for _ in range(spec.aec_passes):
         for k in range(n_blocks):
             start = k * taps
-            _rfft(xs[start : start + fft_len], fft_len, spec_x)
-            blk_m = ms[start : start + taps]
+            blk_x = x_in[max(start - taps, 0) : start + taps]
+            if blk_x.size < fft_len:
+                lead = taps if k == 0 else 0
+                x_pad.fill(0.0)
+                x_pad[lead : lead + blk_x.size] = blk_x
+                blk_x = x_pad
+            blk_m = m_in[start : start + taps]
+            if blk_m.size < taps:
+                m_pad[: blk_m.size] = blk_m
+                blk_m = m_pad
+            _rfft(blk_x, fft_len, spec_x)
 
             np.multiply(spec_x, h_fg, out=prod)
             pred_fg = _irfft(prod, fft_len, frame)[taps:]
@@ -399,11 +432,7 @@ def simulate_aec(m: Signal, x: Signal, spec: SceneSpec) -> tuple[Signal, Signal]
                 h_fg = h_bg.copy()
             elif e_bg > 4.0 * e_fg:
                 h_bg = h_fg.copy()
-    # free the padded x before e is formed.  The padded m stays: freeing it
-    # too moves where the kept heap places later arrays, and a cold
-    # simulate of 8 x 10 s scenes then peaks about 1 MB higher in RSS
-    del xs
-    return Signal(frozen(y_hat)), Signal(frozen(m.samples - y_hat))
+    return Signal(frozen(y_hat)), Signal(frozen(m_in - y_hat))
 
 
 def generate_scene(spec: SceneSpec) -> SceneComponents:
@@ -465,9 +494,17 @@ def save_scene(components: SceneComponents, spec: SceneSpec, out_dir) -> dict:
     Returns the sidecar dict (spec fields and achieved SER/SNR).
     """
     os.makedirs(out_dir, exist_ok=True)
+    # the sidecar goes first and comes back last: a directory without one
+    # is no scene to manifest_from_scenes, so an overwrite that fails part
+    # way never pairs new WAVs with the old sidecar
+    sidecar_path = os.path.join(out_dir, "scene.json")
+    try:
+        os.unlink(sidecar_path)
+    except FileNotFoundError:
+        pass
     for name, sig in components.present().items():
         save_wav(sig, os.path.join(out_dir, _WAV_NAMES[name]))
     sidecar = {"spec": spec.to_dict(), "achieved": achieved_levels(components)}
     blob = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-    atomic_write_bytes(os.path.join(out_dir, "scene.json"), blob.encode())
+    atomic_write_bytes(sidecar_path, blob.encode())
     return sidecar

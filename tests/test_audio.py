@@ -1,3 +1,5 @@
+import errno
+import os
 import struct
 
 import numpy as np
@@ -12,6 +14,7 @@ from reseval import (
     save_wav,
 )
 from reseval.audio import frozen
+from reseval.common import atomic_write_bytes
 
 
 def write_pcm16(path, samples, rate=16000, channels=1):
@@ -121,6 +124,50 @@ class TestWavIO:
         path.write_bytes(b"NOTRIFF" + b"\x00" * 64)
         with pytest.raises(WavFormatError, match="not a RIFF/WAVE file"):
             load_wav(path)
+
+    @pytest.mark.parametrize("n", [1, 7, 160001])
+    def test_save_bytes_match_joined_construction(self, tmp_path, n):
+        """The header and the payload array are written as two chunks; the
+        file is the one a single joined bytes object made."""
+        sig = Signal(np.random.default_rng(n).uniform(-1, 1, n))
+        payload = sig.samples.astype("<f4").tobytes()
+        fmt = struct.pack("<HHIIHH", 3, 1, 16000, 16000 * 4, 4, 32)
+        body = b"".join([b"WAVE", b"fmt ", struct.pack("<I", len(fmt)), fmt,
+                         b"fact", struct.pack("<II", 4, n), b"data", struct.pack("<I", len(payload)), payload])
+        save_wav(sig, tmp_path / "s.wav")
+        assert (tmp_path / "s.wav").read_bytes() == b"RIFF" + struct.pack("<I", len(body)) + body
+
+    def test_chunked_write_error_names_path_and_removes_temp(self, tmp_path, monkeypatch):
+        real_fdopen = os.fdopen
+        written = []
+
+        class SecondWriteFails:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, chunk):
+                written.append(bytes(chunk))
+                if len(written) == 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(chunk)
+
+        monkeypatch.setattr(os, "fdopen", lambda fd, mode: SecondWriteFails(real_fdopen(fd, mode)))
+        target = tmp_path / "out.wav"
+        with pytest.raises(OSError) as info:
+            save_wav(Signal(np.zeros(100)), target)
+        assert (info.value.errno, info.value.filename) == (errno.ENOSPC, str(target))
+        assert len(written) == 2 and len(written[1]) == 400
+        assert list(tmp_path.iterdir()) == []
+
+    def test_atomic_write_joins_chunks_in_order(self, tmp_path):
+        atomic_write_bytes(tmp_path / "f", b"ab", np.arange(3, dtype="<i2"), memoryview(b"z"))
+        assert (tmp_path / "f").read_bytes() == b"ab\x00\x00\x01\x00\x02\x00z"
 
     def test_roundtrip_sine(self, tmp_path):
         t = np.arange(16000) / 16000.0

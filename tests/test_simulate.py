@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 
@@ -421,6 +422,25 @@ class TestScenePersistence:
         save_scene(generate_scene(spec), spec, tmp_path / "scene")
         sidecar = json.loads((tmp_path / "scene" / "scene.json").read_text())
         assert SceneSpec.from_dict(sidecar["spec"]) == spec
+
+    def test_failed_overwrite_leaves_no_sidecar(self, tmp_path, monkeypatch):
+        spec = SceneSpec(duration=2.5, seed=29)
+        comps = generate_scene(spec)
+        for name in ("a", "b"):
+            save_scene(comps, spec, tmp_path / name)
+        written = []
+
+        def third_write_fails(sig, path):
+            written.append(path)
+            if len(written) == 3:
+                raise OSError(errno.ENOSPC, "No space left on device", str(path))
+            rv.audio.save_wav(sig, path)
+
+        monkeypatch.setattr(rv.simulate, "save_wav", third_write_fails)
+        with pytest.raises(OSError):
+            save_scene(comps, spec, tmp_path / "a")
+        assert not (tmp_path / "a" / "scene.json").exists()
+        assert [entry.id for entry in manifest_from_scenes(tmp_path).entries] == ["b"]
 
     def test_missing_scene_dir(self, tmp_path):
         with pytest.raises(FileNotFoundError):
