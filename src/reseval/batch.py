@@ -2,9 +2,10 @@
 the simulate, suppress, evaluate and sweep runs.
 
 reseval.cli imports this module only when one of these commands runs,
-so --help and correlate never compile it.  Every entry is run in
-isolation: a failing entry is reported on one stderr line and the batch
-goes on, and the exit status is nonzero when any entry failed.
+so --help and correlate never compile it.  Every batch command runs its
+scenes or manifest entries through _run_batch, each in isolation: a
+failing item is reported on one stderr line and the batch goes on, and
+the exit status is nonzero when any item failed.
 
 Each function imports the compute modules it calls when it runs and
 looks each compute function up on its module at call time, where a
@@ -218,45 +219,46 @@ def _keep_freed_memory() -> None:
         mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
-def _map_entries(fn, items, jobs: int):
-    """Apply fn over items with bounded parallelism, preserving order."""
-    _keep_freed_memory()
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_keep_freed_memory) as pool:
-        return list(pool.map(fn, items))
-
-
 def _isolated(task):
-    """step(entry, *extra) -> (id, result, None), or (id, None, error line)."""
-    step, entry, *extra = task
+    """step(item, *extra) -> (result, None), or (None, error line)."""
+    step, item, *extra = task
     try:
-        return entry.id, step(entry, *extra), None
-    except Exception as exc:  # per-entry isolation
-        return entry.id, None, f"{type(exc).__name__}: {exc}"
+        return step(item, *extra), None
+    except Exception as exc:  # per-item isolation
+        return None, f"{type(exc).__name__}: {exc}"
 
 
-def _run_batch(command: str, step, entries, *extra, jobs: int = 1):
-    """Run step over the entries in order; failures are reported, not raised.
+def _run_batch(command: str, step, items, *extra, jobs: int = 1):
+    """Run step(item, *extra) over the (id, item) pairs in order, in up to
+    jobs processes; failures are reported, not raised.
 
     Returns ({id: result}, {id: error}) and prints one
-    "<command>: <id>: <error>" line per failed entry to stderr.
+    "<command>: <id>: <error>" line per failed item to stderr.
     """
+    _keep_freed_memory()
+    tasks = [(step, item, *extra) for _, item in items]
+    if jobs <= 1 or len(tasks) <= 1:
+        outcomes = [_isolated(task) for task in tasks]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_keep_freed_memory) as pool:
+            outcomes = list(pool.map(_isolated, tasks))
     results, errors = {}, {}
-    for eid, result, err in _map_entries(_isolated, [(step, entry, *extra) for entry in entries], jobs):
+    for (item_id, _), (result, err) in zip(items, outcomes):
         if err is None:
-            results[eid] = result
+            results[item_id] = result
         else:
-            errors[eid] = err
-            print(f"{command}: {eid}: {err}", file=sys.stderr)
+            errors[item_id] = err
+            print(f"{command}: {item_id}: {err}", file=sys.stderr)
     return results, errors
 
 
 def _load_scene_specs(path, count: int, seed: int) -> list[SceneSpec]:
     from .simulate import SceneSpec
 
+    if count < 1:
+        raise ValueError(f"invalid scene spec: --count must be >= 1, got {count}")
     raw = _read_json(path)
     if not isinstance(raw, dict):
         raise ValueError(f"invalid scene spec: {path}: must be a JSON object")
@@ -283,22 +285,25 @@ def _simulate_one(task):
     from .simulate import generate_scene, save_scene
 
     spec, scene_dir = task
+    # a scene that fails leaves no older scene in its place for manifest_from_scenes
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(os.path.join(scene_dir, "scene.json"))
     save_scene(generate_scene(spec), spec, scene_dir)
 
 
-def _simulate_scenes(args, out_dir, jobs: int = 1) -> int:
-    """Write the --spec/--count/--seed scenes as out_dir/scene_NNNN."""
+def _simulate_scenes(command: str, args, out_dir, jobs: int = 1):
+    """Write the --spec/--count/--seed scenes as out_dir/scene_NNNN; _run_batch's results."""
     specs = _load_scene_specs(args.spec, args.count, _default_seed(args))
     os.makedirs(out_dir, exist_ok=True)
-    tasks = [(spec, os.path.join(out_dir, f"scene_{i:04d}")) for i, spec in enumerate(specs)]
-    _map_entries(_simulate_one, tasks, jobs)
-    return len(specs)
+    ids = [f"scene_{i:04d}" for i in range(len(specs))]
+    items = [(sid, (spec, os.path.join(out_dir, sid))) for sid, spec in zip(ids, specs)]
+    return _run_batch(command, _simulate_one, items, jobs=jobs)
 
 
 def run_simulate(args) -> int:
-    count = _simulate_scenes(args, args.out, args.jobs)
-    print(f"simulate: wrote {count} scenes to {args.out}")
-    return 0
+    written, errors = _simulate_scenes("simulate", args, args.out, args.jobs)
+    print(f"simulate: {len(written)} ok, {len(errors)} failed -> {args.out}")
+    return 1 if errors else 0
 
 
 def _suppress_entry(entry, config, out_dir):
@@ -323,8 +328,8 @@ def run_suppress(args) -> int:
     config = SuppressorConfig(beta=beta, floor=args.floor)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-    written, errors = _run_batch("suppress", _suppress_entry, manifest.entries, config, args.out,
-                                 jobs=args.jobs)
+    written, errors = _run_batch("suppress", _suppress_entry, [(e.id, e) for e in manifest.entries],
+                                 config, args.out, jobs=args.jobs)
     for entry in manifest.entries:
         if entry.id in written:
             entry.paths["s_hat"] = written[entry.id]
@@ -386,7 +391,7 @@ def run_evaluate(args) -> int:
 
     manifest = _resolve_manifest(args)
     os.makedirs(args.out, exist_ok=True)
-    reports, errors = _run_batch("evaluate", _evaluate_entry, manifest.entries,
+    reports, errors = _run_batch("evaluate", _evaluate_entry, [(e.id, e) for e in manifest.entries],
                                  manifest.threshold_db, manifest.clamp_db, jobs=args.jobs)
     for eid, report in reports.items():
         report.write_csv(os.path.join(args.out, f"frames_{eid}.csv"))
@@ -455,15 +460,16 @@ def run_sweep(args) -> int:
     # before --spec simulates anything
     _check_levels(args.threshold_db, args.clamp_db)
     with contextlib.ExitStack() as stack:
-        scenes_dir = None
+        scenes_dir, scene_errors = None, {}
         if args.spec:
             scenes_dir = args.scenes_dir or stack.enter_context(
                 tempfile.TemporaryDirectory(prefix="reseval-sweep-"))
-            _simulate_scenes(args, scenes_dir)
+            _, scene_errors = _simulate_scenes("sweep", args, scenes_dir)
         manifest = _resolve_manifest(args, scenes_dir)
         groups = {e.id: _group_of(e, args.group_by) for e in manifest.entries} if args.group_by else {}
-        reports, errors = _run_batch("sweep", _sweep_entry, manifest.entries, configs,
+        reports, errors = _run_batch("sweep", _sweep_entry, [(e.id, e) for e in manifest.entries], configs,
                                      manifest.threshold_db, manifest.clamp_db)
+        errors = {**scene_errors, **errors}
 
     rows = []
     for group in sorted({groups.get(eid) for eid in reports}, key=lambda v: (str(type(v)), v)):

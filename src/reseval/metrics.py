@@ -120,11 +120,6 @@ def _energy_ratio(num_frame, den_frame, clamp_db: float) -> float:
     return float(_energy_ratio_rows(_row_energy(num), den, clamp_db)[0])
 
 
-def ratio_db(num: float, den: float, clamp_db: float = CLAMP_DB) -> float:
-    """Clamped 10*log10(num/den) with the shared floor convention."""
-    return float(_ratio_rows(np.array([num], dtype=float), np.array([den], dtype=float), clamp_db)[0])
-
-
 def compute_gain(s_hat_frame, e_frame) -> np.ndarray:
     """Per-sample suppressor gain s_hat/e with the denominator floored.
 

@@ -451,6 +451,10 @@ def generate_scene(spec: SceneSpec) -> SceneComponents:
         n = len(s_raw)
     else:
         n = spec.n_samples
+        # the talk pattern repeats every cycle, so its first cycle shows whether the near end talks
+        if not _talk_envelope(min(n, round(TALK_CYCLE_S * SAMPLE_RATE)), NEAR_SPAN).any():
+            raise ValueError(f"duration {spec.duration} s has no near-end talk: "
+                             f"the near end starts talking at {NEAR_SPAN[0]} s")
         s_raw = _speech_shaped_bursts(n, _rng(spec.seed, _STREAM_NEAR), NEAR_SPAN)
         x_raw = _speech_shaped_bursts(n, _rng(spec.seed, _STREAM_FAR), FAR_SPAN)
 

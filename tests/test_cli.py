@@ -24,6 +24,8 @@ from reseval.batch import Manifest, ManifestEntry, manifest_from_scenes
 from reseval.cli import build_parser, main
 
 SPEC = {"duration": 2.5, "ser_db": 0.0, "snr_db": 30.0}
+# the middle scene ends before the near end first talks
+BAD_SCENE_SPEC = {"duration": [3.0, 1.0, 3.0]}
 
 
 def run(*argv):
@@ -131,6 +133,40 @@ class TestSimulate:
         assert run("simulate", "--spec", spec, "--out", tmp_path / "env", "--count", 1) == 0
         sidecar = json.loads((tmp_path / "env" / "scene_0000" / "scene.json").read_text())
         assert sidecar["spec"]["seed"] == 42
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_scene_isolated(self, tmp_path, capsys, jobs):
+        """A scene with no near-end talk fails alone: the others are written as a healthy run writes them."""
+        good = write_spec(tmp_path, {"duration": 3.0}, name="good.json")
+        bad = write_spec(tmp_path, BAD_SCENE_SPEC, name="bad.json")
+        assert run("simulate", "--spec", good, "--out", tmp_path / "good", "--count", 3, "--seed", 4) == 0
+        capsys.readouterr()
+        assert run("simulate", "--spec", bad, "--out", tmp_path / "bad", "--count", 3, "--seed", 4,
+                   "--jobs", jobs) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line == ("simulate: scene_0001: ValueError: duration 1.0 s has no near-end talk: "
+                        "the near end starts talking at 1.0 s")
+        assert captured.out == f"simulate: 2 ok, 1 failed -> {tmp_path / 'bad'}\n"
+        for name in ("scene_0000", "scene_0002"):
+            assert dir_bytes(tmp_path / "bad" / name) == dir_bytes(tmp_path / "good" / name)
+        assert not (tmp_path / "bad" / "scene_0001" / "scene.json").exists()
+
+    def test_failed_scene_leaves_no_older_scene_in_its_place(self, tmp_path):
+        good = write_spec(tmp_path, {"duration": 3.0}, name="good.json")
+        bad = write_spec(tmp_path, BAD_SCENE_SPEC, name="bad.json")
+        assert run("simulate", "--spec", good, "--out", tmp_path / "out", "--count", 3, "--seed", 4) == 0
+        assert run("simulate", "--spec", bad, "--out", tmp_path / "out", "--count", 3, "--seed", 4) == 1
+        assert [e.id for e in manifest_from_scenes(tmp_path / "out").entries] == ["scene_0000", "scene_0002"]
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_rejected(self, tmp_path, monkeypatch, capsys, count):
+        calls = []
+        monkeypatch.setattr(rv.simulate, "generate_scene", lambda spec: calls.append(spec))
+        assert run("simulate", "--spec", write_spec(tmp_path), "--count", count, "--out", tmp_path / "x") == 2
+        assert capsys.readouterr().err == f"error: invalid scene spec: --count must be >= 1, got {count}\n"
+        assert calls == []
+        assert not os.path.exists(tmp_path / "x")
 
 
 class TestSuppress:
@@ -315,6 +351,16 @@ class TestSweep:
         with open(out, newline="") as fh:
             assert len(list(csv.DictReader(fh))) == 2
 
+    def test_spec_sweep_pools_only_healthy_scenes(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert run("sweep", "--spec", write_spec(tmp_path, BAD_SCENE_SPEC), "--count", 3, "--seed", 4,
+                   "--alphas", "0,1", "--out", out) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("sweep: scene_0001: ValueError: duration 1.0 s has no near-end talk")
+        assert captured.out == f"sweep: 2 rows, 2 ok, 1 failed -> {out}\n"
+        assert [r["n_scenes"] for r in read_rows(out)] == ["2", "2"]
+
     def test_manifest_driven_sweep(self, scene_dir, tmp_path):
         manifest_path = tmp_path / "m.json"
         manifest_from_scenes(scene_dir).write_json(manifest_path)
@@ -437,7 +483,9 @@ def test_meaningless_clamp_or_threshold_rejected_before_any_entry(scene_dir, tmp
 @pytest.mark.parametrize("flags,match", [
     (["--clamp-db", -5], "clamp_db must be finite and > 0, got -5.0"),
     (["--threshold-db", "nan"], "threshold_db must be finite, got nan"),
-], ids=["clamp-negative", "threshold-nan"])
+    (["--count", 0], "invalid scene spec: --count must be >= 1, got 0"),
+    (["--count", -3], "invalid scene spec: --count must be >= 1, got -3"),
+], ids=["clamp-negative", "threshold-nan", "count-zero", "count-negative"])
 def test_sweep_spec_rejects_meaningless_flag_before_simulating(tmp_path, monkeypatch, capsys, flags, match):
     generate_scene = rv.simulate.generate_scene
     calls = []
@@ -752,6 +800,13 @@ def test_no_module_holds_a_cache():
     assert cached == []
 
 
+def test_every_exported_name_resolves():
+    """__all__ is built from the _EXPORTS map, so a name deleted from its module must leave the map too."""
+    assert rv.__all__
+    for name in rv.__all__:
+        assert getattr(rv, name) is getattr(importlib.import_module(f"reseval.{rv._MODULE_OF[name]}"), name)
+
+
 def test_cli_imports_only_what_the_command_runs(tmp_path):
     """A fresh interpreter: importing the CLI loads no numpy, dataclasses, ctypes, json, csv,
     process pool, batch or compute module, and correlate runs without numpy, dataclasses,
@@ -850,7 +905,7 @@ def test_kept_memory_serves_the_next_array_without_page_faults():
     assert int(proc.stdout.splitlines()[-1]) < 50
 
 
-def test_map_entries_keeps_freed_memory_in_every_process(monkeypatch):
+def test_run_batch_keeps_freed_memory_in_every_process(monkeypatch):
     import concurrent.futures
 
     kept, pools = [], []
@@ -870,9 +925,10 @@ def test_map_entries_keeps_freed_memory_in_every_process(monkeypatch):
 
     monkeypatch.setattr(batch, "_keep_freed_memory", lambda: kept.append(True))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    assert batch._map_entries(abs, [-1, -2], 1) == [1, 2]
+    items = [("a", -1), ("b", -2)]
+    assert batch._run_batch("abs", abs, items, jobs=1) == ({"a": 1, "b": 2}, {})
     assert (len(kept), pools) == (1, [])
-    assert batch._map_entries(abs, [-1, -2], 2) == [1, 2]
+    assert batch._run_batch("abs", abs, items, jobs=2) == ({"a": 1, "b": 2}, {})
     assert (len(kept), pools) == (2, [{"max_workers": 2, "initializer": batch._keep_freed_memory}])
 
 

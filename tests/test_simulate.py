@@ -1,6 +1,7 @@
 import errno
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -402,6 +403,28 @@ class TestGenerateScene:
     def test_wav_mode_requires_paths(self):
         with pytest.raises(ValueError, match="near_wav"):
             SceneSpec(source_mode="wav")
+
+    # the near end's ramp starts at 1.0 s with a zero sample, so 16,001 samples hold no talk
+    @pytest.mark.parametrize("n", [1, 16000, 16001, 16002, 40000])
+    def test_scene_without_near_end_talk_rejected_before_any_transform(self, monkeypatch, n):
+        class SourceBuilt(Exception):
+            pass
+
+        def bursts(*args):
+            raise SourceBuilt
+
+        monkeypatch.setattr(rv.simulate, "_speech_shaped_bursts", bursts)
+        spec = SceneSpec(duration=n / SAMPLE_RATE)
+        if talk_envelope_oracle(n, NEAR_SPAN).any():
+            assert n > 16001
+            with pytest.raises(SourceBuilt):
+                generate_scene(spec)
+        else:
+            assert n <= 16001
+            message = (f"duration {spec.duration} s has no near-end talk: "
+                       f"the near end starts talking at {NEAR_SPAN[0]} s")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                generate_scene(spec)
 
 
 class TestScenePersistence:
