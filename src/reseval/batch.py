@@ -118,6 +118,19 @@ def _parse_entry(item, base: str) -> ManifestEntry:
     return ManifestEntry(id=str(item["id"]), paths=paths, tags=tags)
 
 
+def _scene_entry(name: str, scene_dir, sidecar: dict) -> ManifestEntry:
+    """A scene directory's entry: its WAVs, tagged with its sidecar's spec and achieved_* levels."""
+    paths = {}
+    for key, fname in _WAV_NAMES.items():
+        p = os.path.join(scene_dir, fname)
+        if os.path.exists(p):
+            paths[key] = p
+    tags = dict(sidecar.get("spec", {}))
+    for key, value in sidecar.get("achieved", {}).items():
+        tags[f"achieved_{key}"] = value
+    return ManifestEntry(id=name, paths=paths, tags=tags)
+
+
 def manifest_from_scenes(scenes_dir) -> Manifest:
     """Build a manifest from a directory of scene subdirectories."""
     names = sorted(
@@ -129,16 +142,7 @@ def manifest_from_scenes(scenes_dir) -> Manifest:
     entries = []
     for name in names:
         scene_dir = os.path.join(scenes_dir, name)
-        sidecar = _read_json(os.path.join(scene_dir, "scene.json"))
-        paths = {}
-        for key, fname in _WAV_NAMES.items():
-            p = os.path.join(scene_dir, fname)
-            if os.path.exists(p):
-                paths[key] = p
-        tags = dict(sidecar.get("spec", {}))
-        for key, value in sidecar.get("achieved", {}).items():
-            tags[f"achieved_{key}"] = value
-        entries.append(ManifestEntry(id=name, paths=paths, tags=tags))
+        entries.append(_scene_entry(name, scene_dir, _read_json(os.path.join(scene_dir, "scene.json"))))
     return Manifest(entries=entries)
 
 
@@ -150,31 +154,26 @@ def _read_json(path):
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
 
 
-def _resolve_manifest(args, scenes_dir=None) -> Manifest:
-    """The batch of --manifest or --scenes, or of scenes_dir when given."""
-    if scenes_dir is None and args.manifest:
-        manifest = Manifest.from_json(args.manifest)
-    elif scenes_dir or args.scenes:
-        manifest = manifest_from_scenes(scenes_dir or args.scenes)
-    else:
-        raise ValueError("need --manifest or --scenes")
+def _resolve_manifest(args) -> Manifest:
+    """The batch of --manifest or --scenes, with the levels of args applied."""
+    manifest = Manifest.from_json(args.manifest) if args.manifest else manifest_from_scenes(args.scenes)
     if not manifest.entries:
         raise ValueError("no entries")
+    return _with_levels(manifest, args)
+
+
+def _with_levels(manifest: Manifest, args) -> Manifest:
+    """manifest with the --threshold-db and --clamp-db given; a threshold that is
+    not finite, or a clamp that is not finite and > 0, is rejected."""
     if getattr(args, "threshold_db", None) is not None:
         manifest.threshold_db = args.threshold_db
     if getattr(args, "clamp_db", None) is not None:
         manifest.clamp_db = args.clamp_db
-    _check_levels(manifest.threshold_db, manifest.clamp_db)
+    if not math.isfinite(manifest.threshold_db):
+        raise ValueError(f"threshold_db must be finite, got {manifest.threshold_db}")
+    if not 0 < manifest.clamp_db < math.inf:
+        raise ValueError(f"clamp_db must be finite and > 0, got {manifest.clamp_db}")
     return manifest
-
-
-def _check_levels(threshold_db: float | None, clamp_db: float | None) -> None:
-    """Reject a threshold that is not finite and a clamp that is not finite
-    and > 0; None is a value not given."""
-    if threshold_db is not None and not math.isfinite(threshold_db):
-        raise ValueError(f"threshold_db must be finite, got {threshold_db}")
-    if clamp_db is not None and not 0 < clamp_db < math.inf:
-        raise ValueError(f"clamp_db must be finite and > 0, got {clamp_db}")
 
 
 def _default_seed(args) -> int:
@@ -262,37 +261,32 @@ def _load_scene_specs(path, count: int, seed: int) -> list[SceneSpec]:
     raw = _read_json(path)
     if not isinstance(raw, dict):
         raise ValueError(f"invalid scene spec: {path}: must be a JSON object")
-    list_fields = {}
-    scalar = {}
+    if "seed" in raw:
+        raise ValueError(f"invalid scene spec: field 'seed' is set by --seed or ${SEED_ENV_VAR}")
     for key, value in raw.items():
-        if isinstance(value, list):
-            if not value:
-                raise ValueError(f"invalid scene spec: field {key!r} is an empty list")
-            list_fields[key] = value
-        else:
-            scalar[key] = value
+        if value == []:
+            raise ValueError(f"invalid scene spec: field {key!r} is an empty list")
     specs = []
     for i in range(count):
-        data = dict(scalar)
-        for key, values in list_fields.items():
-            data[key] = values[i % len(values)]
-        data["seed"] = seed + i
-        specs.append(SceneSpec.from_dict(data))
+        # scene i takes item i, cycled, of each list field
+        data = {k: v[i % len(v)] if isinstance(v, list) else v for k, v in raw.items()}
+        specs.append(SceneSpec.from_dict({**data, "seed": seed + i}))
     return specs
 
 
-def _simulate_one(task):
+def _simulate_one(task) -> ManifestEntry:
     from .simulate import generate_scene, save_scene
 
     spec, scene_dir = task
     # a scene that fails leaves no older scene in its place for manifest_from_scenes
     with contextlib.suppress(FileNotFoundError):
         os.unlink(os.path.join(scene_dir, "scene.json"))
-    save_scene(generate_scene(spec), spec, scene_dir)
+    sidecar = save_scene(generate_scene(spec), spec, scene_dir)
+    return _scene_entry(os.path.basename(scene_dir), scene_dir, sidecar)
 
 
 def _simulate_scenes(command: str, args, out_dir, jobs: int = 1):
-    """Write the --spec/--count/--seed scenes as out_dir/scene_NNNN; _run_batch's results."""
+    """Write the --spec/--count/--seed scenes as out_dir/scene_NNNN; their entries and errors by id."""
     specs = _load_scene_specs(args.spec, args.count, _default_seed(args))
     os.makedirs(out_dir, exist_ok=True)
     ids = [f"scene_{i:04d}" for i in range(len(specs))]
@@ -457,15 +451,17 @@ def run_sweep(args) -> int:
         raise IsADirectoryError(f"{args.out}: is a directory")
     if not os.path.isdir(os.path.dirname(args.out) or "."):
         raise FileNotFoundError(f"{args.out}: no such directory to write it in")
-    # before --spec simulates anything
-    _check_levels(args.threshold_db, args.clamp_db)
     with contextlib.ExitStack() as stack:
-        scenes_dir, scene_errors = None, {}
         if args.spec:
+            # the levels are checked before any scene is simulated
+            manifest = _with_levels(Manifest([]), args)
             scenes_dir = args.scenes_dir or stack.enter_context(
                 tempfile.TemporaryDirectory(prefix="reseval-sweep-"))
-            _, scene_errors = _simulate_scenes("sweep", args, scenes_dir)
-        manifest = _resolve_manifest(args, scenes_dir)
+            simulated, scene_errors = _simulate_scenes("sweep", args, scenes_dir)
+            # only the scenes simulated here, however many scenes_dir holds
+            manifest.entries = list(simulated.values())
+        else:
+            manifest, scene_errors = _resolve_manifest(args), {}
         groups = {e.id: _group_of(e, args.group_by) for e in manifest.entries} if args.group_by else {}
         reports, errors = _run_batch("sweep", _sweep_entry, [(e.id, e) for e in manifest.entries], configs,
                                      manifest.threshold_db, manifest.clamp_db)

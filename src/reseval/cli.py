@@ -91,18 +91,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("suppress", help="run the reference suppressor over a batch")
-    p.add_argument("--manifest", help="manifest JSON")
-    p.add_argument("--scenes", help="directory of scene subdirectories")
-    p.add_argument("--beta", type=float, default=1.0, help="over-suppression factor (>= 1)")
-    p.add_argument("--alpha", type=float, default=None, help="tradeoff weight mapped to beta")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--manifest", help="manifest JSON")
+    g.add_argument("--scenes", help="directory of scene subdirectories")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--beta", type=float, default=1.0, help="over-suppression factor (>= 1)")
+    g.add_argument("--alpha", type=float, default=None, help="tradeoff weight mapped to beta")
     p.add_argument("--floor", type=float, default=0.02, help="spectral gain floor")
     p.add_argument("--out", help="output directory (default: shat.wav beside each scene's e.wav)")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p.set_defaults(func=cmd_suppress)
 
     p = sub.add_parser("evaluate", help="compute metric reports over a batch")
-    p.add_argument("--manifest", help="manifest JSON")
-    p.add_argument("--scenes", help="directory of scene subdirectories")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--manifest", help="manifest JSON")
+    g.add_argument("--scenes", help="directory of scene subdirectories")
     p.add_argument("--out", required=True, help="output directory for frame CSVs and report.json")
     p.add_argument("--threshold-db", type=float, default=None, dest="threshold_db",
                    help=f"activity threshold (default {DEFAULT_THRESHOLD_DB})")
@@ -112,12 +115,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep", help="tradeoff table over an alpha sweep")
-    p.add_argument("--spec", help="JSON scene spec to simulate scenes from")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--spec", help="JSON scene spec to simulate scenes from")
+    g.add_argument("--manifest", help="manifest JSON")
+    g.add_argument("--scenes", help="directory of scene subdirectories")
     p.add_argument("--count", type=int, default=20, help="scenes to simulate with --spec")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--scenes-dir", dest="scenes_dir", help="keep simulated scenes here")
-    p.add_argument("--manifest", help="manifest JSON (alternative to --spec)")
-    p.add_argument("--scenes", help="scene directory (alternative to --spec)")
+    p.add_argument("--scenes-dir", dest="scenes_dir", help="keep the scenes simulated with --spec here")
     p.add_argument("--alphas", required=True, help="comma-separated ascending alphas")
     p.add_argument("--out", required=True, help="output CSV table")
     p.add_argument("--floor", type=float, default=0.02)

@@ -7,7 +7,7 @@ gives exact weighted overlap-add reconstruction on the interior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,17 +35,12 @@ class FrameGrid:
     """Frame lattice over a signal: frame i covers [i*HOP, i*HOP + FRAME_LEN)."""
 
     signal_len: int
-    n_frames: int
+    n_frames: int = field(init=False)
 
     def __post_init__(self):
         if self.signal_len < 0:
             raise ValueError("signal_len must be >= 0")
-        expected = _frame_count(self.signal_len)
-        if self.n_frames != expected:
-            raise ValueError(
-                f"n_frames {self.n_frames} inconsistent with signal_len "
-                f"{self.signal_len} (expected {expected})"
-            )
+        object.__setattr__(self, "n_frames", _frame_count(self.signal_len))
 
     def frame_matrix(self, samples: np.ndarray) -> np.ndarray:
         """View of shape (n_frames, FRAME_LEN) over the sample array."""
@@ -66,7 +61,7 @@ def _frame_count(signal_len: int) -> int:
 
 def make_grid(signal_len: int) -> FrameGrid:
     """Build the 20 ms / 50%-overlap grid for a signal length in samples."""
-    return FrameGrid(signal_len=int(signal_len), n_frames=_frame_count(int(signal_len)))
+    return FrameGrid(signal_len=int(signal_len))
 
 
 def _grid_of_full_frames(signal_len: int) -> FrameGrid:

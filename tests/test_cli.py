@@ -101,8 +101,11 @@ class TestSimulate:
         ("aec", 256, "invalid scene spec: field 'aec' must be an object"),
         ("aec", {"tap": 256}, "invalid scene spec: unknown field 'aec.tap'"),
         ("ser_db", [], "invalid scene spec: field 'ser_db' is an empty list"),
+        ("seed", 42, "invalid scene spec: field 'seed' is set by --seed or $RES_EVAL_SEED"),
+        ("seed", [1, 2], "invalid scene spec: field 'seed' is set by --seed or $RES_EVAL_SEED"),
     ], ids=["duration-text", "duration-inf", "clip_hardness-inf", "t60-inf", "snr_db-minus-inf", "ser_db-nan",
-            "rir_len-inf", "unknown-field", "aec-not-an-object", "unknown-aec-key", "empty-list"])
+            "rir_len-inf", "unknown-field", "aec-not-an-object", "unknown-aec-key", "empty-list", "seed",
+            "seed-list"])
     def test_invalid_spec_field_reported(self, tmp_path, capsys, command, field, value, match):
         spec = write_spec(tmp_path, {**SPEC, field: value})
         argv = {"simulate": ["--out", tmp_path / "x"],
@@ -360,6 +363,29 @@ class TestSweep:
         assert line.startswith("sweep: scene_0001: ValueError: duration 1.0 s has no near-end talk")
         assert captured.out == f"sweep: 2 rows, 2 ok, 1 failed -> {out}\n"
         assert [r["n_scenes"] for r in read_rows(out)] == ["2", "2"]
+
+    def test_spec_sweep_pools_no_scene_it_did_not_simulate(self, tmp_path, capsys):
+        spec, keep = write_spec(tmp_path), tmp_path / "keep"
+        for count in (3, 1):
+            assert run("sweep", "--spec", spec, "--count", count, "--seed", 4, "--alphas", "0",
+                       "--scenes-dir", keep, "--out", tmp_path / f"t{count}.csv") == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"sweep: 1 rows, 1 ok, 0 failed -> {tmp_path / 't1.csv'}"
+        assert [r["n_scenes"] for r in read_rows(tmp_path / "t1.csv")] == ["1"]
+        # the older scenes stay on disk
+        assert sorted(os.listdir(keep)) == ["scene_0000", "scene_0001", "scene_0002"]
+
+    def test_spec_sweep_with_every_scene_failed_writes_header_only(self, tmp_path, scene_dir, capsys):
+        out = tmp_path / "t.csv"
+        assert run("sweep", "--spec", write_spec(tmp_path, {"duration": 1.0}), "--count", 2, "--alphas", "0,1",
+                   "--out", out) == 1
+        captured = capsys.readouterr()
+        assert [line.split(": ")[:2] for line in captured.err.splitlines()] == [
+            ["sweep", "scene_0000"], ["sweep", "scene_0001"]]
+        assert "reseval-sweep-" not in captured.err
+        assert captured.out == f"sweep: 0 rows, 0 ok, 2 failed -> {out}\n"
+        # the same header as a sweep whose scenes are healthy
+        assert run("sweep", "--scenes", scene_dir, "--alphas", "0", "--out", tmp_path / "ok.csv") == 0
+        assert out.read_text() == (tmp_path / "ok.csv").read_text().splitlines(keepends=True)[0]
 
     def test_manifest_driven_sweep(self, scene_dir, tmp_path):
         manifest_path = tmp_path / "m.json"
@@ -688,13 +714,23 @@ def test_readme_library_example_runs(capsys):
 
 
 def test_readme_flag_table_matches_parser():
+    """Each row lists exactly its command's options, and its "a or b" items are
+    exactly the command's mutually exclusive flags."""
     readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
-    table = {m.group(1): set(re.findall(r"`(--[a-z-]+)`", m.group(2)))
-             for m in re.finditer(r"^\| `(\w+)` \| (.*) \|$", readme, re.MULTILINE)}
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", readme, re.MULTILINE))
+    table = {name: set(re.findall(r"`(--[a-z-]+)`", row)) for name, row in rows.items()}
+    # an item is a comma-separated part of the row, a parenthesis left out
+    exclusive = {name: {frozenset(re.findall(r"`(--[a-z-]+)`", item))
+                        for item in re.sub(r" \(.*?\)", "", row).split(", ") if " or " in item}
+                 for name, row in rows.items()}
     (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     options = {name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
                for name, sub in commands.choices.items()}
+    groups = {name: {frozenset(opt for action in group._group_actions for opt in action.option_strings)
+                     for group in sub._mutually_exclusive_groups}
+              for name, sub in commands.choices.items()}
     assert table == options
+    assert exclusive == groups
 
 
 def test_nothing_keeps_a_scene_alive(scene_dir, tmp_path, monkeypatch):
@@ -854,6 +890,32 @@ def test_suppress_and_sweep_leave_numpy_ma_unimported(scene_dir, tmp_path):
     assert len(read_rows(tmp_path / "sweep.csv")) == 2
 
 
+@pytest.mark.parametrize("argv,conflict", [
+    (["sweep", "--spec", "spec.json", "--scenes", "scenes", "--alphas", "0", "--out", "t.csv"],
+     "argument --scenes: not allowed with argument --spec"),
+    (["evaluate", "--manifest", "m.json", "--scenes", "scenes", "--out", "r"],
+     "argument --scenes: not allowed with argument --manifest"),
+    (["suppress", "--scenes", "scenes", "--alpha", "0.5", "--beta", "3"],
+     "argument --beta: not allowed with argument --alpha"),
+], ids=["sweep-spec-and-scenes", "evaluate-manifest-and-scenes", "suppress-alpha-and-beta"])
+def test_exclusive_flags_rejected_before_any_entry(scene_dir, tmp_path, monkeypatch, capsys, argv, conflict):
+    shutil.copytree(scene_dir, tmp_path / "scenes")
+    write_spec(tmp_path)
+    manifest_from_scenes(tmp_path / "scenes").write_json(tmp_path / "m.json")
+    monkeypatch.chdir(tmp_path)
+    before = dir_bytes(tmp_path)
+    calls = []
+    for module, name in (("simulate", "generate_scene"), ("suppressor", "oracle_suppress"),
+                         ("activity", "classify")):
+        monkeypatch.setattr(getattr(rv, module), name, lambda *a, **k: calls.append(a))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"reseval {argv[0]}: error: {conflict}"
+    assert calls == []
+    assert dir_bytes(tmp_path) == before
+
+
 def test_main_reaches_each_command_through_its_cli_function(tmp_path, monkeypatch):
     """Every subcommand runs reseval.cli.cmd_<name>, looked up when the parser is built,
     so a wrapper set on that attribute (as bench/tracer.py sets one) sees the call."""
@@ -864,7 +926,7 @@ def test_main_reaches_each_command_through_its_cli_function(tmp_path, monkeypatc
         assert sub.get_default("func") is fn, name
     calls = []
     monkeypatch.setattr(cli, "cmd_sweep", lambda args: calls.append(args) or 7)
-    assert main(["sweep", "--alphas", "0", "--out", str(tmp_path / "t.csv")]) == 7
+    assert main(["sweep", "--scenes", "x", "--alphas", "0", "--out", str(tmp_path / "t.csv")]) == 7
     assert [(args.command, args.alphas) for args in calls] == [("sweep", "0")]
     assert not (tmp_path / "t.csv").exists()
 

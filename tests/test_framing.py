@@ -11,7 +11,6 @@ from reseval.framing import (
     FRAME_LEN,
     HOP,
     _WINDOW,
-    FrameGrid,
     Spectrogram,
     gain_envelope,
     spectral_energy,
@@ -41,10 +40,6 @@ class TestGrid:
             np.testing.assert_array_equal(frames[i], x[i * HOP : i * HOP + FRAME_LEN])
         n = frames.shape[0]
         assert (n - 1) * HOP + FRAME_LEN <= 800 < n * HOP + FRAME_LEN
-
-    def test_inconsistent_grid_rejected(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            FrameGrid(signal_len=800, n_frames=7)
 
     def test_frame_matrix(self):
         x = np.arange(800, dtype=float)
