@@ -76,9 +76,12 @@ class Manifest:
                 entries.append(_parse_entry(item, base))
             except ValueError as exc:
                 raise ValueError(f"{path}: entry {idx}: {exc}") from None
+        levels = (options.get("threshold_db", DEFAULT_THRESHOLD_DB), options.get("clamp_db", CLAMP_DB))
         try:
-            threshold_db = float(options.get("threshold_db", DEFAULT_THRESHOLD_DB))
-            clamp_db = float(options.get("clamp_db", CLAMP_DB))
+            # float() would read a JSON true as 1.0
+            if any(isinstance(level, bool) for level in levels):
+                raise TypeError
+            threshold_db, clamp_db = (float(level) for level in levels)
         except (TypeError, ValueError):
             raise ValueError(f"{path}: options 'threshold_db' and 'clamp_db' must be numbers") from None
         return cls(entries=entries, threshold_db=threshold_db, clamp_db=clamp_db)
@@ -105,6 +108,13 @@ def _parse_entry(item, base: str) -> ManifestEntry:
         raise ValueError(f"must be an object, got {type(item).__name__}")
     if "id" not in item:
         raise ValueError("has no 'id'")
+    # the id names the entry's output files, so it must be one file name
+    entry_id = item["id"]
+    if not isinstance(entry_id, (str, int, float)) or isinstance(entry_id, bool):
+        raise ValueError(f"'id' must be a string or a number, got {type(entry_id).__name__}")
+    entry_id = str(entry_id)
+    if entry_id in ("", ".", "..") or any(c in entry_id for c in ("/", os.sep, "\0")):
+        raise ValueError(f"'id' must be a file name, got {entry_id!r}")
     paths = {}
     for key in _WAV_NAMES:
         if key in item:
@@ -115,24 +125,12 @@ def _parse_entry(item, base: str) -> ManifestEntry:
     tags = item.get("tags", {})
     if not isinstance(tags, dict):
         raise ValueError(f"'tags' must be an object, got {type(tags).__name__}")
-    return ManifestEntry(id=str(item["id"]), paths=paths, tags=tags)
-
-
-def _scene_entry(name: str, scene_dir, sidecar: dict) -> ManifestEntry:
-    """A scene directory's entry: its WAVs, tagged with its sidecar's spec and achieved_* levels."""
-    paths = {}
-    for key, fname in _WAV_NAMES.items():
-        p = os.path.join(scene_dir, fname)
-        if os.path.exists(p):
-            paths[key] = p
-    tags = dict(sidecar.get("spec", {}))
-    for key, value in sidecar.get("achieved", {}).items():
-        tags[f"achieved_{key}"] = value
-    return ManifestEntry(id=name, paths=paths, tags=tags)
+    return ManifestEntry(id=entry_id, paths=paths, tags=tags)
 
 
 def manifest_from_scenes(scenes_dir) -> Manifest:
-    """Build a manifest from a directory of scene subdirectories."""
+    """Build a manifest from a directory of scene subdirectories: each entry
+    holds the scene's WAVs, tagged with its sidecar's spec and achieved_* levels."""
     names = sorted(
         d for d in os.listdir(scenes_dir)
         if os.path.isfile(os.path.join(scenes_dir, d, "scene.json"))
@@ -142,7 +140,16 @@ def manifest_from_scenes(scenes_dir) -> Manifest:
     entries = []
     for name in names:
         scene_dir = os.path.join(scenes_dir, name)
-        entries.append(_scene_entry(name, scene_dir, _read_json(os.path.join(scene_dir, "scene.json"))))
+        sidecar = _read_json(os.path.join(scene_dir, "scene.json"))
+        paths = {}
+        for key, fname in _WAV_NAMES.items():
+            p = os.path.join(scene_dir, fname)
+            if os.path.exists(p):
+                paths[key] = p
+        tags = dict(sidecar.get("spec", {}))
+        for key, value in sidecar.get("achieved", {}).items():
+            tags[f"achieved_{key}"] = value
+        entries.append(ManifestEntry(id=name, paths=paths, tags=tags))
     return Manifest(entries=entries)
 
 
@@ -155,16 +162,12 @@ def _read_json(path):
 
 
 def _resolve_manifest(args) -> Manifest:
-    """The batch of --manifest or --scenes, with the levels of args applied."""
+    """The batch of --manifest or --scenes with the --threshold-db and --clamp-db
+    given; a threshold that is not finite, or a clamp that is not finite and > 0,
+    is rejected."""
     manifest = Manifest.from_json(args.manifest) if args.manifest else manifest_from_scenes(args.scenes)
     if not manifest.entries:
         raise ValueError("no entries")
-    return _with_levels(manifest, args)
-
-
-def _with_levels(manifest: Manifest, args) -> Manifest:
-    """manifest with the --threshold-db and --clamp-db given; a threshold that is
-    not finite, or a clamp that is not finite and > 0, is rejected."""
     if getattr(args, "threshold_db", None) is not None:
         manifest.threshold_db = args.threshold_db
     if getattr(args, "clamp_db", None) is not None:
@@ -177,7 +180,7 @@ def _with_levels(manifest: Manifest, args) -> Manifest:
 
 
 def _default_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
@@ -274,28 +277,23 @@ def _load_scene_specs(path, count: int, seed: int) -> list[SceneSpec]:
     return specs
 
 
-def _simulate_one(task) -> ManifestEntry:
+def _simulate_one(task) -> None:
     from .simulate import generate_scene, save_scene
 
     spec, scene_dir = task
     # a scene that fails leaves no older scene in its place for manifest_from_scenes
     with contextlib.suppress(FileNotFoundError):
         os.unlink(os.path.join(scene_dir, "scene.json"))
-    sidecar = save_scene(generate_scene(spec), spec, scene_dir)
-    return _scene_entry(os.path.basename(scene_dir), scene_dir, sidecar)
-
-
-def _simulate_scenes(command: str, args, out_dir, jobs: int = 1):
-    """Write the --spec/--count/--seed scenes as out_dir/scene_NNNN; their entries and errors by id."""
-    specs = _load_scene_specs(args.spec, args.count, _default_seed(args))
-    os.makedirs(out_dir, exist_ok=True)
-    ids = [f"scene_{i:04d}" for i in range(len(specs))]
-    items = [(sid, (spec, os.path.join(out_dir, sid))) for sid, spec in zip(ids, specs)]
-    return _run_batch(command, _simulate_one, items, jobs=jobs)
+    save_scene(generate_scene(spec), spec, scene_dir)
 
 
 def run_simulate(args) -> int:
-    written, errors = _simulate_scenes("simulate", args, args.out, args.jobs)
+    """Write the --spec/--count/--seed scenes as <out>/scene_NNNN."""
+    specs = _load_scene_specs(args.spec, args.count, _default_seed(args))
+    os.makedirs(args.out, exist_ok=True)
+    ids = [f"scene_{i:04d}" for i in range(len(specs))]
+    items = [(sid, (spec, os.path.join(args.out, sid))) for sid, spec in zip(ids, specs)]
+    written, errors = _run_batch("simulate", _simulate_one, items, jobs=args.jobs)
     print(f"simulate: {len(written)} ok, {len(errors)} failed -> {args.out}")
     return 1 if errors else 0
 
@@ -438,8 +436,6 @@ def _group_of(entry, tag):
 
 
 def run_sweep(args) -> int:
-    import tempfile
-
     from .metrics import METRIC_NAMES
     from .suppressor import SuppressorConfig, beta_schedule
 
@@ -451,21 +447,10 @@ def run_sweep(args) -> int:
         raise IsADirectoryError(f"{args.out}: is a directory")
     if not os.path.isdir(os.path.dirname(args.out) or "."):
         raise FileNotFoundError(f"{args.out}: no such directory to write it in")
-    with contextlib.ExitStack() as stack:
-        if args.spec:
-            # the levels are checked before any scene is simulated
-            manifest = _with_levels(Manifest([]), args)
-            scenes_dir = args.scenes_dir or stack.enter_context(
-                tempfile.TemporaryDirectory(prefix="reseval-sweep-"))
-            simulated, scene_errors = _simulate_scenes("sweep", args, scenes_dir)
-            # only the scenes simulated here, however many scenes_dir holds
-            manifest.entries = list(simulated.values())
-        else:
-            manifest, scene_errors = _resolve_manifest(args), {}
-        groups = {e.id: _group_of(e, args.group_by) for e in manifest.entries} if args.group_by else {}
-        reports, errors = _run_batch("sweep", _sweep_entry, [(e.id, e) for e in manifest.entries], configs,
-                                     manifest.threshold_db, manifest.clamp_db)
-        errors = {**scene_errors, **errors}
+    manifest = _resolve_manifest(args)
+    groups = {e.id: _group_of(e, args.group_by) for e in manifest.entries} if args.group_by else {}
+    reports, errors = _run_batch("sweep", _sweep_entry, [(e.id, e) for e in manifest.entries], configs,
+                                 manifest.threshold_db, manifest.clamp_db)
 
     rows = []
     for group in sorted({groups.get(eid) for eid in reports}, key=lambda v: (str(type(v)), v)):

@@ -116,12 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="tradeoff table over an alpha sweep")
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--spec", help="JSON scene spec to simulate scenes from")
     g.add_argument("--manifest", help="manifest JSON")
     g.add_argument("--scenes", help="directory of scene subdirectories")
-    p.add_argument("--count", type=int, default=20, help="scenes to simulate with --spec")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--scenes-dir", dest="scenes_dir", help="keep the scenes simulated with --spec here")
     p.add_argument("--alphas", required=True, help="comma-separated ascending alphas")
     p.add_argument("--out", required=True, help="output CSV table")
     p.add_argument("--floor", type=float, default=0.02)

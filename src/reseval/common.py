@@ -12,7 +12,7 @@ import os
 DEFAULT_THRESHOLD_DB = -50.0
 # metric clamp bound, dB
 CLAMP_DB = 120.0
-# the base seed of simulate and sweep --spec when --seed is not given
+# the base seed of simulate when --seed is not given
 SEED_ENV_VAR = "RES_EVAL_SEED"
 
 # the WAV file of each scene component in a scene directory

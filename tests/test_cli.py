@@ -8,10 +8,10 @@ import math
 import os
 import pkgutil
 import re
+import shlex
 import shutil
 import subprocess
 import sys
-import tempfile
 import warnings
 import weakref
 
@@ -88,7 +88,8 @@ class TestSimulate:
             assert abs(sidecar["achieved"]["ser_db"] - target) < 1e-9
             assert sidecar["spec"]["ser_db"] == target
 
-    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    # the one command that reads a scene spec
+    @pytest.mark.parametrize("command", ["simulate"])
     @pytest.mark.parametrize("field,value,match", [
         ("duration", "long", "invalid scene spec: field 'duration' has invalid value 'long'"),
         ("duration", math.inf, "invalid scene spec: duration must be finite, got inf"),
@@ -108,14 +109,12 @@ class TestSimulate:
             "seed-list"])
     def test_invalid_spec_field_reported(self, tmp_path, capsys, command, field, value, match):
         spec = write_spec(tmp_path, {**SPEC, field: value})
-        argv = {"simulate": ["--out", tmp_path / "x"],
-                "sweep": ["--alphas", "0", "--out", tmp_path / "x.csv"]}[command]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert run(command, "--spec", spec, "--count", 1, *argv) == 2
+            assert run(command, "--spec", spec, "--count", 1, "--out", tmp_path / "x") == 2
         assert capsys.readouterr().err == f"error: {match}\n"
         assert caught == []
-        assert not os.path.exists(argv[-1])
+        assert not os.path.exists(tmp_path / "x")
 
     def test_non_object_spec_reported(self, tmp_path, capsys):
         path = write_spec(tmp_path, [SPEC])
@@ -347,41 +346,14 @@ class TestSweep:
             vals = [float(r["resl_mean"]) for r in rows if float(r["ser_db"]) == group]
             assert vals[1] > vals[0]
 
-    def test_spec_driven_sweep(self, tmp_path):
-        spec = write_spec(tmp_path)
-        out = tmp_path / "from_spec.csv"
-        assert run("sweep", "--spec", spec, "--count", 2, "--seed", 3, "--alphas", "0,1", "--out", out) == 0
-        with open(out, newline="") as fh:
-            assert len(list(csv.DictReader(fh))) == 2
-
-    def test_spec_sweep_pools_only_healthy_scenes(self, tmp_path, capsys):
+    def test_sweep_with_every_entry_failed_writes_header_only(self, tmp_path, scene_dir, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"entries": [{"id": f"u{i}", "s": "nope.wav", "e": "nope.wav"}
+                                                    for i in range(2)]}))
         out = tmp_path / "t.csv"
-        assert run("sweep", "--spec", write_spec(tmp_path, BAD_SCENE_SPEC), "--count", 3, "--seed", 4,
-                   "--alphas", "0,1", "--out", out) == 1
+        assert run("sweep", "--manifest", manifest, "--alphas", "0,1", "--out", out) == 1
         captured = capsys.readouterr()
-        (line,) = captured.err.splitlines()
-        assert line.startswith("sweep: scene_0001: ValueError: duration 1.0 s has no near-end talk")
-        assert captured.out == f"sweep: 2 rows, 2 ok, 1 failed -> {out}\n"
-        assert [r["n_scenes"] for r in read_rows(out)] == ["2", "2"]
-
-    def test_spec_sweep_pools_no_scene_it_did_not_simulate(self, tmp_path, capsys):
-        spec, keep = write_spec(tmp_path), tmp_path / "keep"
-        for count in (3, 1):
-            assert run("sweep", "--spec", spec, "--count", count, "--seed", 4, "--alphas", "0",
-                       "--scenes-dir", keep, "--out", tmp_path / f"t{count}.csv") == 0
-        assert capsys.readouterr().out.splitlines()[-1] == f"sweep: 1 rows, 1 ok, 0 failed -> {tmp_path / 't1.csv'}"
-        assert [r["n_scenes"] for r in read_rows(tmp_path / "t1.csv")] == ["1"]
-        # the older scenes stay on disk
-        assert sorted(os.listdir(keep)) == ["scene_0000", "scene_0001", "scene_0002"]
-
-    def test_spec_sweep_with_every_scene_failed_writes_header_only(self, tmp_path, scene_dir, capsys):
-        out = tmp_path / "t.csv"
-        assert run("sweep", "--spec", write_spec(tmp_path, {"duration": 1.0}), "--count", 2, "--alphas", "0,1",
-                   "--out", out) == 1
-        captured = capsys.readouterr()
-        assert [line.split(": ")[:2] for line in captured.err.splitlines()] == [
-            ["sweep", "scene_0000"], ["sweep", "scene_0001"]]
-        assert "reseval-sweep-" not in captured.err
+        assert [line.split(": ")[:2] for line in captured.err.splitlines()] == [["sweep", "u0"], ["sweep", "u1"]]
         assert captured.out == f"sweep: 0 rows, 0 ok, 2 failed -> {out}\n"
         # the same header as a sweep whose scenes are healthy
         assert run("sweep", "--scenes", scene_dir, "--alphas", "0", "--out", tmp_path / "ok.csv") == 0
@@ -395,19 +367,6 @@ class TestSweep:
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2 and rows[0]["n_scenes"] == "3"
-
-    def test_failed_spec_sweep_removes_temp_scenes(self, tmp_path, monkeypatch, capsys):
-        spec = write_spec(tmp_path)
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = run("sweep", "--spec", spec, "--count", 1, "--alphas", "0", "--group-by", "no_such_tag",
-                     "--out", tmp_path / "x.csv")
-            gc.collect()
-        assert rc == 2
-        assert "has no tag 'no_such_tag'" in capsys.readouterr().err
-        assert not list(tmp_path.glob("reseval-sweep-*"))
-        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_empty_alphas_rejected(self, scene_dir, tmp_path, capsys):
         assert run("sweep", "--scenes", scene_dir, "--alphas", "", "--out", tmp_path / "x.csv") == 2
@@ -489,8 +448,10 @@ class TestSweep:
     (["--threshold-db", "nan"], {}, "threshold_db must be finite, got nan"),
     (["--threshold-db=-inf"], {}, "threshold_db must be finite, got -inf"),
     ([], {"threshold_db": "inf"}, "threshold_db must be finite, got inf"),
+    ([], {"threshold_db": True}, "{manifest}: options 'threshold_db' and 'clamp_db' must be numbers"),
+    ([], {"clamp_db": False}, "{manifest}: options 'threshold_db' and 'clamp_db' must be numbers"),
 ], ids=["clamp-negative", "clamp-zero", "clamp-nan", "clamp-inf", "option-clamp-negative", "threshold-nan",
-        "threshold-minus-inf", "option-threshold-inf"])
+        "threshold-minus-inf", "option-threshold-inf", "option-threshold-true", "option-clamp-false"])
 def test_meaningless_clamp_or_threshold_rejected_before_any_entry(scene_dir, tmp_path, monkeypatch, capsys,
                                                                   command, flags, options, match):
     manifest = tmp_path / "m.json"
@@ -501,27 +462,9 @@ def test_meaningless_clamp_or_threshold_rejected_before_any_entry(scene_dir, tmp
     monkeypatch.setattr(rv.activity, "classify", lambda *a: calls.append(a))
     assert run(command, "--manifest", manifest, "--out", out, *flags,
                *(["--alphas", "0"] if command == "sweep" else [])) == 2
-    assert capsys.readouterr().err == f"error: {match}\n"
+    assert capsys.readouterr().err == f"error: {match.format(manifest=manifest)}\n"
     assert calls == []
     assert not os.path.exists(out)
-
-
-@pytest.mark.parametrize("flags,match", [
-    (["--clamp-db", -5], "clamp_db must be finite and > 0, got -5.0"),
-    (["--threshold-db", "nan"], "threshold_db must be finite, got nan"),
-    (["--count", 0], "invalid scene spec: --count must be >= 1, got 0"),
-    (["--count", -3], "invalid scene spec: --count must be >= 1, got -3"),
-], ids=["clamp-negative", "threshold-nan", "count-zero", "count-negative"])
-def test_sweep_spec_rejects_meaningless_flag_before_simulating(tmp_path, monkeypatch, capsys, flags, match):
-    generate_scene = rv.simulate.generate_scene
-    calls = []
-    monkeypatch.setattr(rv.simulate, "generate_scene", lambda spec: calls.append(spec) or generate_scene(spec))
-    out, scenes = tmp_path / "x.csv", tmp_path / "scenes"
-    assert run("sweep", "--spec", write_spec(tmp_path), "--count", 2, "--alphas", "0", "--out", out,
-               "--scenes-dir", scenes, *flags) == 2
-    assert capsys.readouterr().err == f"error: {match}\n"
-    assert calls == []
-    assert not os.path.exists(out) and not os.path.exists(scenes)
 
 
 class TestCorrelate:
@@ -611,6 +554,16 @@ class TestManifestSchema:
             ({"entries": [{"s": "s.wav"}]}, "entry 0: has no 'id'"),
             ({"options": [], "entries": [VALID]}, "'options' must be an object"),
             ({"options": {"clamp_db": [1]}, "entries": [VALID]}, "must be numbers"),
+            ({"entries": [{**VALID, "id": None}]}, "entry 0: 'id' must be a string or a number, got NoneType"),
+            ({"entries": [{**VALID, "id": True}]}, "entry 0: 'id' must be a string or a number, got bool"),
+            ({"entries": [{**VALID, "id": {"a": 1}}]}, "entry 0: 'id' must be a string or a number, got dict"),
+            ({"entries": [VALID, {**VALID, "id": ["a"]}]}, "entry 1: 'id' must be a string or a number, got list"),
+            ({"entries": [{**VALID, "id": ""}]}, "entry 0: 'id' must be a file name, got ''"),
+            ({"entries": [{**VALID, "id": "."}]}, "entry 0: 'id' must be a file name, got '.'"),
+            ({"entries": [{**VALID, "id": ".."}]}, "entry 0: 'id' must be a file name, got '..'"),
+            ({"entries": [VALID, {**VALID, "id": "../evil"}]}, "entry 1: 'id' must be a file name, got '../evil'"),
+            ({"entries": [{**VALID, "id": "spk1/utt2"}]}, "entry 0: 'id' must be a file name, got 'spk1/utt2'"),
+            ({"entries": [{**VALID, "id": "a\0b"}]}, "entry 0: 'id' must be a file name, got 'a\\x00b'"),
         ],
     )
     def test_malformed_manifest_one_line_error(self, tmp_path, capsys, raw, match):
@@ -621,6 +574,22 @@ class TestManifestSchema:
         assert err.startswith(f"error: {manifest}: ")
         assert match in err
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,entry_id", [("suppress", "../evil"), ("evaluate", "spk1/utt2")])
+def test_path_like_id_writes_nothing(scene_dir, tmp_path, monkeypatch, capsys, command, entry_id):
+    """An id names output files, so one that is not a file name stops the command before any entry."""
+    work = tmp_path / "work"
+    manifest = manifest_from_scenes(scene_dir)
+    manifest.entries[-1].id = entry_id
+    work.mkdir()
+    manifest.write_json(work / "m.json")
+    monkeypatch.chdir(work)
+    before = dir_bytes(tmp_path)
+    assert run(command, "--manifest", "m.json", "--out", "out") == 2
+    assert capsys.readouterr().err == f"error: m.json: entry 2: 'id' must be a file name, got {entry_id!r}\n"
+    assert dir_bytes(tmp_path) == before
+    assert sorted(os.listdir(tmp_path)) == ["work"] and os.listdir(work) == ["m.json"]
 
 
 def _missing_manifest(tmp_path, scene_dir):
@@ -711,6 +680,18 @@ def test_readme_library_example_runs(capsys):
     means = ast.literal_eval(capsys.readouterr().out)
     assert {"dsml", "resl"} <= means.keys()
     assert all(math.isfinite(means[name]) for name in ("dsml", "resl"))
+
+
+def test_readme_shell_examples_parse():
+    """Every `reseval ...` line of a README sh block parses, so no example keeps a deleted or renamed flag."""
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    lines = [line for block in re.findall(r"^```sh\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+             for line in block.splitlines() if line.startswith("reseval ")]
+    assert len(lines) >= 6
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        assert args.func is getattr(cli, f"cmd_{args.command}"), line
 
 
 def test_readme_flag_table_matches_parser():
@@ -890,15 +871,20 @@ def test_suppress_and_sweep_leave_numpy_ma_unimported(scene_dir, tmp_path):
     assert len(read_rows(tmp_path / "sweep.csv")) == 2
 
 
-@pytest.mark.parametrize("argv,conflict", [
-    (["sweep", "--spec", "spec.json", "--scenes", "scenes", "--alphas", "0", "--out", "t.csv"],
-     "argument --scenes: not allowed with argument --spec"),
+@pytest.mark.parametrize("argv,error", [
+    (["sweep", "--manifest", "m.json", "--scenes", "scenes", "--alphas", "0", "--out", "t.csv"],
+     "reseval sweep: error: argument --scenes: not allowed with argument --manifest"),
     (["evaluate", "--manifest", "m.json", "--scenes", "scenes", "--out", "r"],
-     "argument --scenes: not allowed with argument --manifest"),
+     "reseval evaluate: error: argument --scenes: not allowed with argument --manifest"),
     (["suppress", "--scenes", "scenes", "--alpha", "0.5", "--beta", "3"],
-     "argument --beta: not allowed with argument --alpha"),
-], ids=["sweep-spec-and-scenes", "evaluate-manifest-and-scenes", "suppress-alpha-and-beta"])
-def test_exclusive_flags_rejected_before_any_entry(scene_dir, tmp_path, monkeypatch, capsys, argv, conflict):
+     "reseval suppress: error: argument --beta: not allowed with argument --alpha"),
+    # sweep scores scenes; simulate makes them
+    *[(["sweep", "--scenes", "scenes", "--alphas", "0", "--out", "t.csv", flag, value],
+       f"reseval: error: unrecognized arguments: {flag} {value}")
+      for flag, value in (("--count", "5"), ("--seed", "3"), ("--scenes-dir", "kept"), ("--spec", "spec.json"))],
+], ids=["sweep-manifest-and-scenes", "evaluate-manifest-and-scenes", "suppress-alpha-and-beta",
+        "sweep-scenes-and-count", "sweep-scenes-and-seed", "sweep-scenes-and-scenes-dir", "sweep-scenes-and-spec"])
+def test_exclusive_flags_rejected_before_any_entry(scene_dir, tmp_path, monkeypatch, capsys, argv, error):
     shutil.copytree(scene_dir, tmp_path / "scenes")
     write_spec(tmp_path)
     manifest_from_scenes(tmp_path / "scenes").write_json(tmp_path / "m.json")
@@ -911,7 +897,7 @@ def test_exclusive_flags_rejected_before_any_entry(scene_dir, tmp_path, monkeypa
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1] == f"reseval {argv[0]}: error: {conflict}"
+    assert capsys.readouterr().err.splitlines()[-1] == error
     assert calls == []
     assert dir_bytes(tmp_path) == before
 
