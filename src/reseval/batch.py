@@ -237,6 +237,8 @@ def _run_batch(command: str, step, items, *extra, jobs: int = 1):
     Returns ({id: result}, {id: error}) and prints one
     "<command>: <id>: <error>" line per failed item to stderr.
     """
+    if jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {jobs}")
     _keep_freed_memory()
     tasks = [(step, item, *extra) for _, item in items]
     if jobs <= 1 or len(tasks) <= 1:
@@ -331,7 +333,7 @@ def run_suppress(args) -> int:
     return 1 if errors else 0
 
 
-# read by evaluate_scene and echo_reference; m and y_hat only for the identity checks
+# read by scene_rows and echo_reference; m and y_hat only for the identity checks
 _SCENE_KEYS = ("s", "y", "w", "m", "y_hat", "e")
 
 
@@ -353,10 +355,10 @@ def _load_labeled(entry, extra, threshold_db):
 
 
 def _evaluate_entry(entry, threshold_db, clamp_db) -> MetricReport:
-    from .metrics import evaluate_scene
+    from .metrics import evaluate_scene, scene_rows
 
     components, mask = _load_labeled(entry, ("s_hat",), threshold_db)
-    return evaluate_scene(components, mask, clamp_db)
+    return evaluate_scene(scene_rows(components, mask, clamp_db), components.s_hat)
 
 
 def _pooled_aggregates(reports) -> dict:
@@ -407,8 +409,6 @@ def run_evaluate(args) -> int:
 
 def _sweep_entry(entry, configs, threshold_db, clamp_db) -> list[MetricReport]:
     """One report per suppressor config for one scene, whose gain tracks and rows are computed once."""
-    from dataclasses import replace
-
     from .metrics import evaluate_scene, scene_rows
     from .suppressor import gain_tracks, oracle_suppress
 
@@ -419,7 +419,7 @@ def _sweep_entry(entry, configs, threshold_db, clamp_db) -> list[MetricReport]:
     reports = []
     for config in configs:
         s_hat = oracle_suppress(components.e, components.s, config, tracks=tracks)
-        reports.append(evaluate_scene(replace(components, s_hat=s_hat), mask, clamp_db, rows=rows))
+        reports.append(evaluate_scene(rows, s_hat))
         # the next alpha's s_hat is built without this one alive
         del s_hat
     return reports
@@ -439,9 +439,10 @@ def run_sweep(args) -> int:
     from .metrics import METRIC_NAMES
     from .suppressor import SuppressorConfig, beta_schedule
 
-    alphas = [float(a) for a in args.alphas.split(",") if a.strip() != ""]
-    if not alphas:
-        raise ValueError("empty alpha list")
+    try:
+        alphas = [float(a) for a in args.alphas.split(",")] if args.alphas else []
+    except ValueError:
+        raise ValueError(f"--alphas must be comma-separated numbers, got {args.alphas!r}") from None
     configs = [SuppressorConfig(beta=beta, floor=args.floor) for beta in beta_schedule(alphas)]
     if os.path.isdir(args.out):
         raise IsADirectoryError(f"{args.out}: is a directory")

@@ -50,6 +50,8 @@ def cmd_correlate(args) -> int:
     if args.group_by:
         column = table.column(args.group_by)
         groups = sorted({v for v in column if v is not None})
+        if not groups:
+            raise ValueError(f"column {args.group_by!r} has no values to group by")
         for group in groups:
             rows = tuple(r for r, v in zip(table.rows, column) if v == group)
             sub = ScoreTable(columns=table.columns, rows=rows, id_column=table.id_column)

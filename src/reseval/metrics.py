@@ -24,6 +24,7 @@ import numpy as np
 from .audio import ENERGY_FLOOR, SceneComponents, Signal
 from .activity import _LABEL_OF_CODE, ActivityMask, FrameLabel
 from .common import CLAMP_DB, atomic_write_bytes
+from .framing import FrameGrid
 
 GAIN_DENOM_FLOOR = 1e-8
 COMP_DEGENERATE = 1e-12
@@ -237,8 +238,7 @@ class _SceneRows:
     the rows after each are the frames of that condition.
     """
 
-    signals: tuple[Signal | None, ...]  # the (s, e, y, w) the rows were built from, with mask and clamp_db
-    mask: ActivityMask
+    grid: FrameGrid
     clamp_db: float
     labels: tuple[str, ...]
     dt: np.ndarray
@@ -257,12 +257,14 @@ class _SceneRows:
 
 
 def scene_rows(components: SceneComponents, mask: ActivityMask, clamp_db: float = CLAMP_DB) -> _SceneRows:
-    """The s_hat-independent part of evaluate_scene for one scene (s and e required).
+    """Everything evaluate_scene reads of a scene besides s_hat (s and e required).
 
     To score one scene under several suppressors, build these once and
     pass them to every evaluate_scene call.
     """
-    s, e, y, w = signals = (components.s, components.e, components.y, components.w)
+    if components.e is None:
+        raise ValueError("scene_rows needs s and e (missing: e)")
+    s, e, y, w = components.s, components.e, components.y, components.w
     grid = mask.grid
     s_frames = grid.frame_matrix(s.samples)
     e_frames = grid.frame_matrix(e.samples)
@@ -283,7 +285,7 @@ def scene_rows(components: SceneComponents, mask: ActivityMask, clamp_db: float 
         if agg is not None:
             aggregates[name] = agg
     rows = _SceneRows(
-        signals=signals, mask=mask, clamp_db=clamp_db,
+        grid=grid, clamp_db=clamp_db,
         labels=tuple(_VALUE_OF_CODE[mask.codes].tolist()),
         dt=dt, s_dt=s_dt, s_dt_energy=_row_energy(s_dt),
         r_dt=r_dt, r_dt_energy=_row_energy(r_dt), e_dt_den=_gain_denominator(e_dt),
@@ -297,32 +299,17 @@ def scene_rows(components: SceneComponents, mask: ActivityMask, clamp_db: float 
     return rows
 
 
-def evaluate_scene(
-    components: SceneComponents,
-    mask: ActivityMask,
-    clamp_db: float = CLAMP_DB,
-    rows: _SceneRows | None = None,
-) -> MetricReport:
-    """Compute every applicable metric per frame and aggregate per condition.
+def evaluate_scene(rows: _SceneRows, s_hat: Signal) -> MetricReport:
+    """Compute every applicable metric per frame of s_hat and aggregate per condition.
 
-    Needs s, e and s_hat; ser/snr additionally need y/w.  Metrics whose
-    condition never occurs are omitted from the aggregates rather than
-    reported as zero.  What does not depend on s_hat comes from rows,
-    scene_rows(components, mask, clamp_db), computed here when not given;
-    rows built from other signals, another mask or clamp raise ValueError.
+    rows = scene_rows(components, mask, clamp_db) is the rest of the
+    scene; ser/snr additionally need its y/w.  Metrics whose condition
+    never occurs are omitted from the aggregates rather than reported as
+    zero.  An s_hat whose length is not the scene's raises ValueError.
     """
-    if components.e is None or components.s_hat is None:
-        missing = [n for n in ("e", "s_hat") if getattr(components, n) is None]
-        raise ValueError(f"evaluate_scene needs s, e and s_hat (missing: {', '.join(missing)})")
-    signals = (components.s, components.e, components.y, components.w)
-    if rows is None:
-        rows = scene_rows(components, mask, clamp_db)
-    elif (rows.mask is not mask or rows.clamp_db != clamp_db
-          or any(a is not b for a, b in zip(rows.signals, signals))):
-        raise ValueError("rows were built for another scene, mask or clamp_db")
-    grid = mask.grid
-    sh_frames = grid.frame_matrix(components.s_hat.samples)
-    values = {name: np.full(grid.n_frames, np.nan) for name in METRIC_NAMES if name not in rows.values}
+    clamp_db = rows.clamp_db
+    sh_frames = rows.grid.frame_matrix(s_hat.samples)
+    values = {name: np.full(rows.grid.n_frames, np.nan) for name in METRIC_NAMES if name not in rows.values}
     sh_dt = sh_frames[rows.dt]
     gain = sh_dt / rows.e_dt_den
     values["dsml"][rows.dt] = _dsml_rows(rows.s_dt, rows.s_dt_energy, gain, clamp_db)

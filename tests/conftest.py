@@ -17,8 +17,7 @@ def make_scene_batch(count, seed0, duration=2.5, **kwargs):
 
 def suppress_and_evaluate(components, mask, beta, floor=0.02):
     s_hat = rv.oracle_suppress(components.e, components.s, rv.SuppressorConfig(beta=beta, floor=floor))
-    scene = rv.SceneComponents(**{**components.present(), "s_hat": s_hat})
-    return rv.evaluate_scene(scene, mask)
+    return rv.evaluate_scene(rv.scene_rows(components, mask), s_hat)
 
 
 def batch_metric_means(batch, beta):

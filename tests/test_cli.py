@@ -372,6 +372,15 @@ class TestSweep:
         assert run("sweep", "--scenes", scene_dir, "--alphas", "", "--out", tmp_path / "x.csv") == 2
         assert "empty alpha list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alphas", ["0,,1", "abc", "0,1,", ",0.5", "0;1"])
+    def test_malformed_alphas_rejected_before_any_entry(self, scene_dir, tmp_path, monkeypatch, capsys, alphas):
+        calls = []
+        monkeypatch.setattr(rv.activity, "classify", lambda *a: calls.append(a))
+        assert run("sweep", "--scenes", scene_dir, "--alphas", alphas, "--out", tmp_path / "x.csv") == 2
+        assert capsys.readouterr().err == f"error: --alphas must be comma-separated numbers, got {alphas!r}\n"
+        assert calls == []
+        assert not (tmp_path / "x.csv").exists()
+
     def test_non_scalar_group_tag_rejected_before_suppression(self, scene_dir, tmp_path, monkeypatch, capsys):
         manifest = manifest_from_scenes(scene_dir)
         manifest.entries[-1].tags["ser_db"] = [0.0, 10.0]
@@ -429,10 +438,10 @@ class TestSweep:
             reports = batch._sweep_entry(entry, configs, rv.activity.DEFAULT_THRESHOLD_DB, rv.metrics.CLAMP_DB)
             assert len(reports) == len(configs)
             for config, report in zip(configs, reports):
-                c = {k: rv.load_wav(entry.paths[k]) for k in ("s", "y", "w", "e")}
-                mask = rv.classify(c["s"], c["y"], rv.make_grid(len(c["s"])))
-                s_hat = rv.oracle_suppress(c["e"], c["s"], config)
-                fresh = rv.evaluate_scene(rv.SceneComponents(**c, s_hat=s_hat), mask)
+                c = rv.SceneComponents(**{k: rv.load_wav(entry.paths[k]) for k in ("s", "y", "w", "e")})
+                mask = rv.classify(c.s, c.y, rv.make_grid(len(c.s)))
+                s_hat = rv.oracle_suppress(c.e, c.s, config)
+                fresh = rv.evaluate_scene(rv.scene_rows(c, mask), s_hat)
                 assert report.labels == fresh.labels
                 for name in rv.metrics.METRIC_NAMES:
                     assert np.array_equal(report.values[name], fresh.values[name], equal_nan=True), name
@@ -516,10 +525,33 @@ class TestCorrelate:
         assert captured.out == "" and captured.err == "error: duplicate column 'a'\n"
         assert not (tmp_path / "r.json").exists()
 
+    def test_group_by_column_with_no_values_reported(self, tmp_path, capsys):
+        table = self.write_table(tmp_path, [f"u{i},{i},{i * i}," for i in range(5)], header="utt,metric,score,g")
+        assert run("correlate", "--table", table, "--metric-col", "metric", "--score-col", "score",
+                   "--group-by", "g", "--out", tmp_path / "r.json") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: column 'g' has no values to group by\n"
+        assert not (tmp_path / "r.json").exists()
+
     def test_constant_column_reported(self, tmp_path, capsys):
         table = self.write_table(tmp_path, [f"u{i},1.0,{i}" for i in range(5)])
         assert run("correlate", "--table", table, "--metric-col", "metric", "--score-col", "score") == 2
         assert "constant" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+@pytest.mark.parametrize("command", ["simulate", "suppress", "evaluate"])
+def test_jobs_below_one_rejected_before_any_item(scene_dir, tmp_path, monkeypatch, capsys, command, jobs):
+    calls = []
+    for module, name in (("simulate", "generate_scene"), ("suppressor", "oracle_suppress"),
+                         ("activity", "classify")):
+        monkeypatch.setattr(getattr(rv, module), name, lambda *a, **k: calls.append(a))
+    inputs = {"simulate": ["--spec", write_spec(tmp_path)], "suppress": ["--scenes", scene_dir],
+              "evaluate": ["--scenes", scene_dir]}[command]
+    assert run(command, *inputs, "--out", tmp_path / "out", "--jobs", jobs) == 2
+    assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
+    assert calls == []
+    assert dir_bytes(tmp_path / "out") == {}
 
 
 class TestManifestHelpers:
@@ -737,22 +769,29 @@ def test_nothing_keeps_a_scene_alive(scene_dir, tmp_path, monkeypatch):
     del components, mask
     assert_released()
     components, mask = batch._load_labeled(entry, ("s_hat",), options[0])
-    rv.evaluate_scene(components, mask)
-    watch(components.s, components.e, components.s_hat, mask)
-    del components, mask
+    rows = rv.scene_rows(components, mask)
+    rv.evaluate_scene(rows, components.s_hat)
+    watch(components.s, components.e, components.s_hat, mask, rows)
+    del components, mask, rows
     assert_released()
 
-    oracle_suppress, evaluate_scene = rv.suppressor.oracle_suppress, rv.metrics.evaluate_scene
+    oracle_suppress = rv.suppressor.oracle_suppress
+    scene_rows, evaluate_scene = rv.metrics.scene_rows, rv.metrics.evaluate_scene
 
     def watched_suppress(e, s, *args, **kwargs):
         watch(e, s)
         return oracle_suppress(e, s, *args, **kwargs)
 
-    def watched_evaluate(components, mask, *args, **kwargs):
-        watch(components.s, components.e, components.s_hat, mask)
-        return evaluate_scene(components, mask, *args, **kwargs)
+    def watched_rows(components, mask, *args):
+        watch(components.s, components.e, mask)
+        return scene_rows(components, mask, *args)
+
+    def watched_evaluate(rows, s_hat):
+        watch(rows, s_hat)
+        return evaluate_scene(rows, s_hat)
 
     monkeypatch.setattr(rv.suppressor, "oracle_suppress", watched_suppress)
+    monkeypatch.setattr(rv.metrics, "scene_rows", watched_rows)
     monkeypatch.setattr(rv.metrics, "evaluate_scene", watched_evaluate)
     batch._suppress_entry(entry, config, str(tmp_path))
     assert_released()

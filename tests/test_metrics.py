@@ -31,10 +31,10 @@ from reseval import (
     ser,
     snr,
 )
-from reseval import metrics as metrics_module
 from reseval.cli import main
-from reseval.framing import HOP
+from reseval.framing import FRAME_LEN, HOP
 from reseval.metrics import (
+    METRIC_CONDITIONS,
     METRIC_NAMES,
     MetricReport,
     _dsml_rows,
@@ -255,13 +255,13 @@ def build_scene(n=4800, seed=15, s_hat="identity"):
 class TestEvaluateScene:
     def test_identity_res(self):
         comps, mask = build_scene()
-        report = evaluate_scene(comps, mask)
+        report = evaluate_scene(scene_rows(comps, mask), comps.s_hat)
         assert report.aggregates["resl"].mean == pytest.approx(0.0, abs=1e-12)
         assert report.aggregates["erle"].mean == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_res(self):
         comps, mask = build_scene(s_hat="zero")
-        report = evaluate_scene(comps, mask)
+        report = evaluate_scene(scene_rows(comps, mask), comps.s_hat)
         assert report.aggregates["resl"].mean == 120.0
         assert report.aggregates["dsml"].mean == -120.0
 
@@ -272,7 +272,7 @@ class TestEvaluateScene:
         e = s + rng.standard_normal(n) * 0.05
         comps = SceneComponents(s=Signal(s), e=Signal(e), s_hat=Signal(e.copy()))
         mask = classify(comps.s, Signal(e - s), make_grid(n))
-        report = evaluate_scene(comps, mask)
+        report = evaluate_scene(scene_rows(comps, mask), comps.s_hat)
         # pure double-talk scene: no single-talk frames, so no sar/erle;
         # absent means omitted, not zero
         assert all(lab == FrameLabel.DOUBLE_TALK.value for lab in report.labels)
@@ -282,15 +282,21 @@ class TestEvaluateScene:
         assert "ser" not in report.aggregates
         assert "snr" not in report.aggregates
 
-    def test_requires_s_hat(self):
+    def test_scene_rows_requires_e(self):
         comps, mask = build_scene()
-        bare = SceneComponents(s=comps.s, e=comps.e)
-        with pytest.raises(ValueError, match="missing: s_hat"):
-            evaluate_scene(bare, mask)
+        with pytest.raises(ValueError, match=r"^scene_rows needs s and e \(missing: e\)$"):
+            scene_rows(SceneComponents(s=comps.s, y=comps.y, w=comps.w), mask)
+
+    @pytest.mark.parametrize("length", [4800 - 1, 4800 + 1, 4800 - HOP])
+    def test_s_hat_of_another_length_rejected(self, length):
+        comps, mask = build_scene()
+        rows = scene_rows(comps, mask)
+        with pytest.raises(ValueError, match="does not match grid signal_len"):
+            evaluate_scene(rows, Signal(np.resize(comps.s_hat.samples, length)))
 
     def test_counts_match_mask(self):
         comps, mask = build_scene()
-        report = evaluate_scene(comps, mask)
+        report = evaluate_scene(scene_rows(comps, mask), comps.s_hat)
         assert report.aggregates["dsml"].count == mask.labels.count(FrameLabel.DOUBLE_TALK)
         assert report.aggregates["sar"].count == mask.labels.count(FrameLabel.NEAR_END)
         assert report.aggregates["erle"].count == mask.labels.count(FrameLabel.FAR_END)
@@ -298,7 +304,7 @@ class TestEvaluateScene:
 
     def test_aggregate_matches_two_pass_oracle(self):
         comps, mask = build_scene(seed=17)
-        report = evaluate_scene(comps, mask)
+        report = evaluate_scene(scene_rows(comps, mask), comps.s_hat)
         for name in METRIC_NAMES:
             values = report.values[name]
             present = values[~np.isnan(values)]
@@ -311,7 +317,7 @@ class TestEvaluateScene:
 
     def test_values_within_clamp(self):
         comps, mask = build_scene(seed=18)
-        report = evaluate_scene(comps, mask)
+        report = evaluate_scene(scene_rows(comps, mask), comps.s_hat)
         for name in METRIC_NAMES:
             values = report.values[name]
             present = values[~np.isnan(values)]
@@ -394,7 +400,7 @@ class TestEvaluateSceneOracles:
         # shift the label cycle so every frame is scored under every label
         for shift in range(len(LABEL_CYCLE)):
             labels = tuple(LABEL_CYCLE[(i + shift) % len(LABEL_CYCLE)] for i in range(grid.n_frames))
-            report = evaluate_scene(comps, ActivityMask(labels=labels, grid=grid), clamp)
+            report = evaluate_scene(scene_rows(comps, ActivityMask(labels=labels, grid=grid), clamp), comps.s_hat)
             for i, label in enumerate(labels):
                 expected = oracle_frame(label, *(f[i] for f in frames), clamp)
                 for name in METRIC_NAMES:
@@ -417,55 +423,72 @@ def assert_same_report(got, want):
 
 
 class TestSceneRowsCache:
-    """evaluate_scene reuses the s_hat-independent rows a caller built once with scene_rows."""
+    """Rows built once by scene_rows serve every s_hat of their scene."""
 
-    @staticmethod
-    def edge_scene():
-        """Edge frames under every label, and s_hats that reach the +-clamp bound."""
+    @pytest.mark.parametrize("clamp", [120.0, 60.0])
+    def test_reused_rows_give_the_cold_report(self, clamp):
+        # edge frames under every label, and s_hats that reach the +-clamp bound
         segments = list(edge_case_segments(np.random.default_rng(32)))
         s, e, s_hat, y, w = (np.concatenate(parts) for parts in zip(*segments))
         grid = make_grid(len(s))
         labels = tuple(LABEL_CYCLE[i % len(LABEL_CYCLE)] for i in range(grid.n_frames))
         components = SceneComponents(s=Signal(s), e=Signal(e), y=Signal(y), w=Signal(w))
-        s_hats = [s_hat, np.zeros_like(e), e, 0.5 * s, 1e-7 * e,
-                  np.random.default_rng(33).standard_normal(len(e)) * 0.1]
-        return components, ActivityMask(labels=labels, grid=grid), [Signal(x) for x in s_hats]
-
-    @staticmethod
-    def scored(components, s_hat):
-        return SceneComponents(s=components.s, e=components.e, y=components.y, w=components.w,
-                               s_hat=s_hat)
-
-    @pytest.mark.parametrize("clamp", [120.0, 60.0])
-    def test_reused_rows_give_the_cold_report(self, clamp, monkeypatch):
-        components, mask, s_hats = self.edge_scene()
+        mask = ActivityMask(labels=labels, grid=grid)
+        s_hats = [Signal(x) for x in (s_hat, np.zeros_like(e), e, 0.5 * s, 1e-7 * e,
+                                      np.random.default_rng(33).standard_normal(len(e)) * 0.1)]
         rows = scene_rows(components, mask, clamp)
-        built = []
-        monkeypatch.setattr(metrics_module, "scene_rows",
-                            lambda *args: built.append(args) or scene_rows(*args))
-        warm = [evaluate_scene(self.scored(components, sh), mask, clamp, rows=rows) for sh in s_hats]
-        assert built == []  # every warm call took the given rows
         hit_clamp = 0
-        for s_hat, report in zip(s_hats, warm):
-            assert_same_report(report, evaluate_scene(self.scored(components, s_hat), mask, clamp))
+        for s_hat in s_hats:
+            report = evaluate_scene(rows, s_hat)
+            assert_same_report(report, evaluate_scene(scene_rows(components, mask, clamp), s_hat))
             hit_clamp += sum(np.count_nonzero(np.abs(v) == clamp) for v in report.values.values())
-        assert len(built) == len(s_hats)  # every cold call built its own
         assert hit_clamp > 0
-        assert all(not a.flags.writeable for a in vars(rows).values() if isinstance(a, np.ndarray))
+        assert all(not a.flags.writeable for a in (*vars(rows).values(), *rows.values.values())
+                   if isinstance(a, np.ndarray))
 
-    def test_rows_for_another_scene_mask_or_clamp_rejected(self):
-        components, mask, (s_hat, *_) = self.edge_scene()
-        shifted = ActivityMask(labels=mask.labels[1:] + mask.labels[:1], grid=mask.grid)
-        scene = self.scored(components, s_hat)
-        rows = scene_rows(components, mask, 120.0)
-        assert_same_report(evaluate_scene(scene, mask, 120.0, rows=rows), evaluate_scene(scene, mask, 120.0))
-        same_samples = SceneComponents(s=components.s, e=Signal(components.e.samples), y=components.y,
-                                       w=components.w, s_hat=s_hat)
-        # each differs from the rows' scene, mask and clamp in one part only
-        for other_scene, other_mask, other_clamp in ((scene, shifted, 120.0), (scene, mask, 60.0),
-                                                     (same_samples, mask, 120.0)):
-            with pytest.raises(ValueError, match="rows were built for another scene, mask or clamp_db"):
-                evaluate_scene(other_scene, other_mask, other_clamp, rows=rows)
+
+@st.composite
+def short_scenes(draw):
+    """A scene of 0-5 frames (0: shorter than one frame), any mask, any clamp.
+
+    Each of s, e, s_hat, y and w is all-zero or noise, at full scale or
+    scaled by 1e-9.
+    """
+    n_frames = draw(st.integers(0, 5))
+    if n_frames == 0:
+        length = draw(st.integers(1, FRAME_LEN - 1))
+    else:
+        length = FRAME_LEN + (n_frames - 1) * HOP + draw(st.integers(0, HOP - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    signals = {}
+    for name in ("s", "e", "s_hat", "y", "w"):
+        samples = np.zeros(length) if draw(st.booleans()) else rng.standard_normal(length)
+        signals[name] = Signal(samples * draw(st.sampled_from([1.0, 1e-9])))
+    grid = make_grid(length)
+    labels = tuple(draw(st.lists(st.sampled_from(list(FrameLabel)), min_size=n_frames, max_size=n_frames)))
+    clamp = draw(st.sampled_from([120.0, 60.0, 1.0]))
+    return SceneComponents(**signals), ActivityMask(labels=labels, grid=grid), clamp
+
+
+class TestEvaluateSceneProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(short_scenes())
+    def test_values_on_condition_finite_within_clamp(self, scene):
+        components, mask, clamp = scene
+        report = evaluate_scene(scene_rows(components, mask, clamp), components.s_hat)
+        n_frames = mask.grid.n_frames
+        assert report.labels == tuple(label.value for label in mask.labels)
+        for name in METRIC_NAMES:
+            condition = METRIC_CONDITIONS[name]
+            on = np.array([condition in ("all", label) for label in report.labels], dtype=bool)
+            values = report.values[name]
+            assert values.shape == (n_frames,)
+            assert np.array_equal(np.isnan(values), ~on), name
+            assert np.all(np.abs(values[on]) <= clamp), name
+            agg = report.aggregates.get(name)
+            assert (agg.count if agg else 0) == np.count_nonzero(on), name
+        counts = [report.aggregates[name].count for name in ("dsml", "sar", "erle") if name in report.aggregates]
+        assert sum(counts) + report.labels.count(FrameLabel.SILENCE.value) == n_frames
 
 
 @st.composite
@@ -509,7 +532,7 @@ class TestRowKernelProperties:
 class TestReportSerialization:
     def test_csv_roundtrip(self, tmp_path):
         comps, mask = build_scene(seed=19)
-        report = evaluate_scene(comps, mask)
+        report = evaluate_scene(scene_rows(comps, mask), comps.s_hat)
         path = tmp_path / "frames.csv"
         report.write_csv(path)
         with open(path, newline="") as fh:
@@ -562,7 +585,7 @@ class TestReportSerialization:
         # the scene as evaluate reads it back: float32 WAV samples
         loaded = SceneComponents(**{name: load_wav(tmp_path / f"{name}.wav") for name in comps.present()})
         mask = classify(loaded.s, loaded.y, make_grid(len(loaded.s)))
-        report = evaluate_scene(loaded, mask)
+        report = evaluate_scene(scene_rows(loaded, mask), loaded.s_hat)
         assert payload["per_utterance"] == {"u": {name: dataclasses.asdict(agg)
                                                   for name, agg in report.aggregates.items()}}
         assert payload["per_utterance"]["u"]["resl"]["condition"] == "double_talk"
