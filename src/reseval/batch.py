@@ -23,7 +23,7 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .common import _WAV_NAMES, CLAMP_DB, DEFAULT_THRESHOLD_DB, SEED_ENV_VAR, atomic_write_bytes
+from .common import _WAV_NAMES, SEED_ENV_VAR, atomic_write_bytes
 
 if TYPE_CHECKING:
     from .audio import SceneComponents
@@ -50,16 +50,13 @@ class ManifestEntry:
 
 
 class Manifest:
-    def __init__(self, entries: list[ManifestEntry], threshold_db: float = DEFAULT_THRESHOLD_DB,
-                 clamp_db: float = CLAMP_DB):
+    def __init__(self, entries: list[ManifestEntry]):
         seen = set()
         for entry in entries:
             if entry.id in seen:
                 raise ValueError(f"duplicate entry id {entry.id!r}")
             seen.add(entry.id)
         self.entries = entries
-        self.threshold_db = threshold_db
-        self.clamp_db = clamp_db
 
     @classmethod
     def from_json(cls, path) -> "Manifest":
@@ -67,24 +64,16 @@ class Manifest:
         raw = _read_json(path)
         if not isinstance(raw, dict) or not isinstance(raw.get("entries"), list):
             raise ValueError(f"{path}: manifest must be an object with an 'entries' list")
-        options = raw.get("options", {})
-        if not isinstance(options, dict):
-            raise ValueError(f"{path}: 'options' must be an object")
+        unknown = sorted(set(raw) - {"entries"})
+        if unknown:
+            raise ValueError(f"{path}: unknown key {unknown[0]!r}")
         entries = []
         for idx, item in enumerate(raw["entries"]):
             try:
                 entries.append(_parse_entry(item, base))
             except ValueError as exc:
                 raise ValueError(f"{path}: entry {idx}: {exc}") from None
-        levels = (options.get("threshold_db", DEFAULT_THRESHOLD_DB), options.get("clamp_db", CLAMP_DB))
-        try:
-            # float() would read a JSON true as 1.0
-            if any(isinstance(level, bool) for level in levels):
-                raise TypeError
-            threshold_db, clamp_db = (float(level) for level in levels)
-        except (TypeError, ValueError):
-            raise ValueError(f"{path}: options 'threshold_db' and 'clamp_db' must be numbers") from None
-        return cls(entries=entries, threshold_db=threshold_db, clamp_db=clamp_db)
+        return cls(entries=entries)
 
     def write_json(self, path) -> None:
         """Write the manifest with paths relative to its own directory."""
@@ -95,10 +84,7 @@ class Manifest:
             if entry.tags:
                 item["tags"] = entry.tags
             items.append(item)
-        blob = json.dumps(
-            {"options": {"threshold_db": self.threshold_db, "clamp_db": self.clamp_db},
-             "entries": items},
-            indent=2, sort_keys=True) + "\n"
+        blob = json.dumps({"entries": items}, indent=2, sort_keys=True) + "\n"
         atomic_write_bytes(path, blob.encode())
 
 
@@ -106,6 +92,9 @@ def _parse_entry(item, base: str) -> ManifestEntry:
     """One manifest entry; relative component paths resolve against base."""
     if not isinstance(item, dict):
         raise ValueError(f"must be an object, got {type(item).__name__}")
+    unknown = sorted(set(item) - {"id", "tags", *_WAV_NAMES})
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
     if "id" not in item:
         raise ValueError("has no 'id'")
     # the id names the entry's output files, so it must be one file name
@@ -162,21 +151,24 @@ def _read_json(path):
 
 
 def _resolve_manifest(args) -> Manifest:
-    """The batch of --manifest or --scenes with the --threshold-db and --clamp-db
-    given; a threshold that is not finite, or a clamp that is not finite and > 0,
-    is rejected."""
+    """The batch of --manifest or --scenes."""
     manifest = Manifest.from_json(args.manifest) if args.manifest else manifest_from_scenes(args.scenes)
     if not manifest.entries:
         raise ValueError("no entries")
-    if getattr(args, "threshold_db", None) is not None:
-        manifest.threshold_db = args.threshold_db
-    if getattr(args, "clamp_db", None) is not None:
-        manifest.clamp_db = args.clamp_db
-    if not math.isfinite(manifest.threshold_db):
-        raise ValueError(f"threshold_db must be finite, got {manifest.threshold_db}")
-    if not 0 < manifest.clamp_db < math.inf:
-        raise ValueError(f"clamp_db must be finite and > 0, got {manifest.clamp_db}")
     return manifest
+
+
+def _check_levels(args) -> None:
+    """Reject a --threshold-db that is not finite, or a --clamp-db that is not finite and > 0."""
+    if not math.isfinite(args.threshold_db):
+        raise ValueError(f"threshold_db must be finite, got {args.threshold_db}")
+    if not 0 < args.clamp_db < math.inf:
+        raise ValueError(f"clamp_db must be finite and > 0, got {args.clamp_db}")
+
+
+def _check_jobs(args) -> None:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
 
 
 def _default_seed(args) -> int:
@@ -237,8 +229,6 @@ def _run_batch(command: str, step, items, *extra, jobs: int = 1):
     Returns ({id: result}, {id: error}) and prints one
     "<command>: <id>: <error>" line per failed item to stderr.
     """
-    if jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {jobs}")
     _keep_freed_memory()
     tasks = [(step, item, *extra) for _, item in items]
     if jobs <= 1 or len(tasks) <= 1:
@@ -291,6 +281,7 @@ def _simulate_one(task) -> None:
 
 def run_simulate(args) -> int:
     """Write the --spec/--count/--seed scenes as <out>/scene_NNNN."""
+    _check_jobs(args)
     specs = _load_scene_specs(args.spec, args.count, _default_seed(args))
     os.makedirs(args.out, exist_ok=True)
     ids = [f"scene_{i:04d}" for i in range(len(specs))]
@@ -317,6 +308,7 @@ def _suppress_entry(entry, config, out_dir):
 def run_suppress(args) -> int:
     from .suppressor import SuppressorConfig, beta_schedule
 
+    _check_jobs(args)
     manifest = _resolve_manifest(args)
     beta = args.beta if args.alpha is None else beta_schedule([args.alpha])[0]
     config = SuppressorConfig(beta=beta, floor=args.floor)
@@ -383,16 +375,18 @@ def _pooled_aggregates(reports) -> dict:
 def run_evaluate(args) -> int:
     from dataclasses import asdict
 
+    _check_jobs(args)
+    _check_levels(args)
     manifest = _resolve_manifest(args)
     os.makedirs(args.out, exist_ok=True)
     reports, errors = _run_batch("evaluate", _evaluate_entry, [(e.id, e) for e in manifest.entries],
-                                 manifest.threshold_db, manifest.clamp_db, jobs=args.jobs)
+                                 args.threshold_db, args.clamp_db, jobs=args.jobs)
     for eid, report in reports.items():
         report.write_csv(os.path.join(args.out, f"frames_{eid}.csv"))
 
     payload = {
-        "threshold_db": manifest.threshold_db,
-        "clamp_db": manifest.clamp_db,
+        "threshold_db": args.threshold_db,
+        "clamp_db": args.clamp_db,
         "n_entries": len(manifest.entries),
         "n_failed": len(errors),
         "metrics": _pooled_aggregates(reports.values()),
@@ -448,10 +442,11 @@ def run_sweep(args) -> int:
         raise IsADirectoryError(f"{args.out}: is a directory")
     if not os.path.isdir(os.path.dirname(args.out) or "."):
         raise FileNotFoundError(f"{args.out}: no such directory to write it in")
+    _check_levels(args)
     manifest = _resolve_manifest(args)
     groups = {e.id: _group_of(e, args.group_by) for e in manifest.entries} if args.group_by else {}
     reports, errors = _run_batch("sweep", _sweep_entry, [(e.id, e) for e in manifest.entries], configs,
-                                 manifest.threshold_db, manifest.clamp_db)
+                                 args.threshold_db, args.clamp_db)
 
     rows = []
     for group in sorted({groups.get(eid) for eid in reports}, key=lambda v: (str(type(v)), v)):

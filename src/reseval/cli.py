@@ -109,9 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--manifest", help="manifest JSON")
     g.add_argument("--scenes", help="directory of scene subdirectories")
     p.add_argument("--out", required=True, help="output directory for frame CSVs and report.json")
-    p.add_argument("--threshold-db", type=float, default=None, dest="threshold_db",
+    p.add_argument("--threshold-db", type=float, default=DEFAULT_THRESHOLD_DB, dest="threshold_db",
                    help=f"activity threshold (default {DEFAULT_THRESHOLD_DB})")
-    p.add_argument("--clamp-db", type=float, default=None, dest="clamp_db",
+    p.add_argument("--clamp-db", type=float, default=CLAMP_DB, dest="clamp_db",
                    help=f"metric clamp bound (default {CLAMP_DB})")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p.set_defaults(func=cmd_evaluate)
@@ -124,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV table")
     p.add_argument("--floor", type=float, default=0.02)
     p.add_argument("--group-by", dest="group_by", help="tag/sidecar field to group rows by")
-    p.add_argument("--threshold-db", type=float, default=None, dest="threshold_db")
-    p.add_argument("--clamp-db", type=float, default=None, dest="clamp_db")
+    p.add_argument("--threshold-db", type=float, default=DEFAULT_THRESHOLD_DB, dest="threshold_db")
+    p.add_argument("--clamp-db", type=float, default=CLAMP_DB, dest="clamp_db")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("correlate", help="PCC/SRCC between two score-table columns")

@@ -98,20 +98,9 @@ class SceneSpec:
     def from_dict(cls, raw: dict) -> "SceneSpec":
         if not isinstance(raw, dict):
             raise ValueError("invalid scene spec: must be a JSON object")
-        data = dict(raw)
-        aec = data.pop("aec", None)
-        if aec is not None:
-            if not isinstance(aec, dict):
-                raise ValueError("invalid scene spec: field 'aec' must be an object")
-            aec = dict(aec)  # the caller's spec may build more scenes
-            for key, target in (("taps", "aec_taps"), ("step", "aec_step"), ("passes", "aec_passes")):
-                if key in aec:
-                    data[target] = aec.pop(key)
-            if aec:
-                raise ValueError(f"invalid scene spec: unknown field 'aec.{sorted(aec)[0]}'")
         known = {f.name: f for f in fields(cls)}
         kwargs = {}
-        for key, value in data.items():
+        for key, value in raw.items():
             if key not in known:
                 raise ValueError(f"invalid scene spec: unknown field {key!r}")
             try:

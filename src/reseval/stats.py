@@ -106,15 +106,15 @@ class ScoreTable:
         return [row[name] for row in self.rows]
 
     @classmethod
-    def from_csv(cls, path, id_column: str | None = None) -> "ScoreTable":
+    def from_csv(cls, path) -> "ScoreTable":
+        """The table of a CSV file whose first column holds the utterance ids."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
             except StopIteration:
                 raise ValueError(f"{path}: empty CSV") from None
-            if id_column is None:
-                id_column = header[0]
+            id_column = header[0]
             rows = []
             for lineno, raw in enumerate(reader, start=2):
                 if len(raw) != len(header):

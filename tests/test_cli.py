@@ -99,14 +99,13 @@ class TestSimulate:
         ("ser_db", math.nan, "invalid scene spec: ser_db must be finite, got nan"),
         ("rir_len", math.inf, "invalid scene spec: field 'rir_len' has invalid value inf"),
         ("rir_length", 100, "invalid scene spec: unknown field 'rir_length'"),
-        ("aec", 256, "invalid scene spec: field 'aec' must be an object"),
-        ("aec", {"tap": 256}, "invalid scene spec: unknown field 'aec.tap'"),
+        # the canceller's settings are spelled only aec_taps, aec_step and aec_passes
+        ("aec", {"taps": 256}, "invalid scene spec: unknown field 'aec'"),
         ("ser_db", [], "invalid scene spec: field 'ser_db' is an empty list"),
         ("seed", 42, "invalid scene spec: field 'seed' is set by --seed or $RES_EVAL_SEED"),
         ("seed", [1, 2], "invalid scene spec: field 'seed' is set by --seed or $RES_EVAL_SEED"),
     ], ids=["duration-text", "duration-inf", "clip_hardness-inf", "t60-inf", "snr_db-minus-inf", "ser_db-nan",
-            "rir_len-inf", "unknown-field", "aec-not-an-object", "unknown-aec-key", "empty-list", "seed",
-            "seed-list"])
+            "rir_len-inf", "unknown-field", "nested-aec", "empty-list", "seed", "seed-list"])
     def test_invalid_spec_field_reported(self, tmp_path, capsys, command, field, value, match):
         spec = write_spec(tmp_path, {**SPEC, field: value})
         with warnings.catch_warnings(record=True) as caught:
@@ -121,13 +120,6 @@ class TestSimulate:
         assert run("simulate", "--spec", path, "--out", tmp_path / "x") == 2
         assert capsys.readouterr().err == f"error: invalid scene spec: {path}: must be a JSON object\n"
         assert not os.path.exists(tmp_path / "x")
-
-    def test_nested_aec_applies_to_every_scene(self, tmp_path):
-        spec = write_spec(tmp_path, {**SPEC, "aec": {"taps": 256, "step": 0.25}})
-        assert run("simulate", "--spec", spec, "--out", tmp_path / "out", "--count", 2, "--seed", 3) == 0
-        for i in range(2):
-            sidecar = json.loads((tmp_path / "out" / f"scene_{i:04d}" / "scene.json").read_text())
-            assert (sidecar["spec"]["aec_taps"], sidecar["spec"]["aec_step"]) == (256, 0.25)
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         spec = write_spec(tmp_path)
@@ -195,6 +187,7 @@ class TestSuppress:
         monkeypatch.chdir(tmp_path)
         assert run("suppress", "--scenes", "scenes", "--beta", 8, "--out", "sup") == 0
         raw = json.loads((tmp_path / "sup" / "manifest.json").read_text())
+        assert list(raw) == ["entries"]
         assert raw["entries"][0]["s"] == os.path.join("..", "scenes", "scene_0000", "s.wav")
         assert raw["entries"][0]["s_hat"] == "scene_0000.shat.wav"
         assert run("evaluate", "--manifest", os.path.join("sup", "manifest.json"), "--out", "rep") == 0
@@ -449,23 +442,22 @@ class TestSweep:
 
 @pytest.mark.parametrize("command", ["evaluate", "sweep"])
 @pytest.mark.parametrize("flags,options,match", [
-    (["--clamp-db", -5], {}, "clamp_db must be finite and > 0, got -5.0"),
-    (["--clamp-db", 0], {}, "clamp_db must be finite and > 0, got 0.0"),
-    (["--clamp-db", "nan"], {}, "clamp_db must be finite and > 0, got nan"),
-    (["--clamp-db", "inf"], {}, "clamp_db must be finite and > 0, got inf"),
-    ([], {"clamp_db": -5}, "clamp_db must be finite and > 0, got -5.0"),
-    (["--threshold-db", "nan"], {}, "threshold_db must be finite, got nan"),
-    (["--threshold-db=-inf"], {}, "threshold_db must be finite, got -inf"),
-    ([], {"threshold_db": "inf"}, "threshold_db must be finite, got inf"),
-    ([], {"threshold_db": True}, "{manifest}: options 'threshold_db' and 'clamp_db' must be numbers"),
-    ([], {"clamp_db": False}, "{manifest}: options 'threshold_db' and 'clamp_db' must be numbers"),
-], ids=["clamp-negative", "clamp-zero", "clamp-nan", "clamp-inf", "option-clamp-negative", "threshold-nan",
-        "threshold-minus-inf", "option-threshold-inf", "option-threshold-true", "option-clamp-false"])
+    (["--clamp-db", -5], None, "clamp_db must be finite and > 0, got -5.0"),
+    (["--clamp-db", 0], None, "clamp_db must be finite and > 0, got 0.0"),
+    (["--clamp-db", "nan"], None, "clamp_db must be finite and > 0, got nan"),
+    (["--clamp-db", "inf"], None, "clamp_db must be finite and > 0, got inf"),
+    (["--threshold-db", "nan"], None, "threshold_db must be finite, got nan"),
+    (["--threshold-db=-inf"], None, "threshold_db must be finite, got -inf"),
+    # the levels come only from the flags, so a manifest may not set them
+    ([], {"threshold_db": -40.0, "clamp_db": 60.0}, "{manifest}: unknown key 'options'"),
+], ids=["clamp-negative", "clamp-zero", "clamp-nan", "clamp-inf", "threshold-nan", "threshold-minus-inf",
+        "manifest-options"])
 def test_meaningless_clamp_or_threshold_rejected_before_any_entry(scene_dir, tmp_path, monkeypatch, capsys,
                                                                   command, flags, options, match):
     manifest = tmp_path / "m.json"
     manifest_from_scenes(scene_dir).write_json(manifest)
-    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "options": options}))
+    if options is not None:
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "options": options}))
     out = {"evaluate": tmp_path / "r", "sweep": tmp_path / "x.csv"}[command]
     calls = []
     monkeypatch.setattr(rv.activity, "classify", lambda *a: calls.append(a))
@@ -548,10 +540,12 @@ def test_jobs_below_one_rejected_before_any_item(scene_dir, tmp_path, monkeypatc
         monkeypatch.setattr(getattr(rv, module), name, lambda *a, **k: calls.append(a))
     inputs = {"simulate": ["--spec", write_spec(tmp_path)], "suppress": ["--scenes", scene_dir],
               "evaluate": ["--scenes", scene_dir]}[command]
+    before = sorted(os.listdir(tmp_path))
     assert run(command, *inputs, "--out", tmp_path / "out", "--jobs", jobs) == 2
     assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
     assert calls == []
-    assert dir_bytes(tmp_path / "out") == {}
+    # nothing is written, not even an empty --out directory
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 class TestManifestHelpers:
@@ -584,8 +578,8 @@ class TestManifestSchema:
             ({"entries": [{"id": "a", "s_hat": None}]}, "entry 0: path 's_hat'"),
             ({"entries": [{"id": "a", "s": "s.wav", "tags": [1]}]}, "entry 0: 'tags' must be an object"),
             ({"entries": [{"s": "s.wav"}]}, "entry 0: has no 'id'"),
-            ({"options": [], "entries": [VALID]}, "'options' must be an object"),
-            ({"options": {"clamp_db": [1]}, "entries": [VALID]}, "must be numbers"),
+            ({"options": {"clamp_db": 60.0}, "entries": [VALID]}, "unknown key 'options'"),
+            ({"entries": [VALID, {**VALID, "id": "b", "Y": "y.wav"}]}, "entry 1: unknown key 'Y'"),
             ({"entries": [{**VALID, "id": None}]}, "entry 0: 'id' must be a string or a number, got NoneType"),
             ({"entries": [{**VALID, "id": True}]}, "entry 0: 'id' must be a string or a number, got bool"),
             ({"entries": [{**VALID, "id": {"a": 1}}]}, "entry 0: 'id' must be a string or a number, got dict"),
@@ -606,6 +600,7 @@ class TestManifestSchema:
         assert err.startswith(f"error: {manifest}: ")
         assert match in err
         assert err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "r")
 
 
 @pytest.mark.parametrize("command,entry_id", [("suppress", "../evil"), ("evaluate", "spk1/utt2")])

@@ -34,6 +34,7 @@ from reseval import (
 from reseval.cli import main
 from reseval.framing import FRAME_LEN, HOP
 from reseval.metrics import (
+    COMP_DEGENERATE,
     METRIC_CONDITIONS,
     METRIC_NAMES,
     MetricReport,
@@ -489,6 +490,64 @@ class TestEvaluateSceneProperties:
             assert (agg.count if agg else 0) == np.count_nonzero(on), name
         counts = [report.aggregates[name].count for name in ("dsml", "sar", "erle") if name in report.aggregates]
         assert sum(counts) + report.labels.count(FrameLabel.SILENCE.value) == n_frames
+
+
+def assert_scale_invariant(components, mask, clamp, c) -> int:
+    """Assert that DSML, SDR and SAR of s_hat and c * s_hat agree within 1e-6 dB.
+
+    Only frames whose compensation is not degenerate at either scale are
+    checked, and only where neither value sits at the clamp, where every
+    ratio that crosses the 1e-12 floor lands too.  Returns how many
+    values were checked.
+    """
+    rows = scene_rows(components, mask, clamp)
+    s = mask.grid.frame_matrix(components.s.samples)
+    s_energy = np.einsum("ij,ij->i", s, s)
+    live = s_energy > COMP_DEGENERATE
+    projected = live.copy()
+    reports = []
+    for k in (1.0, c):
+        s_hat = Signal(components.s_hat.samples * k)
+        reports.append(evaluate_scene(rows, s_hat))
+        # sdr and sar divide out the projection of s_hat on s
+        proj = np.einsum("ij,ij->i", mask.grid.frame_matrix(s_hat.samples), s) / np.where(live, s_energy, 1.0)
+        projected &= np.abs(proj) > COMP_DEGENERATE
+    checked = 0
+    for name, compensated in (("dsml", live), ("sdr", projected), ("sar", projected)):
+        base, scaled = (report.values[name] for report in reports)
+        keep = compensated & ~np.isnan(base) & (np.abs(base) < clamp) & (np.abs(scaled) < clamp)
+        worst = np.max(np.abs(scaled[keep] - base[keep]), initial=0.0)
+        assert worst <= 1e-6, (name, c, worst)
+        checked += np.count_nonzero(keep)
+    return checked
+
+
+@st.composite
+def suppressed_scenes(draw):
+    """A short_scenes() scene as it is, or with its s, e and s_hat replaced by
+    talk: e is s plus an echo, and s_hat is 0.6 e plus a little noise."""
+    components, mask, clamp = draw(short_scenes())
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        s, echo, noise = rng.standard_normal((3, len(components.s)))
+        e = s + 0.5 * echo
+        s_hat = 0.6 * e + 0.05 * noise
+        components = dataclasses.replace(components, s=Signal(s), e=Signal(e), s_hat=Signal(s_hat))
+    return components, mask, clamp
+
+
+class TestScaleInvariance:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(suppressed_scenes(), st.floats(-3.0, 3.0).map(lambda p: 10.0**p))
+    def test_scaling_s_hat_keeps_compensated_metrics(self, scene, c):
+        assert_scale_invariant(*scene, c)
+
+    @pytest.mark.parametrize("c", [1e-3, 0.37, 1e3])
+    def test_scaling_checks_frames_of_a_talking_scene(self, c):
+        comps, mask = build_scene(seed=21)
+        noise = np.random.default_rng(21).standard_normal(len(comps.e))
+        comps = dataclasses.replace(comps, s_hat=Signal(0.6 * comps.e.samples + 0.05 * noise))
+        assert assert_scale_invariant(comps, mask, 120.0, c) > 10
 
 
 @st.composite

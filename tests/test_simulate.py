@@ -80,9 +80,9 @@ class TestSceneSpec:
         with pytest.raises(ValueError, match="'ser_db'"):
             SceneSpec.from_dict({"ser_db": "loud"})
 
-    def test_from_dict_nested_aec(self):
-        spec = SceneSpec.from_dict({"aec": {"taps": 256, "step": 0.25}})
-        assert spec.aec_taps == 256 and spec.aec_step == 0.25
+    def test_from_dict_rejects_nested_aec(self):
+        with pytest.raises(ValueError, match="^invalid scene spec: unknown field 'aec'$"):
+            SceneSpec.from_dict({"aec": {"taps": 256, "step": 0.25}})
 
     def test_roundtrip(self):
         spec = SceneSpec(duration=3.0, seed=5, ser_db=-5.0)
