@@ -1,7 +1,8 @@
 """Per-frame condition labels: double-talk, single-talk, silence.
 
-Labels are a pure function of the ground-truth components, a frame
-grid, and an energy threshold.  Noise is ignored for labeling.
+Labels are a pure function of the ground-truth components and an
+energy threshold, one per frame of the signals' grid (make_grid).
+Noise is ignored for labeling.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from .audio import ENERGY_FLOOR, Signal, frozen
 from .common import DEFAULT_THRESHOLD_DB
-from .framing import FrameGrid
+from .framing import FrameGrid, make_grid
 
 
 class FrameLabel(str, Enum):
@@ -23,14 +24,14 @@ class FrameLabel(str, Enum):
     SILENCE = "silence"
 
 
-def frame_active(signal: Signal, grid: FrameGrid, threshold_db: float = DEFAULT_THRESHOLD_DB) -> np.ndarray:
-    """Boolean per frame: frame energy above threshold_db.
+def frame_active(signal: Signal, threshold_db: float = DEFAULT_THRESHOLD_DB) -> np.ndarray:
+    """Boolean per frame of make_grid(len(signal)): frame energy above threshold_db.
 
     Energy is the summed squared amplitude of the frame in dB, floored
     at 1e-12.
     """
-    frames = grid.frame_matrix(signal.samples)
-    energies = np.einsum("ij,ij->i", frames, frames) if frames.size else np.zeros(grid.n_frames)
+    frames = make_grid(len(signal)).frame_matrix(signal.samples)
+    energies = np.einsum("ij,ij->i", frames, frames)
     energies_db = 10.0 * np.log10(energies + ENERGY_FLOOR)
     return energies_db > threshold_db
 
@@ -64,13 +65,8 @@ class ActivityMask:
         return np.flatnonzero(self.codes == _CODE_OF_LABEL[label])
 
 
-def classify(
-    s: Signal,
-    echo_ref: Signal,
-    grid: FrameGrid,
-    threshold_db: float = DEFAULT_THRESHOLD_DB,
-) -> ActivityMask:
-    """Label each frame from near-end speech and an echo-side reference.
+def classify(s: Signal, echo_ref: Signal, threshold_db: float = DEFAULT_THRESHOLD_DB) -> ActivityMask:
+    """Label each frame of make_grid(len(s)) from near-end speech and an echo-side reference.
 
     DoubleTalk iff both are active, NearEndST iff only s, FarEndST iff
     only echo_ref, Silence otherwise.
@@ -79,10 +75,10 @@ def classify(
         raise ValueError(
             f"length mismatch: s has {len(s)} samples, echo_ref {len(echo_ref)}"
         )
-    near = frame_active(s, grid, threshold_db)
-    far = frame_active(echo_ref, grid, threshold_db)
+    near = frame_active(s, threshold_db)
+    far = frame_active(echo_ref, threshold_db)
     labels = tuple(_LABEL_OF_CODE[code] for code in (near + 2 * far).tolist())
-    return ActivityMask(labels=labels, grid=grid)
+    return ActivityMask(labels=labels, grid=make_grid(len(s)))
 
 
 def echo_reference(components) -> Signal:

@@ -293,7 +293,7 @@ def run_simulate(args) -> int:
 
 def _suppress_entry(entry, config, out_dir):
     from .audio import save_wav
-    from .suppressor import oracle_suppress
+    from .suppressor import gain_tracks, oracle_suppress
 
     entry.require(("s", "e"))
     components = entry.load_components(("s", "e"))
@@ -301,7 +301,8 @@ def _suppress_entry(entry, config, out_dir):
         out_path = os.path.join(out_dir, f"{entry.id}.shat.wav")
     else:
         out_path = os.path.join(os.path.dirname(entry.paths["e"]), "shat.wav")
-    save_wav(oracle_suppress(components.e, components.s, config), out_path)
+    tracks = gain_tracks(components.e, components.s)
+    save_wav(oracle_suppress(tracks, config), out_path)
     return out_path
 
 
@@ -338,12 +339,10 @@ def _load_labeled(entry, extra, threshold_db):
     from dataclasses import replace
 
     from .activity import classify, echo_reference
-    from .framing import make_grid
 
     entry.require(("s", "e", *extra))
     components = replace(entry.load_components(_SCENE_KEYS + extra), m=None, y_hat=None)
-    grid = make_grid(len(components.s))
-    return components, classify(components.s, echo_reference(components), grid, threshold_db)
+    return components, classify(components.s, echo_reference(components), threshold_db)
 
 
 def _evaluate_entry(entry, threshold_db, clamp_db) -> MetricReport:
@@ -359,17 +358,14 @@ def _pooled_aggregates(reports) -> dict:
 
     import numpy as np
 
-    from .metrics import METRIC_CONDITIONS, METRIC_NAMES, aggregate
+    from .metrics import METRIC_NAMES, aggregate_metrics
 
     reports = list(reports)
     if not reports:
         return {}
-    pooled = {}
-    for name in METRIC_NAMES:
-        agg = aggregate(np.concatenate([rep.values[name] for rep in reports]), METRIC_CONDITIONS[name])
-        if agg is not None:
-            pooled[name] = asdict(agg)
-    return pooled
+    pooled = aggregate_metrics({name: np.concatenate([rep.values[name] for rep in reports])
+                                for name in METRIC_NAMES})
+    return {name: asdict(agg) for name, agg in pooled.items()}
 
 
 def run_evaluate(args) -> int:
@@ -412,7 +408,7 @@ def _sweep_entry(entry, configs, threshold_db, clamp_db) -> list[MetricReport]:
     rows = scene_rows(components, mask, clamp_db)
     reports = []
     for config in configs:
-        s_hat = oracle_suppress(components.e, components.s, config, tracks=tracks)
+        s_hat = oracle_suppress(tracks, config)
         reports.append(evaluate_scene(rows, s_hat))
         # the next alpha's s_hat is built without this one alive
         del s_hat

@@ -220,14 +220,18 @@ class MetricReport:
         return buf.getvalue()
 
 
-def aggregate(values: np.ndarray, condition: str) -> MetricAggregate | None:
-    """Two-pass mean/std (population) over the non-NaN entries."""
-    present = values[~np.isnan(values)]
-    if present.size == 0:
-        return None
-    mean = float(np.mean(present))
-    std = float(math.sqrt(float(np.mean((present - mean) ** 2))))
-    return MetricAggregate(condition=condition, mean=mean, std=std, count=int(present.size))
+def aggregate_metrics(values: dict[str, np.ndarray]) -> dict[str, MetricAggregate]:
+    """Two-pass mean/std (population) of each metric's non-NaN values, which are
+    the frames of its condition; a metric with none is omitted."""
+    aggregates = {}
+    for name, metric_values in values.items():
+        present = metric_values[~np.isnan(metric_values)]
+        if present.size:
+            mean = float(np.mean(present))
+            std = float(math.sqrt(float(np.mean((present - mean) ** 2))))
+            aggregates[name] = MetricAggregate(condition=METRIC_CONDITIONS[name], mean=mean, std=std,
+                                               count=int(present.size))
+    return aggregates
 
 
 @dataclass(frozen=True)
@@ -274,16 +278,13 @@ def scene_rows(components: SceneComponents, mask: ActivityMask, clamp_db: float 
     ne = mask.indices(FrameLabel.NEAR_END)
     s_ne = s_frames[ne]
     fe = mask.indices(FrameLabel.FAR_END)
-    values, aggregates = {}, {}
+    values = {}
     s_energy = _row_energy(s_frames)
     for name, other in (("ser", y), ("snr", w)):
         if other is None:
             values[name] = np.full(grid.n_frames, np.nan)
         else:
             values[name] = _energy_ratio_rows(s_energy, grid.frame_matrix(other.samples), clamp_db)
-        agg = aggregate(values[name], METRIC_CONDITIONS[name])
-        if agg is not None:
-            aggregates[name] = agg
     rows = _SceneRows(
         grid=grid, clamp_db=clamp_db,
         labels=tuple(_VALUE_OF_CODE[mask.codes].tolist()),
@@ -291,7 +292,7 @@ def scene_rows(components: SceneComponents, mask: ActivityMask, clamp_db: float 
         r_dt=r_dt, r_dt_energy=_row_energy(r_dt), e_dt_den=_gain_denominator(e_dt),
         ne=ne, s_ne=s_ne, s_ne_energy=_row_energy(s_ne),
         fe=fe, e_fe_energy=_row_energy(e_frames[fe]),
-        values=values, aggregates=aggregates,
+        values=values, aggregates=aggregate_metrics(values),
     )
     for array in (*vars(rows).values(), *values.values()):
         if isinstance(array, np.ndarray):
@@ -319,11 +320,5 @@ def evaluate_scene(rows: _SceneRows, s_hat: Signal) -> MetricReport:
     del sh_dt, gain
     values["sar"][rows.ne] = _projected_rows(rows.s_ne, rows.s_ne_energy, sh_frames[rows.ne], clamp_db)
     values["erle"][rows.fe] = _energy_ratio_rows(rows.e_fe_energy, sh_frames[rows.fe], clamp_db)
-
-    aggregates = {}
-    for name, metric_values in values.items():
-        agg = aggregate(metric_values, METRIC_CONDITIONS[name])
-        if agg is not None:
-            aggregates[name] = agg
     return MetricReport(labels=rows.labels, values={**values, **rows.values},
-                        aggregates={**aggregates, **rows.aggregates})
+                        aggregates={**aggregate_metrics(values), **rows.aggregates})

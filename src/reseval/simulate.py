@@ -63,7 +63,7 @@ class SceneSpec:
     aec_taps: int = 512
     aec_step: float = 0.5
     aec_passes: int = 1
-    source_mode: str = "synthetic"
+    # the sources are read from these WAVs when both are set, else synthesised
     near_wav: str | None = None
     far_wav: str | None = None
 
@@ -85,10 +85,8 @@ class SceneSpec:
             raise ValueError(f"aec_step must be in (0, 1], got {self.aec_step}")
         if self.aec_passes < 1:
             raise ValueError(f"aec_passes must be >= 1, got {self.aec_passes}")
-        if self.source_mode not in ("synthetic", "wav"):
-            raise ValueError(f"source_mode must be 'synthetic' or 'wav', got {self.source_mode!r}")
-        if self.source_mode == "wav" and (self.near_wav is None or self.far_wav is None):
-            raise ValueError("source_mode 'wav' requires near_wav and far_wav")
+        if (self.near_wav is None) != (self.far_wav is None):
+            raise ValueError("near_wav and far_wav must be set together")
         if self.echo_path_change_at is not None and not 0 < self.echo_path_change_at < self.duration:
             raise ValueError(
                 f"echo_path_change_at must lie inside (0, duration), got {self.echo_path_change_at}"
@@ -106,7 +104,7 @@ class SceneSpec:
             try:
                 if key in ("seed", "rir_len", "aec_taps", "aec_passes"):
                     value = int(value) if value is not None else None
-                elif key in ("source_mode", "near_wav", "far_wav"):
+                elif key in ("near_wav", "far_wav"):
                     value = None if value is None else str(value)
                 elif key == "echo_path_change_at":
                     value = None if value is None else float(value)
@@ -427,19 +425,19 @@ def simulate_aec(m: Signal, x: Signal, spec: SceneSpec) -> tuple[Signal, Signal]
 def generate_scene(spec: SceneSpec) -> SceneComponents:
     """Build a full labeled scene from one seed.
 
-    Sources are synthetic bursts (or external WAVs), the echo is the
-    distorted far end through the synthetic room response, levels are
-    scaled to the SER/SNR targets, and the NLMS canceller produces
-    y_hat and e.
+    Sources are synthetic bursts (or external WAVs of the spec's
+    duration), the echo is the distorted far end through the synthetic
+    room response, levels are scaled to the SER/SNR targets, and the
+    NLMS canceller produces y_hat and e.
     """
-    if spec.source_mode == "wav":
+    n = spec.n_samples
+    if spec.near_wav is not None:
         s_raw = load_wav(spec.near_wav).samples
         x_raw = load_wav(spec.far_wav).samples
-        if len(s_raw) != len(x_raw):
-            raise ValueError("near_wav and far_wav must have equal length")
-        n = len(s_raw)
+        for name, raw in (("near_wav", s_raw), ("far_wav", x_raw)):
+            if len(raw) != n:
+                raise ValueError(f"{name} has {len(raw)} samples, not the {n} of duration {spec.duration} s")
     else:
-        n = spec.n_samples
         # the talk pattern repeats every cycle, so its first cycle shows whether the near end talks
         if not _talk_envelope(min(n, round(TALK_CYCLE_S * SAMPLE_RATE)), NEAR_SPAN).any():
             raise ValueError(f"duration {spec.duration} s has no near-end talk: "

@@ -93,8 +93,24 @@ def loss_j(inputs: LossInputs) -> float:
     return value
 
 
-def frame_gains(e: Signal, s: Signal, config: SuppressorConfig, tracks: tuple | None = None) -> np.ndarray:
-    """Per-frame broadband gain in [floor, 1].
+@dataclass(frozen=True)
+class _GainTracks:
+    """What frame_gains and oracle_suppress read of a scene; every array is read-only.
+
+    e is the residual to suppress; ps and pr are the smoothed per-frame
+    energies of s and of e - s, and collapse and jitter the estimator's
+    passthrough blend and gain wobble.  None of them depends on beta.
+    """
+
+    e: Signal
+    ps: np.ndarray
+    pr: np.ndarray
+    collapse: np.ndarray
+    jitter: np.ndarray
+
+
+def frame_gains(tracks: _GainTracks, config: SuppressorConfig) -> np.ndarray:
+    """Per-frame broadband gain in [floor, 1] from tracks = gain_tracks(e, s).
 
     The base gain is ||S||^2 / (||S||^2 + beta * ||R||^2) per frame,
     with R the noisy residual e - s, on temporally smoothed energy
@@ -102,21 +118,19 @@ def frame_gains(e: Signal, s: Signal, config: SuppressorConfig, tracks: tuple | 
     the gain toward passthrough once the residual dominates, and a
     deterministic log-normal jitter wobbles it where speech and residual
     are confusable or the noise floor is high.  Frames without speech
-    stay confidently floored.  tracks, when given, must be gain_tracks(e, s),
-    so a caller trying several betas on one (e, s) computes them once.
+    stay confidently floored.
     """
-    if len(e) != len(s):
-        raise ValueError(f"length mismatch: e has {len(e)} samples, s {len(s)}")
-    ps, pr, collapse, jitter = gain_tracks(e, s) if tracks is None else tracks
-    base = ps / (ps + config.beta * pr + GAIN_EPS)
-    gains = jitter * (collapse + (1.0 - collapse) * base)
+    base = tracks.ps / (tracks.ps + config.beta * tracks.pr + GAIN_EPS)
+    gains = tracks.jitter * (tracks.collapse + (1.0 - tracks.collapse) * base)
     # reflect at unity so the wobble survives in barely-suppressed frames
     gains = np.where(gains > 1.0, np.maximum(2.0 - gains, config.floor), gains)
     return np.clip(gains, config.floor, 1.0)
 
 
-def gain_tracks(e: Signal, s: Signal) -> tuple[np.ndarray, ...]:
-    """The beta-independent part of frame_gains, read-only: (ps, pr, collapse, jitter)."""
+def gain_tracks(e: Signal, s: Signal) -> _GainTracks:
+    """The scene as the suppressor reads it, computed once for any number of configs."""
+    if len(e) != len(s):
+        raise ValueError(f"length mismatch: e has {len(e)} samples, s {len(s)}")
     ps = _smooth_frames(spectral_energy(s.samples))
     pr = _smooth_frames(spectral_energy(e.samples - s.samples))
     total = ps + pr + GAIN_EPS
@@ -140,10 +154,10 @@ def gain_tracks(e: Signal, s: Signal) -> tuple[np.ndarray, ...]:
         CONFUSION_JITTER * np.sqrt(difficulty) * (1.0 - difficulty)
         + NOISE_JITTER * noisiness
     )
-    tracks = (ps, pr, collapse, np.exp(spread * wobble))
-    for track in tracks:
+    jitter = np.exp(spread * wobble)
+    for track in (ps, pr, collapse, jitter):
         track.setflags(write=False)
-    return tracks
+    return _GainTracks(e=e, ps=ps, pr=pr, collapse=collapse, jitter=jitter)
 
 
 def _percentile_20(values: np.ndarray) -> float:
@@ -172,8 +186,8 @@ def _smooth_frames(track: np.ndarray) -> np.ndarray:
     return np.convolve(np.pad(track, width // 2, mode="edge"), kernel, mode="valid")
 
 
-def oracle_suppress(e: Signal, s: Signal, config: SuppressorConfig, tracks: tuple | None = None) -> Signal:
-    """Suppress the residual in e given the clean speech s.
+def oracle_suppress(tracks: _GainTracks, config: SuppressorConfig) -> Signal:
+    """Suppress the residual in e given tracks = gain_tracks(e, s).
 
     The frame gains are flat across frequency, so scaling e's STFT
     magnitudes and resynthesising by weighted overlap-add equals e times
@@ -181,8 +195,8 @@ def oracle_suppress(e: Signal, s: Signal, config: SuppressorConfig, tracks: tupl
     hop by hop.
     The output has the same length as the input (tail zero-padded).
     """
-    envelope = gain_envelope(frame_gains(e, s, config, tracks=tracks), len(e))
-    return Signal(frozen(np.multiply(e.samples, envelope, out=envelope)))
+    envelope = gain_envelope(frame_gains(tracks, config), len(tracks.e))
+    return Signal(frozen(np.multiply(tracks.e.samples, envelope, out=envelope)))
 
 
 def beta_schedule(alphas) -> list[float]:

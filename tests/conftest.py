@@ -9,14 +9,14 @@ def make_scene_batch(count, seed0, duration=2.5, **kwargs):
     for i in range(count):
         spec = rv.SceneSpec(duration=duration, seed=seed0 + i, **kwargs)
         components = rv.generate_scene(spec)
-        grid = rv.make_grid(len(components.s))
-        mask = rv.classify(components.s, rv.echo_reference(components), grid)
+        mask = rv.classify(components.s, rv.echo_reference(components))
         batch.append((components, mask))
     return batch
 
 
 def suppress_and_evaluate(components, mask, beta, floor=0.02):
-    s_hat = rv.oracle_suppress(components.e, components.s, rv.SuppressorConfig(beta=beta, floor=floor))
+    tracks = rv.gain_tracks(components.e, components.s)
+    s_hat = rv.oracle_suppress(tracks, rv.SuppressorConfig(beta=beta, floor=floor))
     return rv.evaluate_scene(rv.scene_rows(components, mask), s_hat)
 
 

@@ -77,7 +77,7 @@ def test_criterion_02_constant_attenuation_invariance(batch20):
     """Scaling s_hat by c moves DSML/SDR < 1e-6 dB and RESL by exactly -20log10(c)."""
     worst_dsml = worst_sdr = worst_resl = 0.0
     for components, mask in batch20:
-        s_hat = oracle_suppress(components.e, components.s, SuppressorConfig(beta=8.0))
+        s_hat = oracle_suppress(rv.gain_tracks(components.e, components.s), SuppressorConfig(beta=8.0))
         grid = mask.grid
         s_frames = grid.frame_matrix(components.s.samples)
         e_frames = grid.frame_matrix(components.e.samples)

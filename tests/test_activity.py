@@ -17,17 +17,17 @@ def sine(n, freq=440.0, amp=1.0):
 class TestFrameActive:
     def test_all_zeros_inactive(self):
         sig = Signal(np.zeros(1600))
-        assert not frame_active(sig, make_grid(1600)).any()
+        assert not frame_active(sig).any()
 
     def test_full_scale_sine_active(self):
         sig = Signal(sine(1600))
-        assert frame_active(sig, make_grid(1600), -50.0).all()
+        assert frame_active(sig, -50.0).all()
 
     def test_transition_matches_energy_rule(self):
         x = np.concatenate([np.zeros(800), sine(800)])
-        grid = make_grid(len(x))
-        active = frame_active(Signal(x), grid, -50.0)
-        for i in range(grid.n_frames):
+        active = frame_active(Signal(x), -50.0)
+        assert active.shape == (make_grid(len(x)).n_frames,)
+        for i in range(active.size):
             frame = x[i * HOP : i * HOP + FRAME_LEN]
             expected = 10 * math.log10(oracles.energy(frame) + 1e-12) > -50.0
             assert active[i] == expected
@@ -35,44 +35,39 @@ class TestFrameActive:
 
 class TestClassify:
     def test_near_only(self):
-        grid = make_grid(1600)
-        mask = classify(Signal(sine(1600)), Signal(np.zeros(1600)), grid)
+        mask = classify(Signal(sine(1600)), Signal(np.zeros(1600)))
         assert all(lab is FrameLabel.NEAR_END for lab in mask.labels)
 
     def test_far_only(self):
-        grid = make_grid(1600)
-        mask = classify(Signal(np.zeros(1600)), Signal(sine(1600)), grid)
+        mask = classify(Signal(np.zeros(1600)), Signal(sine(1600)))
         assert all(lab is FrameLabel.FAR_END for lab in mask.labels)
 
     def test_double_talk(self):
-        grid = make_grid(1600)
-        mask = classify(Signal(sine(1600)), Signal(sine(1600, 997.0)), grid)
+        mask = classify(Signal(sine(1600)), Signal(sine(1600, 997.0)))
         assert all(lab is FrameLabel.DOUBLE_TALK for lab in mask.labels)
 
     def test_silence(self):
-        grid = make_grid(1600)
-        mask = classify(Signal(np.zeros(1600)), Signal(np.zeros(1600)), grid)
+        mask = classify(Signal(np.zeros(1600)), Signal(np.zeros(1600)))
         assert all(lab is FrameLabel.SILENCE for lab in mask.labels)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
-            classify(Signal(np.zeros(1600)), Signal(np.zeros(800)), make_grid(1600))
+            classify(Signal(np.zeros(1600)), Signal(np.zeros(800)))
 
     def test_partition(self):
         rng = np.random.default_rng(0)
         s = Signal(rng.standard_normal(8000) * (rng.random(8000) > 0.5))
         ref = Signal(rng.standard_normal(8000) * (rng.random(8000) > 0.5))
-        mask = classify(s, ref, make_grid(8000))
+        mask = classify(s, ref)
         assert sum(mask.labels.count(label) for label in FrameLabel) == mask.grid.n_frames
 
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(1)
         s = Signal(rng.standard_normal(8000) * 0.01)
         ref = Signal(rng.standard_normal(8000) * 0.01)
-        grid = make_grid(8000)
         silent_prev = set()
         for threshold in (-80.0, -60.0, -40.0, -20.0, 0.0):
-            mask = classify(s, ref, grid, threshold)
+            mask = classify(s, ref, threshold)
             silent_now = {i for i, lab in enumerate(mask.labels) if lab is FrameLabel.SILENCE}
             assert silent_prev <= silent_now
             silent_prev = silent_now
@@ -81,9 +76,8 @@ class TestClassify:
         rng = np.random.default_rng(2)
         s = Signal(rng.standard_normal(4800) * (rng.random(4800) > 0.3))
         ref = Signal(rng.standard_normal(4800) * (rng.random(4800) > 0.7))
-        grid = make_grid(4800)
-        fwd = classify(s, ref, grid)
-        rev = classify(ref, s, grid)
+        fwd = classify(s, ref)
+        rev = classify(ref, s)
         swap = {
             FrameLabel.NEAR_END: FrameLabel.FAR_END,
             FrameLabel.FAR_END: FrameLabel.NEAR_END,
@@ -95,9 +89,9 @@ class TestClassify:
 
 class TestMaskExtras:
     def test_indices(self):
-        grid = make_grid(960)
-        mask = classify(Signal(sine(960)), Signal(np.zeros(960)), grid)
-        assert list(mask.indices(FrameLabel.NEAR_END)) == list(range(grid.n_frames))
+        mask = classify(Signal(sine(960)), Signal(np.zeros(960)))
+        assert mask.grid == make_grid(960)
+        assert list(mask.indices(FrameLabel.NEAR_END)) == list(range(mask.grid.n_frames))
         assert mask.indices(FrameLabel.SILENCE).size == 0
 
     def test_echo_reference_prefers_y(self):

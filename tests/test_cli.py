@@ -80,6 +80,25 @@ class TestSimulate:
                    "--jobs", 2) == 0
         assert dir_bytes(tmp_path / "ser") == dir_bytes(tmp_path / "par")
 
+    def test_np_fft_fallback_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        """Without numpy's FFT gufuncs (numpy < 2), simulate -> suppress -> evaluate writes
+        every file byte for byte as the gufunc path does."""
+        spec = write_spec(tmp_path, {"duration": 2.5, "echo_path_change_at": [None, 1.25]})
+
+        def chain(out):
+            assert run("simulate", "--spec", spec, "--out", out / "scenes", "--count", 2, "--seed", 5) == 0
+            assert run("suppress", "--scenes", out / "scenes", "--alpha", 0.5) == 0
+            assert run("evaluate", "--scenes", out / "scenes", "--out", out / "report") == 0
+            return dir_bytes(out)
+
+        gufunc = chain(tmp_path / "gufunc")
+        monkeypatch.setattr(rv.simulate, "_pocketfft", None)
+        fallback = chain(tmp_path / "np.fft")
+        assert sorted(fallback) == sorted(gufunc)
+        assert len(fallback) == 2 * 9 + 3
+        for name, blob in gufunc.items():
+            assert fallback[name] == blob, name
+
     def test_sidecar_levels_match_targets(self, tmp_path):
         spec = write_spec(tmp_path, {**SPEC, "ser_db": [-10.0, 0.0, 10.0]})
         assert run("simulate", "--spec", spec, "--out", tmp_path / "out", "--count", 3, "--seed", 1) == 0
@@ -101,11 +120,16 @@ class TestSimulate:
         ("rir_length", 100, "invalid scene spec: unknown field 'rir_length'"),
         # the canceller's settings are spelled only aec_taps, aec_step and aec_passes
         ("aec", {"taps": 256}, "invalid scene spec: unknown field 'aec'"),
+        # the sources are WAVs exactly when near_wav and far_wav are both set
+        ("source_mode", "wav", "invalid scene spec: unknown field 'source_mode'"),
+        ("near_wav", "near.wav", "invalid scene spec: near_wav and far_wav must be set together"),
+        ("far_wav", "far.wav", "invalid scene spec: near_wav and far_wav must be set together"),
         ("ser_db", [], "invalid scene spec: field 'ser_db' is an empty list"),
         ("seed", 42, "invalid scene spec: field 'seed' is set by --seed or $RES_EVAL_SEED"),
         ("seed", [1, 2], "invalid scene spec: field 'seed' is set by --seed or $RES_EVAL_SEED"),
     ], ids=["duration-text", "duration-inf", "clip_hardness-inf", "t60-inf", "snr_db-minus-inf", "ser_db-nan",
-            "rir_len-inf", "unknown-field", "nested-aec", "empty-list", "seed", "seed-list"])
+            "rir_len-inf", "unknown-field", "nested-aec", "source-mode", "near-wav-alone", "far-wav-alone",
+            "empty-list", "seed", "seed-list"])
     def test_invalid_spec_field_reported(self, tmp_path, capsys, command, field, value, match):
         spec = write_spec(tmp_path, {**SPEC, field: value})
         with warnings.catch_warnings(record=True) as caught:
@@ -145,6 +169,19 @@ class TestSimulate:
         for name in ("scene_0000", "scene_0002"):
             assert dir_bytes(tmp_path / "bad" / name) == dir_bytes(tmp_path / "good" / name)
         assert not (tmp_path / "bad" / "scene_0001" / "scene.json").exists()
+
+    @pytest.mark.parametrize("fields", [{"duration": 0.5}, {"duration": 10.0, "echo_path_change_at": 6.0}])
+    def test_wav_sources_must_last_the_duration(self, tmp_path, capsys, fields):
+        paths = {}
+        for name in ("near_wav", "far_wav"):
+            paths[name] = str(tmp_path / f"{name}.wav")
+            rv.save_wav(rv.Signal(np.full(16000, 0.1)), paths[name])
+        spec = write_spec(tmp_path, {**fields, **paths})
+        assert run("simulate", "--spec", spec, "--count", 1, "--out", tmp_path / "x") == 1
+        n = round(fields["duration"] * 16000)
+        assert capsys.readouterr().err == (f"simulate: scene_0000: ValueError: near_wav has 16000 samples, "
+                                           f"not the {n} of duration {fields['duration']} s\n")
+        assert not (tmp_path / "x" / "scene_0000" / "scene.json").exists()
 
     def test_failed_scene_leaves_no_older_scene_in_its_place(self, tmp_path):
         good = write_spec(tmp_path, {"duration": 3.0}, name="good.json")
@@ -432,8 +469,8 @@ class TestSweep:
             assert len(reports) == len(configs)
             for config, report in zip(configs, reports):
                 c = rv.SceneComponents(**{k: rv.load_wav(entry.paths[k]) for k in ("s", "y", "w", "e")})
-                mask = rv.classify(c.s, c.y, rv.make_grid(len(c.s)))
-                s_hat = rv.oracle_suppress(c.e, c.s, config)
+                mask = rv.classify(c.s, c.y)
+                s_hat = rv.oracle_suppress(rv.gain_tracks(c.e, c.s), config)
                 fresh = rv.evaluate_scene(rv.scene_rows(c, mask), s_hat)
                 assert report.labels == fresh.labels
                 for name in rv.metrics.METRIC_NAMES:
@@ -760,8 +797,9 @@ def test_nothing_keeps_a_scene_alive(scene_dir, tmp_path, monkeypatch):
 
     entry.paths["s_hat"] = batch._suppress_entry(entry, config, str(tmp_path))
     components, mask = batch._load_labeled(entry, ("s_hat",), options[0])
-    watch(components.s, components.e, rv.oracle_suppress(components.e, components.s, config))
-    del components, mask
+    tracks = rv.gain_tracks(components.e, components.s)
+    watch(components.s, components.e, tracks, rv.oracle_suppress(tracks, config))
+    del components, mask, tracks
     assert_released()
     components, mask = batch._load_labeled(entry, ("s_hat",), options[0])
     rows = rv.scene_rows(components, mask)
@@ -770,12 +808,16 @@ def test_nothing_keeps_a_scene_alive(scene_dir, tmp_path, monkeypatch):
     del components, mask, rows
     assert_released()
 
-    oracle_suppress = rv.suppressor.oracle_suppress
+    gain_tracks, oracle_suppress = rv.suppressor.gain_tracks, rv.suppressor.oracle_suppress
     scene_rows, evaluate_scene = rv.metrics.scene_rows, rv.metrics.evaluate_scene
 
-    def watched_suppress(e, s, *args, **kwargs):
+    def watched_tracks(e, s):
         watch(e, s)
-        return oracle_suppress(e, s, *args, **kwargs)
+        return gain_tracks(e, s)
+
+    def watched_suppress(tracks, config):
+        watch(tracks, tracks.e)
+        return oracle_suppress(tracks, config)
 
     def watched_rows(components, mask, *args):
         watch(components.s, components.e, mask)
@@ -785,6 +827,7 @@ def test_nothing_keeps_a_scene_alive(scene_dir, tmp_path, monkeypatch):
         watch(rows, s_hat)
         return evaluate_scene(rows, s_hat)
 
+    monkeypatch.setattr(rv.suppressor, "gain_tracks", watched_tracks)
     monkeypatch.setattr(rv.suppressor, "oracle_suppress", watched_suppress)
     monkeypatch.setattr(rv.metrics, "scene_rows", watched_rows)
     monkeypatch.setattr(rv.metrics, "evaluate_scene", watched_evaluate)
@@ -819,10 +862,10 @@ def test_nothing_keeps_a_scene_alive(scene_dir, tmp_path, monkeypatch):
     def assert_checked_components_gone():
         assert [loaded[name]() for name in ("m.wav", "yhat.wav")] == [None, None]
 
-    def checked_suppress(e, s, *args, **kwargs):
+    def checked_suppress(tracks, config):
         assert_checked_components_gone()
         assert [ref() for ref in shats] == [None] * len(shats)
-        s_hat = watched_suppress(e, s, *args, **kwargs)
+        s_hat = watched_suppress(tracks, config)
         shats.append(weakref.ref(s_hat))
         return s_hat
 

@@ -44,7 +44,7 @@ from reseval.metrics import (
     _projected_rows,
     _resl_rows,
     _row_energy,
-    aggregate,
+    aggregate_metrics,
     scene_rows,
 )
 
@@ -242,14 +242,9 @@ def build_scene(n=4800, seed=15, s_hat="identity"):
     y[n // 3 :] = rng.standard_normal(n - n // 3) * 0.3
     w = rng.standard_normal(n) * 1e-3
     e = s + 0.4 * y + w
-    if s_hat == "identity":
-        sh = e.copy()
-    elif s_hat == "zero":
-        sh = np.zeros(n)
-    else:
-        sh = s_hat
+    sh = {"identity": e, "zero": np.zeros(n)}[s_hat]
     comps = SceneComponents(s=Signal(s), y=Signal(y), w=Signal(w), e=Signal(e), s_hat=Signal(sh))
-    mask = classify(comps.s, comps.y, make_grid(n))
+    mask = classify(comps.s, comps.y)
     return comps, mask
 
 
@@ -272,7 +267,7 @@ class TestEvaluateScene:
         s = rng.standard_normal(n) * 0.3
         e = s + rng.standard_normal(n) * 0.05
         comps = SceneComponents(s=Signal(s), e=Signal(e), s_hat=Signal(e.copy()))
-        mask = classify(comps.s, Signal(e - s), make_grid(n))
+        mask = classify(comps.s, Signal(e - s))
         report = evaluate_scene(scene_rows(comps, mask), comps.s_hat)
         # pure double-talk scene: no single-talk frames, so no sar/erle;
         # absent means omitted, not zero
@@ -643,7 +638,7 @@ class TestReportSerialization:
         assert payload["clamp_db"] == 120.0
         # the scene as evaluate reads it back: float32 WAV samples
         loaded = SceneComponents(**{name: load_wav(tmp_path / f"{name}.wav") for name in comps.present()})
-        mask = classify(loaded.s, loaded.y, make_grid(len(loaded.s)))
+        mask = classify(loaded.s, loaded.y)
         report = evaluate_scene(scene_rows(loaded, mask), loaded.s_hat)
         assert payload["per_utterance"] == {"u": {name: dataclasses.asdict(agg)
                                                   for name, agg in report.aggregates.items()}}
@@ -651,4 +646,4 @@ class TestReportSerialization:
         assert payload["per_utterance"]["u"]["dsml"]["count"] == mask.labels.count(FrameLabel.DOUBLE_TALK)
 
     def test_aggregate_none_for_empty(self):
-        assert aggregate(np.array([np.nan, np.nan]), "double_talk") is None
+        assert aggregate_metrics({"dsml": np.array([np.nan, np.nan])}) == {}

@@ -64,7 +64,7 @@ class TestSceneSpec:
             ("aec_taps", 0, "aec_taps"),
             ("aec_step", 1.5, "aec_step"),
             ("aec_passes", 0, "aec_passes"),
-            ("source_mode", "tape", "source_mode"),
+            ("near_wav", "near.wav", "far_wav"),
             ("echo_path_change_at", 99.0, "echo_path_change_at"),
         ],
     )
@@ -377,10 +377,9 @@ class TestGenerateScene:
 
     def test_all_conditions_present(self):
         comps = generate_scene(SceneSpec(duration=10.0, seed=24))
-        grid = rv.make_grid(len(comps.s))
-        mask = rv.classify(comps.s, rv.echo_reference(comps), grid)
+        mask = rv.classify(comps.s, rv.echo_reference(comps))
         for label in (FrameLabel.DOUBLE_TALK, FrameLabel.NEAR_END, FrameLabel.FAR_END):
-            assert mask.labels.count(label) >= 0.1 * grid.n_frames, label
+            assert mask.labels.count(label) >= 0.1 * mask.grid.n_frames, label
 
     def test_nonlinearity_leaves_residual(self):
         # hardness >= 1: far-end-only residual well above -40 dB vs echo
@@ -395,14 +394,15 @@ class TestGenerateScene:
         far = tmp_path / "far.wav"
         rv.save_wav(Signal(rng.standard_normal(16000) * 0.1), near)
         rv.save_wav(Signal(rng.standard_normal(16000) * 0.1), far)
-        spec = SceneSpec(duration=1.0, source_mode="wav", near_wav=str(near), far_wav=str(far))
+        spec = SceneSpec(duration=1.0, near_wav=str(near), far_wav=str(far))
         comps = generate_scene(spec)
         assert len(comps.s) == 16000
         np.testing.assert_array_equal(comps.x.samples, rv.load_wav(far).samples)
 
     def test_wav_mode_requires_paths(self):
-        with pytest.raises(ValueError, match="near_wav"):
-            SceneSpec(source_mode="wav")
+        for paths in ({"near_wav": "near.wav"}, {"far_wav": "far.wav"}):
+            with pytest.raises(ValueError, match="^near_wav and far_wav must be set together$"):
+                SceneSpec(**paths)
 
     # the near end's ramp starts at 1.0 s with a zero sample, so 16,001 samples hold no talk
     @pytest.mark.parametrize("n", [1, 16000, 16001, 16002, 40000])

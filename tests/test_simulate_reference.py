@@ -158,7 +158,7 @@ def simulate_aec_reference(m, x, spec):
 
 
 def generate_scene_reference(spec):
-    if spec.source_mode == "wav":
+    if spec.near_wav is not None:
         s_raw = rv.load_wav(spec.near_wav).samples
         x_raw = rv.load_wav(spec.far_wav).samples
         n = len(s_raw)
@@ -260,7 +260,7 @@ class TestGenerateScene:
         rng = np.random.default_rng(26)
         for name in ("near", "far"):
             rv.save_wav(Signal(rng.standard_normal(24000) * 0.1), tmp_path / f"{name}.wav")
-        spec = SceneSpec(duration=1.5, seed=2, source_mode="wav", echo_path_change_at=0.7,
+        spec = SceneSpec(duration=1.5, seed=2, echo_path_change_at=0.7,
                          near_wav=str(tmp_path / "near.wav"), far_wav=str(tmp_path / "far.wav"))
         assert_same_scene(generate_scene(spec), generate_scene_reference(spec))
 
