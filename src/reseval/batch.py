@@ -23,7 +23,7 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .common import _WAV_NAMES, SEED_ENV_VAR, atomic_write_bytes
+from .common import _WAV_NAMES, atomic_write_bytes
 
 if TYPE_CHECKING:
     from .audio import SceneComponents
@@ -171,18 +171,6 @@ def _check_jobs(args) -> None:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
 
 
-def _default_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{SEED_ENV_VAR}={env!r} is not an integer") from None
-    return 0
-
-
 # glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
@@ -257,7 +245,7 @@ def _load_scene_specs(path, count: int, seed: int) -> list[SceneSpec]:
     if not isinstance(raw, dict):
         raise ValueError(f"invalid scene spec: {path}: must be a JSON object")
     if "seed" in raw:
-        raise ValueError(f"invalid scene spec: field 'seed' is set by --seed or ${SEED_ENV_VAR}")
+        raise ValueError("invalid scene spec: field 'seed' is set by --seed")
     for key, value in raw.items():
         if value == []:
             raise ValueError(f"invalid scene spec: field {key!r} is an empty list")
@@ -282,7 +270,7 @@ def _simulate_one(task) -> None:
 def run_simulate(args) -> int:
     """Write the --spec/--count/--seed scenes as <out>/scene_NNNN."""
     _check_jobs(args)
-    specs = _load_scene_specs(args.spec, args.count, _default_seed(args))
+    specs = _load_scene_specs(args.spec, args.count, args.seed)
     os.makedirs(args.out, exist_ok=True)
     ids = [f"scene_{i:04d}" for i in range(len(specs))]
     items = [(sid, (spec, os.path.join(args.out, sid))) for sid, spec in zip(ids, specs)]
@@ -310,6 +298,9 @@ def run_suppress(args) -> int:
     from .suppressor import SuppressorConfig, beta_schedule
 
     _check_jobs(args)
+    if args.manifest and not args.out:
+        # only a scene directory has a place for shat.wav; manifest entries may share a directory
+        raise ValueError("suppress --manifest needs --out")
     manifest = _resolve_manifest(args)
     beta = args.beta if args.alpha is None else beta_schedule([args.alpha])[0]
     config = SuppressorConfig(beta=beta, floor=args.floor)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .common import CLAMP_DB, DEFAULT_THRESHOLD_DB, SEED_ENV_VAR, atomic_write_bytes
+from .common import CLAMP_DB, DEFAULT_FLOOR, DEFAULT_THRESHOLD_DB, atomic_write_bytes
 
 
 def cmd_simulate(args) -> int:
@@ -83,49 +83,47 @@ def build_parser() -> argparse.ArgumentParser:
         description="Residual-echo suppression evaluation toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags that several commands take, each stated once
+    inputs = argparse.ArgumentParser(add_help=False)
+    g = inputs.add_mutually_exclusive_group(required=True)
+    g.add_argument("--manifest", help="manifest JSON")
+    g.add_argument("--scenes", help="directory of scene subdirectories")
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    floor = argparse.ArgumentParser(add_help=False)
+    floor.add_argument("--floor", type=float, default=DEFAULT_FLOOR,
+                       help=f"per-frame gain floor (default {DEFAULT_FLOOR})")
+    levels = argparse.ArgumentParser(add_help=False)
+    levels.add_argument("--threshold-db", type=float, default=DEFAULT_THRESHOLD_DB, dest="threshold_db",
+                        help=f"activity threshold (default {DEFAULT_THRESHOLD_DB})")
+    levels.add_argument("--clamp-db", type=float, default=CLAMP_DB, dest="clamp_db",
+                        help=f"metric clamp bound (default {CLAMP_DB})")
 
-    p = sub.add_parser("simulate", help="generate synthetic scenes from a spec file")
+    p = sub.add_parser("simulate", parents=[jobs], help="generate synthetic scenes from a spec file")
     p.add_argument("--spec", required=True, help="JSON scene spec (fields may be lists, cycled per scene)")
     p.add_argument("--out", required=True, help="output directory for scene subdirectories")
     p.add_argument("--count", type=int, default=1, help="number of scenes")
-    p.add_argument("--seed", type=int, default=None, help=f"base seed (default ${SEED_ENV_VAR} or 0)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument("--seed", type=int, default=0, help="base seed; scene i gets seed + i (default 0)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("suppress", help="run the reference suppressor over a batch")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--manifest", help="manifest JSON")
-    g.add_argument("--scenes", help="directory of scene subdirectories")
+    p = sub.add_parser("suppress", parents=[inputs, floor, jobs],
+                       help="run the reference suppressor over a batch")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--beta", type=float, default=1.0, help="over-suppression factor (>= 1)")
     g.add_argument("--alpha", type=float, default=None, help="tradeoff weight mapped to beta")
-    p.add_argument("--floor", type=float, default=0.02, help="spectral gain floor")
-    p.add_argument("--out", help="output directory (default: shat.wav beside each scene's e.wav)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument("--out", help="output directory (required with --manifest; "
+                                 "default with --scenes: shat.wav in each scene directory)")
     p.set_defaults(func=cmd_suppress)
 
-    p = sub.add_parser("evaluate", help="compute metric reports over a batch")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--manifest", help="manifest JSON")
-    g.add_argument("--scenes", help="directory of scene subdirectories")
+    p = sub.add_parser("evaluate", parents=[inputs, levels, jobs],
+                       help="compute metric reports over a batch")
     p.add_argument("--out", required=True, help="output directory for frame CSVs and report.json")
-    p.add_argument("--threshold-db", type=float, default=DEFAULT_THRESHOLD_DB, dest="threshold_db",
-                   help=f"activity threshold (default {DEFAULT_THRESHOLD_DB})")
-    p.add_argument("--clamp-db", type=float, default=CLAMP_DB, dest="clamp_db",
-                   help=f"metric clamp bound (default {CLAMP_DB})")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep", help="tradeoff table over an alpha sweep")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--manifest", help="manifest JSON")
-    g.add_argument("--scenes", help="directory of scene subdirectories")
+    p = sub.add_parser("sweep", parents=[inputs, floor, levels], help="tradeoff table over an alpha sweep")
     p.add_argument("--alphas", required=True, help="comma-separated ascending alphas")
     p.add_argument("--out", required=True, help="output CSV table")
-    p.add_argument("--floor", type=float, default=0.02)
     p.add_argument("--group-by", dest="group_by", help="tag/sidecar field to group rows by")
-    p.add_argument("--threshold-db", type=float, default=DEFAULT_THRESHOLD_DB, dest="threshold_db")
-    p.add_argument("--clamp-db", type=float, default=CLAMP_DB, dest="clamp_db")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("correlate", help="PCC/SRCC between two score-table columns")

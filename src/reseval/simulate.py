@@ -13,7 +13,8 @@ import json
 import math
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -94,23 +95,28 @@ class SceneSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SceneSpec":
+        """The spec of a JSON object whose values each fit their field's declared type.
+
+        A number is never a bool, lies in float range and, for an int field,
+        is integral (1600.0 reads as 1600); None is taken only where declared.
+        """
         if not isinstance(raw, dict):
             raise ValueError("invalid scene spec: must be a JSON object")
-        known = {f.name: f for f in fields(cls)}
+        hints = get_type_hints(cls)
         kwargs = {}
         for key, value in raw.items():
-            if key not in known:
+            if key not in hints:
                 raise ValueError(f"invalid scene spec: unknown field {key!r}")
-            try:
-                if key in ("seed", "rir_len", "aec_taps", "aec_passes"):
-                    value = int(value) if value is not None else None
-                elif key in ("near_wav", "far_wav"):
-                    value = None if value is None else str(value)
-                elif key == "echo_path_change_at":
-                    value = None if value is None else float(value)
-                else:
+            kinds = get_args(hints[key]) or (hints[key],)
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            try:  # float() of an int beyond float range overflows
+                if number and int in kinds and float(value).is_integer():
+                    value = int(value)
+                elif number and float in kinds:
                     value = float(value)
-            except (TypeError, ValueError, OverflowError):  # int() of an infinity overflows
+                elif type(value) not in kinds:
+                    raise ValueError
+            except (ValueError, OverflowError):
                 raise ValueError(f"invalid scene spec: field {key!r} has invalid value {value!r}") from None
             kwargs[key] = value
         try:
@@ -119,10 +125,7 @@ class SceneSpec:
             raise ValueError(f"invalid scene spec: {exc}") from None
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            out[f.name] = getattr(self, f.name)
-        return out
+        return asdict(self)
 
     @property
     def n_samples(self) -> int:

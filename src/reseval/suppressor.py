@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import Signal, frozen
+from .common import DEFAULT_FLOOR
 from .framing import gain_envelope, spectral_energy
 
 GAIN_EPS = 1e-12
@@ -45,7 +46,7 @@ class SuppressorConfig:
     """beta >= 1 is the over-suppression factor; floor bounds the gain below."""
 
     beta: float = 1.0
-    floor: float = 0.02
+    floor: float = DEFAULT_FLOOR
 
     def __post_init__(self):
         if not np.isfinite(self.beta) or self.beta < 1.0:

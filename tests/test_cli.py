@@ -125,11 +125,23 @@ class TestSimulate:
         ("near_wav", "near.wav", "invalid scene spec: near_wav and far_wav must be set together"),
         ("far_wav", "far.wav", "invalid scene spec: near_wav and far_wav must be set together"),
         ("ser_db", [], "invalid scene spec: field 'ser_db' is an empty list"),
-        ("seed", 42, "invalid scene spec: field 'seed' is set by --seed or $RES_EVAL_SEED"),
-        ("seed", [1, 2], "invalid scene spec: field 'seed' is set by --seed or $RES_EVAL_SEED"),
+        ("seed", 42, "invalid scene spec: field 'seed' is set by --seed"),
+        ("seed", [1, 2], "invalid scene spec: field 'seed' is set by --seed"),
+        # each value must be of its field's declared type: no bool, numeric string,
+        # fractional count, numeric path, or number beyond float range
+        ("duration", True, "invalid scene spec: field 'duration' has invalid value True"),
+        ("ser_db", "10", "invalid scene spec: field 'ser_db' has invalid value '10'"),
+        ("aec_taps", 256.9, "invalid scene spec: field 'aec_taps' has invalid value 256.9"),
+        ("aec_passes", [False, 1], "invalid scene spec: field 'aec_passes' has invalid value False"),
+        ("near_wav", 5, "invalid scene spec: field 'near_wav' has invalid value 5"),
+        ("snr_db", 10**400, f"invalid scene spec: field 'snr_db' has invalid value {10**400}"),
+        ("rir_len", 10**400, f"invalid scene spec: field 'rir_len' has invalid value {10**400}"),
+        ("echo_path_change_at", "1.5", "invalid scene spec: field 'echo_path_change_at' has invalid value '1.5'"),
     ], ids=["duration-text", "duration-inf", "clip_hardness-inf", "t60-inf", "snr_db-minus-inf", "ser_db-nan",
             "rir_len-inf", "unknown-field", "nested-aec", "source-mode", "near-wav-alone", "far-wav-alone",
-            "empty-list", "seed", "seed-list"])
+            "empty-list", "seed", "seed-list", "duration-bool", "ser_db-numeric-string", "aec_taps-fraction",
+            "aec_passes-bool-in-list", "near_wav-number", "snr_db-beyond-float", "rir_len-beyond-float",
+            "echo_path_change_at-numeric-string"])
     def test_invalid_spec_field_reported(self, tmp_path, capsys, command, field, value, match):
         spec = write_spec(tmp_path, {**SPEC, field: value})
         with warnings.catch_warnings(record=True) as caught:
@@ -145,12 +157,16 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: invalid scene spec: {path}: must be a JSON object\n"
         assert not os.path.exists(tmp_path / "x")
 
-    def test_seed_env_fallback(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("seed_argv", [[], ["--seed", 7]], ids=["default-seed", "seed-7"])
+    def test_seed_env_ignored(self, tmp_path, monkeypatch, seed_argv):
+        """The seed comes only from --seed (default 0): $RES_EVAL_SEED changes no output."""
         spec = write_spec(tmp_path)
+        assert run("simulate", "--spec", spec, "--out", tmp_path / "plain", "--count", 1, *seed_argv) == 0
         monkeypatch.setenv("RES_EVAL_SEED", "42")
-        assert run("simulate", "--spec", spec, "--out", tmp_path / "env", "--count", 1) == 0
+        assert run("simulate", "--spec", spec, "--out", tmp_path / "env", "--count", 1, *seed_argv) == 0
+        assert dir_bytes(tmp_path / "env") == dir_bytes(tmp_path / "plain")
         sidecar = json.loads((tmp_path / "env" / "scene_0000" / "scene.json").read_text())
-        assert sidecar["spec"]["seed"] == 42
+        assert sidecar["spec"]["seed"] == (seed_argv[1] if seed_argv else 0)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failed_scene_isolated(self, tmp_path, capsys, jobs):
@@ -218,6 +234,18 @@ class TestSuppress:
         manifest.write_text(json.dumps({"entries": [{"id": "u0", "s": "missing.wav"}]}))
         assert run("suppress", "--manifest", manifest, "--out", tmp_path / "o") == 1
         assert "missing paths" in capsys.readouterr().err
+
+    def test_manifest_without_out_rejected_before_any_entry(self, scene_dir, tmp_path, monkeypatch, capsys):
+        """A manifest names no scene directory for shat.wav, and its entries may share one."""
+        shutil.copytree(scene_dir, tmp_path / "scenes")
+        manifest_from_scenes(tmp_path / "scenes").write_json(tmp_path / "m.json")
+        calls = []
+        monkeypatch.setattr(rv.suppressor, "oracle_suppress", lambda *a: calls.append(a))
+        before = dir_bytes(tmp_path)
+        assert run("suppress", "--manifest", tmp_path / "m.json", "--alpha", 0.5) == 2
+        assert capsys.readouterr().err == "error: suppress --manifest needs --out\n"
+        assert calls == []
+        assert dir_bytes(tmp_path) == before
 
     def test_out_manifest_reads_back_with_relative_paths(self, scene_dir, tmp_path, monkeypatch):
         shutil.copytree(scene_dir, tmp_path / "scenes")

@@ -1,0 +1,114 @@
+"""Malformed outside input, run through every command that reads it.
+
+Each case fails with a nonzero exit and exactly one stderr line, never a
+traceback.  A malformed WAV fails its own entry (exit 1); a malformed
+score table, scene directory or grouping stops the command before any
+entry runs (exit 2).  Malformed manifests and scene specs are covered by
+tests/test_cli.py.
+"""
+
+import json
+import os
+import struct
+
+import numpy as np
+import pytest
+
+import reseval as rv
+from reseval.cli import main
+
+PCM16_FMT = struct.pack("<HHIIHH", 1, 1, 16000, 16000 * 2, 2, 16)
+FLOAT32_FMT = struct.pack("<HHIIHH", 3, 1, 16000, 16000 * 4, 4, 32)
+
+
+def run(*argv):
+    return main([str(a) for a in argv])
+
+
+def riff(*chunks):
+    """A RIFF/WAVE file of the (chunk id, payload) pairs, with no pad bytes."""
+    body = b"WAVE" + b"".join(cid + struct.pack("<I", len(payload)) + payload for cid, payload in chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+# case: (file bytes, error type, error after the path)
+MALFORMED_WAVS = {
+    "shorter-than-riff-header": (b"RIFF\x04\x00\x00\x00WAV", "TruncatedWavError",
+                                 "file too short for a RIFF header"),
+    "no-fmt-chunk": (riff((b"data", bytes(4))), "WavFormatError", "missing or short fmt chunk"),
+    "short-fmt-chunk": (riff((b"fmt ", PCM16_FMT[:14]), (b"data", bytes(4))), "WavFormatError",
+                        "missing or short fmt chunk"),
+    "no-data-chunk": (riff((b"fmt ", PCM16_FMT)), "TruncatedWavError", "missing data chunk"),
+    "pcm16-odd-byte": (riff((b"fmt ", PCM16_FMT), (b"data", bytes(3))), "TruncatedWavError",
+                       "data chunk not a whole number of samples"),
+    "float32-partial-sample": (riff((b"fmt ", FLOAT32_FMT), (b"data", bytes(6))), "TruncatedWavError",
+                               "data chunk not a whole number of samples"),
+}
+
+# every command that reads a manifest's WAVs, with the flags it needs besides --manifest
+WAV_COMMANDS = {
+    "suppress": ["--out", "out"],
+    "evaluate": ["--out", "out"],
+    "sweep": ["--alphas", "0,1", "--out", "table.csv"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(WAV_COMMANDS))
+@pytest.mark.parametrize("case", sorted(MALFORMED_WAVS))
+def test_malformed_wav_fails_its_entry_on_one_line(tmp_path, monkeypatch, capsys, command, case):
+    blob, error, message = MALFORMED_WAVS[case]
+    (tmp_path / "bad.wav").write_bytes(blob)
+    rv.save_wav(rv.Signal(np.full(1600, 0.1)), tmp_path / "e.wav")
+    (tmp_path / "m.json").write_text(json.dumps(
+        {"entries": [{"id": "u0", "s": "bad.wav", "e": "e.wav", "s_hat": "e.wav"}]}))
+    monkeypatch.chdir(tmp_path)
+    assert run(command, "--manifest", "m.json", *WAV_COMMANDS[command]) == 1
+    bad = tmp_path / "bad.wav"
+    assert capsys.readouterr().err == f"{command}: u0: {error}: {bad}: {message}\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "{path}: empty CSV"),
+    ("utt,a,b\nu0,1,2\nu1,inf,3\nu2,3,5\n", "cell ('u1', 'a') is not finite: inf"),
+    ("utt,a,b\nu0,1,2\nu1,2,nan\nu2,3,5\n", "cell ('u1', 'b') is not finite: nan"),
+], ids=["empty", "inf-cell", "nan-cell"])
+def test_malformed_score_table_one_line(tmp_path, capsys, text, message):
+    path = tmp_path / "scores.csv"
+    path.write_text(text)
+    assert run("correlate", "--table", path, "--metric-col", "a", "--score-col", "b",
+               "--out", tmp_path / "r.json") == 2
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+    assert not os.path.exists(tmp_path / "r.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["suppress"],
+    ["evaluate", "--out", "out"],
+    ["sweep", "--alphas", "0", "--out", "table.csv"],
+], ids=["suppress", "evaluate", "sweep"])
+def test_scenes_dir_without_sidecars_one_line(tmp_path, monkeypatch, capsys, argv):
+    """A scene directory whose scene.json is missing is no scene, so the batch is empty."""
+    scene = tmp_path / "scenes" / "scene_0000"
+    scene.mkdir(parents=True)
+    for name in ("s.wav", "e.wav"):
+        rv.save_wav(rv.Signal(np.full(1600, 0.1)), scene / name)
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv, "--scenes", "scenes") == 2
+    assert capsys.readouterr().err == "error: scenes: no scene directories (missing scene.json sidecars)\n"
+    assert sorted(os.listdir(tmp_path)) == ["scenes"]
+    assert sorted(os.listdir(scene)) == ["e.wav", "s.wav"]
+
+
+def test_sweep_group_by_tag_an_entry_lacks(tmp_path, monkeypatch, capsys):
+    for name in ("s.wav", "e.wav"):
+        rv.save_wav(rv.Signal(np.full(1600, 0.1)), tmp_path / name)
+    entry = {"s": "s.wav", "e": "e.wav"}
+    (tmp_path / "m.json").write_text(json.dumps(
+        {"entries": [{"id": "u0", "tags": {"ser_db": 0.0}, **entry}, {"id": "u1", **entry}]}))
+    calls = []
+    monkeypatch.setattr(rv.suppressor, "oracle_suppress", lambda *a: calls.append(a))
+    assert run("sweep", "--manifest", tmp_path / "m.json", "--alphas", "0", "--group-by", "ser_db",
+               "--out", tmp_path / "table.csv") == 2
+    assert capsys.readouterr().err == "error: entry 'u1' has no tag 'ser_db'\n"
+    assert calls == []
+    assert not os.path.exists(tmp_path / "table.csv")

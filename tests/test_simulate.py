@@ -84,6 +84,11 @@ class TestSceneSpec:
         with pytest.raises(ValueError, match="^invalid scene spec: unknown field 'aec'$"):
             SceneSpec.from_dict({"aec": {"taps": 256, "step": 0.25}})
 
+    def test_from_dict_reads_integral_floats_as_ints(self):
+        spec = SceneSpec.from_dict({"rir_len": 1600.0, "aec_taps": 256.0, "duration": 3, "near_wav": None})
+        assert spec == SceneSpec(rir_len=1600, aec_taps=256, duration=3.0)
+        assert (type(spec.rir_len), type(spec.aec_taps), type(spec.duration)) == (int, int, float)
+
     def test_roundtrip(self):
         spec = SceneSpec(duration=3.0, seed=5, ser_db=-5.0)
         assert SceneSpec.from_dict(spec.to_dict()) == spec
