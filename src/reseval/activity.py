@@ -7,7 +7,7 @@ Noise is ignored for labeling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -36,33 +36,26 @@ def frame_active(signal: Signal, threshold_db: float = DEFAULT_THRESHOLD_DB) -> 
     return energies_db > threshold_db
 
 
-# a frame's label code is near + 2*far, where near/far say whether s/echo_ref are active
+# the label of code near + 2*far, where near/far say whether s/echo_ref are active
 _LABEL_OF_CODE = (FrameLabel.SILENCE, FrameLabel.NEAR_END, FrameLabel.FAR_END, FrameLabel.DOUBLE_TALK)
-_CODE_OF_LABEL = {label: code for code, label in enumerate(_LABEL_OF_CODE)}
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ActivityMask:
-    """One label per frame plus the grid; codes holds the labels as read-only int8 codes.
-
-    Masks compare and hash by identity, as an array has no value equality.
-    """
+    """One FrameLabel per frame of the grid."""
 
     labels: tuple[FrameLabel, ...]
     grid: FrameGrid
-    codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.labels) != self.grid.n_frames:
-            raise ValueError(
-                f"{len(self.labels)} labels for {self.grid.n_frames} frames"
-            )
-        codes = np.array([_CODE_OF_LABEL[lab] for lab in self.labels], dtype=np.int8)
-        codes.setflags(write=False)
-        object.__setattr__(self, "codes", codes)
+            raise ValueError(f"{len(self.labels)} labels for {self.grid.n_frames} frames")
+        for label in self.labels:
+            if not isinstance(label, FrameLabel):
+                raise ValueError(f"label {label!r} is not a FrameLabel")
 
     def indices(self, label: FrameLabel) -> np.ndarray:
-        return np.flatnonzero(self.codes == _CODE_OF_LABEL[label])
+        return np.flatnonzero([lab == label for lab in self.labels])
 
 
 def classify(s: Signal, echo_ref: Signal, threshold_db: float = DEFAULT_THRESHOLD_DB) -> ActivityMask:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -115,12 +115,8 @@ class SceneComponents:
             _check_identity(buf, "e != m - y_hat")
 
     def present(self) -> dict[str, Signal]:
-        out = {}
-        for name in ("s", "x", "y", "w", "m", "y_hat", "e", "s_hat"):
-            sig = getattr(self, name)
-            if sig is not None:
-                out[name] = sig
-        return out
+        """The components that are set, by name, in field order."""
+        return {f.name: sig for f in fields(self) if (sig := getattr(self, f.name)) is not None}
 
 
 def _check_identity(deviation: np.ndarray, identity: str) -> None:

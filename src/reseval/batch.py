@@ -23,7 +23,7 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .common import _WAV_NAMES, atomic_write_bytes
+from .common import _WAV_NAMES, atomic_write_bytes, write_json
 
 if TYPE_CHECKING:
     from .audio import SceneComponents
@@ -84,8 +84,7 @@ class Manifest:
             if entry.tags:
                 item["tags"] = entry.tags
             items.append(item)
-        blob = json.dumps({"entries": items}, indent=2, sort_keys=True) + "\n"
-        atomic_write_bytes(path, blob.encode())
+        write_json(path, {"entries": items})
 
 
 def _parse_entry(item, base: str) -> ManifestEntry:
@@ -288,7 +287,7 @@ def _suppress_entry(entry, config, out_dir):
     if out_dir:
         out_path = os.path.join(out_dir, f"{entry.id}.shat.wav")
     else:
-        out_path = os.path.join(os.path.dirname(entry.paths["e"]), "shat.wav")
+        out_path = os.path.join(os.path.dirname(entry.paths["e"]), _WAV_NAMES["s_hat"])
     tracks = gain_tracks(components.e, components.s)
     save_wav(oracle_suppress(tracks, config), out_path)
     return out_path
@@ -382,8 +381,7 @@ def run_evaluate(args) -> int:
         },
         "errors": errors,
     }
-    blob = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    atomic_write_bytes(os.path.join(args.out, "report.json"), blob.encode())
+    write_json(os.path.join(args.out, "report.json"), payload)
     print(f"evaluate: {len(reports)} ok, {len(errors)} failed -> {args.out}")
     return 1 if errors else 0
 

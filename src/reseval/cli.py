@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .common import CLAMP_DB, DEFAULT_FLOOR, DEFAULT_THRESHOLD_DB, atomic_write_bytes
+from .common import CLAMP_DB, DEFAULT_FLOOR, DEFAULT_THRESHOLD_DB, write_json
 
 
 def cmd_simulate(args) -> int:
@@ -41,8 +41,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    import json
-
     from .stats import ScoreTable, correlate_table
 
     table = ScoreTable.from_csv(args.table)
@@ -72,8 +70,7 @@ def cmd_correlate(args) -> int:
                 for group, res in results
             ],
         }
-        blob = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        atomic_write_bytes(args.out, blob.encode())
+        write_json(args.out, payload)
     return 0
 
 

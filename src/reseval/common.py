@@ -1,4 +1,4 @@
-"""Defaults, scene file names and atomic file writes, on the standard library alone.
+"""Defaults, scene file names and atomic file and JSON writes, on the standard library alone.
 
 The command-line front end reads these before it knows which command
 runs, so they live apart from the numpy modules that use them.
@@ -50,3 +50,11 @@ def atomic_write_bytes(path, *chunks) -> None:
         if isinstance(exc, OSError) and exc.errno is not None:
             raise OSError(exc.errno, exc.strerror, path) from exc
         raise
+
+
+def write_json(path, payload) -> None:
+    """Write payload atomically as strict JSON, keys sorted and indented by 2,
+    plus a newline; a NaN or infinite float raises ValueError and writes nothing."""
+    import json  # only commands that write JSON pay for it
+
+    atomic_write_bytes(path, (json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n").encode())

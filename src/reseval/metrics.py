@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import ENERGY_FLOOR, SceneComponents, Signal
-from .activity import _LABEL_OF_CODE, ActivityMask, FrameLabel
+from .activity import ActivityMask, FrameLabel
 from .common import CLAMP_DB, atomic_write_bytes
 from .framing import FrameGrid
 
@@ -41,9 +41,6 @@ METRIC_CONDITIONS: dict[str, str] = {
     "ser": "all",
     "snr": "all",
 }
-
-# the label string of each activity code, for the report's label column
-_VALUE_OF_CODE = np.array([label.value for label in _LABEL_OF_CODE], dtype=object)
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -194,16 +191,16 @@ class MetricAggregate:
 
 @dataclass(frozen=True)
 class MetricReport:
-    """Per-frame metric values plus per-condition aggregates.
-
-    values holds one array per metric with NaN where the metric is not
-    defined for that frame; aggregates holds mean/std/count per metric,
-    omitting metrics with no qualifying frames.
-    """
+    """Per-frame labels and metric values: one array per metric, NaN where
+    the metric is not defined for that frame."""
 
     labels: tuple[str, ...]
     values: dict[str, np.ndarray]
-    aggregates: dict[str, MetricAggregate]
+
+    @property
+    def aggregates(self) -> dict[str, MetricAggregate]:
+        """Mean/std/count per metric, omitting metrics with no qualifying frames."""
+        return aggregate_metrics(self.values)
 
     def write_csv(self, path) -> None:
         atomic_write_bytes(path, self.to_csv_text().encode())
@@ -244,7 +241,7 @@ class _SceneRows:
 
     grid: FrameGrid
     clamp_db: float
-    labels: tuple[str, ...]
+    labels: tuple[FrameLabel, ...]
     dt: np.ndarray
     s_dt: np.ndarray
     s_dt_energy: np.ndarray
@@ -257,7 +254,6 @@ class _SceneRows:
     fe: np.ndarray
     e_fe_energy: np.ndarray
     values: dict[str, np.ndarray]  # ser and snr, which need no s_hat
-    aggregates: dict[str, MetricAggregate]
 
 
 def scene_rows(components: SceneComponents, mask: ActivityMask, clamp_db: float = CLAMP_DB) -> _SceneRows:
@@ -287,12 +283,12 @@ def scene_rows(components: SceneComponents, mask: ActivityMask, clamp_db: float 
             values[name] = _energy_ratio_rows(s_energy, grid.frame_matrix(other.samples), clamp_db)
     rows = _SceneRows(
         grid=grid, clamp_db=clamp_db,
-        labels=tuple(_VALUE_OF_CODE[mask.codes].tolist()),
+        labels=mask.labels,
         dt=dt, s_dt=s_dt, s_dt_energy=_row_energy(s_dt),
         r_dt=r_dt, r_dt_energy=_row_energy(r_dt), e_dt_den=_gain_denominator(e_dt),
         ne=ne, s_ne=s_ne, s_ne_energy=_row_energy(s_ne),
         fe=fe, e_fe_energy=_row_energy(e_frames[fe]),
-        values=values, aggregates=aggregate_metrics(values),
+        values=values,
     )
     for array in (*vars(rows).values(), *values.values()):
         if isinstance(array, np.ndarray):
@@ -301,12 +297,12 @@ def scene_rows(components: SceneComponents, mask: ActivityMask, clamp_db: float 
 
 
 def evaluate_scene(rows: _SceneRows, s_hat: Signal) -> MetricReport:
-    """Compute every applicable metric per frame of s_hat and aggregate per condition.
+    """Compute every applicable metric per frame of s_hat.
 
     rows = scene_rows(components, mask, clamp_db) is the rest of the
-    scene; ser/snr additionally need its y/w.  Metrics whose condition
-    never occurs are omitted from the aggregates rather than reported as
-    zero.  An s_hat whose length is not the scene's raises ValueError.
+    scene; ser/snr additionally need its y/w.  A metric whose condition
+    never occurs is NaN on every frame, so aggregates omit it rather than
+    report zero.  An s_hat whose length is not the scene's raises ValueError.
     """
     clamp_db = rows.clamp_db
     sh_frames = rows.grid.frame_matrix(s_hat.samples)
@@ -320,5 +316,4 @@ def evaluate_scene(rows: _SceneRows, s_hat: Signal) -> MetricReport:
     del sh_dt, gain
     values["sar"][rows.ne] = _projected_rows(rows.s_ne, rows.s_ne_energy, sh_frames[rows.ne], clamp_db)
     values["erle"][rows.fe] = _energy_ratio_rows(rows.e_fe_energy, sh_frames[rows.fe], clamp_db)
-    return MetricReport(labels=rows.labels, values={**values, **rows.values},
-                        aggregates={**aggregate_metrics(values), **rows.aggregates})
+    return MetricReport(labels=rows.labels, values={**values, **rows.values})

@@ -9,7 +9,6 @@ suppressor then has to deal with.  Everything is driven by one seed.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from collections.abc import Iterator
@@ -19,7 +18,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .audio import SAMPLE_RATE, SceneComponents, Signal, frozen, load_wav, save_wav
-from .common import _WAV_NAMES, atomic_write_bytes
+from .common import _WAV_NAMES, write_json
 
 try:  # numpy >= 2.0: the FFT gufuncs behind np.fft, which write into an out buffer
     from numpy.fft import _pocketfft_umath as _pocketfft
@@ -310,6 +309,18 @@ def _speech_shaped_bursts(n: int, rng: np.random.Generator, span: tuple[float, f
     return out
 
 
+def _level_scale(es: float, energy: float, level_db: float, field: str) -> float:
+    """The factor that puts this energy level_db dB below es; a factor of 0 or inf
+    fails, naming field, and any other leaves the scaled signal finite and not all zero."""
+    try:
+        scale = math.sqrt(es * 10.0 ** (-level_db / 10.0) / energy)
+    except OverflowError:  # 10 ** x beyond float range
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"{field} {level_db:g} dB is out of reach (scale factor {scale:g})")
+    return scale
+
+
 def mix_at_ser_snr(
     s: Signal, y_raw: Signal, w_raw: Signal, ser_db: float, snr_db: float
 ) -> SceneComponents:
@@ -326,8 +337,8 @@ def mix_at_ser_snr(
         raise ValueError("cannot scale silent echo to an SER target")
     if ew <= 0:
         raise ValueError("cannot scale silent noise to an SNR target")
-    y = y_raw.samples * math.sqrt(es * 10.0 ** (-ser_db / 10.0) / ey)
-    w = w_raw.samples * math.sqrt(es * 10.0 ** (-snr_db / 10.0) / ew)
+    y = y_raw.samples * _level_scale(es, ey, ser_db, "ser_db")
+    w = w_raw.samples * _level_scale(es, ew, snr_db, "snr_db")
     y_sig = Signal(frozen(y))
     w_sig = Signal(frozen(w))
     m = np.add(s.samples, y)
@@ -470,15 +481,12 @@ def generate_scene(spec: SceneSpec) -> SceneComponents:
 
 
 def achieved_levels(components: SceneComponents) -> dict:
-    """Whole-signal SER/SNR of a scene's components."""
-    out = {}
+    """Whole-signal SER/SNR of a scene's components, for each of y and w that is set (and not silent)."""
     es = float(np.dot(components.s.samples, components.s.samples))
-    if components.y is not None:
-        ey = float(np.dot(components.y.samples, components.y.samples))
-        out["ser_db"] = 10.0 * math.log10(es / ey) if ey > 0 else float("inf")
-    if components.w is not None:
-        ew = float(np.dot(components.w.samples, components.w.samples))
-        out["snr_db"] = 10.0 * math.log10(es / ew) if ew > 0 else float("inf")
+    out = {}
+    for key, sig in (("ser_db", components.y), ("snr_db", components.w)):
+        if sig is not None:
+            out[key] = 10.0 * math.log10(es / float(np.dot(sig.samples, sig.samples)))
     return out
 
 
@@ -499,6 +507,5 @@ def save_scene(components: SceneComponents, spec: SceneSpec, out_dir) -> dict:
     for name, sig in components.present().items():
         save_wav(sig, os.path.join(out_dir, _WAV_NAMES[name]))
     sidecar = {"spec": spec.to_dict(), "achieved": achieved_levels(components)}
-    blob = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-    atomic_write_bytes(sidecar_path, blob.encode())
+    write_json(sidecar_path, sidecar)
     return sidecar

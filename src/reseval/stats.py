@@ -136,7 +136,10 @@ class ScoreTable:
                                 f"{path}:{lineno}: cell {cell!r} in column {col!r} is not numeric"
                             ) from None
                 rows.append(row)
-        return cls(columns=tuple(header), rows=tuple(rows), id_column=id_column)
+        try:
+            return cls(columns=tuple(header), rows=tuple(rows), id_column=id_column)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def correlate_table(table: ScoreTable, metric_col: str, score_col: str) -> CorrelationResult:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from reseval import FrameLabel, Signal, classify, echo_reference, frame_active, make_grid
+from reseval import ActivityMask, FrameLabel, Signal, classify, echo_reference, frame_active, make_grid
 from reseval.audio import SceneComponents
 from reseval.framing import FRAME_LEN, HOP
 
@@ -93,6 +93,15 @@ class TestMaskExtras:
         assert mask.grid == make_grid(960)
         assert list(mask.indices(FrameLabel.NEAR_END)) == list(range(mask.grid.n_frames))
         assert mask.indices(FrameLabel.SILENCE).size == 0
+
+    @pytest.mark.parametrize("label", ["double_talk", None, 3], ids=["label-value", "none", "code"])
+    def test_rejects_label_that_is_no_frame_label(self, label):
+        with pytest.raises(ValueError, match=f"^label {label!r} is not a FrameLabel$"):
+            ActivityMask(labels=(FrameLabel.SILENCE, label), grid=make_grid(FRAME_LEN + HOP))
+
+    def test_rejects_label_count_off_the_grid(self):
+        with pytest.raises(ValueError, match="^1 labels for 2 frames$"):
+            ActivityMask(labels=(FrameLabel.SILENCE,), grid=make_grid(FRAME_LEN + HOP))
 
     def test_echo_reference_prefers_y(self):
         n = 640

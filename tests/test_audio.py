@@ -1,4 +1,5 @@
 import errno
+import math
 import os
 import struct
 
@@ -14,7 +15,7 @@ from reseval import (
     save_wav,
 )
 from reseval.audio import frozen
-from reseval.common import atomic_write_bytes
+from reseval.common import atomic_write_bytes, write_json
 
 
 def write_pcm16(path, samples, rate=16000, channels=1):
@@ -168,6 +169,18 @@ class TestWavIO:
     def test_atomic_write_joins_chunks_in_order(self, tmp_path):
         atomic_write_bytes(tmp_path / "f", b"ab", np.arange(3, dtype="<i2"), memoryview(b"z"))
         assert (tmp_path / "f").read_bytes() == b"ab\x00\x00\x01\x00\x02\x00z"
+
+    def test_write_json_format(self, tmp_path):
+        write_json(tmp_path / "f.json", {"b": [1, 0.5], "a": {"d": None, "c": "x"}})
+        assert (tmp_path / "f.json").read_text() == (
+            '{\n  "a": {\n    "c": "x",\n    "d": null\n  },\n  "b": [\n    1,\n    0.5\n  ]\n}\n')
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus-inf"])
+    def test_write_json_refuses_non_finite(self, tmp_path, value):
+        """The JSON outputs are strict: NaN and Infinity are no JSON, so nothing is written."""
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json(tmp_path / "f.json", {"ok": 1.0, "nested": [{"bad": value}]})
+        assert list(tmp_path.iterdir()) == []
 
     def test_roundtrip_sine(self, tmp_path):
         t = np.arange(16000) / 16000.0

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from reseval import batch, cli
 from reseval.batch import Manifest, ManifestEntry, manifest_from_scenes
 from reseval.cli import build_parser, main
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 SPEC = {"duration": 2.5, "ser_db": 0.0, "snr_db": 30.0}
 # the middle scene ends before the near end first talks
 BAD_SCENE_SPEC = {"duration": [3.0, 1.0, 3.0]}
@@ -48,7 +50,7 @@ def dir_bytes(root):
     for base, _, files in os.walk(root):
         for name in files:
             path = os.path.join(base, name)
-            out[os.path.relpath(path, root)] = open(path, "rb").read()
+            out[os.path.relpath(path, root)] = Path(path).read_bytes()
     return out
 
 
@@ -185,6 +187,17 @@ class TestSimulate:
         for name in ("scene_0000", "scene_0002"):
             assert dir_bytes(tmp_path / "bad" / name) == dir_bytes(tmp_path / "good" / name)
         assert not (tmp_path / "bad" / "scene_0001" / "scene.json").exists()
+
+    @pytest.mark.parametrize("field", ["ser_db", "snr_db"])
+    @pytest.mark.parametrize("level,scale", [(4000, "0"), (-4000, "inf")], ids=["zero-scale", "inf-scale"])
+    def test_unreachable_level_fails_its_scene(self, tmp_path, capsys, field, level, scale):
+        """A level whose echo or noise would scale to zero or overflow fails the scene, and no
+        sidecar claims it was reached."""
+        spec = write_spec(tmp_path, {"duration": 2.5, field: level})
+        assert run("simulate", "--spec", spec, "--count", 1, "--out", tmp_path / "x") == 1
+        assert capsys.readouterr().err == (f"simulate: scene_0000: ValueError: {field} {level} dB "
+                                           f"is out of reach (scale factor {scale})\n")
+        assert not (tmp_path / "x" / "scene_0000" / "scene.json").exists()
 
     @pytest.mark.parametrize("fields", [{"duration": 0.5}, {"duration": 10.0, "echo_path_change_at": 6.0}])
     def test_wav_sources_must_last_the_duration(self, tmp_path, capsys, fields):
@@ -579,7 +592,7 @@ class TestCorrelate:
         assert run("correlate", "--table", table, "--metric-col", "a", "--score-col", "b",
                    "--out", tmp_path / "r.json") == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == "error: duplicate column 'a'\n"
+        assert captured.out == "" and captured.err == f"error: {table}: duplicate column 'a'\n"
         assert not (tmp_path / "r.json").exists()
 
     def test_group_by_column_with_no_values_reported(self, tmp_path, capsys):
@@ -766,7 +779,7 @@ def test_batch_commands_load_only_what_they_read(scene_dir, tmp_path, monkeypatc
 
 
 def test_readme_library_example_runs(capsys):
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    readme = README.read_text()
     (code,) = re.findall(r"^## Library\n\n```python\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
     exec(compile(code, "README.md", "exec"), {})
     means = ast.literal_eval(capsys.readouterr().out)
@@ -776,7 +789,7 @@ def test_readme_library_example_runs(capsys):
 
 def test_readme_shell_examples_parse():
     """Every `reseval ...` line of a README sh block parses, so no example keeps a deleted or renamed flag."""
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    readme = README.read_text()
     lines = [line for block in re.findall(r"^```sh\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
              for line in block.splitlines() if line.startswith("reseval ")]
     assert len(lines) >= 6
@@ -789,7 +802,7 @@ def test_readme_shell_examples_parse():
 def test_readme_flag_table_matches_parser():
     """Each row lists exactly its command's options, and its "a or b" items are
     exactly the command's mutually exclusive flags."""
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    readme = README.read_text()
     rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", readme, re.MULTILINE))
     table = {name: set(re.findall(r"`(--[a-z-]+)`", row)) for name, row in rows.items()}
     # an item is a comma-separated part of the row, a parenthesis left out

@@ -69,9 +69,10 @@ def test_malformed_wav_fails_its_entry_on_one_line(tmp_path, monkeypatch, capsys
 
 @pytest.mark.parametrize("text,message", [
     ("", "{path}: empty CSV"),
-    ("utt,a,b\nu0,1,2\nu1,inf,3\nu2,3,5\n", "cell ('u1', 'a') is not finite: inf"),
-    ("utt,a,b\nu0,1,2\nu1,2,nan\nu2,3,5\n", "cell ('u1', 'b') is not finite: nan"),
-], ids=["empty", "inf-cell", "nan-cell"])
+    ("utt,a,b\nu0,1,2\nu1,inf,3\nu2,3,5\n", "{path}: cell ('u1', 'a') is not finite: inf"),
+    ("utt,a,b\nu0,1,2\nu1,2,nan\nu2,3,5\n", "{path}: cell ('u1', 'b') is not finite: nan"),
+    ("utt,a,b\nu0,1,2\nu0,2,3\nu2,3,5\n", "{path}: duplicate utterance id 'u0'"),
+], ids=["empty", "inf-cell", "nan-cell", "duplicate-id"])
 def test_malformed_score_table_one_line(tmp_path, capsys, text, message):
     path = tmp_path / "scores.csv"
     path.write_text(text)

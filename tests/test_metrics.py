@@ -290,6 +290,15 @@ class TestEvaluateScene:
         with pytest.raises(ValueError, match="does not match grid signal_len"):
             evaluate_scene(rows, Signal(np.resize(comps.s_hat.samples, length)))
 
+    def test_aggregates_derived_from_values(self):
+        """A report holds only labels and values; its aggregates are those of its values, in their order."""
+        comps, mask = build_scene()
+        report = evaluate_scene(scene_rows(comps, mask), comps.s_hat)
+        assert [f.name for f in dataclasses.fields(report)] == ["labels", "values"]
+        assert report.labels is mask.labels
+        assert report.aggregates == aggregate_metrics(report.values)
+        assert list(report.aggregates) == list(report.values) == list(METRIC_NAMES)
+
     def test_counts_match_mask(self):
         comps, mask = build_scene()
         report = evaluate_scene(scene_rows(comps, mask), comps.s_hat)
@@ -616,7 +625,6 @@ class TestReportSerialization:
         report = MetricReport(
             labels=("double_talk", "near_end_single_talk", "far_end_single_talk"),
             values={name: columns[i] for i, name in enumerate(METRIC_NAMES)},
-            aggregates={},
         )
         assert report.to_csv_text() == (
             "frame_index,label,dsml,resl,sdr,sar,erle,ser,snr\n"

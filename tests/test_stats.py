@@ -1,4 +1,6 @@
 
+import re
+
 import numpy as np
 import pytest
 
@@ -98,7 +100,7 @@ class TestScoreTable:
 
     def test_duplicate_ids_rejected(self, tmp_path):
         path = self.write(tmp_path / "t.csv", "utt,a\nx,1\nx,2\n")
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: duplicate utterance id 'x'$"):
             ScoreTable.from_csv(path)
 
     @pytest.mark.parametrize("header,name", [("id,a,a,b", "a"), ("id,a,b,a", "a"), ("id,id,a", "id")])
@@ -106,7 +108,7 @@ class TestScoreTable:
         width = header.count(",")
         rows = [f"u{i}" + f",{i}" * width for i in range(3)]
         path = self.write(tmp_path / "t.csv", "\n".join([header, *rows]) + "\n")
-        with pytest.raises(ValueError, match=f"^duplicate column '{name}'$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: duplicate column '{name}'$"):
             ScoreTable.from_csv(path)
 
     def test_missing_column_lists_available(self, tmp_path):
