@@ -205,10 +205,14 @@ def _extensible_subformat(fmt_chunk: bytes, path) -> int:
 
 
 def save_wav(signal: Signal, path) -> None:
-    """Write a Signal as mono 32-bit float WAV, atomically."""
+    """Write a Signal as mono 32-bit float WAV, atomically, or raise ValueError
+    and write nothing if 32-bit float cannot hold it (inf, or all zeros)."""
     if not isinstance(signal, Signal):
         raise TypeError("save_wav expects a Signal")
-    payload = signal.samples.astype("<f4")
+    with np.errstate(over="ignore"):
+        payload = signal.samples.astype("<f4")
+    if not np.isfinite(payload).all() or (not payload.any() and signal.samples.any()):
+        raise ValueError(f"{path}: samples beyond the range of 32-bit float")
     fmt = struct.pack("<HHIIHH", 3, 1, SAMPLE_RATE, SAMPLE_RATE * 4, 4, 32)
     head = b"".join(
         [

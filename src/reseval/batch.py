@@ -302,7 +302,7 @@ def run_suppress(args) -> int:
         raise ValueError("suppress --manifest needs --out")
     manifest = _resolve_manifest(args)
     beta = args.beta if args.alpha is None else beta_schedule([args.alpha])[0]
-    config = SuppressorConfig(beta=beta, floor=args.floor)
+    config = SuppressorConfig(beta=beta)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
     written, errors = _run_batch("suppress", _suppress_entry, [(e.id, e) for e in manifest.entries],
@@ -422,7 +422,7 @@ def run_sweep(args) -> int:
         alphas = [float(a) for a in args.alphas.split(",")] if args.alphas else []
     except ValueError:
         raise ValueError(f"--alphas must be comma-separated numbers, got {args.alphas!r}") from None
-    configs = [SuppressorConfig(beta=beta, floor=args.floor) for beta in beta_schedule(alphas)]
+    configs = [SuppressorConfig(beta=beta) for beta in beta_schedule(alphas)]
     if os.path.isdir(args.out):
         raise IsADirectoryError(f"{args.out}: is a directory")
     if not os.path.isdir(os.path.dirname(args.out) or "."):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .common import CLAMP_DB, DEFAULT_FLOOR, DEFAULT_THRESHOLD_DB, write_json
+from .common import CLAMP_DB, DEFAULT_THRESHOLD_DB, write_json
 
 
 def cmd_simulate(args) -> int:
@@ -87,9 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--scenes", help="directory of scene subdirectories")
     jobs = argparse.ArgumentParser(add_help=False)
     jobs.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    floor = argparse.ArgumentParser(add_help=False)
-    floor.add_argument("--floor", type=float, default=DEFAULT_FLOOR,
-                       help=f"per-frame gain floor (default {DEFAULT_FLOOR})")
     levels = argparse.ArgumentParser(add_help=False)
     levels.add_argument("--threshold-db", type=float, default=DEFAULT_THRESHOLD_DB, dest="threshold_db",
                         help=f"activity threshold (default {DEFAULT_THRESHOLD_DB})")
@@ -103,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="base seed; scene i gets seed + i (default 0)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("suppress", parents=[inputs, floor, jobs],
+    p = sub.add_parser("suppress", parents=[inputs, jobs],
                        help="run the reference suppressor over a batch")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--beta", type=float, default=1.0, help="over-suppression factor (>= 1)")
@@ -117,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory for frame CSVs and report.json")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep", parents=[inputs, floor, levels], help="tradeoff table over an alpha sweep")
+    p = sub.add_parser("sweep", parents=[inputs, levels], help="tradeoff table over an alpha sweep")
     p.add_argument("--alphas", required=True, help="comma-separated ascending alphas")
     p.add_argument("--out", required=True, help="output CSV table")
     p.add_argument("--group-by", dest="group_by", help="tag/sidecar field to group rows by")

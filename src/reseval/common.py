@@ -12,8 +12,6 @@ import os
 DEFAULT_THRESHOLD_DB = -50.0
 # metric clamp bound, dB
 CLAMP_DB = 120.0
-# lower bound of the reference suppressor's per-frame gain
-DEFAULT_FLOOR = 0.02
 
 # the WAV file of each scene component in a scene directory
 _WAV_NAMES = {

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import Signal, frozen
-from .common import DEFAULT_FLOOR
 from .framing import gain_envelope, spectral_energy
 
 GAIN_EPS = 1e-12
+# lower bound of the per-frame gain: at most ~34 dB of attenuation
+MIN_GAIN = 0.02
 BETA_SLOPE = 15.0
 # estimator imperfection knobs.  Once the residual clearly dominates a
 # frame that still carries speech, the estimator can no longer separate
@@ -43,16 +44,13 @@ _JITTER_SEED = 0x5EED
 
 @dataclass(frozen=True)
 class SuppressorConfig:
-    """beta >= 1 is the over-suppression factor; floor bounds the gain below."""
+    """beta >= 1 is the over-suppression factor."""
 
     beta: float = 1.0
-    floor: float = DEFAULT_FLOOR
 
     def __post_init__(self):
         if not np.isfinite(self.beta) or self.beta < 1.0:
             raise ValueError(f"beta must be >= 1, got {self.beta}")
-        if not 0.0 <= self.floor < 1.0:
-            raise ValueError(f"floor must be in [0, 1), got {self.floor}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +109,7 @@ class _GainTracks:
 
 
 def frame_gains(tracks: _GainTracks, config: SuppressorConfig) -> np.ndarray:
-    """Per-frame broadband gain in [floor, 1] from tracks = gain_tracks(e, s).
+    """Per-frame broadband gain in [MIN_GAIN, 1] from tracks = gain_tracks(e, s).
 
     The base gain is ||S||^2 / (||S||^2 + beta * ||R||^2) per frame,
     with R the noisy residual e - s, on temporally smoothed energy
@@ -124,8 +122,8 @@ def frame_gains(tracks: _GainTracks, config: SuppressorConfig) -> np.ndarray:
     base = tracks.ps / (tracks.ps + config.beta * tracks.pr + GAIN_EPS)
     gains = tracks.jitter * (tracks.collapse + (1.0 - tracks.collapse) * base)
     # reflect at unity so the wobble survives in barely-suppressed frames
-    gains = np.where(gains > 1.0, np.maximum(2.0 - gains, config.floor), gains)
-    return np.clip(gains, config.floor, 1.0)
+    gains = np.where(gains > 1.0, np.maximum(2.0 - gains, MIN_GAIN), gains)
+    return np.clip(gains, MIN_GAIN, 1.0)
 
 
 def gain_tracks(e: Signal, s: Signal) -> _GainTracks:

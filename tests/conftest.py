@@ -14,9 +14,9 @@ def make_scene_batch(count, seed0, duration=2.5, **kwargs):
     return batch
 
 
-def suppress_and_evaluate(components, mask, beta, floor=0.02):
+def suppress_and_evaluate(components, mask, beta):
     tracks = rv.gain_tracks(components.e, components.s)
-    s_hat = rv.oracle_suppress(tracks, rv.SuppressorConfig(beta=beta, floor=floor))
+    s_hat = rv.oracle_suppress(tracks, rv.SuppressorConfig(beta=beta))
     return rv.evaluate_scene(rv.scene_rows(components, mask), s_hat)
 
 

@@ -91,6 +91,14 @@ class TestWavIO:
         write_pcm16(path, [0] * 160000)
         assert len(load_wav(path)) == 160000
 
+    @pytest.mark.parametrize("value", [1e39, 1e-50], ids=["overflow", "underflow"])
+    def test_beyond_float32_rejected(self, tmp_path, value):
+        path = tmp_path / "big.wav"
+        with pytest.raises(ValueError) as exc:
+            save_wav(Signal(np.full(8, value)), path)
+        assert str(exc.value) == f"{path}: samples beyond the range of 32-bit float"
+        assert list(tmp_path.iterdir()) == []
+
     def test_stereo_rejected(self, tmp_path):
         path = tmp_path / "stereo.wav"
         write_pcm16(path, [0, 0, 0, 0], channels=2)

@@ -199,6 +199,17 @@ class TestSimulate:
                                            f"is out of reach (scale factor {scale})\n")
         assert not (tmp_path / "x" / "scene_0000" / "scene.json").exists()
 
+    @pytest.mark.parametrize("level", [-800, 1000], ids=["overflows-float32", "underflows-float32"])
+    def test_level_beyond_float32_fails_its_scene(self, tmp_path, capsys, level):
+        """A level that float64 reaches but the 32-bit float WAV cannot hold (inf, or an
+        all-zero echo) fails the scene, and no sidecar claims it was reached."""
+        spec = write_spec(tmp_path, {"duration": 2.5, "ser_db": level})
+        assert run("simulate", "--spec", spec, "--count", 1, "--out", tmp_path / "x") == 1
+        y = tmp_path / "x" / "scene_0000" / "y.wav"
+        assert capsys.readouterr().err == (f"simulate: scene_0000: ValueError: {y}: "
+                                           f"samples beyond the range of 32-bit float\n")
+        assert not (tmp_path / "x" / "scene_0000" / "scene.json").exists()
+
     @pytest.mark.parametrize("fields", [{"duration": 0.5}, {"duration": 10.0, "echo_path_change_at": 6.0}])
     def test_wav_sources_must_last_the_duration(self, tmp_path, capsys, fields):
         paths = {}
@@ -1000,8 +1011,14 @@ def test_suppress_and_sweep_leave_numpy_ma_unimported(scene_dir, tmp_path):
     *[(["sweep", "--scenes", "scenes", "--alphas", "0", "--out", "t.csv", flag, value],
        f"reseval: error: unrecognized arguments: {flag} {value}")
       for flag, value in (("--count", "5"), ("--seed", "3"), ("--scenes-dir", "kept"), ("--spec", "spec.json"))],
+    # the suppressor's gain floor is a constant, not a setting
+    (["suppress", "--scenes", "scenes", "--alpha", "0.5", "--floor", "0.1"],
+     "reseval: error: unrecognized arguments: --floor 0.1"),
+    (["sweep", "--scenes", "scenes", "--alphas", "0", "--out", "t.csv", "--floor", "0.1"],
+     "reseval: error: unrecognized arguments: --floor 0.1"),
 ], ids=["sweep-manifest-and-scenes", "evaluate-manifest-and-scenes", "suppress-alpha-and-beta",
-        "sweep-scenes-and-count", "sweep-scenes-and-seed", "sweep-scenes-and-scenes-dir", "sweep-scenes-and-spec"])
+        "sweep-scenes-and-count", "sweep-scenes-and-seed", "sweep-scenes-and-scenes-dir", "sweep-scenes-and-spec",
+        "suppress-floor", "sweep-floor"])
 def test_exclusive_flags_rejected_before_any_entry(scene_dir, tmp_path, monkeypatch, capsys, argv, error):
     shutil.copytree(scene_dir, tmp_path / "scenes")
     write_spec(tmp_path)

@@ -8,23 +8,18 @@ import oracles
 import reseval as rv
 from conftest import batch_metric_means, make_scene_batch
 from reseval import LossInputs, SuppressorConfig, beta_schedule, loss_j, oracle_suppress
-from reseval.suppressor import _percentile_20, _smooth_frames, frame_gains, gain_tracks
+from reseval.suppressor import MIN_GAIN, _percentile_20, _smooth_frames, frame_gains, gain_tracks
 
 
 class TestConfig:
     def test_defaults(self):
         cfg = SuppressorConfig()
-        assert cfg.beta == 1.0 and cfg.floor == 0.02
+        assert cfg.beta == 1.0 and MIN_GAIN == 0.02
 
     @pytest.mark.parametrize("beta", [0.5, 0.0, -1.0, float("nan")])
     def test_beta_validated(self, beta):
         with pytest.raises(ValueError, match="beta"):
             SuppressorConfig(beta=beta)
-
-    @pytest.mark.parametrize("floor", [-0.1, 1.0, 1.5])
-    def test_floor_validated(self, floor):
-        with pytest.raises(ValueError, match="floor"):
-            SuppressorConfig(floor=floor)
 
 
 class TestLoss:
@@ -121,9 +116,9 @@ class TestOracleSuppress:
         rng = np.random.default_rng(6)
         e = rv.Signal(rng.standard_normal(16000) * 0.2)
         tracks = gain_tracks(e, rv.Signal(np.zeros(16000)))
-        out = oracle_suppress(tracks, SuppressorConfig(beta=1.0, floor=0.02))
+        out = oracle_suppress(tracks, SuppressorConfig(beta=1.0))
         erle_db = 10 * math.log10(float(e.samples @ e.samples) / float(out.samples @ out.samples))
-        assert erle_db == pytest.approx(-20 * math.log10(0.02), abs=0.5)
+        assert erle_db == pytest.approx(-20 * math.log10(MIN_GAIN), abs=0.5)
 
     def test_output_length_preserved(self):
         rng = np.random.default_rng(7)
@@ -145,8 +140,8 @@ class TestOracleSuppress:
         batch = make_scene_batch(1, 600)
         comps, _ = batch[0]
         for beta in (1.0, 8.0, 16.0):
-            gains = frame_gains(gain_tracks(comps.e, comps.s), SuppressorConfig(beta=beta, floor=0.02))
-            assert gains.min() >= 0.02
+            gains = frame_gains(gain_tracks(comps.e, comps.s), SuppressorConfig(beta=beta))
+            assert gains.min() >= MIN_GAIN
             assert gains.max() <= 1.0
 
     @staticmethod
