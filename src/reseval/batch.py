@@ -388,6 +388,7 @@ def run_evaluate(args) -> int:
 
 def _sweep_entry(entry, configs, threshold_db, clamp_db) -> list[MetricReport]:
     """One report per suppressor config for one scene, whose gain tracks and rows are computed once."""
+    from .audio import Signal
     from .metrics import evaluate_scene, scene_rows
     from .suppressor import gain_tracks, oracle_suppress
 
@@ -397,7 +398,9 @@ def _sweep_entry(entry, configs, threshold_db, clamp_db) -> list[MetricReport]:
     rows = scene_rows(components, mask, clamp_db)
     reports = []
     for config in configs:
-        s_hat = oracle_suppress(tracks, config)
+        # rounded through float32 as save_wav writes it, so that a row scores
+        # the s_hat that suppress -> evaluate would score
+        s_hat = Signal(oracle_suppress(tracks, config).samples.astype("float32"))
         reports.append(evaluate_scene(rows, s_hat))
         # the next alpha's s_hat is built without this one alive
         del s_hat
@@ -408,9 +411,11 @@ def _group_of(entry, tag):
     value = entry.tags.get(tag)
     if value is None:
         raise ValueError(f"entry {entry.id!r} has no tag {tag!r}")
-    if not isinstance(value, (str, int, float)):
-        raise ValueError(f"entry {entry.id!r}: tag {tag!r} must be a string or a number, "
-                         f"got {type(value).__name__}")
+    nan = isinstance(value, float) and math.isnan(value)
+    if nan or not isinstance(value, (str, int, float)):
+        # a NaN equals no group, so its scene would be pooled nowhere
+        raise ValueError(f"entry {entry.id!r}: tag {tag!r} must be a string or a number other than NaN, "
+                         f"got {'nan' if nan else type(value).__name__}")
     return value
 
 

@@ -17,13 +17,11 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
+# the FFT gufuncs behind np.fft, which write into an out buffer
+from numpy.fft import _pocketfft_umath as _pocketfft
+
 from .audio import SAMPLE_RATE, SceneComponents, Signal, frozen, load_wav, save_wav
 from .common import _WAV_NAMES, write_json
-
-try:  # numpy >= 2.0: the FFT gufuncs behind np.fft, which write into an out buffer
-    from numpy.fft import _pocketfft_umath as _pocketfft
-except ImportError:
-    _pocketfft = None
 
 # talk pattern: within each 2.5 s cycle the far end speaks during
 # [0, 1.5) s and the near end during [1.0, 2.5) s, so the canceller
@@ -181,21 +179,15 @@ def _fft_length(n: int) -> int:
 def _rfft(x: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
     """np.fft.rfft(x, n), written into out (n // 2 + 1 bins).
 
-    Calls numpy's FFT gufunc directly where there is one: for the
-    canceller's short transforms the np.fft wrapper costs more than the
-    transform.  The result is the same bit for bit.
+    Calls numpy's FFT gufunc directly: for the canceller's short
+    transforms the np.fft wrapper costs more than the transform.  The
+    result is the same bit for bit.
     """
-    if _pocketfft is None:
-        out[...] = np.fft.rfft(x, n)
-        return out
     return (_pocketfft.rfft_n_even if n % 2 == 0 else _pocketfft.rfft_n_odd)(x, 1.0, out=out)
 
 
 def _irfft(spectrum: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
     """np.fft.irfft(spectrum, n), written into out (n samples); see _rfft."""
-    if _pocketfft is None:
-        out[...] = np.fft.irfft(spectrum, n)
-        return out
     return _pocketfft.irfft(spectrum, 1.0 / n, out=out)
 
 

@@ -30,9 +30,18 @@ def _validated_pair(x, y) -> tuple[list[float], list[float]]:
     return x, y
 
 
+def _unit_scaled(seq: list[float]) -> list[float]:
+    """seq times the power of two that brings its largest magnitude into [0.5, 1)."""
+    exp = math.frexp(max(map(abs, seq)))[1]
+    return [math.ldexp(v, -exp) for v in seq]
+
+
 def pcc(x, y) -> float:
     """Sample Pearson correlation coefficient."""
-    x, y = _validated_pair(x, y)
+    # a positive scale leaves the PCC as it is and a power of two scales
+    # exactly; this one keeps the squared deviations of values near 1e-200
+    # from underflowing to 0 and of values near 1e200 from overflowing
+    x, y = map(_unit_scaled, _validated_pair(x, y))
     mx, my = math.fsum(x) / len(x), math.fsum(y) / len(y)
     dx = [v - mx for v in x]
     dy = [v - my for v in y]

@@ -82,25 +82,6 @@ class TestSimulate:
                    "--jobs", 2) == 0
         assert dir_bytes(tmp_path / "ser") == dir_bytes(tmp_path / "par")
 
-    def test_np_fft_fallback_writes_the_same_bytes(self, tmp_path, monkeypatch):
-        """Without numpy's FFT gufuncs (numpy < 2), simulate -> suppress -> evaluate writes
-        every file byte for byte as the gufunc path does."""
-        spec = write_spec(tmp_path, {"duration": 2.5, "echo_path_change_at": [None, 1.25]})
-
-        def chain(out):
-            assert run("simulate", "--spec", spec, "--out", out / "scenes", "--count", 2, "--seed", 5) == 0
-            assert run("suppress", "--scenes", out / "scenes", "--alpha", 0.5) == 0
-            assert run("evaluate", "--scenes", out / "scenes", "--out", out / "report") == 0
-            return dir_bytes(out)
-
-        gufunc = chain(tmp_path / "gufunc")
-        monkeypatch.setattr(rv.simulate, "_pocketfft", None)
-        fallback = chain(tmp_path / "np.fft")
-        assert sorted(fallback) == sorted(gufunc)
-        assert len(fallback) == 2 * 9 + 3
-        for name, blob in gufunc.items():
-            assert fallback[name] == blob, name
-
     def test_sidecar_levels_match_targets(self, tmp_path):
         spec = write_spec(tmp_path, {**SPEC, "ser_db": [-10.0, 0.0, 10.0]})
         assert run("simulate", "--spec", spec, "--out", tmp_path / "out", "--count", 3, "--seed", 1) == 0
@@ -509,9 +490,9 @@ class TestSweep:
             if agg is None:
                 assert row[f"{name}_mean"] == row[f"{name}_std"] == ""
                 continue
-            # s_hat reaches evaluate through a float32 WAV, sweep keeps it in float64
-            assert float(row[f"{name}_mean"]) == pytest.approx(agg["mean"], abs=1e-4)
-            assert float(row[f"{name}_std"]) == pytest.approx(agg["std"], abs=1e-4)
+            # sweep rounds s_hat through float32 as the WAV that evaluate reads holds it
+            assert float(row[f"{name}_mean"]) == agg["mean"], name
+            assert float(row[f"{name}_std"]) == agg["std"], name
 
     def test_entry_matches_independent_calls_exactly(self, scene_dir):
         """Reports of one sweep entry equal fresh per-alpha suppress + evaluate calls, bit for bit."""
@@ -523,6 +504,8 @@ class TestSweep:
                 c = rv.SceneComponents(**{k: rv.load_wav(entry.paths[k]) for k in ("s", "y", "w", "e")})
                 mask = rv.classify(c.s, c.y)
                 s_hat = rv.oracle_suppress(rv.gain_tracks(c.e, c.s), config)
+                # as suppress writes it to shat.wav
+                s_hat = rv.Signal(s_hat.samples.astype(np.float32))
                 fresh = rv.evaluate_scene(rv.scene_rows(c, mask), s_hat)
                 assert report.labels == fresh.labels
                 for name in rv.metrics.METRIC_NAMES:
@@ -613,6 +596,18 @@ class TestCorrelate:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: column 'g' has no values to group by\n"
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200, 1e308])
+    def test_any_finite_scale(self, tmp_path, capsys, scale):
+        x, y = [1.0, 1.25, 1.75], [1.0, 1.5, 1.25]
+        table = self.write_table(tmp_path, [f"u{i},{a * scale!r},{b * scale!r}"
+                                            for i, (a, b) in enumerate(zip(x, y, strict=True))])
+        assert run("correlate", "--table", table, "--metric-col", "metric", "--score-col", "score",
+                   "--out", tmp_path / "r.json") == 0
+        assert capsys.readouterr().err == ""
+        (group,) = json.loads((tmp_path / "r.json").read_text())["groups"]
+        assert group["pcc"] == pytest.approx(rv.pcc(x, y), rel=1e-12)
+        assert group["srcc"] == 0.5
 
     def test_constant_column_reported(self, tmp_path, capsys):
         table = self.write_table(tmp_path, [f"u{i},1.0,{i}" for i in range(5)])

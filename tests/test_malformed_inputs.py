@@ -8,6 +8,7 @@ tests/test_cli.py.
 """
 
 import json
+import math
 import os
 import struct
 
@@ -100,16 +101,30 @@ def test_scenes_dir_without_sidecars_one_line(tmp_path, monkeypatch, capsys, arg
     assert sorted(os.listdir(scene)) == ["e.wav", "s.wav"]
 
 
-def test_sweep_group_by_tag_an_entry_lacks(tmp_path, monkeypatch, capsys):
+def sweep_by_ser_db(tmp_path, monkeypatch, u1_tags):
+    """Exit code of a sweep grouped by ser_db over u0, tagged 0.0, and u1 with u1_tags;
+    checks that no entry was suppressed and no table written."""
     for name in ("s.wav", "e.wav"):
         rv.save_wav(rv.Signal(np.full(1600, 0.1)), tmp_path / name)
     entry = {"s": "s.wav", "e": "e.wav"}
     (tmp_path / "m.json").write_text(json.dumps(
-        {"entries": [{"id": "u0", "tags": {"ser_db": 0.0}, **entry}, {"id": "u1", **entry}]}))
+        {"entries": [{"id": "u0", "tags": {"ser_db": 0.0}, **entry}, {"id": "u1", "tags": u1_tags, **entry}]}))
     calls = []
     monkeypatch.setattr(rv.suppressor, "oracle_suppress", lambda *a: calls.append(a))
-    assert run("sweep", "--manifest", tmp_path / "m.json", "--alphas", "0", "--group-by", "ser_db",
-               "--out", tmp_path / "table.csv") == 2
-    assert capsys.readouterr().err == "error: entry 'u1' has no tag 'ser_db'\n"
+    code = run("sweep", "--manifest", tmp_path / "m.json", "--alphas", "0", "--group-by", "ser_db",
+               "--out", tmp_path / "table.csv")
     assert calls == []
     assert not os.path.exists(tmp_path / "table.csv")
+    return code
+
+
+def test_sweep_group_by_tag_an_entry_lacks(tmp_path, monkeypatch, capsys):
+    assert sweep_by_ser_db(tmp_path, monkeypatch, {}) == 2
+    assert capsys.readouterr().err == "error: entry 'u1' has no tag 'ser_db'\n"
+
+
+def test_sweep_group_by_nan_tag(tmp_path, monkeypatch, capsys):
+    """Python's json reads NaN; a NaN tag equals no group, so it is refused before any entry runs."""
+    assert sweep_by_ser_db(tmp_path, monkeypatch, {"ser_db": math.nan}) == 2
+    assert (capsys.readouterr().err
+            == "error: entry 'u1': tag 'ser_db' must be a string or a number other than NaN, got nan\n")

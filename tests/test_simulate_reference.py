@@ -3,8 +3,8 @@
 The generator builds one band gate and one canceller block spectrum at a
 time, synthesises each band from the noise spectrum's own buffer, reads
 the canceller's interior blocks as views, and calls numpy's FFT gufuncs
-directly where they exist.  None of that may change a sample: the sources,
-x, w and the canceller alone are compared with np.array_equal against the
+directly.  None of that may change a sample: the sources, x, w and the
+canceller alone are compared with np.array_equal against the
 reference implementations below, which materialise the (n_bands, n) gate
 matrix, copy each band's bins into a spectrum of their own, pad the
 canceller's inputs and batch its block spectra through np.fft.
@@ -190,39 +190,20 @@ def assert_same_scene(got, want):
             assert within(getattr(got, name).samples, samples, SCENE_TOL), name
 
 
-@pytest.fixture(params=["gufunc", "np.fft"])
-def fft_path(request, monkeypatch):
-    """Run a test on the FFT gufuncs and again on the np.fft fallback of numpy < 2.0."""
-    if request.param == "np.fft":
-        monkeypatch.setattr(simulate, "_pocketfft", None)
-    elif simulate._pocketfft is None:
-        pytest.skip("numpy < 2.0 has no FFT gufuncs")
-    return request.param
-
-
-@pytest.mark.skipif(simulate._pocketfft is None, reason="numpy < 2.0 has no FFT gufuncs")
 @pytest.mark.parametrize("n", [1, 7, 640, 1024, 1025])
-def test_fft_helpers_fallback_matches_gufunc(monkeypatch, n):
+def test_fft_helpers_match_np_fft(n):
     # inputs shorter and longer than n, so both zero-padding and cropping run
     rng = np.random.default_rng(n)
-    signals = [rng.standard_normal(m) for m in (1, 700, 1100)]
-    spectra = [rng.standard_normal(m) + 1j * rng.standard_normal(m) for m in (1, 300, 600)]
-
-    def transforms():
-        return ([simulate._rfft(x, n, np.empty(n // 2 + 1, dtype=complex)) for x in signals]
-                + [simulate._irfft(z, n, np.empty(n)) for z in spectra])
-
-    gufunc = transforms()
-    monkeypatch.setattr(simulate, "_pocketfft", None)
-    fallback = transforms()
-    for got, want in zip(gufunc, fallback, strict=True):
-        assert np.array_equal(got, want)
+    for x in (rng.standard_normal(m) for m in (1, 700, 1100)):
+        assert np.array_equal(simulate._rfft(x, n, np.empty(n // 2 + 1, dtype=complex)), np.fft.rfft(x, n))
+    for z in (rng.standard_normal(m) + 1j * rng.standard_normal(m) for m in (1, 300, 600)):
+        assert np.array_equal(simulate._irfft(z, n, np.empty(n)), np.fft.irfft(z, n))
 
 
 class TestBursts:
     @pytest.mark.parametrize("span", [NEAR_SPAN, FAR_SPAN], ids=["near", "far"])
     @pytest.mark.parametrize("seed", [1, 3, 7])
-    def test_matches_reference(self, fft_path, seed, span):
+    def test_matches_reference(self, seed, span):
         for n in (160000, 40001):
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             got = _speech_shaped_bursts(n, got_rng, span)
@@ -235,7 +216,7 @@ class TestSimulateAec:
                                           (31 * 512, 1), (31 * 512, 2), (512, 1), (512, 2)],
                              ids=["blocks", "partial-block", "two-passes", "exact-multiple",
                                   "exact-multiple-two-passes", "n-equals-taps", "n-equals-taps-two-passes"])
-    def test_matches_reference(self, fft_path, n, passes):
+    def test_matches_reference(self, n, passes):
         rng = np.random.default_rng(n + passes)
         x = rng.standard_normal(n) * 0.1
         spec = SceneSpec(duration=n / SAMPLE_RATE, rir_len=400, t60=0.05, aec_passes=passes)
@@ -253,10 +234,10 @@ class TestGenerateScene:
         SceneSpec(duration=2.5, seed=1, ser_db=10.0, echo_path_change_at=1.25, aec_taps=300, aec_passes=2),
         SceneSpec(duration=1.03, seed=5, rir_len=700, t60=0.3),
     ], ids=["change", "no-change", "two-passes-partial-block", "odd-length"])
-    def test_matches_reference(self, fft_path, spec):
+    def test_matches_reference(self, spec):
         assert_same_scene(generate_scene(spec), generate_scene_reference(spec))
 
-    def test_wav_source_mode(self, tmp_path, fft_path):
+    def test_wav_source_mode(self, tmp_path):
         rng = np.random.default_rng(26)
         for name in ("near", "far"):
             rv.save_wav(Signal(rng.standard_normal(24000) * 0.1), tmp_path / f"{name}.wav")
@@ -287,7 +268,7 @@ class TestEchoPath:
         (5000, 1600, [2600]),
     ], ids=["no-change", "change-at-6s", "change-within-first-kernel", "change-on-block-boundary",
             "rir-len-1", "rir-len-9000", "shorter-than-a-block"])
-    def test_matches_np_convolve(self, fft_path, n, taps, changes):
+    def test_matches_np_convolve(self, n, taps, changes):
         spec = SceneSpec(duration=n / SAMPLE_RATE, seed=n + taps, rir_len=taps)
         signal = np.tanh(2.0 * _speech_shaped_bursts(n, _rng(spec.seed, _STREAM_FAR), FAR_SPAN)) / 2.0
         # silent stretches longer than any kernel, so exact zeros must show

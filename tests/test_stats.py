@@ -39,6 +39,13 @@ class TestPcc:
         assert pcc(x, y) == pytest.approx(pcc(y, x), abs=1e-12)
         assert pcc(3.0 * x + 7.0, y) == pytest.approx(pcc(x, y), abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200, 1e308])
+    def test_any_finite_scale(self, scale):
+        """Squared deviations near 1e-400 or 1e400 neither underflow to 0 nor overflow."""
+        x, y = [1.0, 1.25, 1.75], [1.0, 1.5, 1.25]
+        assert pcc([v * scale for v in x], [v * scale for v in y]) == pytest.approx(pcc(x, y), rel=1e-12)
+        assert pcc([v * scale for v in x], y) == pytest.approx(pcc(x, y), rel=1e-12)
+
 
 class TestSrcc:
     def test_monotone_invariance(self):
