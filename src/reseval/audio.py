@@ -189,7 +189,10 @@ def load_wav(path) -> Signal:
             f"{path}: encoding unsupported ({encoding}, {bits}-bit; "
             f"need 16-bit PCM or 32-bit float)"
         )
-    return Signal(frozen(arr))
+    try:
+        return Signal(frozen(arr))
+    except ValueError as exc:  # no samples, or a non-finite one
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _extensible_subformat(fmt_chunk: bytes, path) -> int:

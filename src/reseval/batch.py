@@ -14,7 +14,6 @@ tracer or a test may have replaced it.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import json
@@ -223,7 +222,7 @@ def _run_batch(command: str, step, items, *extra, jobs: int = 1):
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_keep_freed_memory) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), initializer=_keep_freed_memory) as pool:
             outcomes = list(pool.map(_isolated, tasks))
     results, errors = {}, {}
     for (item_id, _), (result, err) in zip(items, outcomes):
@@ -260,9 +259,6 @@ def _simulate_one(task) -> None:
     from .simulate import generate_scene, save_scene
 
     spec, scene_dir = task
-    # a scene that fails leaves no older scene in its place for manifest_from_scenes
-    with contextlib.suppress(FileNotFoundError):
-        os.unlink(os.path.join(scene_dir, "scene.json"))
     save_scene(generate_scene(spec), spec, scene_dir)
 
 
@@ -270,6 +266,8 @@ def run_simulate(args) -> int:
     """Write the --spec/--count/--seed scenes as <out>/scene_NNNN."""
     _check_jobs(args)
     specs = _load_scene_specs(args.spec, args.count, args.seed)
+    if os.path.isdir(args.out) and any(name.startswith("scene_") for name in os.listdir(args.out)):
+        raise FileExistsError(f"{args.out}: holds scenes of an earlier run; simulate into a new directory")
     os.makedirs(args.out, exist_ok=True)
     ids = [f"scene_{i:04d}" for i in range(len(specs))]
     items = [(sid, (spec, os.path.join(args.out, sid))) for sid, spec in zip(ids, specs)]
@@ -364,6 +362,9 @@ def run_evaluate(args) -> int:
     _check_jobs(args)
     _check_levels(args)
     manifest = _resolve_manifest(args)
+    if os.path.isdir(args.out) and any(name == "report.json" or name.startswith("frames_")
+                                       for name in os.listdir(args.out)):
+        raise FileExistsError(f"{args.out}: holds a report of an earlier run; evaluate into a new directory")
     os.makedirs(args.out, exist_ok=True)
     reports, errors = _run_batch("evaluate", _evaluate_entry, [(e.id, e) for e in manifest.entries],
                                  args.threshold_db, args.clamp_db, jobs=args.jobs)

@@ -28,7 +28,8 @@ _WAV_NAMES = {
 
 def atomic_write_bytes(path, *chunks) -> None:
     """Write the bytes-like chunks, in order, to a file atomically (temp
-    file in the same directory + rename).
+    file in the same directory + rename), with the mode open() would give
+    a new file under the process umask.
 
     An OSError names path, not the temporary file.
     """
@@ -39,6 +40,11 @@ def atomic_write_bytes(path, *chunks) -> None:
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "wb") as fh:
+            # mkstemp makes the file 0600: give it open()'s 0o666 & ~umask.
+            # Reading the umask sets it; 0o077 meanwhile errs on the closed side.
+            umask = os.umask(0o077)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)

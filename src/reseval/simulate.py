@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import shutil
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from typing import get_args, get_type_hints
@@ -483,21 +484,19 @@ def achieved_levels(components: SceneComponents) -> dict:
 
 
 def save_scene(components: SceneComponents, spec: SceneSpec, out_dir) -> dict:
-    """Persist a scene as a directory of WAVs plus a JSON sidecar.
+    """Persist a scene as a new directory of WAVs plus a JSON sidecar, all
+    or nothing: an out_dir that exists raises FileExistsError, and a write
+    that fails removes the directory.
 
     Returns the sidecar dict (spec fields and achieved SER/SNR).
     """
-    os.makedirs(out_dir, exist_ok=True)
-    # the sidecar goes first and comes back last: a directory without one
-    # is no scene to manifest_from_scenes, so an overwrite that fails part
-    # way never pairs new WAVs with the old sidecar
-    sidecar_path = os.path.join(out_dir, "scene.json")
+    os.makedirs(out_dir)
     try:
-        os.unlink(sidecar_path)
-    except FileNotFoundError:
-        pass
-    for name, sig in components.present().items():
-        save_wav(sig, os.path.join(out_dir, _WAV_NAMES[name]))
-    sidecar = {"spec": spec.to_dict(), "achieved": achieved_levels(components)}
-    write_json(sidecar_path, sidecar)
+        for name, sig in components.present().items():
+            save_wav(sig, os.path.join(out_dir, _WAV_NAMES[name]))
+        sidecar = {"spec": spec.to_dict(), "achieved": achieved_levels(components)}
+        write_json(os.path.join(out_dir, "scene.json"), sidecar)
+    except BaseException:
+        shutil.rmtree(out_dir)
+        raise
     return sidecar

@@ -1,6 +1,7 @@
 import errno
 import math
 import os
+import stat
 import struct
 
 import numpy as np
@@ -177,6 +178,23 @@ class TestWavIO:
     def test_atomic_write_joins_chunks_in_order(self, tmp_path):
         atomic_write_bytes(tmp_path / "f", b"ab", np.arange(3, dtype="<i2"), memoryview(b"z"))
         assert (tmp_path / "f").read_bytes() == b"ab\x00\x00\x01\x00\x02\x00z"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+    def test_outputs_get_the_mode_open_gives_under_the_umask(self, tmp_path, umask):
+        """Not mkstemp's 0600: a WAV, a JSON and any other output get 0o666 & ~umask,
+        and the umask is left as it was."""
+        old = os.umask(umask)
+        try:
+            save_wav(Signal(np.full(4, 0.1)), tmp_path / "s.wav")
+            write_json(tmp_path / "r.json", {"a": 1})
+            atomic_write_bytes(tmp_path / "f.csv", b"a\n")
+            with open(tmp_path / "plain", "wb"):
+                pass
+            assert os.umask(umask) == umask
+        finally:
+            os.umask(old)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+        assert modes == dict.fromkeys(["s.wav", "r.json", "f.csv", "plain"], 0o666 & ~umask)
 
     def test_write_json_format(self, tmp_path):
         write_json(tmp_path / "f.json", {"b": [1, 0.5], "a": {"d": None, "c": "x"}})

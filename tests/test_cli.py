@@ -28,6 +28,9 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 SPEC = {"duration": 2.5, "ser_db": 0.0, "snr_db": 30.0}
 # the middle scene ends before the near end first talks
 BAD_SCENE_SPEC = {"duration": [3.0, 1.0, 3.0]}
+# what simulate and evaluate say of an --out that an earlier run wrote, after its path
+EARLIER_SCENES = "holds scenes of an earlier run; simulate into a new directory"
+EARLIER_REPORT = "holds a report of an earlier run; evaluate into a new directory"
 
 
 def run(*argv):
@@ -167,7 +170,24 @@ class TestSimulate:
         assert captured.out == f"simulate: 2 ok, 1 failed -> {tmp_path / 'bad'}\n"
         for name in ("scene_0000", "scene_0002"):
             assert dir_bytes(tmp_path / "bad" / name) == dir_bytes(tmp_path / "good" / name)
-        assert not (tmp_path / "bad" / "scene_0001" / "scene.json").exists()
+        assert not (tmp_path / "bad" / "scene_0001").exists()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_scene_failed_part_way_leaves_no_directory(self, tmp_path, capsys, jobs):
+        """A scene whose y.wav 32-bit float cannot hold fails after its s.wav and x.wav
+        are written; its directory goes with it, and its neighbours are a healthy run's."""
+        good = write_spec(tmp_path, {"duration": 3.0}, name="good.json")
+        bad = write_spec(tmp_path, {"duration": 3.0, "ser_db": [0.0, -800, 0.0]}, name="bad.json")
+        assert run("simulate", "--spec", good, "--out", tmp_path / "good", "--count", 3, "--seed", 4) == 0
+        capsys.readouterr()
+        assert run("simulate", "--spec", bad, "--out", tmp_path / "bad", "--count", 3, "--seed", 4,
+                   "--jobs", jobs) == 1
+        y = tmp_path / "bad" / "scene_0001" / "y.wav"
+        assert capsys.readouterr().err == (f"simulate: scene_0001: ValueError: {y}: "
+                                           f"samples beyond the range of 32-bit float\n")
+        assert sorted(os.listdir(tmp_path / "bad")) == ["scene_0000", "scene_0002"]
+        for name in ("scene_0000", "scene_0002"):
+            assert dir_bytes(tmp_path / "bad" / name) == dir_bytes(tmp_path / "good" / name)
 
     @pytest.mark.parametrize("field", ["ser_db", "snr_db"])
     @pytest.mark.parametrize("level,scale", [(4000, "0"), (-4000, "inf")], ids=["zero-scale", "inf-scale"])
@@ -178,7 +198,7 @@ class TestSimulate:
         assert run("simulate", "--spec", spec, "--count", 1, "--out", tmp_path / "x") == 1
         assert capsys.readouterr().err == (f"simulate: scene_0000: ValueError: {field} {level} dB "
                                            f"is out of reach (scale factor {scale})\n")
-        assert not (tmp_path / "x" / "scene_0000" / "scene.json").exists()
+        assert not (tmp_path / "x" / "scene_0000").exists()
 
     @pytest.mark.parametrize("level", [-800, 1000], ids=["overflows-float32", "underflows-float32"])
     def test_level_beyond_float32_fails_its_scene(self, tmp_path, capsys, level):
@@ -189,7 +209,7 @@ class TestSimulate:
         y = tmp_path / "x" / "scene_0000" / "y.wav"
         assert capsys.readouterr().err == (f"simulate: scene_0000: ValueError: {y}: "
                                            f"samples beyond the range of 32-bit float\n")
-        assert not (tmp_path / "x" / "scene_0000" / "scene.json").exists()
+        assert not (tmp_path / "x" / "scene_0000").exists()
 
     @pytest.mark.parametrize("fields", [{"duration": 0.5}, {"duration": 10.0, "echo_path_change_at": 6.0}])
     def test_wav_sources_must_last_the_duration(self, tmp_path, capsys, fields):
@@ -202,14 +222,54 @@ class TestSimulate:
         n = round(fields["duration"] * 16000)
         assert capsys.readouterr().err == (f"simulate: scene_0000: ValueError: near_wav has 16000 samples, "
                                            f"not the {n} of duration {fields['duration']} s\n")
-        assert not (tmp_path / "x" / "scene_0000" / "scene.json").exists()
+        assert not (tmp_path / "x" / "scene_0000").exists()
 
-    def test_failed_scene_leaves_no_older_scene_in_its_place(self, tmp_path):
+    def test_failed_scene_leaves_no_older_scene_in_its_place(self, tmp_path, monkeypatch, capsys):
+        """A second run into an --out that holds scenes is refused before any scene is made,
+        so no scene of the first run stands in for one that fails in the second."""
         good = write_spec(tmp_path, {"duration": 3.0}, name="good.json")
         bad = write_spec(tmp_path, BAD_SCENE_SPEC, name="bad.json")
-        assert run("simulate", "--spec", good, "--out", tmp_path / "out", "--count", 3, "--seed", 4) == 0
-        assert run("simulate", "--spec", bad, "--out", tmp_path / "out", "--count", 3, "--seed", 4) == 1
-        assert [e.id for e in manifest_from_scenes(tmp_path / "out").entries] == ["scene_0000", "scene_0002"]
+        out = tmp_path / "out"
+        assert run("simulate", "--spec", good, "--out", out, "--count", 3, "--seed", 4) == 0
+        before = dir_bytes(out)
+        capsys.readouterr()
+        calls = []
+        monkeypatch.setattr(rv.simulate, "generate_scene", lambda spec: calls.append(spec))
+        assert run("simulate", "--spec", bad, "--out", out, "--count", 3, "--seed", 4) == 2
+        assert capsys.readouterr().err == f"error: {out}: {EARLIER_SCENES}\n"
+        assert (calls, dir_bytes(out)) == ([], before)
+
+    @pytest.mark.parametrize("suppressed", [False, True], ids=["scenes", "scenes-with-shat"])
+    def test_out_with_scenes_of_an_earlier_run_refused(self, tmp_path, capsys, suppressed):
+        """Neither a scene of the earlier run that the new one would not reach (scene_0002)
+        nor an earlier shat.wav beside new s.wav and e.wav can be left to be scored."""
+        spec, out = write_spec(tmp_path), tmp_path / "scenes"
+        assert run("simulate", "--spec", spec, "--out", out, "--count", 3, "--seed", 1) == 0
+        if suppressed:
+            assert run("suppress", "--scenes", out, "--beta", 8) == 0
+        before = dir_bytes(out)
+        capsys.readouterr()
+        assert run("simulate", "--spec", spec, "--out", out, "--count", 2, "--seed", 50) == 2
+        assert capsys.readouterr().err == f"error: {out}: {EARLIER_SCENES}\n"
+        assert dir_bytes(out) == before
+
+    @pytest.mark.parametrize("entry,refused", [
+        ("scene_0007/", True), ("scene_notes.txt", True), ("notes.txt", False), ("scenes/", False),
+    ], ids=["scene-dir", "scene-file", "other-file", "other-dir"])
+    def test_any_scene_entry_refuses_an_out(self, tmp_path, capsys, entry, refused):
+        out = tmp_path / "out"
+        out.mkdir()
+        if entry.endswith("/"):
+            (out / entry).mkdir()
+        else:
+            (out / entry).write_text("x")
+        code = run("simulate", "--spec", write_spec(tmp_path), "--out", out, "--count", 1)
+        if refused:
+            assert (code, capsys.readouterr().err) == (2, f"error: {out}: {EARLIER_SCENES}\n")
+            assert os.listdir(out) == [entry.rstrip("/")]
+        else:
+            assert code == 0
+            assert sorted(os.listdir(out)) == sorted([entry.rstrip("/"), "scene_0000"])
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_count_below_one_rejected(self, tmp_path, monkeypatch, capsys, count):
@@ -349,6 +409,36 @@ class TestEvaluate:
         assert "broken" in payload["errors"]
         # partial results for the healthy entries still written
         assert (out / "frames_u0.csv").exists()
+
+    @pytest.mark.parametrize("keep", [None, "report.json", "frames_u0.csv"],
+                             ids=["whole-report", "report-json", "frame-csv"])
+    def test_out_with_a_report_of_an_earlier_run_refused(self, tmp_path, monkeypatch, capsys, keep):
+        """Re-run with u1 now failing, the out would keep the first run's frames_u1.csv
+        beside a report.json that lists u1 under errors; so the re-run writes nothing."""
+        manifest = self.build_identity_manifest(tmp_path)
+        out = tmp_path / "rep"
+        assert run("evaluate", "--manifest", manifest, "--out", out) == 0
+        for name in os.listdir(out):
+            if keep not in (None, name):
+                os.unlink(out / name)
+        before = dir_bytes(out)
+        (tmp_path / "e1.wav").unlink()
+        capsys.readouterr()
+        calls = []
+        monkeypatch.setattr(batch, "_run_batch", lambda *args, **kwargs: calls.append(args))
+        assert run("evaluate", "--manifest", manifest, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {out}: {EARLIER_REPORT}\n"
+        assert (calls, dir_bytes(out)) == ([], before)
+
+    def test_out_with_other_files_accepted(self, tmp_path):
+        """Only report.json and frames_* belong to a report, so scenes and notes may share its --out."""
+        manifest = self.build_identity_manifest(tmp_path)
+        out = tmp_path / "rep"
+        (out / "scene_0000").mkdir(parents=True)
+        (out / "notes.txt").write_text("x")
+        assert run("evaluate", "--manifest", manifest, "--out", out) == 0
+        assert sorted(os.listdir(out)) == ["frames_u0.csv", "frames_u1.csv", "notes.txt", "report.json",
+                                           "scene_0000"]
 
     def test_jobs_parallel_matches_serial(self, tmp_path):
         manifest = self.build_identity_manifest(tmp_path, n_entries=3)
@@ -794,15 +884,20 @@ def test_readme_library_example_runs(capsys):
 
 
 def test_readme_shell_examples_parse():
-    """Every `reseval ...` line of a README sh block parses, so no example keeps a deleted or renamed flag."""
+    """Every `reseval ...` line of a README sh block parses, so no example keeps a deleted or renamed flag,
+    and no two `simulate` or `evaluate` lines share an --out, which the second would refuse."""
     readme = README.read_text()
     lines = [line for block in re.findall(r"^```sh\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
              for line in block.splitlines() if line.startswith("reseval ")]
     assert len(lines) >= 6
     parser = build_parser()
+    outs = []
     for line in lines:
         args = parser.parse_args(shlex.split(line, comments=True)[1:])
         assert args.func is getattr(cli, f"cmd_{args.command}"), line
+        if args.command in ("simulate", "evaluate"):
+            outs.append(args.out)
+    assert len(outs) == len(set(outs)) >= 2
 
 
 def test_readme_flag_table_matches_parser():
@@ -1083,10 +1178,12 @@ def test_kept_memory_serves_the_next_array_without_page_faults():
     assert int(proc.stdout.splitlines()[-1]) < 50
 
 
-def test_run_batch_keeps_freed_memory_in_every_process(monkeypatch):
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Each pool _run_batch makes runs in this process; returns the keyword arguments of each."""
     import concurrent.futures
 
-    kept, pools = [], []
+    pools = []
 
     class Pool:
         def __init__(self, **kwargs):
@@ -1101,13 +1198,27 @@ def test_run_batch_keeps_freed_memory_in_every_process(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(batch, "_keep_freed_memory", lambda: kept.append(True))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    return pools
+
+
+def test_run_batch_keeps_freed_memory_in_every_process(monkeypatch, in_process_pool):
+    kept = []
+    monkeypatch.setattr(batch, "_keep_freed_memory", lambda: kept.append(True))
     items = [("a", -1), ("b", -2)]
     assert batch._run_batch("abs", abs, items, jobs=1) == ({"a": 1, "b": 2}, {})
-    assert (len(kept), pools) == (1, [])
+    assert (len(kept), in_process_pool) == (1, [])
     assert batch._run_batch("abs", abs, items, jobs=2) == ({"a": 1, "b": 2}, {})
-    assert (len(kept), pools) == (2, [{"max_workers": 2, "initializer": batch._keep_freed_memory}])
+    assert (len(kept), in_process_pool) == (2, [{"max_workers": 2, "initializer": batch._keep_freed_memory}])
+
+
+def test_run_batch_starts_no_more_workers_than_items(monkeypatch, in_process_pool):
+    """A pool forks all its workers at the first task, so a --jobs beyond the batch
+    would fork processes that get no item."""
+    monkeypatch.setattr(batch, "_keep_freed_memory", lambda: None)
+    items = [("a", -1), ("b", -2), ("c", -3)]
+    assert batch._run_batch("abs", abs, items, jobs=10**6) == ({"a": 1, "b": 2, "c": 3}, {})
+    assert [pool["max_workers"] for pool in in_process_pool] == [3]
 
 
 def _raise_os_error(name):

@@ -44,6 +44,10 @@ MALFORMED_WAVS = {
                        "data chunk not a whole number of samples"),
     "float32-partial-sample": (riff((b"fmt ", FLOAT32_FMT), (b"data", bytes(6))), "TruncatedWavError",
                                "data chunk not a whole number of samples"),
+    "float32-nan": (riff((b"fmt ", FLOAT32_FMT), (b"data", struct.pack("<2f", 0.1, math.nan))), "ValueError",
+                    "signal contains non-finite samples"),
+    "empty-data-chunk": (riff((b"fmt ", PCM16_FMT), (b"data", b"")), "ValueError",
+                         "signal must contain at least one sample"),
 }
 
 # every command that reads a manifest's WAVs, with the flags it needs besides --manifest

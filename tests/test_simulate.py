@@ -451,11 +451,17 @@ class TestScenePersistence:
         sidecar = json.loads((tmp_path / "scene" / "scene.json").read_text())
         assert SceneSpec.from_dict(sidecar["spec"]) == spec
 
-    def test_failed_overwrite_leaves_no_sidecar(self, tmp_path, monkeypatch):
+    def test_save_scene_is_all_or_nothing(self, tmp_path, monkeypatch):
+        """A save into a directory that exists raises FileExistsError and changes none
+        of its files, and a save that fails part way leaves no directory."""
         spec = SceneSpec(duration=2.5, seed=29)
         comps = generate_scene(spec)
-        for name in ("a", "b"):
-            save_scene(comps, spec, tmp_path / name)
+        save_scene(comps, spec, tmp_path / "a")
+        before = {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()}
+        other = SceneSpec(duration=2.5, seed=30)
+        with pytest.raises(FileExistsError):
+            save_scene(generate_scene(other), other, tmp_path / "a")
+        assert {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()} == before
         written = []
 
         def third_write_fails(sig, path):
@@ -465,10 +471,11 @@ class TestScenePersistence:
             rv.audio.save_wav(sig, path)
 
         monkeypatch.setattr(rv.simulate, "save_wav", third_write_fails)
-        with pytest.raises(OSError):
-            save_scene(comps, spec, tmp_path / "a")
-        assert not (tmp_path / "a" / "scene.json").exists()
-        assert [entry.id for entry in manifest_from_scenes(tmp_path).entries] == ["b"]
+        with pytest.raises(OSError) as info:
+            save_scene(comps, spec, tmp_path / "b")
+        assert (info.value.errno, len(written)) == (errno.ENOSPC, 3)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a"]
+        assert [entry.id for entry in manifest_from_scenes(tmp_path).entries] == ["a"]
 
     def test_missing_scene_dir(self, tmp_path):
         with pytest.raises(FileNotFoundError):
