@@ -1,7 +1,7 @@
 """Per-frame condition labels: double-talk, single-talk, silence.
 
 Labels are a pure function of the ground-truth components and an
-energy threshold, one per frame of the signals' grid (make_grid).
+energy threshold, one per frame of the signals' FrameGrid.
 Noise is ignored for labeling.
 """
 
@@ -14,7 +14,7 @@ import numpy as np
 
 from .audio import ENERGY_FLOOR, Signal, frozen
 from .common import DEFAULT_THRESHOLD_DB
-from .framing import FrameGrid, make_grid
+from .framing import FrameGrid
 
 
 class FrameLabel(str, Enum):
@@ -25,12 +25,12 @@ class FrameLabel(str, Enum):
 
 
 def frame_active(signal: Signal, threshold_db: float = DEFAULT_THRESHOLD_DB) -> np.ndarray:
-    """Boolean per frame of make_grid(len(signal)): frame energy above threshold_db.
+    """Boolean per frame of FrameGrid(len(signal)): frame energy above threshold_db.
 
     Energy is the summed squared amplitude of the frame in dB, floored
     at 1e-12.
     """
-    frames = make_grid(len(signal)).frame_matrix(signal.samples)
+    frames = FrameGrid(len(signal)).frame_matrix(signal.samples)
     energies = np.einsum("ij,ij->i", frames, frames)
     energies_db = 10.0 * np.log10(energies + ENERGY_FLOOR)
     return energies_db > threshold_db
@@ -59,7 +59,7 @@ class ActivityMask:
 
 
 def classify(s: Signal, echo_ref: Signal, threshold_db: float = DEFAULT_THRESHOLD_DB) -> ActivityMask:
-    """Label each frame of make_grid(len(s)) from near-end speech and an echo-side reference.
+    """Label each frame of FrameGrid(len(s)) from near-end speech and an echo-side reference.
 
     DoubleTalk iff both are active, NearEndST iff only s, FarEndST iff
     only echo_ref, Silence otherwise.
@@ -71,7 +71,7 @@ def classify(s: Signal, echo_ref: Signal, threshold_db: float = DEFAULT_THRESHOL
     near = frame_active(s, threshold_db)
     far = frame_active(echo_ref, threshold_db)
     labels = tuple(_LABEL_OF_CODE[code] for code in (near + 2 * far).tolist())
-    return ActivityMask(labels=labels, grid=make_grid(len(s)))
+    return ActivityMask(labels=labels, grid=FrameGrid(len(s)))
 
 
 def echo_reference(components) -> Signal:

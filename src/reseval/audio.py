@@ -57,10 +57,6 @@ class Signal:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / SAMPLE_RATE
-
 
 def frozen(arr: np.ndarray) -> np.ndarray:
     """arr, made read-only in place, so that a Signal keeps it without a copy.

@@ -14,15 +14,13 @@ tracer or a test may have replaced it.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import os
 import sys
 from typing import TYPE_CHECKING
 
-from .common import _WAV_NAMES, atomic_write_bytes, write_json
+from .common import _WAV_NAMES, write_csv, write_json
 
 if TYPE_CHECKING:
     from .audio import SceneComponents
@@ -146,6 +144,8 @@ def _read_json(path):
             return json.load(fh)
         except ValueError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
+        except RecursionError:
+            raise ValueError(f"{path}: not valid JSON (nested too deeply)") from None
 
 
 def _resolve_manifest(args) -> Manifest:
@@ -454,15 +454,6 @@ def run_sweep(args) -> int:
     columns = ([args.group_by] if args.group_by else []) + ["alpha", "beta", "n_scenes"]
     for name in METRIC_NAMES:
         columns += [f"{name}_mean", f"{name}_std"]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_csv_cell(row.get(c, "")) for c in columns])
-    atomic_write_bytes(args.out, buf.getvalue().encode())
+    write_csv(args.out, columns, [[row.get(c) for row in rows] for c in columns])
     print(f"sweep: {len(rows)} rows, {len(reports)} ok, {len(errors)} failed -> {args.out}")
     return 1 if errors else 0
-
-
-def _csv_cell(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)

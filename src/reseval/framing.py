@@ -59,13 +59,8 @@ def _frame_count(signal_len: int) -> int:
     return (signal_len - FRAME_LEN) // HOP + 1
 
 
-def make_grid(signal_len: int) -> FrameGrid:
-    """Build the 20 ms / 50%-overlap grid for a signal length in samples."""
-    return FrameGrid(signal_len=int(signal_len))
-
-
 def _grid_of_full_frames(signal_len: int) -> FrameGrid:
-    grid = make_grid(signal_len)
+    grid = FrameGrid(signal_len)
     if grid.n_frames == 0:
         raise ValueError(f"signal length {signal_len} shorter than one frame ({FRAME_LEN})")
     return grid

@@ -14,8 +14,6 @@ frames keep their precision.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -23,7 +21,8 @@ import numpy as np
 
 from .audio import ENERGY_FLOOR, SceneComponents, Signal
 from .activity import ActivityMask, FrameLabel
-from .common import CLAMP_DB, atomic_write_bytes
+from . import common
+from .common import CLAMP_DB
 from .framing import FrameGrid
 
 GAIN_DENOM_FLOOR = 1e-8
@@ -128,12 +127,6 @@ def compute_gain(s_hat_frame, e_frame) -> np.ndarray:
     return (s_hat / _gain_denominator(e))[0]
 
 
-def compensation_scalar(gain, s_frame) -> float:
-    """Projection <gain*s, s> / ||s||^2; 1 when s is (near) silent."""
-    gain, s = _rows(gain, s_frame)
-    return float(_compensation_rows(gain * s, s, _row_energy(s))[0])
-
-
 def dsml(s_frame, gain, clamp_db: float = CLAMP_DB) -> float:
     """Desired-speech maintained level in dB for one double-talk frame.
 
@@ -203,18 +196,9 @@ class MetricReport:
         return aggregate_metrics(self.values)
 
     def write_csv(self, path) -> None:
-        atomic_write_bytes(path, self.to_csv_text().encode())
-
-    def to_csv_text(self) -> str:
-        columns = [
-            ["" if math.isnan(v) else repr(v) for v in self.values[name].tolist()]
-            for name in METRIC_NAMES
-        ]
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["frame_index", "label", *METRIC_NAMES])
-        writer.writerows(zip(range(len(self.labels)), self.labels, *columns, strict=True))
-        return buf.getvalue()
+        """One row per frame: its index, its label and each metric's value."""
+        columns = [range(len(self.labels)), self.labels, *(self.values[name].tolist() for name in METRIC_NAMES)]
+        common.write_csv(path, ["frame_index", "label", *METRIC_NAMES], columns)
 
 
 def aggregate_metrics(values: dict[str, np.ndarray]) -> dict[str, MetricAggregate]:

@@ -117,34 +117,36 @@ class ScoreTable:
     @classmethod
     def from_csv(cls, path) -> "ScoreTable":
         """The table of a CSV file whose first column holds the utterance ids."""
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ValueError(f"{path}: empty CSV") from None
-            id_column = header[0]
-            rows = []
-            for lineno, raw in enumerate(reader, start=2):
-                if len(raw) != len(header):
-                    raise ValueError(
-                        f"{path}:{lineno}: expected {len(header)} cells, got {len(raw)}"
-                    )
-                row = {}
-                for col, cell in zip(header, raw):
-                    cell = cell.strip()
-                    if col == id_column:
-                        row[col] = cell
-                    elif cell == "":
-                        row[col] = None
-                    else:
-                        try:
-                            row[col] = float(cell)
-                        except ValueError:
-                            raise ValueError(
-                                f"{path}:{lineno}: cell {cell!r} in column {col!r} is not numeric"
-                            ) from None
-                rows.append(row)
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                records = list(csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        if not records:
+            raise ValueError(f"{path}: empty CSV")
+        header = records[0]
+        id_column = header[0]
+        rows = []
+        for lineno, raw in enumerate(records[1:], start=2):
+            if len(raw) != len(header):
+                raise ValueError(
+                    f"{path}:{lineno}: expected {len(header)} cells, got {len(raw)}"
+                )
+            row = {}
+            for col, cell in zip(header, raw):
+                cell = cell.strip()
+                if col == id_column:
+                    row[col] = cell
+                elif cell == "":
+                    row[col] = None
+                else:
+                    try:
+                        row[col] = float(cell)
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}:{lineno}: cell {cell!r} in column {col!r} is not numeric"
+                        ) from None
+            rows.append(row)
         try:
             return cls(columns=tuple(header), rows=tuple(rows), id_column=id_column)
         except ValueError as exc:
@@ -152,7 +154,10 @@ class ScoreTable:
 
 
 def correlate_table(table: ScoreTable, metric_col: str, score_col: str) -> CorrelationResult:
-    """Pearson and Spearman between two columns, dropping incomplete rows."""
+    """Pearson and Spearman between two numeric columns, dropping incomplete rows."""
+    for col in (metric_col, score_col):
+        if col == table.id_column:
+            raise ValueError(f"column {col!r} is the id column, not a numeric column")
     metric = table.column(metric_col)
     score = table.column(score_col)
     xs, ys = [], []

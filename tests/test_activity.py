@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import oracles
-from reseval import ActivityMask, FrameLabel, Signal, classify, echo_reference, frame_active, make_grid
+from reseval import FrameLabel, Signal, classify, echo_reference
+from reseval.activity import ActivityMask, frame_active
 from reseval.audio import SceneComponents
-from reseval.framing import FRAME_LEN, HOP
+from reseval.framing import FRAME_LEN, HOP, FrameGrid
 
 
 def sine(n, freq=440.0, amp=1.0):
@@ -26,7 +27,7 @@ class TestFrameActive:
     def test_transition_matches_energy_rule(self):
         x = np.concatenate([np.zeros(800), sine(800)])
         active = frame_active(Signal(x), -50.0)
-        assert active.shape == (make_grid(len(x)).n_frames,)
+        assert active.shape == (FrameGrid(len(x)).n_frames,)
         for i in range(active.size):
             frame = x[i * HOP : i * HOP + FRAME_LEN]
             expected = 10 * math.log10(oracles.energy(frame) + 1e-12) > -50.0
@@ -90,18 +91,18 @@ class TestClassify:
 class TestMaskExtras:
     def test_indices(self):
         mask = classify(Signal(sine(960)), Signal(np.zeros(960)))
-        assert mask.grid == make_grid(960)
+        assert mask.grid == FrameGrid(960)
         assert list(mask.indices(FrameLabel.NEAR_END)) == list(range(mask.grid.n_frames))
         assert mask.indices(FrameLabel.SILENCE).size == 0
 
     @pytest.mark.parametrize("label", ["double_talk", None, 3], ids=["label-value", "none", "code"])
     def test_rejects_label_that_is_no_frame_label(self, label):
         with pytest.raises(ValueError, match=f"^label {label!r} is not a FrameLabel$"):
-            ActivityMask(labels=(FrameLabel.SILENCE, label), grid=make_grid(FRAME_LEN + HOP))
+            ActivityMask(labels=(FrameLabel.SILENCE, label), grid=FrameGrid(FRAME_LEN + HOP))
 
     def test_rejects_label_count_off_the_grid(self):
         with pytest.raises(ValueError, match="^1 labels for 2 frames$"):
-            ActivityMask(labels=(FrameLabel.SILENCE,), grid=make_grid(FRAME_LEN + HOP))
+            ActivityMask(labels=(FrameLabel.SILENCE,), grid=FrameGrid(FRAME_LEN + HOP))
 
     def test_echo_reference_prefers_y(self):
         n = 640

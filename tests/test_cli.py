@@ -21,6 +21,7 @@ import pytest
 
 import reseval as rv
 from reseval import batch, cli
+from reseval.audio import SceneComponents, load_wav, save_wav
 from reseval.batch import Manifest, ManifestEntry, manifest_from_scenes
 from reseval.cli import build_parser, main
 
@@ -216,7 +217,7 @@ class TestSimulate:
         paths = {}
         for name in ("near_wav", "far_wav"):
             paths[name] = str(tmp_path / f"{name}.wav")
-            rv.save_wav(rv.Signal(np.full(16000, 0.1)), paths[name])
+            save_wav(rv.Signal(np.full(16000, 0.1)), paths[name])
         spec = write_spec(tmp_path, {**fields, **paths})
         assert run("simulate", "--spec", spec, "--count", 1, "--out", tmp_path / "x") == 1
         n = round(fields["duration"] * 16000)
@@ -344,8 +345,8 @@ class TestEvaluate:
             e = s + rng.standard_normal(4800) * 0.1
             s_path = tmp_path / f"s{i}.wav"
             e_path = tmp_path / f"e{i}.wav"
-            rv.save_wav(rv.Signal(s), s_path)
-            rv.save_wav(rv.Signal(e), e_path)
+            save_wav(rv.Signal(s), s_path)
+            save_wav(rv.Signal(e), e_path)
             entries.append({"id": f"u{i}", "s": s_path.name, "e": e_path.name, "s_hat": e_path.name})
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"entries": entries}))
@@ -554,7 +555,7 @@ class TestSweep:
                                                             "e": str(tmp_path / "nope.wav")}))
         # shorter than one frame
         short = rv.Signal(np.random.default_rng(5).standard_normal(200) * 0.1)
-        rv.save_wav(short, tmp_path / "short.wav")
+        save_wav(short, tmp_path / "short.wav")
         manifest.entries.append(ManifestEntry("short", {"s": str(tmp_path / "short.wav"),
                                                         "e": str(tmp_path / "short.wav")}))
         manifest.write_json(tmp_path / "m.json")
@@ -591,7 +592,7 @@ class TestSweep:
             reports = batch._sweep_entry(entry, configs, rv.activity.DEFAULT_THRESHOLD_DB, rv.metrics.CLAMP_DB)
             assert len(reports) == len(configs)
             for config, report in zip(configs, reports):
-                c = rv.SceneComponents(**{k: rv.load_wav(entry.paths[k]) for k in ("s", "y", "w", "e")})
+                c = SceneComponents(**{k: load_wav(entry.paths[k]) for k in ("s", "y", "w", "e")})
                 mask = rv.classify(c.s, c.y)
                 s_hat = rv.oracle_suppress(rv.gain_tracks(c.e, c.s), config)
                 # as suppress writes it to shat.wav
@@ -646,6 +647,16 @@ class TestCorrelate:
         table = self.write_table(tmp_path, ["u0,1,2", "u1,2,3"])
         assert run("correlate", "--table", table, "--metric-col", "dsml", "--score-col", "score") == 2
         assert "available: utt, metric, score" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("metric,score", [("utt", "score"), ("metric", "utt")])
+    def test_id_column_reported(self, tmp_path, capsys, metric, score):
+        """The id column holds names, not numbers: naming it as either column is one line."""
+        table = self.write_table(tmp_path, [f"u{i},{i},{2*i}" for i in range(4)])
+        assert run("correlate", "--table", table, "--metric-col", metric, "--score-col", score,
+                   "--out", tmp_path / "r.json") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: column 'utt' is the id column, not a numeric column\n"
+        assert not (tmp_path / "r.json").exists()
 
     def test_monotone_nonlinear(self, tmp_path, capsys):
         rows = [f"u{i},{i},{math.exp(i)}" for i in range(9)]
@@ -731,7 +742,7 @@ class TestManifestHelpers:
         assert os.path.isabs(entry.paths["s"])
 
     def test_relative_paths_resolved(self, tmp_path):
-        rv.save_wav(rv.Signal(np.ones(400) * 0.1), tmp_path / "sig.wav")
+        save_wav(rv.Signal(np.ones(400) * 0.1), tmp_path / "sig.wav")
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps({"entries": [{"id": "x", "s": "sig.wav"}]}))
         loaded = Manifest.from_json(manifest)
@@ -874,10 +885,13 @@ def test_batch_commands_load_only_what_they_read(scene_dir, tmp_path, monkeypatc
             f"scene_{i:04d}": wavs for i in range(3)}, argv[0]
 
 
+def readme_library_example():
+    (code,) = re.findall(r"^## Library\n\n.*?^```python\n(.*?)^```$", README.read_text(), re.MULTILINE | re.DOTALL)
+    return code
+
+
 def test_readme_library_example_runs(capsys):
-    readme = README.read_text()
-    (code,) = re.findall(r"^## Library\n\n```python\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
-    exec(compile(code, "README.md", "exec"), {})
+    exec(compile(readme_library_example(), "README.md", "exec"), {})
     means = ast.literal_eval(capsys.readouterr().out)
     assert {"dsml", "resl"} <= means.keys()
     assert all(math.isfinite(means[name]) for name in ("dsml", "resl"))
@@ -1041,6 +1055,38 @@ def test_every_exported_name_resolves():
     assert rv.__all__
     for name in rv.__all__:
         assert getattr(rv, name) is getattr(importlib.import_module(f"reseval.{rv._MODULE_OF[name]}"), name)
+
+
+def package_names_used(code):
+    """The names that code imports from reseval or reaches as <alias of reseval>.<name>,
+    less the submodules it reaches that way."""
+    nodes = list(ast.walk(ast.parse(code)))
+    aliases = {a.asname or a.name for node in nodes if isinstance(node, ast.Import)
+               for a in node.names if a.name == "reseval"}
+    names = {a.name for node in nodes if isinstance(node, ast.ImportFrom) and node.module == "reseval"
+             for a in node.names}
+    names |= {node.attr for node in nodes if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name) and node.value.id in aliases}
+    return names - {m.name for m in pkgutil.iter_modules(rv.__path__)}
+
+
+def test_exports_are_what_the_acceptance_tests_and_readme_use():
+    """The package exports exactly the names the acceptance tests and the README's
+    library example take from it, so a name is exported only while one of them uses it."""
+    acceptance = (Path(__file__).resolve().parent / "test_acceptance.py").read_text()
+    used = package_names_used(acceptance) | package_names_used(readme_library_example())
+    assert set(rv.__all__) == used
+
+
+def test_package_metadata_matches_the_package():
+    """pyproject.toml's `reseval` console script, which the README runs, is cli.main,
+    and its version is the package's."""
+    import tomllib
+
+    project = tomllib.loads((README.parent / "pyproject.toml").read_text())["project"]
+    module, function = project["scripts"]["reseval"].split(":")
+    assert getattr(importlib.import_module(module), function) is main
+    assert project["version"] == rv.__version__
 
 
 def test_cli_imports_only_what_the_command_runs(tmp_path):

@@ -5,12 +5,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from reseval import Signal, istft, make_grid, stft
+from reseval import Signal, istft, stft
 from reseval.framing import (
     FFT_LEN,
     FRAME_LEN,
     HOP,
     _WINDOW,
+    FrameGrid,
     Spectrogram,
     gain_envelope,
     spectral_energy,
@@ -21,21 +22,21 @@ from reseval.framing import (
 class TestGrid:
     @pytest.mark.parametrize("length,frames", [(320, 1), (480, 2), (160000, 999), (319, 0), (0, 0)])
     def test_counts(self, length, frames):
-        assert make_grid(length).n_frames == frames
+        assert FrameGrid(length).n_frames == frames
 
     def test_counts_match_enumeration(self):
         rng = np.random.default_rng(0)
         for length in rng.integers(0, 50000, size=1000):
-            assert make_grid(int(length)).n_frames == oracles.frame_count(int(length))
+            assert FrameGrid(int(length)).n_frames == oracles.frame_count(int(length))
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            make_grid(-1)
+            FrameGrid(-1)
 
     def test_slices(self):
         # frame i covers [i*HOP, i*HOP + FRAME_LEN), and no frame runs past the signal
         x = np.arange(800, dtype=float)
-        frames = make_grid(800).frame_matrix(x)
+        frames = FrameGrid(800).frame_matrix(x)
         for i in (0, 2, frames.shape[0] - 1):
             np.testing.assert_array_equal(frames[i], x[i * HOP : i * HOP + FRAME_LEN])
         n = frames.shape[0]
@@ -43,7 +44,7 @@ class TestGrid:
 
     def test_frame_matrix(self):
         x = np.arange(800, dtype=float)
-        frames = make_grid(800).frame_matrix(x)
+        frames = FrameGrid(800).frame_matrix(x)
         assert frames.shape == (4, 320)
         assert frames[1][0] == 160.0
 
@@ -159,7 +160,7 @@ class TestGainEnvelope:
     @pytest.mark.parametrize("n_frames", [1, 2, 3, 10, 999])
     def test_matches_wola_bit_for_bit(self, n_frames, tail, gains):
         signal_len = (n_frames - 1) * HOP + FRAME_LEN + tail
-        assert make_grid(signal_len).n_frames == n_frames
+        assert FrameGrid(signal_len).n_frames == n_frames
         g = self.GAINS[gains](np.random.default_rng(n_frames * 1000 + tail), n_frames)
         got = gain_envelope(g, signal_len)
         assert np.array_equal(got, wola(g[:, None] * _WINDOW, signal_len))
@@ -174,7 +175,7 @@ class TestGainEnvelope:
         with exact 0s and 1s: the edge rows' masked divide and the zero tail included."""
         signal_len = data.draw(st.one_of(st.integers(FRAME_LEN, 4000),
                                          st.integers(1, 24).map(lambda k: FRAME_LEN + k * HOP)))
-        n_frames = make_grid(signal_len).n_frames
+        n_frames = FrameGrid(signal_len).n_frames
         elements = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
         g = data.draw(arrays(np.float64, n_frames, elements=elements))
         assert np.array_equal(gain_envelope(g, signal_len), wola(g[:, None] * _WINDOW, signal_len))

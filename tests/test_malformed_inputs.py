@@ -2,9 +2,9 @@
 
 Each case fails with a nonzero exit and exactly one stderr line, never a
 traceback.  A malformed WAV fails its own entry (exit 1); a malformed
-score table, scene directory or grouping stops the command before any
-entry runs (exit 2).  Malformed manifests and scene specs are covered by
-tests/test_cli.py.
+score table, JSON file, scene directory or grouping stops the command
+before any entry runs (exit 2).  Manifests and scene specs that are
+valid JSON but malformed are covered by tests/test_cli.py.
 """
 
 import json
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import reseval as rv
+from reseval.audio import save_wav
 from reseval.cli import main
 
 PCM16_FMT = struct.pack("<HHIIHH", 1, 1, 16000, 16000 * 2, 2, 16)
@@ -63,7 +64,7 @@ WAV_COMMANDS = {
 def test_malformed_wav_fails_its_entry_on_one_line(tmp_path, monkeypatch, capsys, command, case):
     blob, error, message = MALFORMED_WAVS[case]
     (tmp_path / "bad.wav").write_bytes(blob)
-    rv.save_wav(rv.Signal(np.full(1600, 0.1)), tmp_path / "e.wav")
+    save_wav(rv.Signal(np.full(1600, 0.1)), tmp_path / "e.wav")
     (tmp_path / "m.json").write_text(json.dumps(
         {"entries": [{"id": "u0", "s": "bad.wav", "e": "e.wav", "s_hat": "e.wav"}]}))
     monkeypatch.chdir(tmp_path)
@@ -72,19 +73,45 @@ def test_malformed_wav_fails_its_entry_on_one_line(tmp_path, monkeypatch, capsys
     assert capsys.readouterr().err == f"{command}: u0: {error}: {bad}: {message}\n"
 
 
-@pytest.mark.parametrize("text,message", [
-    ("", "{path}: empty CSV"),
-    ("utt,a,b\nu0,1,2\nu1,inf,3\nu2,3,5\n", "{path}: cell ('u1', 'a') is not finite: inf"),
-    ("utt,a,b\nu0,1,2\nu1,2,nan\nu2,3,5\n", "{path}: cell ('u1', 'b') is not finite: nan"),
-    ("utt,a,b\nu0,1,2\nu0,2,3\nu2,3,5\n", "{path}: duplicate utterance id 'u0'"),
-], ids=["empty", "inf-cell", "nan-cell", "duplicate-id"])
-def test_malformed_score_table_one_line(tmp_path, capsys, text, message):
+@pytest.mark.parametrize("blob,message", [
+    (b"", "{path}: empty CSV"),
+    (b"utt,a,b\nu0,1,2\nu1,inf,3\nu2,3,5\n", "{path}: cell ('u1', 'a') is not finite: inf"),
+    (b"utt,a,b\nu0,1,2\nu1,2,nan\nu2,3,5\n", "{path}: cell ('u1', 'b') is not finite: nan"),
+    (b"utt,a,b\nu0,1,2\nu0,2,3\nu2,3,5\n", "{path}: duplicate utterance id 'u0'"),
+    ("utt,a,b\nu0,1,2\nu1,2,3\n".encode("utf-16"),
+     "{path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (b"utt,a,b\nu0," + b"1" * 200_000 + b",2\n", "{path}: field larger than field limit (131072)"),
+], ids=["empty", "inf-cell", "nan-cell", "duplicate-id", "utf-16", "oversized-cell"])
+def test_malformed_score_table_one_line(tmp_path, capsys, blob, message):
     path = tmp_path / "scores.csv"
-    path.write_text(text)
+    path.write_bytes(blob)
     assert run("correlate", "--table", path, "--metric-col", "a", "--score-col", "b",
                "--out", tmp_path / "r.json") == 2
     assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
     assert not os.path.exists(tmp_path / "r.json")
+
+
+# case: (JSON file, command line that reads it), relative to the working directory
+NESTED_JSON = {
+    "manifest": ("m.json", ["evaluate", "--manifest", "m.json", "--out", "out"]),
+    "spec": ("spec.json", ["simulate", "--spec", "spec.json", "--out", "out"]),
+    "sidecar": (os.path.join("scenes", "scene_0000", "scene.json"),
+                ["evaluate", "--scenes", "scenes", "--out", "out"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NESTED_JSON))
+def test_deeply_nested_json_one_line(tmp_path, monkeypatch, capsys, case):
+    """JSON nested deeper than the parser's recursion limit allows is invalid JSON, not a traceback."""
+    path, argv = NESTED_JSON[case]
+    monkeypatch.chdir(tmp_path)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write("[" * 2000 + "]" * 2000)
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {path}: not valid JSON (nested too deeply)\n"
+    assert not os.path.exists("out")
 
 
 @pytest.mark.parametrize("argv", [
@@ -97,7 +124,7 @@ def test_scenes_dir_without_sidecars_one_line(tmp_path, monkeypatch, capsys, arg
     scene = tmp_path / "scenes" / "scene_0000"
     scene.mkdir(parents=True)
     for name in ("s.wav", "e.wav"):
-        rv.save_wav(rv.Signal(np.full(1600, 0.1)), scene / name)
+        save_wav(rv.Signal(np.full(1600, 0.1)), scene / name)
     monkeypatch.chdir(tmp_path)
     assert run(*argv, "--scenes", "scenes") == 2
     assert capsys.readouterr().err == "error: scenes: no scene directories (missing scene.json sidecars)\n"
@@ -109,7 +136,7 @@ def sweep_by_ser_db(tmp_path, monkeypatch, u1_tags):
     """Exit code of a sweep grouped by ser_db over u0, tagged 0.0, and u1 with u1_tags;
     checks that no entry was suppressed and no table written."""
     for name in ("s.wav", "e.wav"):
-        rv.save_wav(rv.Signal(np.full(1600, 0.1)), tmp_path / name)
+        save_wav(rv.Signal(np.full(1600, 0.1)), tmp_path / name)
     entry = {"s": "s.wav", "e": "e.wav"}
     (tmp_path / "m.json").write_text(json.dumps(
         {"entries": [{"id": "u0", "tags": {"ser_db": 0.0}, **entry}, {"id": "u1", "tags": u1_tags, **entry}]}))

@@ -11,33 +11,17 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from conftest import assert_close
-from reseval import (
-    ActivityMask,
-    FrameLabel,
-    SceneComponents,
-    Signal,
-    classify,
-    compensation_scalar,
-    compute_gain,
-    dsml,
-    erle,
-    evaluate_scene,
-    load_wav,
-    make_grid,
-    resl,
-    sar,
-    save_wav,
-    sdr,
-    ser,
-    snr,
-)
+from reseval import FrameLabel, Signal, classify, compute_gain, dsml, erle, evaluate_scene, resl, sar, sdr, ser, snr
+from reseval.activity import ActivityMask
+from reseval.audio import SceneComponents, load_wav, save_wav
 from reseval.cli import main
-from reseval.framing import FRAME_LEN, HOP
+from reseval.framing import FRAME_LEN, HOP, FrameGrid
 from reseval.metrics import (
     COMP_DEGENERATE,
     METRIC_CONDITIONS,
     METRIC_NAMES,
     MetricReport,
+    _compensation_rows,
     _dsml_rows,
     _energy_ratio_rows,
     _gain_denominator,
@@ -81,18 +65,23 @@ class TestComputeGain:
 
 
 class TestCompensation:
+    """_compensation_rows: <gain*s, s> / ||s||^2 per row, 1 where s is (near) silent."""
+
+    def compensation(self, gain, s):
+        return _compensation_rows(gain * s, s, _row_energy(s))
+
     def test_constant_gain_exact(self):
         rng = np.random.default_rng(1)
-        s = rng.standard_normal(320)
-        for c in (0.1, 0.5, 1.0, 2.0):
-            assert compensation_scalar(np.full(320, c), s) == pytest.approx(c, abs=1e-12)
+        s = np.tile(rng.standard_normal(320), (4, 1))
+        c = np.array([0.1, 0.5, 1.0, 2.0])
+        assert self.compensation(c[:, None], s) == pytest.approx(c, abs=1e-12)
 
     def test_silent_speech_degenerate(self):
-        assert compensation_scalar(np.ones(320), np.zeros(320)) == 1.0
+        assert self.compensation(np.ones((1, 320)), np.zeros((1, 320))).tolist() == [1.0]
 
     def test_alternating(self):
-        g = np.tile([1.0, 0.0], 160)
-        assert compensation_scalar(g, np.ones(320)) == pytest.approx(0.5)
+        g = np.tile([1.0, 0.0], (1, 160))
+        assert self.compensation(g, np.ones((1, 320))) == pytest.approx([0.5])
 
 
 class TestDsml:
@@ -399,7 +388,7 @@ class TestEvaluateSceneOracles:
         segments = list(edge_case_segments(np.random.default_rng(31)))
         signals = [np.concatenate(parts) for parts in zip(*segments)]
         comps = SceneComponents(**{name: Signal(x) for name, x in zip(("s", "e", "s_hat", "y", "w"), signals)})
-        grid = make_grid(len(comps.s))
+        grid = FrameGrid(len(comps.s))
         frames = [grid.frame_matrix(x) for x in signals]
         hit_clamp = 0
         # shift the label cycle so every frame is scored under every label
@@ -435,7 +424,7 @@ class TestSceneRowsCache:
         # edge frames under every label, and s_hats that reach the +-clamp bound
         segments = list(edge_case_segments(np.random.default_rng(32)))
         s, e, s_hat, y, w = (np.concatenate(parts) for parts in zip(*segments))
-        grid = make_grid(len(s))
+        grid = FrameGrid(len(s))
         labels = tuple(LABEL_CYCLE[i % len(LABEL_CYCLE)] for i in range(grid.n_frames))
         components = SceneComponents(s=Signal(s), e=Signal(e), y=Signal(y), w=Signal(w))
         mask = ActivityMask(labels=labels, grid=grid)
@@ -469,7 +458,7 @@ def short_scenes(draw):
     for name in ("s", "e", "s_hat", "y", "w"):
         samples = np.zeros(length) if draw(st.booleans()) else rng.standard_normal(length)
         signals[name] = Signal(samples * draw(st.sampled_from([1.0, 1e-9])))
-    grid = make_grid(length)
+    grid = FrameGrid(length)
     labels = tuple(draw(st.lists(st.sampled_from(list(FrameLabel)), min_size=n_frames, max_size=n_frames)))
     clamp = draw(st.sampled_from([120.0, 60.0, 1.0]))
     return SceneComponents(**signals), ActivityMask(labels=labels, grid=grid), clamp
@@ -612,9 +601,9 @@ class TestReportSerialization:
                 else:
                     assert float(cell) == value
 
-    def test_csv_text_pinned(self):
+    def test_csv_text_pinned(self, tmp_path):
         # exact bytes: NaN cells empty; the clamp bounds, -0.0 and
-        # subnormals written as their shortest repr
+        # subnormals written as their shortest repr; a label as its value
         nan = float("nan")
         rows = [
             [120.0, -120.0, -0.0, nan, 0.1, 1 / 3, 1e-300],
@@ -623,14 +612,15 @@ class TestReportSerialization:
         ]
         columns = np.array(rows).T
         report = MetricReport(
-            labels=("double_talk", "near_end_single_talk", "far_end_single_talk"),
+            labels=(FrameLabel.DOUBLE_TALK, FrameLabel.NEAR_END, FrameLabel.FAR_END),
             values={name: columns[i] for i, name in enumerate(METRIC_NAMES)},
         )
-        assert report.to_csv_text() == (
-            "frame_index,label,dsml,resl,sdr,sar,erle,ser,snr\n"
-            "0,double_talk,120.0,-120.0,-0.0,,0.1,0.3333333333333333,1e-300\n"
-            "1,near_end_single_talk,,,2.5e-17,-7.25,-120.0,120.0,0.0\n"
-            "2,far_end_single_talk,-0.0,12.345678901234567,,60.0,-60.0,,5e-324\n"
+        report.write_csv(tmp_path / "frames.csv")
+        assert (tmp_path / "frames.csv").read_bytes() == (
+            b"frame_index,label,dsml,resl,sdr,sar,erle,ser,snr\n"
+            b"0,double_talk,120.0,-120.0,-0.0,,0.1,0.3333333333333333,1e-300\n"
+            b"1,near_end_single_talk,,,2.5e-17,-7.25,-120.0,120.0,0.0\n"
+            b"2,far_end_single_talk,-0.0,12.345678901234567,,60.0,-60.0,,5e-324\n"
         )
 
     def test_json_shape(self, tmp_path):

@@ -7,18 +7,8 @@ import numpy as np
 import pytest
 
 import reseval as rv
-from reseval import (
-    FrameLabel,
-    SceneSpec,
-    Signal,
-    generate_scene,
-    mix_at_ser_snr,
-    nonlinear_distort,
-    save_scene,
-    simulate_aec,
-    synth_rir,
-)
-from reseval.audio import SAMPLE_RATE
+from reseval import FrameLabel, SceneSpec, Signal, generate_scene, mix_at_ser_snr
+from reseval.audio import SAMPLE_RATE, load_wav, save_wav
 from reseval.batch import manifest_from_scenes
 from reseval.simulate import (
     FAR_SPAN,
@@ -34,6 +24,10 @@ from reseval.simulate import (
     _fft_length,
     _talk_envelope,
     achieved_levels,
+    nonlinear_distort,
+    save_scene,
+    simulate_aec,
+    synth_rir,
 )
 
 
@@ -397,12 +391,12 @@ class TestGenerateScene:
         rng = np.random.default_rng(26)
         near = tmp_path / "near.wav"
         far = tmp_path / "far.wav"
-        rv.save_wav(Signal(rng.standard_normal(16000) * 0.1), near)
-        rv.save_wav(Signal(rng.standard_normal(16000) * 0.1), far)
+        save_wav(Signal(rng.standard_normal(16000) * 0.1), near)
+        save_wav(Signal(rng.standard_normal(16000) * 0.1), far)
         spec = SceneSpec(duration=1.0, near_wav=str(near), far_wav=str(far))
         comps = generate_scene(spec)
         assert len(comps.s) == 16000
-        np.testing.assert_array_equal(comps.x.samples, rv.load_wav(far).samples)
+        np.testing.assert_array_equal(comps.x.samples, load_wav(far).samples)
 
     def test_wav_mode_requires_paths(self):
         for paths in ({"near_wav": "near.wav"}, {"far_wav": "far.wav"}):
@@ -442,7 +436,7 @@ class TestScenePersistence:
         wavs = sorted(p.name for p in (tmp_path / "scene").glob("*.wav"))
         assert wavs == sorted(_WAV_NAMES[name] for name in comps.present())
         for name, sig in comps.present().items():
-            got = rv.load_wav(tmp_path / "scene" / _WAV_NAMES[name])
+            got = load_wav(tmp_path / "scene" / _WAV_NAMES[name])
             assert np.max(np.abs(got.samples - sig.samples)) < 1e-6, name
 
     def test_sidecar_spec_roundtrips(self, tmp_path):

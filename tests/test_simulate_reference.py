@@ -24,10 +24,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import reseval as rv
-from reseval import SceneSpec, Signal, generate_scene, mix_at_ser_snr, nonlinear_distort, simulate_aec, synth_rir
+from reseval import SceneSpec, Signal, generate_scene, mix_at_ser_snr
 from reseval import simulate
-from reseval.audio import SAMPLE_RATE
+from reseval.audio import SAMPLE_RATE, load_wav, save_wav
 from reseval.simulate import (
     BAND_RANGE_HZ,
     FAR_SPAN,
@@ -45,6 +44,9 @@ from reseval.simulate import (
     _STREAM_NEAR,
     _STREAM_NOISE,
     _talk_envelope,
+    nonlinear_distort,
+    simulate_aec,
+    synth_rir,
 )
 
 # largest |deviation| allowed, as a fraction of the reference's peak
@@ -159,8 +161,8 @@ def simulate_aec_reference(m, x, spec):
 
 def generate_scene_reference(spec):
     if spec.near_wav is not None:
-        s_raw = rv.load_wav(spec.near_wav).samples
-        x_raw = rv.load_wav(spec.far_wav).samples
+        s_raw = load_wav(spec.near_wav).samples
+        x_raw = load_wav(spec.far_wav).samples
         n = len(s_raw)
     else:
         n = spec.n_samples
@@ -240,7 +242,7 @@ class TestGenerateScene:
     def test_wav_source_mode(self, tmp_path):
         rng = np.random.default_rng(26)
         for name in ("near", "far"):
-            rv.save_wav(Signal(rng.standard_normal(24000) * 0.1), tmp_path / f"{name}.wav")
+            save_wav(Signal(rng.standard_normal(24000) * 0.1), tmp_path / f"{name}.wav")
         spec = SceneSpec(duration=1.5, seed=2, echo_path_change_at=0.7,
                          near_wav=str(tmp_path / "near.wav"), far_wav=str(tmp_path / "far.wav"))
         assert_same_scene(generate_scene(spec), generate_scene_reference(spec))

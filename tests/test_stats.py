@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import oracles
-from reseval import ScoreTable, correlate_table, pcc, srcc
-from reseval.stats import average_ranks
+from reseval import pcc, srcc
+from reseval.stats import ScoreTable, average_ranks, correlate_table
 
 
 class TestPcc:
