@@ -125,7 +125,12 @@ def manifest_from_scenes(scenes_dir) -> Manifest:
     entries = []
     for name in names:
         scene_dir = os.path.join(scenes_dir, name)
-        sidecar = _read_json(os.path.join(scene_dir, "scene.json"))
+        sidecar_path = os.path.join(scene_dir, "scene.json")
+        sidecar = _read_json(sidecar_path)
+        if not isinstance(sidecar, dict) or not all(
+                isinstance(sidecar.get(key, {}), dict) for key in ("spec", "achieved")):
+            raise ValueError(f"{sidecar_path}: scene sidecar must be an object whose 'spec' and 'achieved' "
+                             "are objects")
         paths = {}
         for key, fname in _WAV_NAMES.items():
             p = os.path.join(scene_dir, fname)
@@ -239,7 +244,10 @@ def _load_scene_specs(path, count: int, seed: int) -> list[SceneSpec]:
 
     if count < 1:
         raise ValueError(f"invalid scene spec: --count must be >= 1, got {count}")
-    raw = _read_json(path)
+    try:
+        raw = _read_json(path)
+    except ValueError as exc:
+        raise ValueError(f"invalid scene spec: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"invalid scene spec: {path}: must be a JSON object")
     if "seed" in raw:
@@ -366,6 +374,9 @@ def run_evaluate(args) -> int:
                                        for name in os.listdir(args.out)):
         raise FileExistsError(f"{args.out}: holds a report of an earlier run; evaluate into a new directory")
     os.makedirs(args.out, exist_ok=True)
+    # imported before the pool forks, so that each --jobs worker starts with them
+    from . import activity, metrics
+
     reports, errors = _run_batch("evaluate", _evaluate_entry, [(e.id, e) for e in manifest.entries],
                                  args.threshold_db, args.clamp_db, jobs=args.jobs)
     for eid, report in reports.items():
@@ -413,8 +424,9 @@ def _group_of(entry, tag):
     if value is None:
         raise ValueError(f"entry {entry.id!r} has no tag {tag!r}")
     nan = isinstance(value, float) and math.isnan(value)
-    if nan or not isinstance(value, (str, int, float)):
-        # a NaN equals no group, so its scene would be pooled nowhere
+    if nan or not isinstance(value, (str, int, float)) or isinstance(value, bool):
+        # a NaN equals no group, so its scene would be pooled nowhere; a bool
+        # equals 1 or 0, so true would be pooled with 1 and 1.0
         raise ValueError(f"entry {entry.id!r}: tag {tag!r} must be a string or a number other than NaN, "
                          f"got {'nan' if nan else type(value).__name__}")
     return value

@@ -44,20 +44,7 @@ def cmd_correlate(args) -> int:
     from .stats import ScoreTable, correlate_table
 
     table = ScoreTable.from_csv(args.table)
-    results = []
-    if args.group_by:
-        column = table.column(args.group_by)
-        groups = sorted({v for v in column if v is not None})
-        if not groups:
-            raise ValueError(f"column {args.group_by!r} has no values to group by")
-        for group in groups:
-            rows = tuple(r for r, v in zip(table.rows, column) if v == group)
-            sub = ScoreTable(columns=table.columns, rows=rows, id_column=table.id_column)
-            res = correlate_table(sub, args.metric_col, args.score_col)
-            results.append((group, res))
-    else:
-        results.append((None, correlate_table(table, args.metric_col, args.score_col)))
-
+    results = correlate_table(table, args.metric_col, args.score_col, args.group_by)
     for group, res in results:
         prefix = f"{args.group_by}={group} " if group is not None else ""
         print(f"{prefix}pcc={res.pcc:.6f} srcc={res.srcc:.6f} n={res.n}")

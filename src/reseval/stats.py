@@ -80,17 +80,17 @@ class CorrelationResult:
 
 
 class ScoreTable:
-    """Rectangular per-utterance table: one id column plus numeric columns.
+    """Rectangular per-utterance table: the first column holds the utterance
+    ids, the others are numeric.
 
     Numeric cells are floats; missing cells are None.
     """
 
-    def __init__(self, columns: tuple[str, ...], rows: tuple[dict, ...], id_column: str):
+    def __init__(self, columns: tuple[str, ...], rows: tuple[dict, ...]):
         repeated = [col for i, col in enumerate(columns) if col in columns[:i]]
         if repeated:
             raise ValueError(f"duplicate column {repeated[0]!r}")
-        if id_column not in columns:
-            raise ValueError(f"id column {id_column!r} not among columns")
+        id_column = columns[0]
         seen = set()
         for row in rows:
             if set(row) != set(columns):
@@ -116,18 +116,18 @@ class ScoreTable:
 
     @classmethod
     def from_csv(cls, path) -> "ScoreTable":
-        """The table of a CSV file whose first column holds the utterance ids."""
+        """The table of a CSV file whose first column holds the utterance ids; blank lines are skipped."""
         try:
             with open(path, newline="", encoding="utf-8") as fh:
-                records = list(csv.reader(fh))
+                reader = csv.reader(fh)
+                records = [(reader.line_num, raw) for raw in reader if raw]
         except (UnicodeDecodeError, csv.Error) as exc:
             raise ValueError(f"{path}: {exc}") from None
         if not records:
             raise ValueError(f"{path}: empty CSV")
-        header = records[0]
-        id_column = header[0]
+        header = records[0][1]
         rows = []
-        for lineno, raw in enumerate(records[1:], start=2):
+        for lineno, raw in records[1:]:
             if len(raw) != len(header):
                 raise ValueError(
                     f"{path}:{lineno}: expected {len(header)} cells, got {len(raw)}"
@@ -135,7 +135,7 @@ class ScoreTable:
             row = {}
             for col, cell in zip(header, raw):
                 cell = cell.strip()
-                if col == id_column:
+                if col == header[0]:
                     row[col] = cell
                 elif cell == "":
                     row[col] = None
@@ -148,26 +148,35 @@ class ScoreTable:
                         ) from None
             rows.append(row)
         try:
-            return cls(columns=tuple(header), rows=tuple(rows), id_column=id_column)
+            return cls(columns=tuple(header), rows=tuple(rows))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
 
-def correlate_table(table: ScoreTable, metric_col: str, score_col: str) -> CorrelationResult:
-    """Pearson and Spearman between two numeric columns, dropping incomplete rows."""
+def correlate_table(table: ScoreTable, metric_col: str, score_col: str,
+                    group_by: str | None = None) -> list[tuple[float | None, CorrelationResult]]:
+    """Pearson and Spearman between two numeric columns, dropping incomplete rows:
+    [(None, result)], or one (value, result) per value of group_by, ascending."""
+    keys = table.column(group_by) if group_by else [None] * len(table.rows)
+    groups = sorted({v for v in keys if v is not None}) if group_by else [None]
+    if not groups:
+        raise ValueError(f"column {group_by!r} has no values to group by")
     for col in (metric_col, score_col):
         if col == table.id_column:
             raise ValueError(f"column {col!r} is the id column, not a numeric column")
     metric = table.column(metric_col)
     score = table.column(score_col)
-    xs, ys = [], []
-    for mv, sv in zip(metric, score):
-        if mv is None or sv is None:
-            continue
-        xs.append(mv)
-        ys.append(sv)
-    if len(xs) < 2:
-        raise ValueError(
-            f"fewer than 2 usable rows between {metric_col!r} and {score_col!r}"
-        )
-    return CorrelationResult(pcc=pcc(xs, ys), srcc=srcc(xs, ys), n=len(xs))
+    results = []
+    for group in groups:
+        pairs = [(mv, sv) for key, mv, sv in zip(keys, metric, score)
+                 if key == group and mv is not None and sv is not None]
+        # a failing group is named as the correlate command prints it
+        prefix = f"{group_by}={group}: " if group_by else ""
+        if len(pairs) < 2:
+            raise ValueError(f"{prefix}fewer than 2 usable rows between {metric_col!r} and {score_col!r}")
+        xs, ys = zip(*pairs)
+        try:
+            results.append((group, CorrelationResult(pcc=pcc(xs, ys), srcc=srcc(xs, ys), n=len(xs))))
+        except ValueError as exc:
+            raise ValueError(f"{prefix}{exc}") from None
+    return results

@@ -698,6 +698,23 @@ class TestCorrelate:
         assert captured.out == "" and captured.err == "error: column 'g' has no values to group by\n"
         assert not (tmp_path / "r.json").exists()
 
+    def test_failing_group_named(self, tmp_path, capsys):
+        """Two groups, the second one constant: the error says which group failed."""
+        rows = [f"u0_{i},0.5,{i},{i * i}" for i in range(4)] + [f"u1_{i},1.0,{i},3.0" for i in range(4)]
+        table = self.write_table(tmp_path, rows, header="utt,alpha,metric,score")
+        assert run("correlate", "--table", table, "--metric-col", "metric", "--score-col", "score",
+                   "--group-by", "alpha", "--out", tmp_path / "r.json") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: alpha=1.0: correlation undefined for a constant sequence\n"
+        assert not (tmp_path / "r.json").exists()
+
+    def test_blank_lines_skipped(self, tmp_path, capsys):
+        table = tmp_path / "scores.csv"
+        table.write_text("\nutt,metric,score\n\n" + "".join(f"u{i},{i},{2 * i}\n\n" for i in range(5)))
+        assert run("correlate", "--table", table, "--metric-col", "metric", "--score-col", "score") == 0
+        assert capsys.readouterr().out == "pcc=1.000000 srcc=1.000000 n=5\n"
+
     @pytest.mark.parametrize("scale", [1e-200, 1e200, 1e308])
     def test_any_finite_scale(self, tmp_path, capsys, scale):
         x, y = [1.0, 1.25, 1.75], [1.0, 1.5, 1.25]
@@ -1114,6 +1131,29 @@ def test_cli_imports_only_what_the_command_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0, []]
     assert json.loads((tmp_path / "r.json").read_text())["groups"][0]["n"] == 3
+
+
+def test_evaluate_workers_start_with_compute_modules_imported(scene_dir, tmp_path):
+    """A fresh interpreter: evaluate --jobs 2 imports activity and metrics before it builds
+    the process pool, so no forked worker imports them itself."""
+    src = os.path.dirname(os.path.dirname(rv.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "\n".join([
+        "import concurrent.futures, json, sys, reseval.cli",
+        "seen = []",
+        "class Pool(concurrent.futures.ProcessPoolExecutor):",
+        "    def __init__(self, *args, **kwargs):",
+        "        seen.append([m in sys.modules for m in ('reseval.activity', 'reseval.metrics')])",
+        "        super().__init__(*args, **kwargs)",
+        "concurrent.futures.ProcessPoolExecutor = Pool",
+        "code = reseval.cli.main(['evaluate', '--manifest', sys.argv[1], '--out', sys.argv[2], '--jobs', '2'])",
+        "print(json.dumps([code, seen]))",
+    ])
+    assert run("suppress", "--scenes", scene_dir, "--out", tmp_path / "sup") == 0
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "sup" / "manifest.json"), str(tmp_path / "rep")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, [[True, True]]]
 
 
 def test_suppress_and_sweep_leave_numpy_ma_unimported(scene_dir, tmp_path):

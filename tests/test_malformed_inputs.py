@@ -81,7 +81,10 @@ def test_malformed_wav_fails_its_entry_on_one_line(tmp_path, monkeypatch, capsys
     ("utt,a,b\nu0,1,2\nu1,2,3\n".encode("utf-16"),
      "{path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
     (b"utt,a,b\nu0," + b"1" * 200_000 + b",2\n", "{path}: field larger than field limit (131072)"),
-], ids=["empty", "inf-cell", "nan-cell", "duplicate-id", "utf-16", "oversized-cell"])
+    (b"\n\r\n\n", "{path}: empty CSV"),
+    (b"\nutt,a,b\n\nu0,1,2\n\nu1,2\n", "{path}:6: expected 3 cells, got 2"),
+], ids=["empty", "inf-cell", "nan-cell", "duplicate-id", "utf-16", "oversized-cell", "blank-only",
+        "ragged-after-blank-lines"])
 def test_malformed_score_table_one_line(tmp_path, capsys, blob, message):
     path = tmp_path / "scores.csv"
     path.write_bytes(blob)
@@ -91,26 +94,36 @@ def test_malformed_score_table_one_line(tmp_path, capsys, blob, message):
     assert not os.path.exists(tmp_path / "r.json")
 
 
-# case: (JSON file, command line that reads it), relative to the working directory
+# case: (JSON file, command line that reads it, prefix of its errors), relative to the working directory
 NESTED_JSON = {
-    "manifest": ("m.json", ["evaluate", "--manifest", "m.json", "--out", "out"]),
-    "spec": ("spec.json", ["simulate", "--spec", "spec.json", "--out", "out"]),
+    "manifest": ("m.json", ["evaluate", "--manifest", "m.json", "--out", "out"], ""),
+    "spec": ("spec.json", ["simulate", "--spec", "spec.json", "--out", "out"], "invalid scene spec: "),
     "sidecar": (os.path.join("scenes", "scene_0000", "scene.json"),
-                ["evaluate", "--scenes", "scenes", "--out", "out"]),
+                ["evaluate", "--scenes", "scenes", "--out", "out"], ""),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NESTED_JSON))
 def test_deeply_nested_json_one_line(tmp_path, monkeypatch, capsys, case):
     """JSON nested deeper than the parser's recursion limit allows is invalid JSON, not a traceback."""
-    path, argv = NESTED_JSON[case]
+    path, argv, prefix = NESTED_JSON[case]
     monkeypatch.chdir(tmp_path)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
         fh.write("[" * 2000 + "]" * 2000)
     assert run(*argv) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == f"error: {path}: not valid JSON (nested too deeply)\n"
+    assert captured.out == "" and captured.err == f"error: {prefix}{path}: not valid JSON (nested too deeply)\n"
+    assert not os.path.exists("out")
+
+
+def test_truncated_scene_spec_one_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text('{"duration": 1')
+    assert run("simulate", "--spec", "spec.json", "--out", "out") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: invalid scene spec: spec.json: not valid JSON (Expecting ',' delimiter: line 1 column 15 (char 14))\n")
     assert not os.path.exists("out")
 
 
@@ -130,6 +143,34 @@ def test_scenes_dir_without_sidecars_one_line(tmp_path, monkeypatch, capsys, arg
     assert capsys.readouterr().err == "error: scenes: no scene directories (missing scene.json sidecars)\n"
     assert sorted(os.listdir(tmp_path)) == ["scenes"]
     assert sorted(os.listdir(scene)) == ["e.wav", "s.wav"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["suppress"],
+    ["evaluate", "--out", "out"],
+    ["sweep", "--alphas", "0", "--out", "table.csv"],
+], ids=["suppress", "evaluate", "sweep"])
+@pytest.mark.parametrize("sidecar", [[1, 2], "str", {"spec": [1, 2]}, {"achieved": 5}, None],
+                         ids=["list", "string", "spec-list", "achieved-number", "null"])
+def test_scene_sidecar_not_an_object_one_line(tmp_path, monkeypatch, capsys, argv, sidecar):
+    """A scene.json that is valid JSON but not the simulator's object stops the batch before any entry runs."""
+    scenes = tmp_path / "scenes"
+    for name in ("scene_0000", "scene_0001"):
+        (scenes / name).mkdir(parents=True)
+        for wav in ("s.wav", "e.wav"):
+            save_wav(rv.Signal(np.full(1600, 0.1)), scenes / name / wav)
+        (scenes / name / "scene.json").write_text(json.dumps({"spec": {"ser_db": 0.0}, "achieved": {}}))
+    (scenes / "scene_0001" / "scene.json").write_text(json.dumps(sidecar))
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    monkeypatch.setattr(rv.suppressor, "gain_tracks", lambda *a: calls.append(a))
+    assert run(*argv, "--scenes", "scenes") == 2
+    path = os.path.join("scenes", "scene_0001", "scene.json")
+    assert capsys.readouterr().err == (
+        f"error: {path}: scene sidecar must be an object whose 'spec' and 'achieved' are objects\n")
+    assert calls == []
+    assert sorted(os.listdir(tmp_path)) == ["scenes"]
+    assert sorted(os.listdir(scenes / "scene_0000")) == ["e.wav", "s.wav", "scene.json"]
 
 
 def sweep_by_ser_db(tmp_path, monkeypatch, u1_tags):
@@ -159,3 +200,10 @@ def test_sweep_group_by_nan_tag(tmp_path, monkeypatch, capsys):
     assert sweep_by_ser_db(tmp_path, monkeypatch, {"ser_db": math.nan}) == 2
     assert (capsys.readouterr().err
             == "error: entry 'u1': tag 'ser_db' must be a string or a number other than NaN, got nan\n")
+
+
+def test_sweep_group_by_bool_tag(tmp_path, monkeypatch, capsys):
+    """true equals 1 and 1.0 in Python, so a bool tag would pool with numbers; it is refused like NaN."""
+    assert sweep_by_ser_db(tmp_path, monkeypatch, {"ser_db": True}) == 2
+    assert (capsys.readouterr().err
+            == "error: entry 'u1': tag 'ser_db' must be a string or a number other than NaN, got bool\n")

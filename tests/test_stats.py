@@ -118,6 +118,34 @@ class TestScoreTable:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: duplicate column '{name}'$"):
             ScoreTable.from_csv(path)
 
+    @pytest.mark.parametrize("text", [
+        "\nutt,a,b\nx,1,2\ny,3,\n",
+        "utt,a,b\nx,1,2\n\n\ny,3,\n",
+        "utt,a,b\nx,1,2\ny,3,\n\n",
+        "utt,a,b\r\nx,1,2\r\n\r\ny,3,\r\n\r\n",
+    ], ids=["leading", "between-rows", "trailing", "crlf"])
+    def test_blank_lines_skipped(self, tmp_path, text):
+        table = ScoreTable.from_csv(self.write(tmp_path / "t.csv", text))
+        assert table.columns == ("utt", "a", "b")
+        assert table.rows == ({"utt": "x", "a": 1.0, "b": 2.0}, {"utt": "y", "a": 3.0, "b": None})
+
+    def test_blank_only_is_empty(self, tmp_path):
+        path = self.write(tmp_path / "t.csv", "\n\n\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: empty CSV$"):
+            ScoreTable.from_csv(path)
+
+    def test_error_names_the_file_line(self, tmp_path):
+        """Blank lines count, so the line number is the one an editor shows."""
+        path = self.write(tmp_path / "t.csv", "\nutt,a\n\nx,1\n\ny,fast\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:6: cell 'fast' in column 'a' is not numeric$"):
+            ScoreTable.from_csv(path)
+
+    def test_first_column_is_the_id_column(self):
+        table = ScoreTable(columns=("name", "a"), rows=({"name": "x", "a": 1.0},))
+        assert table.id_column == "name"
+        with pytest.raises(ValueError, match="^duplicate utterance id 'x'$"):
+            ScoreTable(columns=("name", "a"), rows=({"name": "x", "a": 1.0}, {"name": "x", "a": 2.0}))
+
     def test_missing_column_lists_available(self, tmp_path):
         path = self.write(tmp_path / "t.csv", "utt,a\nx,1\n")
         table = ScoreTable.from_csv(path)
@@ -130,18 +158,19 @@ class TestCorrelateTable:
         rows = []
         for i, (m, s) in enumerate(pairs):
             rows.append({"utt": f"u{i}", "metric": m, "score": None if i in missing else s})
-        return ScoreTable(columns=("utt", "metric", "score"), rows=tuple(rows), id_column="utt")
+        return ScoreTable(columns=("utt", "metric", "score"), rows=tuple(rows))
 
     def test_self_correlation(self):
         table = self.make_table([(float(i), 2.0 * i) for i in range(10)])
-        result = correlate_table(table, "metric", "score")
+        ((group, result),) = correlate_table(table, "metric", "score")
+        assert group is None
         assert result.pcc == pytest.approx(1.0, abs=1e-12)
         assert result.srcc == 1.0
         assert result.n == 10
 
     def test_missing_rows_dropped(self):
         table = self.make_table([(float(i), float(i * i)) for i in range(10)], missing={4})
-        result = correlate_table(table, "metric", "score")
+        ((_, result),) = correlate_table(table, "metric", "score")
         assert result.n == 9
 
     def test_too_few_rows(self):
@@ -154,5 +183,28 @@ class TestCorrelateTable:
         metric = rng.uniform(0, 10, 40)
         score = metric + rng.standard_normal(40) * 0.5
         table = self.make_table(list(zip(metric, score)))
-        result = correlate_table(table, "metric", "score")
+        ((_, result),) = correlate_table(table, "metric", "score")
         assert 0.9 <= result.pcc <= 1.0
+
+    def grouped_table(self, groups):
+        """Rows whose g is each key of groups, in its order, with that key's (metric, score) pairs."""
+        rows = [{"utt": f"u{k}_{i}", "g": key, "metric": m, "score": sc}
+                for k, (key, pairs) in enumerate(groups.items()) for i, (m, sc) in enumerate(pairs)]
+        return ScoreTable(columns=("utt", "g", "metric", "score"), rows=tuple(rows))
+
+    def test_group_by_ascending(self):
+        """Groups come in ascending order, not the order of their rows; a row without a group is in none."""
+        table = self.grouped_table({1.0: [(float(i), -float(i * i)) for i in range(4)],
+                                    None: [(10.0, -10.0)],
+                                    0.0: [(float(i), float(i)) for i in range(5)]})
+        results = correlate_table(table, "metric", "score", group_by="g")
+        assert [(group, res.n, res.srcc) for group, res in results] == [(0.0, 5, 1.0), (1.0, 4, -1.0)]
+
+    @pytest.mark.parametrize("pairs,message", [
+        ([(1.0, 1.0), (2.0, 1.0), (3.0, 1.0)], "g=1.0: correlation undefined for a constant sequence"),
+        ([(1.0, 1.0)], "g=1.0: fewer than 2 usable rows between 'metric' and 'score'"),
+    ], ids=["constant", "one-row"])
+    def test_failing_group_named(self, pairs, message):
+        table = self.grouped_table({0.0: [(float(i), float(i)) for i in range(3)], 1.0: pairs})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            correlate_table(table, "metric", "score", group_by="g")
