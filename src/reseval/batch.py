@@ -20,7 +20,7 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .common import _WAV_NAMES, write_csv, write_json
+from .common import _WAV_NAMES, check_out_file, write_csv, write_json
 
 if TYPE_CHECKING:
     from .audio import SceneComponents
@@ -143,10 +143,18 @@ def manifest_from_scenes(scenes_dir) -> Manifest:
     return Manifest(entries=entries)
 
 
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite float")
+    return value
+
+
 def _read_json(path):
+    """The JSON of path, as strict as write_json: NaN, Infinity and numbers beyond float range fail."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
         except ValueError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
         except RecursionError:
@@ -423,12 +431,10 @@ def _group_of(entry, tag):
     value = entry.tags.get(tag)
     if value is None:
         raise ValueError(f"entry {entry.id!r} has no tag {tag!r}")
-    nan = isinstance(value, float) and math.isnan(value)
-    if nan or not isinstance(value, (str, int, float)) or isinstance(value, bool):
-        # a NaN equals no group, so its scene would be pooled nowhere; a bool
-        # equals 1 or 0, so true would be pooled with 1 and 1.0
-        raise ValueError(f"entry {entry.id!r}: tag {tag!r} must be a string or a number other than NaN, "
-                         f"got {'nan' if nan else type(value).__name__}")
+    # a bool equals 1 or 0, so true would be pooled with 1 and 1.0
+    if not isinstance(value, (str, int, float)) or isinstance(value, bool):
+        raise ValueError(f"entry {entry.id!r}: tag {tag!r} must be a string or a number, "
+                         f"got {type(value).__name__}")
     return value
 
 
@@ -441,10 +447,7 @@ def run_sweep(args) -> int:
     except ValueError:
         raise ValueError(f"--alphas must be comma-separated numbers, got {args.alphas!r}") from None
     configs = [SuppressorConfig(beta=beta) for beta in beta_schedule(alphas)]
-    if os.path.isdir(args.out):
-        raise IsADirectoryError(f"{args.out}: is a directory")
-    if not os.path.isdir(os.path.dirname(args.out) or "."):
-        raise FileNotFoundError(f"{args.out}: no such directory to write it in")
+    check_out_file(args.out)
     _check_levels(args)
     manifest = _resolve_manifest(args)
     groups = {e.id: _group_of(e, args.group_by) for e in manifest.entries} if args.group_by else {}

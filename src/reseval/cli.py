@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .common import CLAMP_DB, DEFAULT_THRESHOLD_DB, write_json
+from .common import CLAMP_DB, DEFAULT_THRESHOLD_DB, check_out_file, write_json
 
 
 def cmd_simulate(args) -> int:
@@ -41,6 +41,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_correlate(args) -> int:
+    if args.out:
+        check_out_file(args.out)
     from .stats import ScoreTable, correlate_table
 
     table = ScoreTable.from_csv(args.table)

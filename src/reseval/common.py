@@ -1,4 +1,4 @@
-"""Defaults, scene file names and atomic file, JSON and CSV writes, on the standard library alone.
+"""Defaults, scene file names, output-path checks and atomic writes, on the standard library alone.
 
 The command-line front end reads these before it knows which command
 runs, so they live apart from the numpy modules that use them.
@@ -55,6 +55,14 @@ def atomic_write_bytes(path, *chunks) -> None:
         if isinstance(exc, OSError) and exc.errno is not None:
             raise OSError(exc.errno, exc.strerror, path) from exc
         raise
+
+
+def check_out_file(path) -> None:
+    """Refuse an output file path that is a directory or whose directory does not exist."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"{path}: is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(f"{path}: no such directory to write it in")
 
 
 def write_json(path, payload) -> None:

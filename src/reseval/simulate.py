@@ -45,6 +45,9 @@ _STREAM_RIR = 3
 
 # the echo path's overlap-add FFT length
 OLA_FFT_LEN = 8192
+# the canceller's block length, which is also its filter length, and its NLMS step size
+AEC_TAPS = 512
+AEC_STEP = 0.5
 
 
 @dataclass(frozen=True)
@@ -59,9 +62,6 @@ class SceneSpec:
     t60: float = 0.2
     rir_len: int = 1600
     echo_path_change_at: float | None = None
-    aec_taps: int = 512
-    aec_step: float = 0.5
-    aec_passes: int = 1
     # the sources are read from these WAVs when both are set, else synthesised
     near_wav: str | None = None
     far_wav: str | None = None
@@ -70,6 +70,8 @@ class SceneSpec:
         for name, value in self.to_dict().items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if not 0 <= self.seed < 2**32:  # the RNG takes the seed as one 32-bit word
+            raise ValueError(f"seed must be in [0, 2**32), got {self.seed}")
         if not self.duration > 0:
             raise ValueError(f"duration must be > 0, got {self.duration}")
         if not self.clip_hardness > 0:
@@ -78,12 +80,6 @@ class SceneSpec:
             raise ValueError(f"t60 must be > 0, got {self.t60}")
         if self.rir_len < 1:
             raise ValueError(f"rir_len must be >= 1, got {self.rir_len}")
-        if self.aec_taps < 1:
-            raise ValueError(f"aec_taps must be >= 1, got {self.aec_taps}")
-        if not 0.0 < self.aec_step <= 1.0:
-            raise ValueError(f"aec_step must be in (0, 1], got {self.aec_step}")
-        if self.aec_passes < 1:
-            raise ValueError(f"aec_passes must be >= 1, got {self.aec_passes}")
         if (self.near_wav is None) != (self.far_wav is None):
             raise ValueError("near_wav and far_wav must be set together")
         if self.echo_path_change_at is not None and not 0 < self.echo_path_change_at < self.duration:
@@ -131,7 +127,7 @@ class SceneSpec:
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng([int(seed) & 0xFFFFFFFF, stream])
+    return np.random.default_rng([seed, stream])
 
 
 def nonlinear_distort(x: Signal, hardness: float) -> Signal:
@@ -339,11 +335,11 @@ def mix_at_ser_snr(
     return SceneComponents(s=s, y=y_sig, w=w_sig, m=Signal(frozen(m)))
 
 
-def simulate_aec(m: Signal, x: Signal, spec: SceneSpec) -> tuple[Signal, Signal]:
+def simulate_aec(m: Signal, x: Signal) -> tuple[Signal, Signal]:
     """Normalized LMS linear echo canceller driven by x predicting m.
 
     Implemented in the standard overlap-save frequency-domain block form
-    (block length = taps, FFT length = 2*taps) with per-bin power
+    (block length = AEC_TAPS, FFT length = 2*AEC_TAPS) with per-bin power
     normalization.  A background filter adapts every block; a frozen
     foreground filter produces the output and only takes the background
     weights when they demonstrably reduce the block error (double-talk
@@ -353,11 +349,10 @@ def simulate_aec(m: Signal, x: Signal, spec: SceneSpec) -> tuple[Signal, Signal]
     """
     if len(m) != len(x):
         raise ValueError("simulate_aec requires aligned m and x")
-    taps = spec.aec_taps
-    if taps > len(x):
-        raise ValueError(f"aec_taps {taps} exceeds signal length {len(x)}")
+    taps = AEC_TAPS
     n = len(x)
-    mu = spec.aec_step
+    if n < taps:
+        raise ValueError(f"signal of {n} samples is shorter than the canceller's {taps} taps")
     delta = 1e-8
     fft_len = 2 * taps
     bins = taps + 1
@@ -378,54 +373,47 @@ def simulate_aec(m: Signal, x: Signal, spec: SceneSpec) -> tuple[Signal, Signal]
     frame = np.empty(fft_len)
     # block k reads x[start - taps : start + taps] and m[start : start + taps];
     # the first block starts before x and a last block may end past n, so
-    # those two read zero-padded copies of interior blocks' lengths (only
-    # the last block reads m_pad, so its zero tail is never overwritten)
-    x_pad = np.empty(fft_len)
-    m_pad = np.zeros(taps)
-    for _ in range(spec.aec_passes):
-        for k in range(n_blocks):
-            start = k * taps
-            blk_x = x_in[max(start - taps, 0) : start + taps]
-            if blk_x.size < fft_len:
-                lead = taps if k == 0 else 0
-                x_pad.fill(0.0)
-                x_pad[lead : lead + blk_x.size] = blk_x
-                blk_x = x_pad
-            blk_m = m_in[start : start + taps]
-            if blk_m.size < taps:
-                m_pad[: blk_m.size] = blk_m
-                blk_m = m_pad
-            _rfft(blk_x, fft_len, spec_x)
+    # those two read zero-padded copies of interior blocks' lengths
+    for k in range(n_blocks):
+        start = k * taps
+        blk_x = x_in[max(start - taps, 0) : start + taps]
+        if blk_x.size < fft_len:
+            lead = taps if k == 0 else 0
+            blk_x = np.pad(blk_x, (lead, fft_len - lead - blk_x.size))
+        blk_m = m_in[start : start + taps]
+        if blk_m.size < taps:
+            blk_m = np.pad(blk_m, (0, taps - blk_m.size))
+        _rfft(blk_x, fft_len, spec_x)
 
-            np.multiply(spec_x, h_fg, out=prod)
-            pred_fg = _irfft(prod, fft_len, frame)[taps:]
-            err_fg = blk_m - pred_fg
-            y_hat[start : start + taps] = pred_fg[: n - start]
+        np.multiply(spec_x, h_fg, out=prod)
+        pred_fg = _irfft(prod, fft_len, frame)[taps:]
+        err_fg = blk_m - pred_fg
+        y_hat[start : start + taps] = pred_fg[: n - start]
 
-            np.multiply(spec_x, h_bg, out=prod)
-            # the error replaces the prediction in the frame's second half
-            err_bg = np.subtract(blk_m, _irfft(prod, fft_len, frame)[taps:], out=frame[taps:])
-            e_fg = float(err_fg @ err_fg)
-            e_bg = float(err_bg @ err_bg)
-            e_m = float(blk_m @ blk_m)
+        np.multiply(spec_x, h_bg, out=prod)
+        # the error replaces the prediction in the frame's second half
+        err_bg = np.subtract(blk_m, _irfft(prod, fft_len, frame)[taps:], out=frame[taps:])
+        e_fg = float(err_fg @ err_fg)
+        e_bg = float(err_bg @ err_bg)
+        e_m = float(blk_m @ blk_m)
 
-            # NLMS update of the background, gradient constrained to a
-            # causal taps-long impulse response
-            psd = smooth * psd + (1.0 - smooth) * np.abs(spec_x) ** 2
-            frame[:taps] = 0.0
-            _rfft(frame, fft_len, spec_err)
-            h_bg = h_bg + mu * np.conj(spec_x) * spec_err / (psd + delta)
-            grad = _irfft(h_bg, fft_len, frame)
-            grad[taps:] = 0.0
-            _rfft(grad, fft_len, h_bg)
+        # NLMS update of the background, gradient constrained to a
+        # causal taps-long impulse response
+        psd = smooth * psd + (1.0 - smooth) * np.abs(spec_x) ** 2
+        frame[:taps] = 0.0
+        _rfft(frame, fft_len, spec_err)
+        h_bg = h_bg + AEC_STEP * np.conj(spec_x) * spec_err / (psd + delta)
+        grad = _irfft(h_bg, fft_len, frame)
+        grad[taps:] = 0.0
+        _rfft(grad, fft_len, h_bg)
 
-            # take the background weights only on real echo reduction;
-            # during double talk its error cannot drop far below the
-            # microphone energy, which blocks poisoned copies
-            if e_bg < 0.7 * e_fg and e_bg < 0.25 * e_m:
-                h_fg = h_bg.copy()
-            elif e_bg > 4.0 * e_fg:
-                h_bg = h_fg.copy()
+        # take the background weights only on real echo reduction;
+        # during double talk its error cannot drop far below the
+        # microphone energy, which blocks poisoned copies
+        if e_bg < 0.7 * e_fg and e_bg < 0.25 * e_m:
+            h_fg = h_bg.copy()
+        elif e_bg > 4.0 * e_fg:
+            h_bg = h_fg.copy()
     return Signal(frozen(y_hat)), Signal(frozen(m_in - y_hat))
 
 
@@ -467,7 +455,7 @@ def generate_scene(spec: SceneSpec) -> SceneComponents:
                            spec.ser_db, spec.snr_db)
     # the scaled copies are in mixed; free the raw ones before the canceller
     del y_raw, w_raw
-    y_hat, e = simulate_aec(mixed.m, x_sig, spec)
+    y_hat, e = simulate_aec(mixed.m, x_sig)
     return SceneComponents(
         s=mixed.s, x=x_sig, y=mixed.y, w=mixed.w, m=mixed.m, y_hat=y_hat, e=e
     )

@@ -38,6 +38,11 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def not_finite(literal):
+    """What simulate says of a spec whose JSON holds the literal NaN, Infinity or -Infinity at {spec}."""
+    return "invalid scene spec: {spec}: not valid JSON (" + literal + " is not a finite float)"
+
+
 def write_spec(tmp_path, spec=None, name="spec.json"):
     path = tmp_path / name
     path.write_text(json.dumps(spec if spec is not None else SPEC))
@@ -98,15 +103,17 @@ class TestSimulate:
     @pytest.mark.parametrize("command", ["simulate"])
     @pytest.mark.parametrize("field,value,match", [
         ("duration", "long", "invalid scene spec: field 'duration' has invalid value 'long'"),
-        ("duration", math.inf, "invalid scene spec: duration must be finite, got inf"),
-        ("clip_hardness", math.inf, "invalid scene spec: clip_hardness must be finite, got inf"),
-        ("t60", math.inf, "invalid scene spec: t60 must be finite, got inf"),
-        ("snr_db", -math.inf, "invalid scene spec: snr_db must be finite, got -inf"),
-        ("ser_db", math.nan, "invalid scene spec: ser_db must be finite, got nan"),
-        ("rir_len", math.inf, "invalid scene spec: field 'rir_len' has invalid value inf"),
+        # json.dumps writes these as Infinity and NaN, which strict JSON has no place for
+        ("duration", math.inf, not_finite("Infinity")),
+        ("clip_hardness", math.inf, not_finite("Infinity")),
+        ("t60", math.inf, not_finite("Infinity")),
+        ("snr_db", -math.inf, not_finite("-Infinity")),
+        ("ser_db", math.nan, not_finite("NaN")),
+        ("rir_len", math.inf, not_finite("Infinity")),
         ("rir_length", 100, "invalid scene spec: unknown field 'rir_length'"),
-        # the canceller's settings are spelled only aec_taps, aec_step and aec_passes
+        # the canceller has no settings: its taps, step and passes are fixed
         ("aec", {"taps": 256}, "invalid scene spec: unknown field 'aec'"),
+        ("aec_taps", 512, "invalid scene spec: unknown field 'aec_taps'"),
         # the sources are WAVs exactly when near_wav and far_wav are both set
         ("source_mode", "wav", "invalid scene spec: unknown field 'source_mode'"),
         ("near_wav", "near.wav", "invalid scene spec: near_wav and far_wav must be set together"),
@@ -118,23 +125,23 @@ class TestSimulate:
         # fractional count, numeric path, or number beyond float range
         ("duration", True, "invalid scene spec: field 'duration' has invalid value True"),
         ("ser_db", "10", "invalid scene spec: field 'ser_db' has invalid value '10'"),
-        ("aec_taps", 256.9, "invalid scene spec: field 'aec_taps' has invalid value 256.9"),
-        ("aec_passes", [False, 1], "invalid scene spec: field 'aec_passes' has invalid value False"),
+        ("rir_len", 256.9, "invalid scene spec: field 'rir_len' has invalid value 256.9"),
+        ("rir_len", [False, 1], "invalid scene spec: field 'rir_len' has invalid value False"),
         ("near_wav", 5, "invalid scene spec: field 'near_wav' has invalid value 5"),
         ("snr_db", 10**400, f"invalid scene spec: field 'snr_db' has invalid value {10**400}"),
         ("rir_len", 10**400, f"invalid scene spec: field 'rir_len' has invalid value {10**400}"),
         ("echo_path_change_at", "1.5", "invalid scene spec: field 'echo_path_change_at' has invalid value '1.5'"),
     ], ids=["duration-text", "duration-inf", "clip_hardness-inf", "t60-inf", "snr_db-minus-inf", "ser_db-nan",
-            "rir_len-inf", "unknown-field", "nested-aec", "source-mode", "near-wav-alone", "far-wav-alone",
-            "empty-list", "seed", "seed-list", "duration-bool", "ser_db-numeric-string", "aec_taps-fraction",
-            "aec_passes-bool-in-list", "near_wav-number", "snr_db-beyond-float", "rir_len-beyond-float",
-            "echo_path_change_at-numeric-string"])
+            "rir_len-inf", "unknown-field", "nested-aec", "aec_taps", "source-mode", "near-wav-alone",
+            "far-wav-alone", "empty-list", "seed", "seed-list", "duration-bool", "ser_db-numeric-string",
+            "rir_len-fraction", "rir_len-bool-in-list", "near_wav-number", "snr_db-beyond-float",
+            "rir_len-beyond-float", "echo_path_change_at-numeric-string"])
     def test_invalid_spec_field_reported(self, tmp_path, capsys, command, field, value, match):
         spec = write_spec(tmp_path, {**SPEC, field: value})
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert run(command, "--spec", spec, "--count", 1, "--out", tmp_path / "x") == 2
-        assert capsys.readouterr().err == f"error: {match}\n"
+        assert capsys.readouterr().err == f"error: {match.format(spec=spec)}\n"
         assert caught == []
         assert not os.path.exists(tmp_path / "x")
 
@@ -143,6 +150,30 @@ class TestSimulate:
         assert run("simulate", "--spec", path, "--out", tmp_path / "x") == 2
         assert capsys.readouterr().err == f"error: invalid scene spec: {path}: must be a JSON object\n"
         assert not os.path.exists(tmp_path / "x")
+
+    @pytest.mark.parametrize("seed,count,bad", [(-1, 1, -1), (2**33 - 1, 1, 2**33 - 1), (2**32 - 2, 3, 2**32)],
+                             ids=["minus-one", "beyond-32-bits", "count-wraps"])
+    def test_seed_outside_32_bits_refused(self, tmp_path, monkeypatch, capsys, seed, count, bad):
+        """The RNG takes a seed as one 32-bit word, so a scene seed outside [0, 2**32) would
+        repeat an in-range scene under another recorded seed; it is refused before any scene."""
+        spec = write_spec(tmp_path)
+        calls = []
+        monkeypatch.setattr(rv.simulate, "generate_scene", lambda spec: calls.append(spec))
+        assert run("simulate", "--spec", spec, "--out", tmp_path / "x", "--count", count, "--seed", seed) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: invalid scene spec: seed must be in [0, 2**32), got {bad}\n"
+        assert calls == []
+        assert not os.path.exists(tmp_path / "x")
+
+    def test_largest_seed_accepted(self, tmp_path):
+        spec = write_spec(tmp_path, {"duration": 1.5})
+        for seed, out in ((2**32 - 1, "last"), (0, "first")):
+            assert run("simulate", "--spec", spec, "--out", tmp_path / out, "--seed", seed) == 0
+        sidecar = json.loads((tmp_path / "last" / "scene_0000" / "scene.json").read_text())
+        assert sidecar["spec"]["seed"] == 2**32 - 1
+        s_wav = os.path.join("scene_0000", "s.wav")
+        assert dir_bytes(tmp_path / "last")[s_wav] != dir_bytes(tmp_path / "first")[s_wav]
 
     @pytest.mark.parametrize("seed_argv", [[], ["--seed", 7]], ids=["default-seed", "seed-7"])
     def test_seed_env_ignored(self, tmp_path, monkeypatch, seed_argv):
@@ -854,6 +885,14 @@ def _correlate_out_dir_missing(tmp_path, scene_dir):
     return ["correlate", "--table", table, "--metric-col", "a", "--score-col", "b", "--out", path], path
 
 
+def _correlate_out_is_dir(tmp_path, scene_dir):
+    table = tmp_path / "scores.csv"
+    table.write_text("utt,a,b\nu0,1,2\nu1,2,3\nu2,3,5\n")
+    path = tmp_path / "adir"
+    path.mkdir()
+    return ["correlate", "--table", table, "--metric-col", "a", "--score-col", "b", "--out", path], path
+
+
 def _malformed_manifest(tmp_path, scene_dir):
     path = tmp_path / "m.json"
     path.write_text('{"entries": [{id: 1}]}')
@@ -868,14 +907,16 @@ def _malformed_sidecar(tmp_path, scene_dir):
 
 
 @pytest.mark.parametrize("make", [_missing_manifest, _missing_spec, _missing_table, _sweep_out_is_dir,
-                                  _sweep_out_dir_missing, _correlate_out_dir_missing,
+                                  _sweep_out_dir_missing, _correlate_out_dir_missing, _correlate_out_is_dir,
                                   _malformed_manifest, _malformed_sidecar])
 def test_file_errors_name_the_file(scene_dir, tmp_path, monkeypatch, capsys, make):
     argv, path = make(tmp_path, scene_dir)
     calls = []
     monkeypatch.setattr(rv.suppressor, "oracle_suppress", lambda *a: calls.append(a))
     assert run(*argv) == 2
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing is printed before the bad file is found
+    err = captured.err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert str(path) in err

@@ -196,14 +196,30 @@ def test_sweep_group_by_tag_an_entry_lacks(tmp_path, monkeypatch, capsys):
 
 
 def test_sweep_group_by_nan_tag(tmp_path, monkeypatch, capsys):
-    """Python's json reads NaN; a NaN tag equals no group, so it is refused before any entry runs."""
+    """json.dumps writes a NaN tag as NaN, which strict JSON refuses before any entry runs."""
     assert sweep_by_ser_db(tmp_path, monkeypatch, {"ser_db": math.nan}) == 2
     assert (capsys.readouterr().err
-            == "error: entry 'u1': tag 'ser_db' must be a string or a number other than NaN, got nan\n")
+            == f"error: {tmp_path / 'm.json'}: not valid JSON (NaN is not a finite float)\n")
 
 
 def test_sweep_group_by_bool_tag(tmp_path, monkeypatch, capsys):
-    """true equals 1 and 1.0 in Python, so a bool tag would pool with numbers; it is refused like NaN."""
+    """true equals 1 and 1.0 in Python, so a bool tag would pool with numbers; it is refused."""
     assert sweep_by_ser_db(tmp_path, monkeypatch, {"ser_db": True}) == 2
-    assert (capsys.readouterr().err
-            == "error: entry 'u1': tag 'ser_db' must be a string or a number other than NaN, got bool\n")
+    assert capsys.readouterr().err == "error: entry 'u1': tag 'ser_db' must be a string or a number, got bool\n"
+
+
+@pytest.mark.parametrize("tag", ["NaN", "1e400", "-Infinity"], ids=["nan", "beyond-float", "minus-infinity"])
+def test_manifest_tag_json_cannot_write_refused(tmp_path, monkeypatch, capsys, tag):
+    """A tag that manifest.json could not hold as strict JSON fails on reading, before any entry runs."""
+    for name in ("s.wav", "e.wav"):
+        save_wav(rv.Signal(np.full(1600, 0.1)), tmp_path / name)
+    entry = '{"id": "u1", "s": "s.wav", "e": "e.wav", "tags": {"g": %s}}' % tag
+    (tmp_path / "m.json").write_text('{"entries": [%s]}' % entry)
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    monkeypatch.setattr(rv.suppressor, "oracle_suppress", lambda *a: calls.append(a))
+    assert run("suppress", "--manifest", "m.json", "--out", "so") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: m.json: not valid JSON ({tag} is not a finite float)\n"
+    assert calls == []
+    assert not os.path.exists("so")

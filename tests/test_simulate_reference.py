@@ -28,6 +28,8 @@ from reseval import SceneSpec, Signal, generate_scene, mix_at_ser_snr
 from reseval import simulate
 from reseval.audio import SAMPLE_RATE, load_wav, save_wav
 from reseval.simulate import (
+    AEC_STEP,
+    AEC_TAPS,
     BAND_RANGE_HZ,
     FAR_SPAN,
     GATE_OFF_LEVEL,
@@ -115,10 +117,10 @@ def echo_reference(x_nl, spec):
     return np.concatenate([echoes[0, :switch], echoes[-1, switch:]])
 
 
-def simulate_aec_reference(m, x, spec):
-    taps = spec.aec_taps
+def simulate_aec_reference(m, x):
+    taps = AEC_TAPS
     n = len(x)
-    mu = spec.aec_step
+    mu = AEC_STEP
     delta = 1e-8
     fft_len = 2 * taps
     n_blocks = (n + taps - 1) // taps
@@ -132,29 +134,28 @@ def simulate_aec_reference(m, x, spec):
     psd = np.zeros(fft_len // 2 + 1)
     y_hat = np.empty(padded)
     smooth = 0.5
-    for _ in range(spec.aec_passes):
-        for k in range(n_blocks):
-            start = k * taps
-            spec_x = spectra[k]
-            blk_m = ms[start : start + taps]
-            pred_fg = np.fft.irfft(spec_x * h_fg)[taps:]
-            err_fg = blk_m - pred_fg
-            y_hat[start : start + taps] = pred_fg
-            pred_bg = np.fft.irfft(spec_x * h_bg)[taps:]
-            err_bg = blk_m - pred_bg
-            psd = smooth * psd + (1.0 - smooth) * powers[k]
-            spec_err = np.fft.rfft(np.concatenate([np.zeros(taps), err_bg]))
-            h_bg = h_bg + mu * np.conj(spec_x) * spec_err / (psd + delta)
-            grad = np.fft.irfft(h_bg)
-            grad[taps:] = 0.0
-            h_bg = np.fft.rfft(grad)
-            e_fg = float(err_fg @ err_fg)
-            e_bg = float(err_bg @ err_bg)
-            e_m = float(blk_m @ blk_m)
-            if e_bg < 0.7 * e_fg and e_bg < 0.25 * e_m:
-                h_fg = h_bg.copy()
-            elif e_bg > 4.0 * e_fg:
-                h_bg = h_fg.copy()
+    for k in range(n_blocks):
+        start = k * taps
+        spec_x = spectra[k]
+        blk_m = ms[start : start + taps]
+        pred_fg = np.fft.irfft(spec_x * h_fg)[taps:]
+        err_fg = blk_m - pred_fg
+        y_hat[start : start + taps] = pred_fg
+        pred_bg = np.fft.irfft(spec_x * h_bg)[taps:]
+        err_bg = blk_m - pred_bg
+        psd = smooth * psd + (1.0 - smooth) * powers[k]
+        spec_err = np.fft.rfft(np.concatenate([np.zeros(taps), err_bg]))
+        h_bg = h_bg + mu * np.conj(spec_x) * spec_err / (psd + delta)
+        grad = np.fft.irfft(h_bg)
+        grad[taps:] = 0.0
+        h_bg = np.fft.rfft(grad)
+        e_fg = float(err_fg @ err_fg)
+        e_bg = float(err_bg @ err_bg)
+        e_m = float(blk_m @ blk_m)
+        if e_bg < 0.7 * e_fg and e_bg < 0.25 * e_m:
+            h_fg = h_bg.copy()
+        elif e_bg > 4.0 * e_fg:
+            h_bg = h_fg.copy()
     y_hat = y_hat[:n]
     return y_hat, m.samples - y_hat
 
@@ -172,7 +173,7 @@ def generate_scene_reference(spec):
     y_raw = echo_reference(nonlinear_distort(x_sig, spec.clip_hardness).samples, spec)
     w_raw = _rng(spec.seed, _STREAM_NOISE).standard_normal(n)
     mixed = mix_at_ser_snr(Signal(s_raw), Signal(y_raw), Signal(w_raw), spec.ser_db, spec.snr_db)
-    y_hat, e = simulate_aec_reference(mixed.m, x_sig, spec)
+    y_hat, e = simulate_aec_reference(mixed.m, x_sig)
     return {"s": mixed.s, "x": x_sig, "y": mixed.y, "w": mixed.w, "m": mixed.m, "y_hat": y_hat, "e": e}
 
 
@@ -214,17 +215,15 @@ class TestBursts:
 
 
 class TestSimulateAec:
-    @pytest.mark.parametrize("n,passes", [(16000, 1), (16000 + 300, 1), (16000 + 300, 2),
-                                          (31 * 512, 1), (31 * 512, 2), (512, 1), (512, 2)],
-                             ids=["blocks", "partial-block", "two-passes", "exact-multiple",
-                                  "exact-multiple-two-passes", "n-equals-taps", "n-equals-taps-two-passes"])
-    def test_matches_reference(self, n, passes):
-        rng = np.random.default_rng(n + passes)
+    @pytest.mark.parametrize("n", [16000, 16000 + 300, 31 * 512, 512],
+                             ids=["blocks", "partial-block", "exact-multiple", "n-equals-taps"])
+    def test_matches_reference(self, n):
+        rng = np.random.default_rng(n + 1)
         x = rng.standard_normal(n) * 0.1
-        spec = SceneSpec(duration=n / SAMPLE_RATE, rir_len=400, t60=0.05, aec_passes=passes)
+        spec = SceneSpec(duration=n / SAMPLE_RATE, rir_len=400, t60=0.05)
         m = np.convolve(np.tanh(x), synth_rir(spec))[:n] + rng.standard_normal(n) * 0.01
-        y_hat, e = simulate_aec(Signal(m), Signal(x), spec)
-        want_y_hat, want_e = simulate_aec_reference(Signal(m), Signal(x), spec)
+        y_hat, e = simulate_aec(Signal(m), Signal(x))
+        want_y_hat, want_e = simulate_aec_reference(Signal(m), Signal(x))
         assert np.array_equal(y_hat.samples, want_y_hat)
         assert np.array_equal(e.samples, want_e)
 
@@ -233,7 +232,7 @@ class TestGenerateScene:
     @pytest.mark.parametrize("spec", [
         SceneSpec(duration=10.0, seed=3, echo_path_change_at=6.0),
         SceneSpec(duration=10.0, seed=7, ser_db=-10.0),
-        SceneSpec(duration=2.5, seed=1, ser_db=10.0, echo_path_change_at=1.25, aec_taps=300, aec_passes=2),
+        SceneSpec(duration=2.5, seed=1, ser_db=10.0, echo_path_change_at=1.25),
         SceneSpec(duration=1.03, seed=5, rir_len=700, t60=0.3),
     ], ids=["change", "no-change", "two-passes-partial-block", "odd-length"])
     def test_matches_reference(self, spec):
