@@ -413,7 +413,6 @@ def _sweep_entry(entry, configs, threshold_db, clamp_db) -> list[MetricReport]:
     from .suppressor import gain_tracks, oracle_suppress
 
     components, mask = _load_labeled(entry, (), threshold_db)
-    # tracks first: a scene shorter than one frame fails there, as in suppress
     tracks = gain_tracks(components.e, components.s)
     rows = scene_rows(components, mask, clamp_db)
     reports = []

@@ -125,10 +125,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
-        # str() of an OSError names the file; str() of a KeyError adds quotes
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        # str() of an OSError names the file
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -3,11 +3,14 @@
 Frames are 320 samples (20 ms at 16 kHz) with a 160-sample hop.  The
 STFT uses a periodic Hann window zero-padded to a 512-point FFT, which
 gives exact weighted overlap-add reconstruction on the interior.
+
+A signal shorter than one frame has nothing to score: FrameGrid refuses
+it, and so every layer built on the grid refuses it with the same error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,35 +38,22 @@ class FrameGrid:
     """Frame lattice over a signal: frame i covers [i*HOP, i*HOP + FRAME_LEN)."""
 
     signal_len: int
-    n_frames: int = field(init=False)
 
     def __post_init__(self):
-        if self.signal_len < 0:
-            raise ValueError("signal_len must be >= 0")
-        object.__setattr__(self, "n_frames", _frame_count(self.signal_len))
+        if self.signal_len < FRAME_LEN:
+            raise ValueError(f"signal length {self.signal_len} shorter than one frame ({FRAME_LEN})")
+
+    @property
+    def n_frames(self) -> int:
+        return (self.signal_len - FRAME_LEN) // HOP + 1
 
     def frame_matrix(self, samples: np.ndarray) -> np.ndarray:
         """View of shape (n_frames, FRAME_LEN) over the sample array."""
         arr = np.asarray(samples)
         if arr.shape[0] != self.signal_len:
             raise ValueError("sample array does not match grid signal_len")
-        if self.n_frames == 0:
-            return np.empty((0, FRAME_LEN), dtype=arr.dtype)
         view = np.lib.stride_tricks.sliding_window_view(arr, FRAME_LEN)
-        return view[::HOP][: self.n_frames]
-
-
-def _frame_count(signal_len: int) -> int:
-    if signal_len < FRAME_LEN:
-        return 0
-    return (signal_len - FRAME_LEN) // HOP + 1
-
-
-def _grid_of_full_frames(signal_len: int) -> FrameGrid:
-    grid = FrameGrid(signal_len)
-    if grid.n_frames == 0:
-        raise ValueError(f"signal length {signal_len} shorter than one frame ({FRAME_LEN})")
-    return grid
+        return view[::HOP]
 
 
 @dataclass(frozen=True)
@@ -82,7 +72,7 @@ class Spectrogram:
                 f"spectrogram shape {mags.shape} does not match grid "
                 f"({self.grid.n_frames} frames x {N_BINS} bins)"
             )
-        if mags.size and mags.min() < 0:
+        if mags.min() < 0:
             raise ValueError("magnitudes must be nonnegative")
         object.__setattr__(self, "magnitudes", mags)
         object.__setattr__(self, "phases", phs)
@@ -90,7 +80,7 @@ class Spectrogram:
 
 def stft(signal: Signal) -> Spectrogram:
     """Windowed DFT per frame; deterministic, zero-padded to 512 points."""
-    grid = _grid_of_full_frames(len(signal))
+    grid = FrameGrid(len(signal))
     frames = grid.frame_matrix(signal.samples) * _WINDOW
     spec = np.fft.rfft(frames, n=FFT_LEN, axis=1)
     return Spectrogram(magnitudes=np.abs(spec), phases=np.angle(spec), grid=grid)
@@ -104,7 +94,7 @@ def spectral_energy(samples: np.ndarray) -> np.ndarray:
     one-sided sum counts every bin but DC and Nyquist once, so it is
     (FFT_LEN * sum(x_w^2) + (sum x_w)^2 + (sum (-1)^n x_w)^2) / 2.
     """
-    grid = _grid_of_full_frames(len(samples))
+    grid = FrameGrid(len(samples))
     frames = grid.frame_matrix(samples) * _WINDOW
     dc, nyquist = (frames @ _DC_NYQUIST).T
     return (FFT_LEN * np.einsum("ij,ij->i", frames, frames) + dc * dc + nyquist * nyquist) / 2.0
@@ -172,9 +162,6 @@ def istft(spec: Spectrogram) -> Signal:
     Samples past the last full frame are zero; interior samples of an
     unmodified round trip match the input to ~1e-15 relative error.
     """
-    grid = spec.grid
-    if grid.n_frames == 0:
-        raise ValueError("empty spectrogram")
     spectra = spec.magnitudes * np.exp(1j * spec.phases)
     frames_td = np.fft.irfft(spectra, n=FFT_LEN, axis=1)[:, :FRAME_LEN]
-    return Signal(wola(frames_td, grid.signal_len))
+    return Signal(wola(frames_td, spec.grid.signal_len))

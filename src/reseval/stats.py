@@ -110,8 +110,8 @@ class ScoreTable:
 
     def column(self, name: str) -> list:
         if name not in self.columns:
-            available = ", ".join(c for c in self.columns)
-            raise KeyError(f"column {name!r} not found (available: {available})")
+            available = ", ".join(self.columns)
+            raise ValueError(f"column {name!r} not found (available: {available})")
         return [row[name] for row in self.rows]
 
     @classmethod

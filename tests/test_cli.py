@@ -442,6 +442,26 @@ class TestEvaluate:
         # partial results for the healthy entries still written
         assert (out / "frames_u0.csv").exists()
 
+    def test_entry_shorter_than_one_frame_fails_its_line(self, tmp_path, capsys):
+        """An entry with no full frame fails in evaluate as in suppress and sweep, and the other is scored."""
+        manifest = self.build_identity_manifest(tmp_path, n_entries=1)
+        save_wav(rv.Signal(np.random.default_rng(7).standard_normal(100) * 0.1), tmp_path / "short.wav")
+        data = json.loads(manifest.read_text())
+        data["entries"].append({"id": "short", "s": "short.wav", "e": "short.wav", "s_hat": "short.wav"})
+        manifest.write_text(json.dumps(data))
+        error = "ValueError: signal length 100 shorter than one frame (320)"
+        out = tmp_path / "rep"
+        assert run("evaluate", "--manifest", manifest, "--out", out) == 1
+        assert capsys.readouterr().err == f"evaluate: short: {error}\n"
+        payload = json.loads((out / "report.json").read_text())
+        assert (payload["n_failed"], payload["errors"]) == (1, {"short": error})
+        assert sorted(os.listdir(out)) == ["frames_u0.csv", "report.json"]
+        assert list(payload["per_utterance"]) == ["u0"]
+        assert payload["metrics"]["resl"]["count"] > 0
+        for argv in (("suppress", "--out", tmp_path / "sup"), ("sweep", "--alphas", "0", "--out", tmp_path / "t.csv")):
+            assert run(argv[0], "--manifest", manifest, *argv[1:]) == 1
+            assert capsys.readouterr().err == f"{argv[0]}: short: {error}\n"
+
     @pytest.mark.parametrize("keep", [None, "report.json", "frames_u0.csv"],
                              ids=["whole-report", "report-json", "frame-csv"])
     def test_out_with_a_report_of_an_earlier_run_refused(self, tmp_path, monkeypatch, capsys, keep):

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from reseval import Signal, istft, stft
+from reseval import Signal, classify, gain_tracks, istft, scene_rows, stft
+from reseval.audio import SceneComponents
 from reseval.framing import (
     FFT_LEN,
     FRAME_LEN,
@@ -19,15 +20,33 @@ from reseval.framing import (
 )
 
 
+def shorter_than_one_frame(length):
+    """pytest.raises for the error every layer gives a signal of length samples."""
+    return pytest.raises(ValueError, match=rf"^signal length {length} shorter than one frame \(320\)$")
+
+
 class TestGrid:
-    @pytest.mark.parametrize("length,frames", [(320, 1), (480, 2), (160000, 999), (319, 0), (0, 0)])
+    @pytest.mark.parametrize("length,frames", [(320, 1), (480, 2), (160000, 999)])
     def test_counts(self, length, frames):
         assert FrameGrid(length).n_frames == frames
 
+    @pytest.mark.parametrize("length", [319, 0])
+    def test_shorter_than_one_frame_refused(self, length):
+        with shorter_than_one_frame(length):
+            FrameGrid(length)
+
     def test_counts_match_enumeration(self):
+        # a grid exists exactly when enumeration finds a frame
         rng = np.random.default_rng(0)
-        for length in rng.integers(0, 50000, size=1000):
-            assert FrameGrid(int(length)).n_frames == oracles.frame_count(int(length))
+        lengths = [int(length) for length in rng.integers(0, 50000, size=1000)]
+        assert min(lengths) < FRAME_LEN
+        for length in lengths:
+            if length < FRAME_LEN:
+                assert oracles.frame_count(length) == 0
+                with shorter_than_one_frame(length):
+                    FrameGrid(length)
+            else:
+                assert FrameGrid(length).n_frames == oracles.frame_count(length)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -47,6 +66,26 @@ class TestGrid:
         frames = FrameGrid(800).frame_matrix(x)
         assert frames.shape == (4, 320)
         assert frames[1][0] == 160.0
+
+
+# each takes the samples of a signal, used as every component of its scene;
+# scene_rows needs a mask, whose grid is where a short scene is refused
+LAYERS = {
+    "FrameGrid": lambda x: FrameGrid(len(x)),
+    "classify": lambda x: classify(Signal(x), Signal(x)),
+    "scene_rows": lambda x: scene_rows(SceneComponents(s=Signal(x), e=Signal(x)), classify(Signal(x), Signal(x))),
+    "gain_tracks": lambda x: gain_tracks(Signal(x), Signal(x)),
+    "stft": lambda x: stft(Signal(x)),
+    "spectral_energy": spectral_energy,
+}
+
+
+@pytest.mark.parametrize("length", [1, 319])
+@pytest.mark.parametrize("layer", list(LAYERS))
+def test_every_layer_refuses_a_signal_shorter_than_one_frame(layer, length):
+    x = np.random.default_rng(length).standard_normal(length)
+    with shorter_than_one_frame(length):
+        LAYERS[layer](x)
 
 
 class TestStft:

@@ -443,16 +443,13 @@ class TestSceneRowsCache:
 
 @st.composite
 def short_scenes(draw):
-    """A scene of 0-5 frames (0: shorter than one frame), any mask, any clamp.
+    """A scene of 1-5 frames, any mask, any clamp.
 
     Each of s, e, s_hat, y and w is all-zero or noise, at full scale or
     scaled by 1e-9.
     """
-    n_frames = draw(st.integers(0, 5))
-    if n_frames == 0:
-        length = draw(st.integers(1, FRAME_LEN - 1))
-    else:
-        length = FRAME_LEN + (n_frames - 1) * HOP + draw(st.integers(0, HOP - 1))
+    n_frames = draw(st.integers(1, 5))
+    length = FRAME_LEN + (n_frames - 1) * HOP + draw(st.integers(0, HOP - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     signals = {}
     for name in ("s", "e", "s_hat", "y", "w"):

@@ -234,7 +234,7 @@ class TestGenerateScene:
         SceneSpec(duration=10.0, seed=7, ser_db=-10.0),
         SceneSpec(duration=2.5, seed=1, ser_db=10.0, echo_path_change_at=1.25),
         SceneSpec(duration=1.03, seed=5, rir_len=700, t60=0.3),
-    ], ids=["change", "no-change", "two-passes-partial-block", "odd-length"])
+    ], ids=["change", "no-change", "partial-last-block", "odd-length"])
     def test_matches_reference(self, spec):
         assert_same_scene(generate_scene(spec), generate_scene_reference(spec))
 

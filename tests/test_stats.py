@@ -149,7 +149,7 @@ class TestScoreTable:
     def test_missing_column_lists_available(self, tmp_path):
         path = self.write(tmp_path / "t.csv", "utt,a\nx,1\n")
         table = ScoreTable.from_csv(path)
-        with pytest.raises(KeyError, match="available: utt, a"):
+        with pytest.raises(ValueError, match="available: utt, a"):
             table.column("b")
 
 
