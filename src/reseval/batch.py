@@ -446,10 +446,24 @@ def run_sweep(args) -> int:
     except ValueError:
         raise ValueError(f"--alphas must be comma-separated numbers, got {args.alphas!r}") from None
     configs = [SuppressorConfig(beta=beta) for beta in beta_schedule(alphas)]
+    columns = ["alpha", "beta", "n_scenes"]
+    for name in METRIC_NAMES:
+        columns += [f"{name}_mean", f"{name}_std"]
+    if args.group_by:
+        if args.group_by in ["id", *columns]:
+            raise ValueError(f"--group-by {args.group_by!r} names a column of the sweep table")
+        # correlate reads the first column as the row ids: <group>/<alpha>
+        columns = ["id", args.group_by, *columns]
     check_out_file(args.out)
     _check_levels(args)
     manifest = _resolve_manifest(args)
     groups = {e.id: _group_of(e, args.group_by) for e in manifest.entries} if args.group_by else {}
+    # a string "1" and a number 1 would write the same group cell and the same ids
+    texts = {}
+    for group in groups.values():
+        if texts.setdefault(str(group), group) != group:
+            raise ValueError(f"tag {args.group_by!r}: values {texts[str(group)]!r} and {group!r} "
+                             f"read the same in a table")
     reports, errors = _run_batch("sweep", _sweep_entry, [(e.id, e) for e in manifest.entries], configs,
                                  args.threshold_db, args.clamp_db)
 
@@ -459,15 +473,12 @@ def run_sweep(args) -> int:
         for i, (alpha, config) in enumerate(zip(alphas, configs)):
             row = {"alpha": alpha, "beta": config.beta, "n_scenes": len(members)}
             if args.group_by:
-                row[args.group_by] = group
+                row["id"], row[args.group_by] = f"{group}/{alpha!r}", group
             # a metric no frame qualified for stays an empty cell
             for name, agg in _pooled_aggregates(rep[i] for rep in members).items():
                 row[f"{name}_mean"], row[f"{name}_std"] = agg["mean"], agg["std"]
             rows.append(row)
 
-    columns = ([args.group_by] if args.group_by else []) + ["alpha", "beta", "n_scenes"]
-    for name in METRIC_NAMES:
-        columns += [f"{name}_mean", f"{name}_std"]
     write_csv(args.out, columns, [[row.get(c) for row in rows] for c in columns])
     print(f"sweep: {len(rows)} rows, {len(reports)} ok, {len(errors)} failed -> {args.out}")
     return 1 if errors else 0

@@ -551,6 +551,58 @@ class TestSweep:
             vals = [float(r["resl_mean"]) for r in rows if float(r["ser_db"]) == group]
             assert vals[1] > vals[0]
 
+    def test_grouped_table_correlates_by_alpha(self, tmp_path, capsys):
+        """A grouped sweep table starts with unique <group>/<alpha> ids, so correlate can read it."""
+        spec = write_spec(tmp_path, {**SPEC, "ser_db": [-10.0, 0.0, 10.0]})
+        scenes = tmp_path / "ser"
+        assert run("simulate", "--spec", spec, "--out", scenes, "--count", 3, "--seed", 1) == 0
+        out = tmp_path / "sweep_ser.csv"
+        assert run("sweep", "--scenes", scenes, "--alphas", "0,0.5,1", "--group-by", "ser_db", "--out", out) == 0
+        rows = read_rows(out)
+        assert list(rows[0])[:3] == ["id", "ser_db", "alpha"]
+        assert [r["id"] for r in rows] == [f"{g}/{a}" for g in ("-10.0", "0.0", "10.0") for a in ("0.0", "0.5", "1.0")]
+        capsys.readouterr()
+        assert run("correlate", "--table", out, "--metric-col", "dsml_mean", "--score-col", "resl_mean",
+                   "--group-by", "alpha") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" ")[0] for line in lines] == ["alpha=0.0", "alpha=0.5", "alpha=1.0"]
+        assert all(line.endswith(" n=3") for line in lines)
+
+    def test_ungrouped_table_has_no_id_column(self, scene_dir, tmp_path):
+        out = tmp_path / "t.csv"
+        assert run("sweep", "--scenes", scene_dir, "--alphas", "0,1", "--out", out) == 0
+        assert out.read_text().startswith("alpha,beta,n_scenes,dsml_mean,")
+
+    @pytest.mark.parametrize("column", ["id", "alpha", "n_scenes", "dsml_mean"])
+    def test_group_by_a_table_column_rejected_before_any_entry(self, scene_dir, tmp_path, monkeypatch,
+                                                               capsys, column):
+        manifest = manifest_from_scenes(scene_dir)
+        for entry in manifest.entries:
+            entry.tags[column] = 1.0
+        manifest.write_json(tmp_path / "m.json")
+        calls = []
+        monkeypatch.setattr(rv.activity, "classify", lambda *a: calls.append(a))
+        assert run("sweep", "--manifest", tmp_path / "m.json", "--alphas", "0", "--group-by", column,
+                   "--out", tmp_path / "x.csv") == 2
+        assert capsys.readouterr().err == f"error: --group-by {column!r} names a column of the sweep table\n"
+        assert calls == []
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_group_values_that_read_the_same_rejected_before_any_entry(self, scene_dir, tmp_path,
+                                                                        monkeypatch, capsys):
+        """A string '1' and a number 1 would write the same group cell and the same ids."""
+        manifest = manifest_from_scenes(scene_dir)
+        for entry, value in zip(manifest.entries, (1, "1", 1)):
+            entry.tags["g"] = value
+        manifest.write_json(tmp_path / "m.json")
+        calls = []
+        monkeypatch.setattr(rv.activity, "classify", lambda *a: calls.append(a))
+        assert run("sweep", "--manifest", tmp_path / "m.json", "--alphas", "0", "--group-by", "g",
+                   "--out", tmp_path / "x.csv") == 2
+        assert capsys.readouterr().err == "error: tag 'g': values 1 and '1' read the same in a table\n"
+        assert calls == []
+        assert not (tmp_path / "x.csv").exists()
+
     def test_sweep_with_every_entry_failed_writes_header_only(self, tmp_path, scene_dir, capsys):
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps({"entries": [{"id": f"u{i}", "s": "nope.wav", "e": "nope.wav"}
@@ -1157,14 +1209,100 @@ def test_exports_are_what_the_acceptance_tests_and_readme_use():
 
 
 def test_package_metadata_matches_the_package():
-    """pyproject.toml's `reseval` console script, which the README runs, is cli.main,
+    """pyproject.toml's `reseval` console script, which the README runs, is cli.run,
     and its version is the package's."""
     import tomllib
 
     project = tomllib.loads((README.parent / "pyproject.toml").read_text())["project"]
     module, function = project["scripts"]["reseval"].split(":")
-    assert getattr(importlib.import_module(module), function) is main
+    assert getattr(importlib.import_module(module), function) is cli.run
     assert project["version"] == rv.__version__
+
+
+@pytest.mark.parametrize("metric_col,code", [("a", 0), ("nope", 2)], ids=["succeeds", "exits-2"])
+def test_main_leaves_the_heap_unfrozen(tmp_path, metric_col, code):
+    """main() has no collector side effect: tests and the benchmark call it in process."""
+    table = tmp_path / "t.csv"
+    table.write_text("id,a,b\nu0,1.0,2.0\nu1,2.0,1.5\nu2,3.0,4.0\n")
+    before = gc.get_freeze_count()
+    assert run("correlate", "--table", table, "--metric-col", metric_col, "--score-col", "b") == code
+    assert gc.get_freeze_count() == before
+    with pytest.raises(SystemExit):
+        main(["correlate"])
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("outcome", ["returns", "exits", "raises"])
+def test_run_freezes_the_heap_after_main_however_it_ends(monkeypatch, outcome):
+    """run() calls main(), then gc.freeze(), then exits with main's code; --help (SystemExit)
+    and a traceback still freeze first."""
+    calls = []
+
+    def fake_main():
+        calls.append("main")
+        if outcome == "exits":
+            raise SystemExit(0)
+        if outcome == "raises":
+            raise RuntimeError("boom")
+        return 3
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    with pytest.raises(RuntimeError if outcome == "raises" else SystemExit) as exc:
+        cli.run()
+    assert calls == ["main", "freeze"]
+    if outcome != "raises":
+        assert exc.value.code == {"returns": 3, "exits": 0}[outcome]
+
+
+def _python_m_cli(args, cwd):
+    src = os.path.dirname(os.path.dirname(rv.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "reseval.cli", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--help"], 0),
+    (["sweep", "--scenes", "scenes", "--alphas", "0"], 2),
+    (["suppress", "--manifest", "m.json", "--out", "{out}"], 1),
+], ids=["help", "usage-error", "one-entry-failed"])
+def test_python_m_cli_exits_with_mains_status_and_stderr(scene_dir, tmp_path, monkeypatch, capsys, argv, code):
+    manifest = manifest_from_scenes(scene_dir)
+    manifest.entries.insert(1, ManifestEntry("broken", {"s": str(tmp_path / "nope.wav"),
+                                                        "e": str(tmp_path / "nope.wav")}))
+    manifest.write_json(tmp_path / "m.json")
+    monkeypatch.chdir(tmp_path)
+    try:
+        got = main([a.format(out="in-process") for a in argv])
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    proc = _python_m_cli([a.format(out="subprocess") for a in argv], tmp_path)
+    assert (got, proc.returncode) == (code, code)
+    assert proc.stderr == captured.err
+    if code == 0:
+        assert proc.stdout.startswith("usage: reseval ")
+    elif code == 1:
+        assert proc.stderr.startswith("suppress: broken: ") and proc.stderr.count("\n") == 1
+    else:
+        assert proc.stderr.splitlines()[-1] == "reseval sweep: error: the following arguments are required: --out"
+
+
+def test_python_m_cli_exits_frozen_after_atexit_and_flush(tmp_path):
+    """The module's __main__ block goes through run(): an atexit handler still runs, sees the
+    heap frozen, and what the command printed reaches the pipe."""
+    src = os.path.dirname(os.path.dirname(rv.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "\n".join([
+        "import atexit, gc, runpy, sys",
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))",
+        "sys.argv = ['reseval', '--help']",
+        "runpy.run_module('reseval.cli', run_name='__main__')",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "frozen True\n")
+    assert proc.stdout.startswith("usage: reseval ") and proc.stdout.endswith("\n")
 
 
 def test_cli_imports_only_what_the_command_runs(tmp_path):
