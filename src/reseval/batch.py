@@ -1,11 +1,14 @@
 """The batch commands behind the CLI: manifests, per-entry isolation and
 the simulate, suppress, evaluate and sweep runs.
 
-reseval.cli imports this module only when one of these commands runs,
-so --help and correlate never compile it.  Every batch command runs its
-scenes or manifest entries through _run_batch, each in isolation: a
-failing item is reported on one stderr line and the batch goes on, and
-the exit status is nonzero when any item failed.
+A batch is a list of ManifestEntry, read from a manifest file by
+read_manifest, which checks every entry and that no id repeats, or from
+a directory of scenes by manifest_from_scenes; write_manifest writes
+one.  reseval.cli imports this module only when one of these commands
+runs, so --help and correlate never compile it.  Every batch command
+runs its scenes or manifest entries through _run_batch, each in
+isolation: a failing item is reported on one stderr line and the batch
+goes on, and the exit status is nonzero when any item failed.
 
 Each function imports the compute modules it calls when it runs and
 looks each compute function up on its module at call time, where a
@@ -18,6 +21,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from .common import _WAV_NAMES, check_out_file, write_csv, write_json
@@ -28,60 +32,61 @@ if TYPE_CHECKING:
     from .simulate import SceneSpec
 
 
+@dataclass
 class ManifestEntry:
-    def __init__(self, id: str, paths: dict[str, str], tags: dict | None = None):
-        self.id = id
-        self.paths = paths
-        self.tags = {} if tags is None else tags
+    """One batch item: an id that names its output files, the WAV path of
+    each component it has, and its tags."""
 
-    def require(self, keys) -> None:
-        missing = [k for k in keys if k not in self.paths]
-        if missing:
-            raise ValueError(f"entry {self.id!r} is missing paths: {', '.join(missing)}")
+    id: str
+    paths: dict[str, str]
+    tags: dict = field(default_factory=dict)
 
-    def load_components(self, keys) -> SceneComponents:
-        """The components of keys that the entry names; keys it lacks are skipped."""
+    def load(self, required, optional=()) -> SceneComponents:
+        """The components of required, which the entry must name, and those of
+        optional that it names, each loaded in the order of its paths."""
         from .audio import SceneComponents, load_wav
 
-        return SceneComponents(**{k: load_wav(self.paths[k]) for k in keys if k in self.paths})
+        missing = [k for k in required if k not in self.paths]
+        if missing:
+            raise ValueError(f"entry {self.id!r} is missing paths: {', '.join(missing)}")
+        wanted = {*required, *optional}
+        return SceneComponents(**{k: load_wav(p) for k, p in self.paths.items() if k in wanted})
 
 
-class Manifest:
-    def __init__(self, entries: list[ManifestEntry]):
-        seen = set()
-        for entry in entries:
-            if entry.id in seen:
-                raise ValueError(f"duplicate entry id {entry.id!r}")
-            seen.add(entry.id)
-        self.entries = entries
+def read_manifest(path) -> list[ManifestEntry]:
+    """The entries of a manifest file; relative paths resolve against its directory."""
+    base = os.path.dirname(os.path.abspath(path))
+    raw = _read_json(path)
+    if not isinstance(raw, dict) or not isinstance(raw.get("entries"), list):
+        raise ValueError(f"{path}: manifest must be an object with an 'entries' list")
+    unknown = sorted(set(raw) - {"entries"})
+    if unknown:
+        raise ValueError(f"{path}: unknown key {unknown[0]!r}")
+    if not raw["entries"]:
+        raise ValueError(f"{path}: no entries")
+    entries, seen = [], set()
+    for idx, item in enumerate(raw["entries"]):
+        try:
+            entry = _parse_entry(item, base)
+        except ValueError as exc:
+            raise ValueError(f"{path}: entry {idx}: {exc}") from None
+        if entry.id in seen:
+            raise ValueError(f"{path}: duplicate entry id {entry.id!r}")
+        seen.add(entry.id)
+        entries.append(entry)
+    return entries
 
-    @classmethod
-    def from_json(cls, path) -> "Manifest":
-        base = os.path.dirname(os.path.abspath(path))
-        raw = _read_json(path)
-        if not isinstance(raw, dict) or not isinstance(raw.get("entries"), list):
-            raise ValueError(f"{path}: manifest must be an object with an 'entries' list")
-        unknown = sorted(set(raw) - {"entries"})
-        if unknown:
-            raise ValueError(f"{path}: unknown key {unknown[0]!r}")
-        entries = []
-        for idx, item in enumerate(raw["entries"]):
-            try:
-                entries.append(_parse_entry(item, base))
-            except ValueError as exc:
-                raise ValueError(f"{path}: entry {idx}: {exc}") from None
-        return cls(entries=entries)
 
-    def write_json(self, path) -> None:
-        """Write the manifest with paths relative to its own directory."""
-        base = os.path.dirname(os.path.abspath(path))
-        items = []
-        for entry in self.entries:
-            item = {"id": entry.id, **{k: os.path.relpath(p, base) for k, p in entry.paths.items()}}
-            if entry.tags:
-                item["tags"] = entry.tags
-            items.append(item)
-        write_json(path, {"entries": items})
+def write_manifest(path, entries) -> None:
+    """Write entries as a manifest whose paths are relative to its own directory."""
+    base = os.path.dirname(os.path.abspath(path))
+    items = []
+    for entry in entries:
+        item = {"id": entry.id, **{k: os.path.relpath(p, base) for k, p in entry.paths.items()}}
+        if entry.tags:
+            item["tags"] = entry.tags
+        items.append(item)
+    write_json(path, {"entries": items})
 
 
 def _parse_entry(item, base: str) -> ManifestEntry:
@@ -113,9 +118,10 @@ def _parse_entry(item, base: str) -> ManifestEntry:
     return ManifestEntry(id=entry_id, paths=paths, tags=tags)
 
 
-def manifest_from_scenes(scenes_dir) -> Manifest:
-    """Build a manifest from a directory of scene subdirectories: each entry
-    holds the scene's WAVs, tagged with its sidecar's spec and achieved_* levels."""
+def manifest_from_scenes(scenes_dir) -> list[ManifestEntry]:
+    """The entries of a directory of scene subdirectories, one per directory
+    name: each holds the scene's WAVs, tagged with its sidecar's spec and
+    achieved_* levels."""
     names = sorted(
         d for d in os.listdir(scenes_dir)
         if os.path.isfile(os.path.join(scenes_dir, d, "scene.json"))
@@ -140,7 +146,7 @@ def manifest_from_scenes(scenes_dir) -> Manifest:
         for key, value in sidecar.get("achieved", {}).items():
             tags[f"achieved_{key}"] = value
         entries.append(ManifestEntry(id=name, paths=paths, tags=tags))
-    return Manifest(entries=entries)
+    return entries
 
 
 def _finite_float(text):
@@ -159,14 +165,6 @@ def _read_json(path):
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
         except RecursionError:
             raise ValueError(f"{path}: not valid JSON (nested too deeply)") from None
-
-
-def _resolve_manifest(args) -> Manifest:
-    """The batch of --manifest or --scenes."""
-    manifest = Manifest.from_json(args.manifest) if args.manifest else manifest_from_scenes(args.scenes)
-    if not manifest.entries:
-        raise ValueError("no entries")
-    return manifest
 
 
 def _check_levels(args) -> None:
@@ -296,8 +294,7 @@ def _suppress_entry(entry, config, out_dir):
     from .audio import save_wav
     from .suppressor import gain_tracks, oracle_suppress
 
-    entry.require(("s", "e"))
-    components = entry.load_components(("s", "e"))
+    components = entry.load(("s", "e"))
     if out_dir:
         out_path = os.path.join(out_dir, f"{entry.id}.shat.wav")
     else:
@@ -314,38 +311,36 @@ def run_suppress(args) -> int:
     if args.manifest and not args.out:
         # only a scene directory has a place for shat.wav; manifest entries may share a directory
         raise ValueError("suppress --manifest needs --out")
-    manifest = _resolve_manifest(args)
+    entries = read_manifest(args.manifest) if args.manifest else manifest_from_scenes(args.scenes)
     beta = args.beta if args.alpha is None else beta_schedule([args.alpha])[0]
     config = SuppressorConfig(beta=beta)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-    written, errors = _run_batch("suppress", _suppress_entry, [(e.id, e) for e in manifest.entries],
+    written, errors = _run_batch("suppress", _suppress_entry, [(e.id, e) for e in entries],
                                  config, args.out, jobs=args.jobs)
-    for entry in manifest.entries:
-        if entry.id in written:
-            entry.paths["s_hat"] = written[entry.id]
     if args.out:
-        manifest.write_json(os.path.join(args.out, "manifest.json"))
+        # each entry with the s_hat this run wrote for it, or with none
+        out_entries = []
+        for entry in entries:
+            paths = {k: p for k, p in entry.paths.items() if k != "s_hat"}
+            if entry.id in written:
+                paths["s_hat"] = written[entry.id]
+            out_entries.append(replace(entry, paths=paths))
+        write_manifest(os.path.join(args.out, "manifest.json"), out_entries)
     print(f"suppress: beta={beta:g}, {len(written)} ok, {len(errors)} failed")
     return 1 if errors else 0
-
-
-# read by scene_rows and echo_reference; m and y_hat only for the identity checks
-_SCENE_KEYS = ("s", "y", "w", "m", "y_hat", "e")
 
 
 def _load_labeled(entry, extra, threshold_db):
     """An entry's s, y, w and e (s and e required) plus extra, and its activity mask.
 
-    m and y_hat are loaded for the identity checks alone and are let go
-    once those have passed.
+    y and w are read by scene_rows and echo_reference; m and y_hat are
+    loaded for the identity checks alone and are let go once those have
+    passed.
     """
-    from dataclasses import replace
-
     from .activity import classify, echo_reference
 
-    entry.require(("s", "e", *extra))
-    components = replace(entry.load_components(_SCENE_KEYS + extra), m=None, y_hat=None)
+    components = replace(entry.load(("s", "e", *extra), ("y", "w", "m", "y_hat")), m=None, y_hat=None)
     return components, classify(components.s, echo_reference(components), threshold_db)
 
 
@@ -358,8 +353,6 @@ def _evaluate_entry(entry, threshold_db, clamp_db) -> MetricReport:
 
 def _pooled_aggregates(reports) -> dict:
     """Aggregates of each metric over the frames of all reports, in order."""
-    from dataclasses import asdict
-
     import numpy as np
 
     from .metrics import METRIC_NAMES, aggregate_metrics
@@ -373,11 +366,9 @@ def _pooled_aggregates(reports) -> dict:
 
 
 def run_evaluate(args) -> int:
-    from dataclasses import asdict
-
     _check_jobs(args)
     _check_levels(args)
-    manifest = _resolve_manifest(args)
+    entries = read_manifest(args.manifest) if args.manifest else manifest_from_scenes(args.scenes)
     if os.path.isdir(args.out) and any(name == "report.json" or name.startswith("frames_")
                                        for name in os.listdir(args.out)):
         raise FileExistsError(f"{args.out}: holds a report of an earlier run; evaluate into a new directory")
@@ -385,7 +376,7 @@ def run_evaluate(args) -> int:
     # imported before the pool forks, so that each --jobs worker starts with them
     from . import activity, metrics
 
-    reports, errors = _run_batch("evaluate", _evaluate_entry, [(e.id, e) for e in manifest.entries],
+    reports, errors = _run_batch("evaluate", _evaluate_entry, [(e.id, e) for e in entries],
                                  args.threshold_db, args.clamp_db, jobs=args.jobs)
     for eid, report in reports.items():
         report.write_csv(os.path.join(args.out, f"frames_{eid}.csv"))
@@ -393,7 +384,7 @@ def run_evaluate(args) -> int:
     payload = {
         "threshold_db": args.threshold_db,
         "clamp_db": args.clamp_db,
-        "n_entries": len(manifest.entries),
+        "n_entries": len(entries),
         "n_failed": len(errors),
         "metrics": _pooled_aggregates(reports.values()),
         "per_utterance": {
@@ -427,9 +418,9 @@ def _sweep_entry(entry, configs, threshold_db, clamp_db) -> list[MetricReport]:
 
 
 def _group_of(entry, tag):
-    value = entry.tags.get(tag)
-    if value is None:
+    if tag not in entry.tags:
         raise ValueError(f"entry {entry.id!r} has no tag {tag!r}")
+    value = entry.tags[tag]
     # a bool equals 1 or 0, so true would be pooled with 1 and 1.0
     if not isinstance(value, (str, int, float)) or isinstance(value, bool):
         raise ValueError(f"entry {entry.id!r}: tag {tag!r} must be a string or a number, "
@@ -456,15 +447,15 @@ def run_sweep(args) -> int:
         columns = ["id", args.group_by, *columns]
     check_out_file(args.out)
     _check_levels(args)
-    manifest = _resolve_manifest(args)
-    groups = {e.id: _group_of(e, args.group_by) for e in manifest.entries} if args.group_by else {}
+    entries = read_manifest(args.manifest) if args.manifest else manifest_from_scenes(args.scenes)
+    groups = {e.id: _group_of(e, args.group_by) for e in entries} if args.group_by else {}
     # a string "1" and a number 1 would write the same group cell and the same ids
     texts = {}
     for group in groups.values():
         if texts.setdefault(str(group), group) != group:
             raise ValueError(f"tag {args.group_by!r}: values {texts[str(group)]!r} and {group!r} "
                              f"read the same in a table")
-    reports, errors = _run_batch("sweep", _sweep_entry, [(e.id, e) for e in manifest.entries], configs,
+    reports, errors = _run_batch("sweep", _sweep_entry, [(e.id, e) for e in entries], configs,
                                  args.threshold_db, args.clamp_db)
 
     rows = []

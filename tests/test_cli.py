@@ -22,7 +22,7 @@ import pytest
 import reseval as rv
 from reseval import batch, cli
 from reseval.audio import SceneComponents, load_wav, save_wav
-from reseval.batch import Manifest, ManifestEntry, manifest_from_scenes
+from reseval.batch import ManifestEntry, manifest_from_scenes, read_manifest, write_manifest
 from reseval.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -323,8 +323,7 @@ class TestSuppress:
         out = tmp_path / "sup"
         assert run("suppress", "--scenes", scene_dir, "--alpha", 0.5, "--out", out) == 0
         assert "beta=8.5" in capsys.readouterr().out
-        manifest = Manifest.from_json(out / "manifest.json")
-        assert all("s_hat" in entry.paths for entry in manifest.entries)
+        assert all("s_hat" in entry.paths for entry in read_manifest(out / "manifest.json"))
 
     def test_manifest_mode_requires_paths(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"
@@ -335,7 +334,7 @@ class TestSuppress:
     def test_manifest_without_out_rejected_before_any_entry(self, scene_dir, tmp_path, monkeypatch, capsys):
         """A manifest names no scene directory for shat.wav, and its entries may share one."""
         shutil.copytree(scene_dir, tmp_path / "scenes")
-        manifest_from_scenes(tmp_path / "scenes").write_json(tmp_path / "m.json")
+        write_manifest(tmp_path / "m.json", manifest_from_scenes(tmp_path / "scenes"))
         calls = []
         monkeypatch.setattr(rv.suppressor, "oracle_suppress", lambda *a: calls.append(a))
         before = dir_bytes(tmp_path)
@@ -354,6 +353,22 @@ class TestSuppress:
         assert raw["entries"][0]["s_hat"] == "scene_0000.shat.wav"
         assert run("evaluate", "--manifest", os.path.join("sup", "manifest.json"), "--out", "rep") == 0
         assert json.loads((tmp_path / "rep" / "report.json").read_text())["n_failed"] == 0
+
+    def test_out_manifest_keeps_no_s_hat_of_a_failed_entry(self, scene_dir, tmp_path, monkeypatch, capsys):
+        """An entry gets the s_hat this run wrote for it; one that failed keeps none,
+        not the s_hat it came in with."""
+        (ok, stale, *_) = manifest_from_scenes(scene_dir)
+        del stale.paths["e"]
+        stale.paths["s_hat"] = str(tmp_path / "old.shat.wav")
+        write_manifest(tmp_path / "m.json", [ok, stale])
+        monkeypatch.chdir(tmp_path)
+        assert run("suppress", "--manifest", "m.json", "--alpha", 0, "--out", "sup") == 1
+        assert capsys.readouterr().err == f"suppress: {stale.id}: ValueError: entry {stale.id!r} is missing paths: e\n"
+        raw = json.loads((tmp_path / "sup" / "manifest.json").read_text())
+        assert [item["id"] for item in raw["entries"]] == [ok.id, stale.id]
+        assert raw["entries"][0]["s_hat"] == f"{ok.id}.shat.wav"
+        assert "s_hat" not in raw["entries"][1]
+        assert read_manifest(tmp_path / "m.json")[1].paths["s_hat"] == str(tmp_path / "old.shat.wav")
 
     def test_invalid_beta_one_line_before_batch(self, scene_dir, capsys):
         assert run("suppress", "--scenes", scene_dir, "--beta", 0.5) == 2
@@ -427,7 +442,7 @@ class TestEvaluate:
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps({"entries": []}))
         assert run("evaluate", "--manifest", manifest, "--out", tmp_path / "r") == 2
-        assert "no entries" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {manifest}: no entries\n"
 
     def test_missing_file_isolated(self, tmp_path, capsys):
         manifest = self.build_identity_manifest(tmp_path)
@@ -503,7 +518,7 @@ class TestEvaluate:
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps({"entries": [{"id": "a"}, {"id": "a"}]}))
         assert run("evaluate", "--manifest", manifest, "--out", tmp_path / "r") == 2
-        assert "duplicate" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {manifest}: duplicate entry id 'a'\n"
 
     def test_threshold_flag_applies(self, tmp_path):
         manifest = self.build_identity_manifest(tmp_path)
@@ -576,10 +591,10 @@ class TestSweep:
     @pytest.mark.parametrize("column", ["id", "alpha", "n_scenes", "dsml_mean"])
     def test_group_by_a_table_column_rejected_before_any_entry(self, scene_dir, tmp_path, monkeypatch,
                                                                capsys, column):
-        manifest = manifest_from_scenes(scene_dir)
-        for entry in manifest.entries:
+        entries = manifest_from_scenes(scene_dir)
+        for entry in entries:
             entry.tags[column] = 1.0
-        manifest.write_json(tmp_path / "m.json")
+        write_manifest(tmp_path / "m.json", entries)
         calls = []
         monkeypatch.setattr(rv.activity, "classify", lambda *a: calls.append(a))
         assert run("sweep", "--manifest", tmp_path / "m.json", "--alphas", "0", "--group-by", column,
@@ -591,10 +606,10 @@ class TestSweep:
     def test_group_values_that_read_the_same_rejected_before_any_entry(self, scene_dir, tmp_path,
                                                                         monkeypatch, capsys):
         """A string '1' and a number 1 would write the same group cell and the same ids."""
-        manifest = manifest_from_scenes(scene_dir)
-        for entry, value in zip(manifest.entries, (1, "1", 1)):
+        entries = manifest_from_scenes(scene_dir)
+        for entry, value in zip(entries, (1, "1", 1)):
             entry.tags["g"] = value
-        manifest.write_json(tmp_path / "m.json")
+        write_manifest(tmp_path / "m.json", entries)
         calls = []
         monkeypatch.setattr(rv.activity, "classify", lambda *a: calls.append(a))
         assert run("sweep", "--manifest", tmp_path / "m.json", "--alphas", "0", "--group-by", "g",
@@ -618,7 +633,7 @@ class TestSweep:
 
     def test_manifest_driven_sweep(self, scene_dir, tmp_path):
         manifest_path = tmp_path / "m.json"
-        manifest_from_scenes(scene_dir).write_json(manifest_path)
+        write_manifest(manifest_path, manifest_from_scenes(scene_dir))
         out = tmp_path / "from_manifest.csv"
         assert run("sweep", "--manifest", manifest_path, "--alphas", "0,1", "--out", out) == 0
         with open(out, newline="") as fh:
@@ -639,9 +654,9 @@ class TestSweep:
         assert not (tmp_path / "x.csv").exists()
 
     def test_non_scalar_group_tag_rejected_before_suppression(self, scene_dir, tmp_path, monkeypatch, capsys):
-        manifest = manifest_from_scenes(scene_dir)
-        manifest.entries[-1].tags["ser_db"] = [0.0, 10.0]
-        manifest.write_json(tmp_path / "m.json")
+        entries = manifest_from_scenes(scene_dir)
+        entries[-1].tags["ser_db"] = [0.0, 10.0]
+        write_manifest(tmp_path / "m.json", entries)
         calls = []
         monkeypatch.setattr(rv.suppressor, "oracle_suppress", lambda *a: calls.append(a))
         assert run("sweep", "--manifest", tmp_path / "m.json", "--alphas", "0", "--group-by", "ser_db",
@@ -653,15 +668,15 @@ class TestSweep:
         assert not (tmp_path / "x.csv").exists()
 
     def test_failed_entry_isolated(self, scene_dir, tmp_path, capsys):
-        manifest = manifest_from_scenes(scene_dir)
-        manifest.entries.insert(1, ManifestEntry("broken", {"s": str(tmp_path / "nope.wav"),
-                                                            "e": str(tmp_path / "nope.wav")}))
+        entries = manifest_from_scenes(scene_dir)
+        entries.insert(1, ManifestEntry("broken", {"s": str(tmp_path / "nope.wav"),
+                                                   "e": str(tmp_path / "nope.wav")}))
         # shorter than one frame
         short = rv.Signal(np.random.default_rng(5).standard_normal(200) * 0.1)
         save_wav(short, tmp_path / "short.wav")
-        manifest.entries.append(ManifestEntry("short", {"s": str(tmp_path / "short.wav"),
-                                                        "e": str(tmp_path / "short.wav")}))
-        manifest.write_json(tmp_path / "m.json")
+        entries.append(ManifestEntry("short", {"s": str(tmp_path / "short.wav"),
+                                               "e": str(tmp_path / "short.wav")}))
+        write_manifest(tmp_path / "m.json", entries)
         out = tmp_path / "partial.csv"
         assert run("sweep", "--manifest", tmp_path / "m.json", "--alphas", "0,1", "--out", out) == 1
         broken, short_line = capsys.readouterr().err.splitlines(keepends=True)
@@ -691,7 +706,7 @@ class TestSweep:
     def test_entry_matches_independent_calls_exactly(self, scene_dir):
         """Reports of one sweep entry equal fresh per-alpha suppress + evaluate calls, bit for bit."""
         configs = [rv.SuppressorConfig(beta=b) for b in rv.beta_schedule([0, 0.25, 0.5, 0.75, 1])]
-        for entry in manifest_from_scenes(scene_dir).entries:
+        for entry in manifest_from_scenes(scene_dir):
             reports = batch._sweep_entry(entry, configs, rv.activity.DEFAULT_THRESHOLD_DB, rv.metrics.CLAMP_DB)
             assert len(reports) == len(configs)
             for config, report in zip(configs, reports):
@@ -721,7 +736,7 @@ class TestSweep:
 def test_meaningless_clamp_or_threshold_rejected_before_any_entry(scene_dir, tmp_path, monkeypatch, capsys,
                                                                   command, flags, options, match):
     manifest = tmp_path / "m.json"
-    manifest_from_scenes(scene_dir).write_json(manifest)
+    write_manifest(manifest, manifest_from_scenes(scene_dir))
     if options is not None:
         manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "options": options}))
     out = {"evaluate": tmp_path / "r", "sweep": tmp_path / "x.csv"}[command]
@@ -855,9 +870,9 @@ def test_jobs_below_one_rejected_before_any_item(scene_dir, tmp_path, monkeypatc
 
 class TestManifestHelpers:
     def test_manifest_from_scenes_tags(self, scene_dir):
-        manifest = manifest_from_scenes(scene_dir)
-        assert len(manifest.entries) == 3
-        entry = manifest.entries[0]
+        entries = manifest_from_scenes(scene_dir)
+        assert len(entries) == 3
+        entry = entries[0]
         assert entry.tags["ser_db"] == 0.0
         assert os.path.isabs(entry.paths["s"])
 
@@ -865,8 +880,27 @@ class TestManifestHelpers:
         save_wav(rv.Signal(np.ones(400) * 0.1), tmp_path / "sig.wav")
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps({"entries": [{"id": "x", "s": "sig.wav"}]}))
-        loaded = Manifest.from_json(manifest)
-        assert loaded.entries[0].paths["s"] == str(tmp_path / "sig.wav")
+        assert read_manifest(manifest)[0].paths["s"] == str(tmp_path / "sig.wav")
+
+    def test_write_then_read_gives_the_same_entries(self, tmp_path):
+        """Paths are written relative to the manifest and read back as they were."""
+        entries = [
+            ManifestEntry("u0", {"s": str(tmp_path / "a" / "s.wav"), "e": str(tmp_path / "e.wav")},
+                          {"ser_db": -10.0, "room": "small", "echo_path_change_at": None}),
+            ManifestEntry("u1", {"s": str(tmp_path / "s1.wav"), "s_hat": str(tmp_path / "b" / "c" / "x.wav")}),
+        ]
+        write_manifest(tmp_path / "m.json", entries)
+        assert read_manifest(tmp_path / "m.json") == entries
+        raw = json.loads((tmp_path / "m.json").read_text())
+        assert raw["entries"][0]["s"] == os.path.join("a", "s.wav")
+
+    def test_load_names_every_missing_path_and_skips_absent_optional_ones(self, tmp_path):
+        save_wav(rv.Signal(np.full(400, 0.1)), tmp_path / "s.wav")
+        entry = ManifestEntry("u0", {"s": str(tmp_path / "s.wav")})
+        with pytest.raises(ValueError, match="^entry 'u0' is missing paths: e, s_hat$"):
+            entry.load(("s", "e", "s_hat"))
+        components = entry.load(("s",), ("y", "w"))
+        assert list(components.present()) == ["s"]
 
 
 class TestManifestSchema:
@@ -912,10 +946,10 @@ class TestManifestSchema:
 def test_path_like_id_writes_nothing(scene_dir, tmp_path, monkeypatch, capsys, command, entry_id):
     """An id names output files, so one that is not a file name stops the command before any entry."""
     work = tmp_path / "work"
-    manifest = manifest_from_scenes(scene_dir)
-    manifest.entries[-1].id = entry_id
+    entries = manifest_from_scenes(scene_dir)
+    entries[-1].id = entry_id
     work.mkdir()
-    manifest.write_json(work / "m.json")
+    write_manifest(work / "m.json", entries)
     monkeypatch.chdir(work)
     before = dir_bytes(tmp_path)
     assert run(command, "--manifest", "m.json", "--out", "out") == 2
@@ -1068,7 +1102,7 @@ def test_nothing_keeps_a_scene_alive(scene_dir, tmp_path, monkeypatch):
     """Once a library call or a batch entry returns or raises, nothing holds its scene's
     signals or mask: no call keeps the last scene it saw.  Within an entry, the loaded
     m and y_hat are gone once checked, and a sweep's s_hat once scored."""
-    (entry, *_) = manifest_from_scenes(scene_dir).entries
+    (entry, *_) = manifest_from_scenes(scene_dir)
     config = rv.SuppressorConfig(beta=8.0)
     options = (rv.activity.DEFAULT_THRESHOLD_DB, rv.metrics.CLAMP_DB)
     refs = []
@@ -1268,10 +1302,10 @@ def _python_m_cli(args, cwd):
     (["suppress", "--manifest", "m.json", "--out", "{out}"], 1),
 ], ids=["help", "usage-error", "one-entry-failed"])
 def test_python_m_cli_exits_with_mains_status_and_stderr(scene_dir, tmp_path, monkeypatch, capsys, argv, code):
-    manifest = manifest_from_scenes(scene_dir)
-    manifest.entries.insert(1, ManifestEntry("broken", {"s": str(tmp_path / "nope.wav"),
-                                                        "e": str(tmp_path / "nope.wav")}))
-    manifest.write_json(tmp_path / "m.json")
+    entries = manifest_from_scenes(scene_dir)
+    entries.insert(1, ManifestEntry("broken", {"s": str(tmp_path / "nope.wav"),
+                                               "e": str(tmp_path / "nope.wav")}))
+    write_manifest(tmp_path / "m.json", entries)
     monkeypatch.chdir(tmp_path)
     try:
         got = main([a.format(out="in-process") for a in argv])
@@ -1397,7 +1431,7 @@ def test_suppress_and_sweep_leave_numpy_ma_unimported(scene_dir, tmp_path):
 def test_exclusive_flags_rejected_before_any_entry(scene_dir, tmp_path, monkeypatch, capsys, argv, error):
     shutil.copytree(scene_dir, tmp_path / "scenes")
     write_spec(tmp_path)
-    manifest_from_scenes(tmp_path / "scenes").write_json(tmp_path / "m.json")
+    write_manifest(tmp_path / "m.json", manifest_from_scenes(tmp_path / "scenes"))
     monkeypatch.chdir(tmp_path)
     before = dir_bytes(tmp_path)
     calls = []

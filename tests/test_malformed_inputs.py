@@ -195,6 +195,12 @@ def test_sweep_group_by_tag_an_entry_lacks(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: entry 'u1' has no tag 'ser_db'\n"
 
 
+def test_sweep_group_by_null_tag(tmp_path, monkeypatch, capsys):
+    """A tag that is present but null is not a missing tag: it fails as a value of the wrong type."""
+    assert sweep_by_ser_db(tmp_path, monkeypatch, {"ser_db": None}) == 2
+    assert capsys.readouterr().err == "error: entry 'u1': tag 'ser_db' must be a string or a number, got NoneType\n"
+
+
 def test_sweep_group_by_nan_tag(tmp_path, monkeypatch, capsys):
     """json.dumps writes a NaN tag as NaN, which strict JSON refuses before any entry runs."""
     assert sweep_by_ser_db(tmp_path, monkeypatch, {"ser_db": math.nan}) == 2

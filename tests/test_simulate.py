@@ -470,7 +470,7 @@ class TestScenePersistence:
             save_scene(comps, spec, tmp_path / "b")
         assert (info.value.errno, len(written)) == (errno.ENOSPC, 3)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a"]
-        assert [entry.id for entry in manifest_from_scenes(tmp_path).entries] == ["a"]
+        assert [entry.id for entry in manifest_from_scenes(tmp_path)] == ["a"]
 
     def test_missing_scene_dir(self, tmp_path):
         with pytest.raises(FileNotFoundError):
