@@ -406,6 +406,9 @@ def _sweep_entry(entry, configs, threshold_db, clamp_db) -> list[MetricReport]:
     components, mask = _load_labeled(entry, (), threshold_db)
     tracks = gain_tracks(components.e, components.s)
     rows = scene_rows(components, mask, clamp_db)
+    # tracks keep e and rows their own frame copies: s, y and w are not
+    # kept alive while each alpha's s_hat is scored
+    del components, mask
     reports = []
     for config in configs:
         # rounded through float32 as save_wav writes it, so that a row scores

@@ -79,93 +79,88 @@ class CorrelationResult:
         self.n = n
 
 
-class ScoreTable:
-    """Rectangular per-utterance table: the first column holds the utterance
-    ids, the others are numeric.
+def _number(text: str, path, lineno: int, col: str) -> float | None:
+    """The float of a stripped cell, None for an empty one; a cell that is no finite number is refused."""
+    if not text:
+        return None
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: cell {text!r} in column {col!r} is not numeric") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{path}:{lineno}: cell {text!r} in column {col!r} is not finite")
+    return value
 
-    Numeric cells are floats; missing cells are None.
+
+class ScoreTable:
+    """Per-utterance table, one list per column; the first column holds the utterance ids.
+
+    A column whose non-empty cells are all finite numbers holds floats and
+    any other column keeps its text; an empty cell is None.  `refused` maps
+    each text column to the error of its first cell that is no finite
+    number, which correlate_table raises for a metric or score column.
     """
 
-    def __init__(self, columns: tuple[str, ...], rows: tuple[dict, ...]):
-        repeated = [col for i, col in enumerate(columns) if col in columns[:i]]
-        if repeated:
-            raise ValueError(f"duplicate column {repeated[0]!r}")
-        id_column = columns[0]
-        seen = set()
-        for row in rows:
-            if set(row) != set(columns):
-                raise ValueError("rows must carry exactly the declared columns")
-            rid = row[id_column]
-            if rid in seen:
-                raise ValueError(f"duplicate utterance id {rid!r}")
-            seen.add(rid)
-            for col, val in row.items():
-                if col == id_column or val is None:
-                    continue
-                if not isinstance(val, float) or not math.isfinite(val):
-                    raise ValueError(f"cell ({rid!r}, {col!r}) is not finite: {val!r}")
+    def __init__(self, columns: dict[str, list], refused: dict[str, str] | None = None):
         self.columns = columns
-        self.rows = rows
-        self.id_column = id_column
+        self.id_column = next(iter(columns))
+        self.refused = refused or {}
 
     def column(self, name: str) -> list:
         if name not in self.columns:
             available = ", ".join(self.columns)
             raise ValueError(f"column {name!r} not found (available: {available})")
-        return [row[name] for row in self.rows]
+        return self.columns[name]
 
     @classmethod
     def from_csv(cls, path) -> "ScoreTable":
-        """The table of a CSV file whose first column holds the utterance ids; blank lines are skipped."""
+        """The table of a CSV file whose first column holds the utterance ids;
+        blank lines and a leading byte-order mark are skipped."""
         try:
-            with open(path, newline="", encoding="utf-8") as fh:
+            with open(path, newline="", encoding="utf-8-sig") as fh:
                 reader = csv.reader(fh)
                 records = [(reader.line_num, raw) for raw in reader if raw]
         except (UnicodeDecodeError, csv.Error) as exc:
             raise ValueError(f"{path}: {exc}") from None
         if not records:
             raise ValueError(f"{path}: empty CSV")
-        header = records[0][1]
-        rows = []
-        for lineno, raw in records[1:]:
+        (_, header), *body = records
+        for lineno, raw in body:
             if len(raw) != len(header):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(header)} cells, got {len(raw)}"
-                )
-            row = {}
-            for col, cell in zip(header, raw):
-                cell = cell.strip()
-                if col == header[0]:
-                    row[col] = cell
-                elif cell == "":
-                    row[col] = None
-                else:
-                    try:
-                        row[col] = float(cell)
-                    except ValueError:
-                        raise ValueError(
-                            f"{path}:{lineno}: cell {cell!r} in column {col!r} is not numeric"
-                        ) from None
-            rows.append(row)
-        try:
-            return cls(columns=tuple(header), rows=tuple(rows))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+                raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, got {len(raw)}")
+        cells = [[raw[i].strip() for _, raw in body] for i in range(len(header))]
+        repeated = [col for i, col in enumerate(header) if col in header[:i]]
+        if repeated:
+            raise ValueError(f"{path}: duplicate column {repeated[0]!r}")
+        seen = set()
+        for rid in cells[0]:
+            if rid in seen:
+                raise ValueError(f"{path}: duplicate utterance id {rid!r}")
+            seen.add(rid)
+        columns, refused = {header[0]: cells[0]}, {}
+        for col, texts in zip(header[1:], cells[1:]):
+            try:
+                columns[col] = [_number(text, path, lineno, col) for (lineno, _), text in zip(body, texts)]
+            except ValueError as exc:
+                columns[col], refused[col] = [text or None for text in texts], str(exc)
+        return cls(columns, refused)
 
 
 def correlate_table(table: ScoreTable, metric_col: str, score_col: str,
-                    group_by: str | None = None) -> list[tuple[float | None, CorrelationResult]]:
+                    group_by: str | None = None) -> list[tuple[float | str | None, CorrelationResult]]:
     """Pearson and Spearman between two numeric columns, dropping incomplete rows:
-    [(None, result)], or one (value, result) per value of group_by, ascending."""
-    keys = table.column(group_by) if group_by else [None] * len(table.rows)
+    [(None, result)], or one (value, result) per value of group_by, ascending,
+    where a text column groups by its text."""
+    keys = table.column(group_by) if group_by else [None] * len(table.columns[table.id_column])
     groups = sorted({v for v in keys if v is not None}) if group_by else [None]
     if not groups:
         raise ValueError(f"column {group_by!r} has no values to group by")
     for col in (metric_col, score_col):
         if col == table.id_column:
             raise ValueError(f"column {col!r} is the id column, not a numeric column")
-    metric = table.column(metric_col)
-    score = table.column(score_col)
+        if col in table.refused:
+            raise ValueError(table.refused[col])
+    metric, score = table.column(metric_col), table.column(score_col)
     results = []
     for group in groups:
         pairs = [(mv, sv) for key, mv, sv in zip(keys, metric, score)

@@ -24,6 +24,7 @@ from reseval import batch, cli
 from reseval.audio import SceneComponents, load_wav, save_wav
 from reseval.batch import ManifestEntry, manifest_from_scenes, read_manifest, write_manifest
 from reseval.cli import build_parser, main
+from reseval.stats import ScoreTable
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SPEC = {"duration": 2.5, "ser_db": 0.0, "snr_db": 30.0}
@@ -583,6 +584,53 @@ class TestSweep:
         assert [line.split(" ")[0] for line in lines] == ["alpha=0.0", "alpha=0.5", "alpha=1.0"]
         assert all(line.endswith(" n=3") for line in lines)
 
+    def test_table_grouped_by_text_tag_correlates(self, scene_dir, tmp_path, capsys):
+        """The room column keeps its text: correlate groups by alpha or by room, and a room is a group."""
+        entries = manifest_from_scenes(scene_dir)
+        entries.append(ManifestEntry("again", entries[0].paths))
+        for entry, room in zip(entries, "abab"):
+            entry.tags["room"] = room
+        write_manifest(tmp_path / "m.json", entries)
+        out = tmp_path / "gs.csv"
+        assert run("sweep", "--manifest", tmp_path / "m.json", "--alphas", "0,0.5,1", "--group-by", "room",
+                   "--out", out) == 0
+        rows = read_rows(out)
+        capsys.readouterr()
+        for group_by, groups in (("alpha", ("0.0", "0.5", "1.0")), ("room", ("a", "b"))):
+            assert run("correlate", "--table", out, "--metric-col", "dsml_mean", "--score-col", "resl_mean",
+                       "--group-by", group_by) == 0
+            expected = []
+            for group in groups:
+                x, y = zip(*[(float(r["dsml_mean"]), float(r["resl_mean"])) for r in rows if r[group_by] == group])
+                expected.append(f"{group_by}={group} pcc={rv.pcc(x, y):.6f} srcc={rv.srcc(x, y):.6f} n={len(x)}\n")
+            assert capsys.readouterr() == ("".join(expected), "")
+
+    @pytest.mark.parametrize("group_by", [None, "g"])
+    def test_table_reads_back_as_written(self, scene_dir, tmp_path, monkeypatch, group_by):
+        """Every number cell of a sweep table reads back equal to the value the sweep wrote."""
+        entries = manifest_from_scenes(scene_dir)
+        for entry, g in zip(entries, (-10.5, 0.1, -10.5)):
+            entry.tags["g"] = g
+        write_manifest(tmp_path / "m.json", entries)
+        written = {}
+
+        def write_csv(path, header, columns):
+            written.update(zip(header, columns, strict=True))
+            return real_write_csv(path, header, columns)
+
+        real_write_csv = batch.write_csv
+        monkeypatch.setattr(batch, "write_csv", write_csv)
+        out = tmp_path / "t.csv"
+        grouping = ["--group-by", group_by] if group_by else []
+        assert run("sweep", "--manifest", tmp_path / "m.json", "--alphas", "0,0.3,1", *grouping, "--out", out) == 0
+        table = ScoreTable.from_csv(out)
+        assert list(table.columns) == list(written) and table.refused == {}
+        id_column, *numbers = written
+        assert table.columns[id_column] == [v if isinstance(v, str) else repr(v) for v in written[id_column]]
+        for name in numbers:
+            assert table.columns[name] == [None if v is None or math.isnan(v) else v for v in written[name]], name
+        assert any(isinstance(v, float) for name in numbers for v in table.columns[name])
+
     def test_ungrouped_table_has_no_id_column(self, scene_dir, tmp_path):
         out = tmp_path / "t.csv"
         assert run("sweep", "--scenes", scene_dir, "--alphas", "0,1", "--out", out) == 0
@@ -845,6 +893,25 @@ class TestCorrelate:
         assert group["pcc"] == pytest.approx(rv.pcc(x, y), rel=1e-12)
         assert group["srcc"] == 0.5
 
+    def test_text_column_stops_only_a_metric_or_score_column(self, tmp_path, capsys):
+        table = self.write_table(tmp_path, ["u0,1,2,a", "u1,2,4,b", "u2,3,5,c"], header="utt,metric,score,room")
+        assert run("correlate", "--table", table, "--metric-col", "metric", "--score-col", "score") == 0
+        assert capsys.readouterr() == ("pcc=0.981981 srcc=1.000000 n=3\n", "")
+        assert run("correlate", "--table", table, "--metric-col", "room", "--score-col", "score",
+                   "--out", tmp_path / "r.json") == 2
+        assert capsys.readouterr() == ("", f"error: {table}:2: cell 'a' in column 'room' is not numeric\n")
+        assert not (tmp_path / "r.json").exists()
+
+    def test_byte_order_mark_dropped(self, tmp_path, capsys):
+        """A spreadsheet export may start with a byte-order mark; the id column keeps its name."""
+        table = tmp_path / "scores.csv"
+        table.write_text("utt,dsml,mos\n" + "".join(f"u{i},{i},{2 * i}\n" for i in range(5)), encoding="utf-8-sig")
+        assert table.read_bytes().startswith(b"\xef\xbb\xbfutt,")
+        assert run("correlate", "--table", table, "--metric-col", "utt", "--score-col", "mos") == 2
+        assert capsys.readouterr() == ("", "error: column 'utt' is the id column, not a numeric column\n")
+        assert run("correlate", "--table", table, "--metric-col", "dsml", "--score-col", "mos") == 0
+        assert capsys.readouterr() == ("pcc=1.000000 srcc=1.000000 n=5\n", "")
+
     def test_constant_column_reported(self, tmp_path, capsys):
         table = self.write_table(tmp_path, [f"u{i},1.0,{i}" for i in range(5)])
         assert run("correlate", "--table", table, "--metric-col", "metric", "--score-col", "score") == 2
@@ -1101,7 +1168,8 @@ def test_readme_flag_table_matches_parser():
 def test_nothing_keeps_a_scene_alive(scene_dir, tmp_path, monkeypatch):
     """Once a library call or a batch entry returns or raises, nothing holds its scene's
     signals or mask: no call keeps the last scene it saw.  Within an entry, the loaded
-    m and y_hat are gone once checked, and a sweep's s_hat once scored."""
+    m and y_hat are gone once checked, a sweep's s, y and w once its gain tracks and rows
+    are built, and its s_hat once scored."""
     (entry, *_) = manifest_from_scenes(scene_dir)
     config = rv.SuppressorConfig(beta=8.0)
     options = (rv.activity.DEFAULT_THRESHOLD_DB, rv.metrics.CLAMP_DB)
@@ -1170,8 +1238,8 @@ def test_nothing_keeps_a_scene_alive(scene_dir, tmp_path, monkeypatch):
         batch._sweep_entry(entry, [config, config], *options)
     assert_released()
 
-    # m and y_hat go once the load has checked them, and each alpha's s_hat
-    # goes before the next one is built
+    # m and y_hat go once the load has checked them, s, y and w before a
+    # sweep's first s_hat is built, and each alpha's s_hat before the next one
     load_wav, loaded, shats = rv.audio.load_wav, {}, []
 
     def watched_load(path):
@@ -1184,6 +1252,7 @@ def test_nothing_keeps_a_scene_alive(scene_dir, tmp_path, monkeypatch):
 
     def checked_suppress(tracks, config):
         assert_checked_components_gone()
+        assert [loaded[name]() for name in ("s.wav", "y.wav", "w.wav")] == [None, None, None]
         assert [ref() for ref in shats] == [None] * len(shats)
         s_hat = watched_suppress(tracks, config)
         shats.append(weakref.ref(s_hat))

@@ -75,8 +75,8 @@ def test_malformed_wav_fails_its_entry_on_one_line(tmp_path, monkeypatch, capsys
 
 @pytest.mark.parametrize("blob,message", [
     (b"", "{path}: empty CSV"),
-    (b"utt,a,b\nu0,1,2\nu1,inf,3\nu2,3,5\n", "{path}: cell ('u1', 'a') is not finite: inf"),
-    (b"utt,a,b\nu0,1,2\nu1,2,nan\nu2,3,5\n", "{path}: cell ('u1', 'b') is not finite: nan"),
+    (b"utt,a,b\nu0,1,2\nu1,inf,3\nu2,3,5\n", "{path}:3: cell 'inf' in column 'a' is not finite"),
+    (b"utt,a,b\nu0,1,2\nu1,2,nan\nu2,3,5\n", "{path}:3: cell 'nan' in column 'b' is not finite"),
     (b"utt,a,b\nu0,1,2\nu0,2,3\nu2,3,5\n", "{path}: duplicate utterance id 'u0'"),
     ("utt,a,b\nu0,1,2\nu1,2,3\n".encode("utf-16"),
      "{path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),

@@ -91,9 +91,8 @@ class TestScoreTable:
     def test_from_csv(self, tmp_path):
         path = self.write(tmp_path / "t.csv", "utt,dsml,mos\na,8.1,3.2\nb,7.4,\n")
         table = ScoreTable.from_csv(path)
-        assert table.columns == ("utt", "dsml", "mos")
-        assert table.rows[0]["dsml"] == 8.1
-        assert table.rows[1]["mos"] is None
+        assert list(table.columns) == ["utt", "dsml", "mos"]
+        assert table.columns == {"utt": ["a", "b"], "dsml": [8.1, 7.4], "mos": [3.2, None]}
 
     def test_ragged_rejected(self, tmp_path):
         path = self.write(tmp_path / "t.csv", "utt,a\nx,1,2\n")
@@ -103,7 +102,7 @@ class TestScoreTable:
     def test_non_numeric_rejected(self, tmp_path):
         path = self.write(tmp_path / "t.csv", "utt,a\nx,fast\n")
         with pytest.raises(ValueError, match="not numeric"):
-            ScoreTable.from_csv(path)
+            correlate_table(ScoreTable.from_csv(path), "a", "a")
 
     def test_duplicate_ids_rejected(self, tmp_path):
         path = self.write(tmp_path / "t.csv", "utt,a\nx,1\nx,2\n")
@@ -126,8 +125,8 @@ class TestScoreTable:
     ], ids=["leading", "between-rows", "trailing", "crlf"])
     def test_blank_lines_skipped(self, tmp_path, text):
         table = ScoreTable.from_csv(self.write(tmp_path / "t.csv", text))
-        assert table.columns == ("utt", "a", "b")
-        assert table.rows == ({"utt": "x", "a": 1.0, "b": 2.0}, {"utt": "y", "a": 3.0, "b": None})
+        assert list(table.columns) == ["utt", "a", "b"]
+        assert table.columns == {"utt": ["x", "y"], "a": [1.0, 3.0], "b": [2.0, None]}
 
     def test_blank_only_is_empty(self, tmp_path):
         path = self.write(tmp_path / "t.csv", "\n\n\n")
@@ -138,13 +137,14 @@ class TestScoreTable:
         """Blank lines count, so the line number is the one an editor shows."""
         path = self.write(tmp_path / "t.csv", "\nutt,a\n\nx,1\n\ny,fast\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:6: cell 'fast' in column 'a' is not numeric$"):
-            ScoreTable.from_csv(path)
+            correlate_table(ScoreTable.from_csv(path), "a", "a")
 
-    def test_first_column_is_the_id_column(self):
-        table = ScoreTable(columns=("name", "a"), rows=({"name": "x", "a": 1.0},))
+    def test_first_column_is_the_id_column(self, tmp_path):
+        table = ScoreTable({"name": ["x"], "a": [1.0]})
         assert table.id_column == "name"
-        with pytest.raises(ValueError, match="^duplicate utterance id 'x'$"):
-            ScoreTable(columns=("name", "a"), rows=({"name": "x", "a": 1.0}, {"name": "x", "a": 2.0}))
+        path = self.write(tmp_path / "t.csv", "name,a\nx,1\nx,2\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: duplicate utterance id 'x'$"):
+            ScoreTable.from_csv(path)
 
     def test_missing_column_lists_available(self, tmp_path):
         path = self.write(tmp_path / "t.csv", "utt,a\nx,1\n")
@@ -152,13 +152,32 @@ class TestScoreTable:
         with pytest.raises(ValueError, match="available: utt, a"):
             table.column("b")
 
+    def test_column_with_a_cell_that_is_no_finite_number_keeps_its_text(self, tmp_path):
+        path = self.write(tmp_path / "t.csv", "utt,room,a,b\nu0,x,1,2\nu1,,inf,3\nu2, 12 ,,5\n")
+        assert ScoreTable.from_csv(path).columns == {"utt": ["u0", "u1", "u2"], "room": ["x", None, "12"],
+                                                      "a": ["1", "inf", None], "b": [2.0, 3.0, 5.0]}
+
+    @pytest.mark.parametrize("metric,score,message", [
+        ("room", "b", ":2: cell 'x' in column 'room' is not numeric"),
+        ("b", "a", ":3: cell 'inf' in column 'a' is not finite"),
+        ("a", "room", ":3: cell 'inf' in column 'a' is not finite"),
+    ], ids=["text-metric", "non-finite-score", "metric-first"])
+    def test_text_metric_or_score_column_names_its_first_offending_line(self, tmp_path, metric, score, message):
+        path = self.write(tmp_path / "t.csv", "utt,room,a,b\nu0,x,1,2\nu1,y,inf,3\nu2,z,fast,5\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path) + message)}$"):
+            correlate_table(ScoreTable.from_csv(path), metric, score)
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("utt,a\nx,1\n", encoding="utf-8-sig")
+        assert ScoreTable.from_csv(path).columns == {"utt": ["x"], "a": [1.0]}
+
 
 class TestCorrelateTable:
     def make_table(self, pairs, missing=()):
-        rows = []
-        for i, (m, s) in enumerate(pairs):
-            rows.append({"utt": f"u{i}", "metric": m, "score": None if i in missing else s})
-        return ScoreTable(columns=("utt", "metric", "score"), rows=tuple(rows))
+        return ScoreTable({"utt": [f"u{i}" for i in range(len(pairs))],
+                           "metric": [m for m, _ in pairs],
+                           "score": [None if i in missing else s for i, (_, s) in enumerate(pairs)]})
 
     def test_self_correlation(self):
         table = self.make_table([(float(i), 2.0 * i) for i in range(10)])
@@ -188,9 +207,9 @@ class TestCorrelateTable:
 
     def grouped_table(self, groups):
         """Rows whose g is each key of groups, in its order, with that key's (metric, score) pairs."""
-        rows = [{"utt": f"u{k}_{i}", "g": key, "metric": m, "score": sc}
+        rows = [(f"u{k}_{i}", key, m, sc)
                 for k, (key, pairs) in enumerate(groups.items()) for i, (m, sc) in enumerate(pairs)]
-        return ScoreTable(columns=("utt", "g", "metric", "score"), rows=tuple(rows))
+        return ScoreTable(dict(zip(("utt", "g", "metric", "score"), map(list, zip(*rows)))))
 
     def test_group_by_ascending(self):
         """Groups come in ascending order, not the order of their rows; a row without a group is in none."""
@@ -199,6 +218,16 @@ class TestCorrelateTable:
                                     0.0: [(float(i), float(i)) for i in range(5)]})
         results = correlate_table(table, "metric", "score", group_by="g")
         assert [(group, res.n, res.srcc) for group, res in results] == [(0.0, 5, 1.0), (1.0, 4, -1.0)]
+
+    def test_group_by_text_column(self, tmp_path):
+        """A text column groups by its text, ascending; its empty cells are in no group and
+        a text column that is neither the metric nor the score column stops nothing."""
+        path = tmp_path / "t.csv"
+        path.write_text("utt,g,metric,score\n" + "".join(
+            f"u{key}{i},{key},{i},{i * sign}\n" for key, sign in (("b", -1), ("9", 1), ("", 7), ("10", 2))
+            for i in range(3)))
+        results = correlate_table(ScoreTable.from_csv(path), "metric", "score", group_by="g")
+        assert [(group, res.n, res.srcc) for group, res in results] == [("10", 3, 1.0), ("9", 3, 1.0), ("b", 3, -1.0)]
 
     @pytest.mark.parametrize("pairs,message", [
         ([(1.0, 1.0), (2.0, 1.0), (3.0, 1.0)], "g=1.0: correlation undefined for a constant sequence"),
