@@ -24,7 +24,7 @@ import sys
 from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from .common import _WAV_NAMES, check_out_file, write_csv, write_json
+from .common import _WAV_NAMES, CLAMP_DB, check_out_file, write_csv, write_json
 
 if TYPE_CHECKING:
     from .audio import SceneComponents
@@ -168,11 +168,9 @@ def _read_json(path):
 
 
 def _check_levels(args) -> None:
-    """Reject a --threshold-db that is not finite, or a --clamp-db that is not finite and > 0."""
+    """Reject a --threshold-db that is not finite."""
     if not math.isfinite(args.threshold_db):
         raise ValueError(f"threshold_db must be finite, got {args.threshold_db}")
-    if not 0 < args.clamp_db < math.inf:
-        raise ValueError(f"clamp_db must be finite and > 0, got {args.clamp_db}")
 
 
 def _check_jobs(args) -> None:
@@ -344,11 +342,11 @@ def _load_labeled(entry, extra, threshold_db):
     return components, classify(components.s, echo_reference(components), threshold_db)
 
 
-def _evaluate_entry(entry, threshold_db, clamp_db) -> MetricReport:
+def _evaluate_entry(entry, threshold_db) -> MetricReport:
     from .metrics import evaluate_scene, scene_rows
 
     components, mask = _load_labeled(entry, ("s_hat",), threshold_db)
-    return evaluate_scene(scene_rows(components, mask, clamp_db), components.s_hat)
+    return evaluate_scene(scene_rows(components, mask), components.s_hat)
 
 
 def _pooled_aggregates(reports) -> dict:
@@ -377,13 +375,13 @@ def run_evaluate(args) -> int:
     from . import activity, metrics
 
     reports, errors = _run_batch("evaluate", _evaluate_entry, [(e.id, e) for e in entries],
-                                 args.threshold_db, args.clamp_db, jobs=args.jobs)
+                                 args.threshold_db, jobs=args.jobs)
     for eid, report in reports.items():
         report.write_csv(os.path.join(args.out, f"frames_{eid}.csv"))
 
     payload = {
         "threshold_db": args.threshold_db,
-        "clamp_db": args.clamp_db,
+        "clamp_db": CLAMP_DB,
         "n_entries": len(entries),
         "n_failed": len(errors),
         "metrics": _pooled_aggregates(reports.values()),
@@ -397,7 +395,7 @@ def run_evaluate(args) -> int:
     return 1 if errors else 0
 
 
-def _sweep_entry(entry, configs, threshold_db, clamp_db) -> list[MetricReport]:
+def _sweep_entry(entry, configs, threshold_db) -> list[MetricReport]:
     """One report per suppressor config for one scene, whose gain tracks and rows are computed once."""
     from .audio import Signal
     from .metrics import evaluate_scene, scene_rows
@@ -405,7 +403,7 @@ def _sweep_entry(entry, configs, threshold_db, clamp_db) -> list[MetricReport]:
 
     components, mask = _load_labeled(entry, (), threshold_db)
     tracks = gain_tracks(components.e, components.s)
-    rows = scene_rows(components, mask, clamp_db)
+    rows = scene_rows(components, mask)
     # tracks keep e and rows their own frame copies: s, y and w are not
     # kept alive while each alpha's s_hat is scored
     del components, mask
@@ -420,15 +418,33 @@ def _sweep_entry(entry, configs, threshold_db, clamp_db) -> list[MetricReport]:
     return reports
 
 
-def _group_of(entry, tag):
-    if tag not in entry.tags:
-        raise ValueError(f"entry {entry.id!r} has no tag {tag!r}")
-    value = entry.tags[tag]
-    # a bool equals 1 or 0, so true would be pooled with 1 and 1.0
-    if not isinstance(value, (str, int, float)) or isinstance(value, bool):
-        raise ValueError(f"entry {entry.id!r}: tag {tag!r} must be a string or a number, "
-                         f"got {type(value).__name__}")
-    return value
+def _groups(entries, tag) -> dict:
+    """{entry id: its tag value}; a value that is no string or number is refused,
+    and so are values whose group cells correlate reads back empty or the same:
+    stripped, and as floats where every cell is a finite number."""
+    from .stats import _number
+
+    groups = {}
+    for entry in entries:
+        if tag not in entry.tags:
+            raise ValueError(f"entry {entry.id!r} has no tag {tag!r}")
+        value = groups[entry.id] = entry.tags[tag]
+        # a bool equals 1 or 0, so true would be pooled with 1 and 1.0
+        if not isinstance(value, (str, int, float)) or isinstance(value, bool):
+            raise ValueError(f"entry {entry.id!r}: tag {tag!r} must be a string or a number, "
+                             f"got {type(value).__name__}")
+    texts = {value: str(value).strip() for value in groups.values()}
+    try:
+        cells = {value: _number(text, "", 0, tag) for value, text in texts.items()}
+    except ValueError:  # a column of text
+        cells = texts
+    seen = {}
+    for value, cell in cells.items():
+        if not texts[value]:
+            raise ValueError(f"tag {tag!r}: value {value!r} reads as an empty cell in a table")
+        if seen.setdefault(cell, value) != value:
+            raise ValueError(f"tag {tag!r}: values {seen[cell]!r} and {value!r} read the same in a table")
+    return groups
 
 
 def run_sweep(args) -> int:
@@ -451,15 +467,9 @@ def run_sweep(args) -> int:
     check_out_file(args.out)
     _check_levels(args)
     entries = read_manifest(args.manifest) if args.manifest else manifest_from_scenes(args.scenes)
-    groups = {e.id: _group_of(e, args.group_by) for e in entries} if args.group_by else {}
-    # a string "1" and a number 1 would write the same group cell and the same ids
-    texts = {}
-    for group in groups.values():
-        if texts.setdefault(str(group), group) != group:
-            raise ValueError(f"tag {args.group_by!r}: values {texts[str(group)]!r} and {group!r} "
-                             f"read the same in a table")
+    groups = _groups(entries, args.group_by) if args.group_by else {}
     reports, errors = _run_batch("sweep", _sweep_entry, [(e.id, e) for e in entries], configs,
-                                 args.threshold_db, args.clamp_db)
+                                 args.threshold_db)
 
     rows = []
     for group in sorted({groups.get(eid) for eid in reports}, key=lambda v: (str(type(v)), v)):

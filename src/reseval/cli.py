@@ -15,7 +15,7 @@ import argparse
 import gc
 import sys
 
-from .common import CLAMP_DB, DEFAULT_THRESHOLD_DB, check_out_file, write_json
+from .common import DEFAULT_THRESHOLD_DB, check_out_file, write_json
 
 
 def cmd_simulate(args) -> int:
@@ -81,8 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     levels = argparse.ArgumentParser(add_help=False)
     levels.add_argument("--threshold-db", type=float, default=DEFAULT_THRESHOLD_DB, dest="threshold_db",
                         help=f"activity threshold (default {DEFAULT_THRESHOLD_DB})")
-    levels.add_argument("--clamp-db", type=float, default=CLAMP_DB, dest="clamp_db",
-                        help=f"metric clamp bound (default {CLAMP_DB})")
 
     p = sub.add_parser("simulate", parents=[jobs], help="generate synthetic scenes from a spec file")
     p.add_argument("--spec", required=True, help="JSON scene spec (fields may be lists, cycled per scene)")

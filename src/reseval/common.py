@@ -11,7 +11,7 @@ import os
 
 # activity threshold on frame energy, dB
 DEFAULT_THRESHOLD_DB = -50.0
-# metric clamp bound, dB
+# bound of every metric value, dB: fixed, not a setting
 CLAMP_DB = 120.0
 
 # the WAV file of each scene component in a scene directory

@@ -3,7 +3,7 @@
 All ratio metrics share one convention: a destroyed numerator (energy
 at or below the 1e-12 floor) reports the clamp minimum, a vanishing
 denominator reports the clamp maximum, and everything else is the plain
-dB ratio clamped to +-clamp_db.
+dB ratio clamped to +-CLAMP_DB (120 dB).
 
 Each metric is defined once, as a row-wise kernel over (frames, samples)
 matrices; evaluate_scene runs it on the rows of the metric's condition
@@ -50,11 +50,11 @@ def _row_energy(frames: np.ndarray) -> np.ndarray:
     return _row_dot(frames, frames)
 
 
-def _ratio_rows(num: np.ndarray, den: np.ndarray, clamp_db: float) -> np.ndarray:
+def _ratio_rows(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Clamped 10*log10(num/den) per row with the shared floor convention."""
     with np.errstate(all="ignore"):
-        value = np.clip(10.0 * np.log10(num / den), -clamp_db, clamp_db)
-    return np.where(num <= ENERGY_FLOOR, -clamp_db, np.where(den <= ENERGY_FLOOR, clamp_db, value))
+        value = np.clip(10.0 * np.log10(num / den), -CLAMP_DB, CLAMP_DB)
+    return np.where(num <= ENERGY_FLOOR, -CLAMP_DB, np.where(den <= ENERGY_FLOOR, CLAMP_DB, value))
 
 
 def _gain_denominator(e: np.ndarray) -> np.ndarray:
@@ -79,28 +79,24 @@ def _compensation_rows(gs: np.ndarray, s: np.ndarray, s_energy: np.ndarray) -> n
     return np.where(degenerate, 1.0, _row_dot(gs, s) / np.where(degenerate, 1.0, s_energy))
 
 
-def _dsml_rows(s: np.ndarray, s_energy: np.ndarray, gain: np.ndarray, clamp_db: float) -> np.ndarray:
+def _dsml_rows(s: np.ndarray, s_energy: np.ndarray, gain: np.ndarray) -> np.ndarray:
     gs = gain * s
     s_tilde = _compensation_rows(gs, s, s_energy)[:, None] * s
     s_tilde_energy = _row_energy(s_tilde)
     distortion = np.subtract(s_tilde, gs, out=gs)
-    return _ratio_rows(s_tilde_energy, _row_energy(distortion), clamp_db)
+    return _ratio_rows(s_tilde_energy, _row_energy(distortion))
 
 
-def _resl_rows(r: np.ndarray, r_energy: np.ndarray, gain: np.ndarray, clamp_db: float) -> np.ndarray:
-    return _ratio_rows(r_energy, _row_energy(gain * r), clamp_db)
+def _resl_rows(r: np.ndarray, r_energy: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    return _ratio_rows(r_energy, _row_energy(gain * r))
 
 
-def _projected_rows(s: np.ndarray, s_energy: np.ndarray, s_hat: np.ndarray, clamp_db: float) -> np.ndarray:
+def _projected_rows(s: np.ndarray, s_energy: np.ndarray, s_hat: np.ndarray) -> np.ndarray:
     # rescale s_hat so a constant attenuation cancels; degenerate
     # projections (silent s or zero s_hat) leave s_hat unscaled
     proj = _row_dot(s_hat, s) / np.where(s_energy > COMP_DEGENERATE, s_energy, 1.0)
     scale = np.where((s_energy > COMP_DEGENERATE) & (np.abs(proj) > COMP_DEGENERATE), proj, 1.0)
-    return _ratio_rows(s_energy, _row_energy(s - s_hat / scale[:, None]), clamp_db)
-
-
-def _energy_ratio_rows(num_energy: np.ndarray, den_frames: np.ndarray, clamp_db: float) -> np.ndarray:
-    return _ratio_rows(num_energy, _row_energy(den_frames), clamp_db)
+    return _ratio_rows(s_energy, _row_energy(s - s_hat / scale[:, None]))
 
 
 def _rows(*frames) -> list[np.ndarray]:
@@ -112,9 +108,9 @@ def _rows(*frames) -> list[np.ndarray]:
     return [a[None, :] for a in arrays]
 
 
-def _energy_ratio(num_frame, den_frame, clamp_db: float) -> float:
+def _energy_ratio(num_frame, den_frame) -> float:
     num, den = _rows(num_frame, den_frame)
-    return float(_energy_ratio_rows(_row_energy(num), den, clamp_db)[0])
+    return float(_ratio_rows(_row_energy(num), _row_energy(den))[0])
 
 
 def compute_gain(s_hat_frame, e_frame) -> np.ndarray:
@@ -127,17 +123,17 @@ def compute_gain(s_hat_frame, e_frame) -> np.ndarray:
     return (s_hat / _gain_denominator(e))[0]
 
 
-def dsml(s_frame, gain, clamp_db: float = CLAMP_DB) -> float:
+def dsml(s_frame, gain) -> float:
     """Desired-speech maintained level in dB for one double-talk frame.
 
     The gain is applied to the clean speech only; a constant attenuation
     is projected out first so it does not register as distortion.
     """
     s, gain = _rows(s_frame, gain)
-    return float(_dsml_rows(s, _row_energy(s), gain, clamp_db)[0])
+    return float(_dsml_rows(s, _row_energy(s), gain)[0])
 
 
-def resl(s_frame, e_frame, gain, clamp_db: float = CLAMP_DB) -> float:
+def resl(s_frame, e_frame, gain) -> float:
     """Residual-echo suppression level in dB for one double-talk frame.
 
     The noisy residual is estimated as e - s; the metric is the energy
@@ -145,33 +141,33 @@ def resl(s_frame, e_frame, gain, clamp_db: float = CLAMP_DB) -> float:
     """
     s, e, gain = _rows(s_frame, e_frame, gain)
     r = e - s
-    return float(_resl_rows(r, _row_energy(r), gain, clamp_db)[0])
+    return float(_resl_rows(r, _row_energy(r), gain)[0])
 
 
-def sdr(s_frame, s_hat_frame, clamp_db: float = CLAMP_DB) -> float:
+def sdr(s_frame, s_hat_frame) -> float:
     """Signal-to-distortion ratio in dB (double-talk), attenuation-compensated."""
     s, s_hat = _rows(s_frame, s_hat_frame)
-    return float(_projected_rows(s, _row_energy(s), s_hat, clamp_db)[0])
+    return float(_projected_rows(s, _row_energy(s), s_hat)[0])
 
 
-def sar(s_frame, s_hat_frame, clamp_db: float = CLAMP_DB) -> float:
+def sar(s_frame, s_hat_frame) -> float:
     """Signal-to-artifacts ratio in dB (near-end single-talk), same form as sdr."""
-    return sdr(s_frame, s_hat_frame, clamp_db)
+    return sdr(s_frame, s_hat_frame)
 
 
-def erle(e_frame, s_hat_frame, clamp_db: float = CLAMP_DB) -> float:
+def erle(e_frame, s_hat_frame) -> float:
     """Echo-return-loss enhancement in dB (far-end single-talk), uncompensated."""
-    return _energy_ratio(e_frame, s_hat_frame, clamp_db)
+    return _energy_ratio(e_frame, s_hat_frame)
 
 
-def ser(s_frame, y_frame, clamp_db: float = CLAMP_DB) -> float:
+def ser(s_frame, y_frame) -> float:
     """Signal-to-echo ratio in dB."""
-    return _energy_ratio(s_frame, y_frame, clamp_db)
+    return _energy_ratio(s_frame, y_frame)
 
 
-def snr(s_frame, w_frame, clamp_db: float = CLAMP_DB) -> float:
+def snr(s_frame, w_frame) -> float:
     """Signal-to-noise ratio in dB."""
-    return _energy_ratio(s_frame, w_frame, clamp_db)
+    return _energy_ratio(s_frame, w_frame)
 
 
 @dataclass(frozen=True)
@@ -224,7 +220,6 @@ class _SceneRows:
     """
 
     grid: FrameGrid
-    clamp_db: float
     labels: tuple[FrameLabel, ...]
     dt: np.ndarray
     s_dt: np.ndarray
@@ -240,7 +235,7 @@ class _SceneRows:
     values: dict[str, np.ndarray]  # ser and snr, which need no s_hat
 
 
-def scene_rows(components: SceneComponents, mask: ActivityMask, clamp_db: float = CLAMP_DB) -> _SceneRows:
+def scene_rows(components: SceneComponents, mask: ActivityMask) -> _SceneRows:
     """Everything evaluate_scene reads of a scene besides s_hat (s and e required).
 
     To score one scene under several suppressors, build these once and
@@ -258,16 +253,12 @@ def scene_rows(components: SceneComponents, mask: ActivityMask, clamp_db: float 
     ne = mask.indices(FrameLabel.NEAR_END)
     s_ne = s_frames[ne]
     fe = mask.indices(FrameLabel.FAR_END)
-    values = {}
     s_energy = _row_energy(s_frames)
-    for name, other in (("ser", y), ("snr", w)):
-        if other is None:
-            values[name] = np.full(grid.n_frames, np.nan)
-        else:
-            values[name] = _energy_ratio_rows(s_energy, grid.frame_matrix(other.samples), clamp_db)
+    values = {name: np.full(grid.n_frames, np.nan) if other is None
+              else _ratio_rows(s_energy, _row_energy(grid.frame_matrix(other.samples)))
+              for name, other in (("ser", y), ("snr", w))}
     rows = _SceneRows(
-        grid=grid, clamp_db=clamp_db,
-        labels=mask.labels,
+        grid=grid, labels=mask.labels,
         dt=dt, s_dt=s_dt, s_dt_energy=_row_energy(s_dt),
         r_dt=r_dt, r_dt_energy=_row_energy(r_dt), e_dt_den=_gain_denominator(e_dt),
         ne=ne, s_ne=s_ne, s_ne_energy=_row_energy(s_ne),
@@ -283,21 +274,20 @@ def scene_rows(components: SceneComponents, mask: ActivityMask, clamp_db: float 
 def evaluate_scene(rows: _SceneRows, s_hat: Signal) -> MetricReport:
     """Compute every applicable metric per frame of s_hat.
 
-    rows = scene_rows(components, mask, clamp_db) is the rest of the
-    scene; ser/snr additionally need its y/w.  A metric whose condition
+    rows = scene_rows(components, mask) is the rest of the scene;
+    ser/snr additionally need its y/w.  A metric whose condition
     never occurs is NaN on every frame, so aggregates omit it rather than
     report zero.  An s_hat whose length is not the scene's raises ValueError.
     """
-    clamp_db = rows.clamp_db
     sh_frames = rows.grid.frame_matrix(s_hat.samples)
     values = {name: np.full(rows.grid.n_frames, np.nan) for name in METRIC_NAMES if name not in rows.values}
     sh_dt = sh_frames[rows.dt]
     gain = sh_dt / rows.e_dt_den
-    values["dsml"][rows.dt] = _dsml_rows(rows.s_dt, rows.s_dt_energy, gain, clamp_db)
-    values["resl"][rows.dt] = _resl_rows(rows.r_dt, rows.r_dt_energy, gain, clamp_db)
-    values["sdr"][rows.dt] = _projected_rows(rows.s_dt, rows.s_dt_energy, sh_dt, clamp_db)
+    values["dsml"][rows.dt] = _dsml_rows(rows.s_dt, rows.s_dt_energy, gain)
+    values["resl"][rows.dt] = _resl_rows(rows.r_dt, rows.r_dt_energy, gain)
+    values["sdr"][rows.dt] = _projected_rows(rows.s_dt, rows.s_dt_energy, sh_dt)
     # the other conditions' kernels run without the double-talk temporaries
     del sh_dt, gain
-    values["sar"][rows.ne] = _projected_rows(rows.s_ne, rows.s_ne_energy, sh_frames[rows.ne], clamp_db)
-    values["erle"][rows.fe] = _energy_ratio_rows(rows.e_fe_energy, sh_frames[rows.fe], clamp_db)
+    values["sar"][rows.ne] = _projected_rows(rows.s_ne, rows.s_ne_energy, sh_frames[rows.ne])
+    values["erle"][rows.fe] = _ratio_rows(rows.e_fe_energy, _row_energy(sh_frames[rows.fe]))
     return MetricReport(labels=rows.labels, values={**values, **rows.values})

@@ -653,18 +653,28 @@ class TestSweep:
 
     def test_group_values_that_read_the_same_rejected_before_any_entry(self, scene_dir, tmp_path,
                                                                         monkeypatch, capsys):
-        """A string '1' and a number 1 would write the same group cell and the same ids."""
-        entries = manifest_from_scenes(scene_dir)
-        for entry, value in zip(entries, (1, "1", 1)):
-            entry.tags["g"] = value
-        write_manifest(tmp_path / "m.json", entries)
+        """Group cells read back stripped, and as numbers where every cell is one, so a
+        string '1' and a number 1, or 'a' and ' a', would write one group and the same ids;
+        a cell that reads back empty would leave its rows in no group."""
         calls = []
         monkeypatch.setattr(rv.activity, "classify", lambda *a: calls.append(a))
-        assert run("sweep", "--manifest", tmp_path / "m.json", "--alphas", "0", "--group-by", "g",
-                   "--out", tmp_path / "x.csv") == 2
-        assert capsys.readouterr().err == "error: tag 'g': values 1 and '1' read the same in a table\n"
-        assert calls == []
-        assert not (tmp_path / "x.csv").exists()
+        for values, error in [
+            ((1, "1", 1), "values 1 and '1' read the same in a table"),
+            (("a", " a", "b"), "values 'a' and ' a' read the same in a table"),
+            (("a", "b", "a "), "values 'a' and 'a ' read the same in a table"),
+            (("1", "1.0", "2"), "values '1' and '1.0' read the same in a table"),
+            (("a", "", "b"), "value '' reads as an empty cell in a table"),
+            (("a", "b", " "), "value ' ' reads as an empty cell in a table"),
+        ]:
+            entries = manifest_from_scenes(scene_dir)
+            for entry, value in zip(entries, values):
+                entry.tags["g"] = value
+            write_manifest(tmp_path / "m.json", entries)
+            assert run("sweep", "--manifest", tmp_path / "m.json", "--alphas", "0", "--group-by", "g",
+                       "--out", tmp_path / "x.csv") == 2
+            assert capsys.readouterr().err == f"error: tag 'g': {error}\n"
+            assert calls == []
+            assert not (tmp_path / "x.csv").exists()
 
     def test_sweep_with_every_entry_failed_writes_header_only(self, tmp_path, scene_dir, capsys):
         manifest = tmp_path / "m.json"
@@ -755,7 +765,7 @@ class TestSweep:
         """Reports of one sweep entry equal fresh per-alpha suppress + evaluate calls, bit for bit."""
         configs = [rv.SuppressorConfig(beta=b) for b in rv.beta_schedule([0, 0.25, 0.5, 0.75, 1])]
         for entry in manifest_from_scenes(scene_dir):
-            reports = batch._sweep_entry(entry, configs, rv.activity.DEFAULT_THRESHOLD_DB, rv.metrics.CLAMP_DB)
+            reports = batch._sweep_entry(entry, configs, rv.activity.DEFAULT_THRESHOLD_DB)
             assert len(reports) == len(configs)
             for config, report in zip(configs, reports):
                 c = SceneComponents(**{k: load_wav(entry.paths[k]) for k in ("s", "y", "w", "e")})
@@ -771,16 +781,11 @@ class TestSweep:
 
 @pytest.mark.parametrize("command", ["evaluate", "sweep"])
 @pytest.mark.parametrize("flags,options,match", [
-    (["--clamp-db", -5], None, "clamp_db must be finite and > 0, got -5.0"),
-    (["--clamp-db", 0], None, "clamp_db must be finite and > 0, got 0.0"),
-    (["--clamp-db", "nan"], None, "clamp_db must be finite and > 0, got nan"),
-    (["--clamp-db", "inf"], None, "clamp_db must be finite and > 0, got inf"),
     (["--threshold-db", "nan"], None, "threshold_db must be finite, got nan"),
     (["--threshold-db=-inf"], None, "threshold_db must be finite, got -inf"),
     # the levels come only from the flags, so a manifest may not set them
     ([], {"threshold_db": -40.0, "clamp_db": 60.0}, "{manifest}: unknown key 'options'"),
-], ids=["clamp-negative", "clamp-zero", "clamp-nan", "clamp-inf", "threshold-nan", "threshold-minus-inf",
-        "manifest-options"])
+], ids=["threshold-nan", "threshold-minus-inf", "manifest-options"])
 def test_meaningless_clamp_or_threshold_rejected_before_any_entry(scene_dir, tmp_path, monkeypatch, capsys,
                                                                   command, flags, options, match):
     manifest = tmp_path / "m.json"
@@ -1172,7 +1177,7 @@ def test_nothing_keeps_a_scene_alive(scene_dir, tmp_path, monkeypatch):
     are built, and its s_hat once scored."""
     (entry, *_) = manifest_from_scenes(scene_dir)
     config = rv.SuppressorConfig(beta=8.0)
-    options = (rv.activity.DEFAULT_THRESHOLD_DB, rv.metrics.CLAMP_DB)
+    threshold_db = rv.activity.DEFAULT_THRESHOLD_DB
     refs = []
 
     def watch(*objects):
@@ -1184,12 +1189,12 @@ def test_nothing_keeps_a_scene_alive(scene_dir, tmp_path, monkeypatch):
         refs.clear()
 
     entry.paths["s_hat"] = batch._suppress_entry(entry, config, str(tmp_path))
-    components, mask = batch._load_labeled(entry, ("s_hat",), options[0])
+    components, mask = batch._load_labeled(entry, ("s_hat",), threshold_db)
     tracks = rv.gain_tracks(components.e, components.s)
     watch(components.s, components.e, tracks, rv.oracle_suppress(tracks, config))
     del components, mask, tracks
     assert_released()
-    components, mask = batch._load_labeled(entry, ("s_hat",), options[0])
+    components, mask = batch._load_labeled(entry, ("s_hat",), threshold_db)
     rows = rv.scene_rows(components, mask)
     rv.evaluate_scene(rows, components.s_hat)
     watch(components.s, components.e, components.s_hat, mask, rows)
@@ -1207,9 +1212,9 @@ def test_nothing_keeps_a_scene_alive(scene_dir, tmp_path, monkeypatch):
         watch(tracks, tracks.e)
         return oracle_suppress(tracks, config)
 
-    def watched_rows(components, mask, *args):
+    def watched_rows(components, mask):
         watch(components.s, components.e, mask)
-        return scene_rows(components, mask, *args)
+        return scene_rows(components, mask)
 
     def watched_evaluate(rows, s_hat):
         watch(rows, s_hat)
@@ -1221,9 +1226,9 @@ def test_nothing_keeps_a_scene_alive(scene_dir, tmp_path, monkeypatch):
     monkeypatch.setattr(rv.metrics, "evaluate_scene", watched_evaluate)
     batch._suppress_entry(entry, config, str(tmp_path))
     assert_released()
-    batch._evaluate_entry(entry, *options)
+    batch._evaluate_entry(entry, threshold_db)
     assert_released()
-    batch._sweep_entry(entry, [config, config], *options)
+    batch._sweep_entry(entry, [config, config], threshold_db)
     assert_released()
 
     def fails_after_evaluating(*args, **kwargs):
@@ -1232,10 +1237,10 @@ def test_nothing_keeps_a_scene_alive(scene_dir, tmp_path, monkeypatch):
 
     monkeypatch.setattr(rv.metrics, "evaluate_scene", fails_after_evaluating)
     with pytest.raises(RuntimeError, match="evaluation failed"):
-        batch._evaluate_entry(entry, *options)
+        batch._evaluate_entry(entry, threshold_db)
     assert_released()
     with pytest.raises(RuntimeError, match="evaluation failed"):
-        batch._sweep_entry(entry, [config, config], *options)
+        batch._sweep_entry(entry, [config, config], threshold_db)
     assert_released()
 
     # m and y_hat go once the load has checked them, s, y and w before a
@@ -1265,10 +1270,10 @@ def test_nothing_keeps_a_scene_alive(scene_dir, tmp_path, monkeypatch):
     monkeypatch.setattr(rv.audio, "load_wav", watched_load)
     monkeypatch.setattr(rv.suppressor, "oracle_suppress", checked_suppress)
     monkeypatch.setattr(rv.metrics, "evaluate_scene", checked_evaluate)
-    batch._evaluate_entry(entry, *options)
+    batch._evaluate_entry(entry, threshold_db)
     assert_released()
     loaded.clear()
-    batch._sweep_entry(entry, [config, config, config], *options)
+    batch._sweep_entry(entry, [config, config, config], threshold_db)
     assert len(shats) == 3
     assert_released()
 
@@ -1494,9 +1499,14 @@ def test_suppress_and_sweep_leave_numpy_ma_unimported(scene_dir, tmp_path):
      "reseval: error: unrecognized arguments: --floor 0.1"),
     (["sweep", "--scenes", "scenes", "--alphas", "0", "--out", "t.csv", "--floor", "0.1"],
      "reseval: error: unrecognized arguments: --floor 0.1"),
+    # nor is the metrics' clamp
+    (["evaluate", "--scenes", "scenes", "--out", "r", "--clamp-db", "60"],
+     "reseval: error: unrecognized arguments: --clamp-db 60"),
+    (["sweep", "--scenes", "scenes", "--alphas", "0", "--out", "t.csv", "--clamp-db", "60"],
+     "reseval: error: unrecognized arguments: --clamp-db 60"),
 ], ids=["sweep-manifest-and-scenes", "evaluate-manifest-and-scenes", "suppress-alpha-and-beta",
         "sweep-scenes-and-count", "sweep-scenes-and-seed", "sweep-scenes-and-scenes-dir", "sweep-scenes-and-spec",
-        "suppress-floor", "sweep-floor"])
+        "suppress-floor", "sweep-floor", "evaluate-clamp", "sweep-clamp"])
 def test_exclusive_flags_rejected_before_any_entry(scene_dir, tmp_path, monkeypatch, capsys, argv, error):
     shutil.copytree(scene_dir, tmp_path / "scenes")
     write_spec(tmp_path)

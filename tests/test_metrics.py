@@ -15,6 +15,7 @@ from reseval import FrameLabel, Signal, classify, compute_gain, dsml, erle, eval
 from reseval.activity import ActivityMask
 from reseval.audio import SceneComponents, load_wav, save_wav
 from reseval.cli import main
+from reseval.common import CLAMP_DB
 from reseval.framing import FRAME_LEN, HOP, FrameGrid
 from reseval.metrics import (
     COMP_DEGENERATE,
@@ -23,9 +24,9 @@ from reseval.metrics import (
     MetricReport,
     _compensation_rows,
     _dsml_rows,
-    _energy_ratio_rows,
     _gain_denominator,
     _projected_rows,
+    _ratio_rows,
     _resl_rows,
     _row_energy,
     aggregate_metrics,
@@ -362,29 +363,28 @@ def edge_case_segments(rng):
     yield s, e, 1e-7 * e, noise(1e-7), noise(1.0)  # erle far past the clamp
 
 
-def oracle_frame(label, s, e, s_hat, y, w, clamp):
+def oracle_frame(label, s, e, s_hat, y, w):
     """Expected metric values of one frame; NaN where the label excludes a metric."""
     s, e, s_hat, y, w = (list(map(float, a)) for a in (s, e, s_hat, y, w))
     out = {name: math.nan for name in METRIC_NAMES}
     if label is FrameLabel.DOUBLE_TALK:
         g = oracles.gain(s_hat, e)
-        out["dsml"] = oracles.dsml(s, g, clamp)
-        out["resl"] = oracles.resl(s, e, g, clamp)
-        out["sdr"] = oracles.sdr(s, s_hat, clamp)
+        out["dsml"] = oracles.dsml(s, g)
+        out["resl"] = oracles.resl(s, e, g)
+        out["sdr"] = oracles.sdr(s, s_hat)
     elif label is FrameLabel.NEAR_END:
-        out["sar"] = oracles.sar(s, s_hat, clamp)
+        out["sar"] = oracles.sar(s, s_hat)
     elif label is FrameLabel.FAR_END:
-        out["erle"] = oracles.erle(e, s_hat, clamp)
-    out["ser"] = oracles.ser(s, y, clamp)
-    out["snr"] = oracles.snr(s, w, clamp)
+        out["erle"] = oracles.erle(e, s_hat)
+    out["ser"] = oracles.ser(s, y)
+    out["snr"] = oracles.snr(s, w)
     return out
 
 
 class TestEvaluateSceneOracles:
     """evaluate_scene per frame against the brute-force oracles, edge frames included."""
 
-    @pytest.mark.parametrize("clamp", [120.0, 60.0])
-    def test_every_frame_matches_oracles(self, clamp):
+    def test_every_frame_matches_oracles(self):
         segments = list(edge_case_segments(np.random.default_rng(31)))
         signals = [np.concatenate(parts) for parts in zip(*segments)]
         comps = SceneComponents(**{name: Signal(x) for name, x in zip(("s", "e", "s_hat", "y", "w"), signals)})
@@ -394,16 +394,16 @@ class TestEvaluateSceneOracles:
         # shift the label cycle so every frame is scored under every label
         for shift in range(len(LABEL_CYCLE)):
             labels = tuple(LABEL_CYCLE[(i + shift) % len(LABEL_CYCLE)] for i in range(grid.n_frames))
-            report = evaluate_scene(scene_rows(comps, ActivityMask(labels=labels, grid=grid), clamp), comps.s_hat)
+            report = evaluate_scene(scene_rows(comps, ActivityMask(labels=labels, grid=grid)), comps.s_hat)
             for i, label in enumerate(labels):
-                expected = oracle_frame(label, *(f[i] for f in frames), clamp)
+                expected = oracle_frame(label, *(f[i] for f in frames))
                 for name in METRIC_NAMES:
                     got, want = report.values[name][i], expected[name]
                     if math.isnan(want):
                         assert math.isnan(got), (name, i, label)
                     else:
                         assert_close(got, want, 1e-9, f"{name} frame {i} {label.value}")
-                        hit_clamp += abs(want) == clamp
+                        hit_clamp += abs(want) == CLAMP_DB
         assert hit_clamp > 0
 
 
@@ -419,8 +419,7 @@ def assert_same_report(got, want):
 class TestSceneRowsCache:
     """Rows built once by scene_rows serve every s_hat of their scene."""
 
-    @pytest.mark.parametrize("clamp", [120.0, 60.0])
-    def test_reused_rows_give_the_cold_report(self, clamp):
+    def test_reused_rows_give_the_cold_report(self):
         # edge frames under every label, and s_hats that reach the +-clamp bound
         segments = list(edge_case_segments(np.random.default_rng(32)))
         s, e, s_hat, y, w = (np.concatenate(parts) for parts in zip(*segments))
@@ -430,12 +429,12 @@ class TestSceneRowsCache:
         mask = ActivityMask(labels=labels, grid=grid)
         s_hats = [Signal(x) for x in (s_hat, np.zeros_like(e), e, 0.5 * s, 1e-7 * e,
                                       np.random.default_rng(33).standard_normal(len(e)) * 0.1)]
-        rows = scene_rows(components, mask, clamp)
+        rows = scene_rows(components, mask)
         hit_clamp = 0
         for s_hat in s_hats:
             report = evaluate_scene(rows, s_hat)
-            assert_same_report(report, evaluate_scene(scene_rows(components, mask, clamp), s_hat))
-            hit_clamp += sum(np.count_nonzero(np.abs(v) == clamp) for v in report.values.values())
+            assert_same_report(report, evaluate_scene(scene_rows(components, mask), s_hat))
+            hit_clamp += sum(np.count_nonzero(np.abs(v) == CLAMP_DB) for v in report.values.values())
         assert hit_clamp > 0
         assert all(not a.flags.writeable for a in (*vars(rows).values(), *rows.values.values())
                    if isinstance(a, np.ndarray))
@@ -443,7 +442,7 @@ class TestSceneRowsCache:
 
 @st.composite
 def short_scenes(draw):
-    """A scene of 1-5 frames, any mask, any clamp.
+    """A scene of 1-5 frames, any mask.
 
     Each of s, e, s_hat, y and w is all-zero or noise, at full scale or
     scaled by 1e-9.
@@ -457,16 +456,15 @@ def short_scenes(draw):
         signals[name] = Signal(samples * draw(st.sampled_from([1.0, 1e-9])))
     grid = FrameGrid(length)
     labels = tuple(draw(st.lists(st.sampled_from(list(FrameLabel)), min_size=n_frames, max_size=n_frames)))
-    clamp = draw(st.sampled_from([120.0, 60.0, 1.0]))
-    return SceneComponents(**signals), ActivityMask(labels=labels, grid=grid), clamp
+    return SceneComponents(**signals), ActivityMask(labels=labels, grid=grid)
 
 
 class TestEvaluateSceneProperties:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(short_scenes())
     def test_values_on_condition_finite_within_clamp(self, scene):
-        components, mask, clamp = scene
-        report = evaluate_scene(scene_rows(components, mask, clamp), components.s_hat)
+        components, mask = scene
+        report = evaluate_scene(scene_rows(components, mask), components.s_hat)
         n_frames = mask.grid.n_frames
         assert report.labels == tuple(label.value for label in mask.labels)
         for name in METRIC_NAMES:
@@ -475,14 +473,14 @@ class TestEvaluateSceneProperties:
             values = report.values[name]
             assert values.shape == (n_frames,)
             assert np.array_equal(np.isnan(values), ~on), name
-            assert np.all(np.abs(values[on]) <= clamp), name
+            assert np.all(np.abs(values[on]) <= CLAMP_DB), name
             agg = report.aggregates.get(name)
             assert (agg.count if agg else 0) == np.count_nonzero(on), name
         counts = [report.aggregates[name].count for name in ("dsml", "sar", "erle") if name in report.aggregates]
         assert sum(counts) + report.labels.count(FrameLabel.SILENCE.value) == n_frames
 
 
-def assert_scale_invariant(components, mask, clamp, c) -> int:
+def assert_scale_invariant(components, mask, c) -> int:
     """Assert that DSML, SDR and SAR of s_hat and c * s_hat agree within 1e-6 dB.
 
     Only frames whose compensation is not degenerate at either scale are
@@ -490,7 +488,7 @@ def assert_scale_invariant(components, mask, clamp, c) -> int:
     ratio that crosses the 1e-12 floor lands too.  Returns how many
     values were checked.
     """
-    rows = scene_rows(components, mask, clamp)
+    rows = scene_rows(components, mask)
     s = mask.grid.frame_matrix(components.s.samples)
     s_energy = np.einsum("ij,ij->i", s, s)
     live = s_energy > COMP_DEGENERATE
@@ -505,7 +503,7 @@ def assert_scale_invariant(components, mask, clamp, c) -> int:
     checked = 0
     for name, compensated in (("dsml", live), ("sdr", projected), ("sar", projected)):
         base, scaled = (report.values[name] for report in reports)
-        keep = compensated & ~np.isnan(base) & (np.abs(base) < clamp) & (np.abs(scaled) < clamp)
+        keep = compensated & ~np.isnan(base) & (np.abs(base) < CLAMP_DB) & (np.abs(scaled) < CLAMP_DB)
         worst = np.max(np.abs(scaled[keep] - base[keep]), initial=0.0)
         assert worst <= 1e-6, (name, c, worst)
         checked += np.count_nonzero(keep)
@@ -516,14 +514,14 @@ def assert_scale_invariant(components, mask, clamp, c) -> int:
 def suppressed_scenes(draw):
     """A short_scenes() scene as it is, or with its s, e and s_hat replaced by
     talk: e is s plus an echo, and s_hat is 0.6 e plus a little noise."""
-    components, mask, clamp = draw(short_scenes())
+    components, mask = draw(short_scenes())
     if draw(st.booleans()):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         s, echo, noise = rng.standard_normal((3, len(components.s)))
         e = s + 0.5 * echo
         s_hat = 0.6 * e + 0.05 * noise
         components = dataclasses.replace(components, s=Signal(s), e=Signal(e), s_hat=Signal(s_hat))
-    return components, mask, clamp
+    return components, mask
 
 
 class TestScaleInvariance:
@@ -537,7 +535,7 @@ class TestScaleInvariance:
         comps, mask = build_scene(seed=21)
         noise = np.random.default_rng(21).standard_normal(len(comps.e))
         comps = dataclasses.replace(comps, s_hat=Signal(0.6 * comps.e.samples + 0.05 * noise))
-        assert assert_scale_invariant(comps, mask, 120.0, c) > 10
+        assert assert_scale_invariant(comps, mask, c) > 10
 
 
 @st.composite
@@ -557,11 +555,11 @@ class TestRowKernelProperties:
         gain = s_hat / _gain_denominator(e)
         s_energy, r = _row_energy(s), e - s
         got = {
-            "dsml": _dsml_rows(s, s_energy, gain, 120.0),
-            "resl": _resl_rows(r, _row_energy(r), gain, 120.0),
-            "sdr": _projected_rows(s, s_energy, s_hat, 120.0),
-            "erle": _energy_ratio_rows(_row_energy(e), s_hat, 120.0),
-            "ser": _energy_ratio_rows(s_energy, y, 120.0),
+            "dsml": _dsml_rows(s, s_energy, gain),
+            "resl": _resl_rows(r, _row_energy(r), gain),
+            "sdr": _projected_rows(s, s_energy, s_hat),
+            "erle": _ratio_rows(_row_energy(e), _row_energy(s_hat)),
+            "ser": _ratio_rows(s_energy, _row_energy(y)),
         }
         for i in range(s.shape[0]):
             rows = [list(map(float, a[i])) for a in (s, e, s_hat, y)]
