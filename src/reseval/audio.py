@@ -131,7 +131,8 @@ def load_wav(path) -> Signal:
     error naming the offending property.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        # chunks are views of the file's bytes, so the data chunk is not copied
+        data = memoryview(fh.read())
     if len(data) < 12:
         raise TruncatedWavError(f"{path}: file too short for a RIFF header")
     if data[:4] != b"RIFF" or data[8:12] != b"WAVE":
@@ -191,7 +192,7 @@ def load_wav(path) -> Signal:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _extensible_subformat(fmt_chunk: bytes, path) -> int:
+def _extensible_subformat(fmt_chunk: memoryview, path) -> int:
     """Plain format tag behind a WAVE_FORMAT_EXTENSIBLE SubFormat GUID."""
     if len(fmt_chunk) < 40 or struct.unpack_from("<H", fmt_chunk, 16)[0] < 22:
         raise WavFormatError(f"{path}: extensible fmt chunk too short for its SubFormat")

@@ -8,7 +8,11 @@ one.  reseval.cli imports this module only when one of these commands
 runs, so --help and correlate never compile it.  Every batch command
 runs its scenes or manifest entries through _run_batch, each in
 isolation: a failing item is reported on one stderr line and the batch
-goes on, and the exit status is nonzero when any item failed.
+goes on, and the exit status is nonzero when any item failed.  Each
+item's result goes to the command's consumer as it arrives, in input
+order, and is let go: evaluate and sweep pool the moments of each
+metric (metrics.Moments) that an entry returns, so no per-frame array
+outlives its entry.
 
 Each function imports the compute modules it calls when it runs and
 looks each compute function up on its module at call time, where a
@@ -21,6 +25,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -28,7 +33,7 @@ from .common import _WAV_NAMES, CLAMP_DB, check_out_file, write_csv, write_json
 
 if TYPE_CHECKING:
     from .audio import SceneComponents
-    from .metrics import MetricReport
+    from .metrics import Moments
     from .simulate import SceneSpec
 
 
@@ -209,38 +214,50 @@ def _keep_freed_memory() -> None:
 
 
 def _isolated(task):
-    """step(item, *extra) -> (result, None), or (None, error line)."""
+    """step(item, *extra) -> (result, None, seconds), or (None, error line,
+    seconds), where seconds is the wall time of the step."""
     step, item, *extra = task
+    start = time.perf_counter()
     try:
-        return step(item, *extra), None
+        result, err = step(item, *extra), None
     except Exception as exc:  # per-item isolation
-        return None, f"{type(exc).__name__}: {exc}"
+        result, err = None, f"{type(exc).__name__}: {exc}"
+    return result, err, time.perf_counter() - start
 
 
-def _run_batch(command: str, step, items, *extra, jobs: int = 1):
-    """Run step(item, *extra) over the (id, item) pairs in order, in up to
-    jobs processes; failures are reported, not raised.
+def _run_batch(command: str, step, items, consume, *extra, jobs: int = 1, trace=None) -> dict[str, str]:
+    """Run step(item, *extra) over the (id, item) pairs, in up to jobs
+    processes, and call consume(id, result) for each item that succeeds, in
+    input order as the results arrive; no result is kept, and failures are
+    reported, not raised.
 
-    Returns ({id: result}, {id: error}) and prints one
-    "<command>: <id>: <error>" line per failed item to stderr.
+    Prints one "<command>: <id>: <error>" line per failed item to stderr and
+    returns {id: error}.  With trace, trace(event) is called for each item,
+    in the same order, with its entry event (see reseval.cli.main).
     """
     _keep_freed_memory()
     tasks = [(step, item, *extra) for _, item in items]
     if jobs <= 1 or len(tasks) <= 1:
-        outcomes = [_isolated(task) for task in tasks]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+        return _consume(command, items, map(_isolated, tasks), consume, trace)
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), initializer=_keep_freed_memory) as pool:
-            outcomes = list(pool.map(_isolated, tasks))
-    results, errors = {}, {}
-    for (item_id, _), (result, err) in zip(items, outcomes):
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), initializer=_keep_freed_memory) as pool:
+        # map yields each result in input order once it is done
+        return _consume(command, items, pool.map(_isolated, tasks), consume, trace)
+
+
+def _consume(command: str, items, outcomes, consume, trace) -> dict[str, str]:
+    """Hand the (result, error, seconds) outcomes of items to consume and trace, in order."""
+    errors = {}
+    for (item_id, _), (result, err, seconds) in zip(items, outcomes):
         if err is None:
-            results[item_id] = result
+            consume(item_id, result)
         else:
             errors[item_id] = err
             print(f"{command}: {item_id}: {err}", file=sys.stderr)
-    return results, errors
+        if trace is not None:
+            trace({"event": "entry", "command": command, "id": item_id, "wall_s": seconds, "error": err})
+    return errors
 
 
 def _load_scene_specs(path, count: int, seed: int) -> list[SceneSpec]:
@@ -283,8 +300,9 @@ def run_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     ids = [f"scene_{i:04d}" for i in range(len(specs))]
     items = [(sid, (spec, os.path.join(args.out, sid))) for sid, spec in zip(ids, specs)]
-    written, errors = _run_batch("simulate", _simulate_one, items, jobs=args.jobs)
-    print(f"simulate: {len(written)} ok, {len(errors)} failed -> {args.out}")
+    errors = _run_batch("simulate", _simulate_one, items, lambda sid, result: None, jobs=args.jobs,
+                        trace=args.trace)
+    print(f"simulate: {len(items) - len(errors)} ok, {len(errors)} failed -> {args.out}")
     return 1 if errors else 0
 
 
@@ -314,8 +332,9 @@ def run_suppress(args) -> int:
     config = SuppressorConfig(beta=beta)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-    written, errors = _run_batch("suppress", _suppress_entry, [(e.id, e) for e in entries],
-                                 config, args.out, jobs=args.jobs)
+    written = {}  # the s_hat path of each entry that succeeded
+    errors = _run_batch("suppress", _suppress_entry, [(e.id, e) for e in entries], written.__setitem__,
+                        config, args.out, jobs=args.jobs, trace=args.trace)
     if args.out:
         # each entry with the s_hat this run wrote for it, or with none
         out_entries = []
@@ -342,25 +361,21 @@ def _load_labeled(entry, extra, threshold_db):
     return components, classify(components.s, echo_reference(components), threshold_db)
 
 
-def _evaluate_entry(entry, threshold_db) -> MetricReport:
-    from .metrics import evaluate_scene, scene_rows
+def _evaluate_entry(entry, threshold_db, out_dir) -> dict[str, Moments]:
+    """Write the entry's frames_<id>.csv into out_dir; returns the moments of each metric."""
+    from .metrics import Moments, evaluate_scene, scene_rows
 
     components, mask = _load_labeled(entry, ("s_hat",), threshold_db)
-    return evaluate_scene(scene_rows(components, mask), components.s_hat)
+    report = evaluate_scene(scene_rows(components, mask), components.s_hat)
+    report.write_csv(os.path.join(out_dir, f"frames_{entry.id}.csv"))
+    return {name: Moments.of(values) for name, values in report.values.items()}
 
 
-def _pooled_aggregates(reports) -> dict:
-    """Aggregates of each metric over the frames of all reports, in order."""
-    import numpy as np
+def _aggregate_dicts(moments) -> dict:
+    """{metric: aggregate as a dict} of each metric of moments that has a frame."""
+    from .metrics import aggregates_of
 
-    from .metrics import METRIC_NAMES, aggregate_metrics
-
-    reports = list(reports)
-    if not reports:
-        return {}
-    pooled = aggregate_metrics({name: np.concatenate([rep.values[name] for rep in reports])
-                                for name in METRIC_NAMES})
-    return {name: asdict(agg) for name, agg in pooled.items()}
+    return {name: asdict(agg) for name, agg in aggregates_of(moments).items()}
 
 
 def run_evaluate(args) -> int:
@@ -374,31 +389,35 @@ def run_evaluate(args) -> int:
     # imported before the pool forks, so that each --jobs worker starts with them
     from . import activity, metrics
 
-    reports, errors = _run_batch("evaluate", _evaluate_entry, [(e.id, e) for e in entries],
-                                 args.threshold_db, jobs=args.jobs)
-    for eid, report in reports.items():
-        report.write_csv(os.path.join(args.out, f"frames_{eid}.csv"))
+    pooled = dict.fromkeys(metrics.METRIC_NAMES, metrics.Moments())
+    per_utterance = {}  # the moments of each entry that succeeded
 
+    def consume(eid, moments):
+        per_utterance[eid] = moments
+        for name, m in moments.items():
+            pooled[name] += m
+
+    errors = _run_batch("evaluate", _evaluate_entry, [(e.id, e) for e in entries], consume,
+                        args.threshold_db, args.out, jobs=args.jobs, trace=args.trace)
     payload = {
         "threshold_db": args.threshold_db,
         "clamp_db": CLAMP_DB,
         "n_entries": len(entries),
         "n_failed": len(errors),
-        "metrics": _pooled_aggregates(reports.values()),
-        "per_utterance": {
-            eid: {name: asdict(agg) for name, agg in rep.aggregates.items()} for eid, rep in reports.items()
-        },
+        "metrics": _aggregate_dicts(pooled),
+        "per_utterance": {eid: _aggregate_dicts(moments) for eid, moments in per_utterance.items()},
         "errors": errors,
     }
     write_json(os.path.join(args.out, "report.json"), payload)
-    print(f"evaluate: {len(reports)} ok, {len(errors)} failed -> {args.out}")
+    print(f"evaluate: {len(per_utterance)} ok, {len(errors)} failed -> {args.out}")
     return 1 if errors else 0
 
 
-def _sweep_entry(entry, configs, threshold_db) -> list[MetricReport]:
-    """One report per suppressor config for one scene, whose gain tracks and rows are computed once."""
+def _sweep_entry(entry, configs, threshold_db) -> list[dict[str, Moments]]:
+    """The moments of each metric under each suppressor config for one scene,
+    whose gain tracks, rows and SER/SNR moments are computed once."""
     from .audio import Signal
-    from .metrics import evaluate_scene, scene_rows
+    from .metrics import METRIC_NAMES, Moments, evaluate_scene, scene_rows
     from .suppressor import gain_tracks, oracle_suppress
 
     components, mask = _load_labeled(entry, (), threshold_db)
@@ -407,15 +426,18 @@ def _sweep_entry(entry, configs, threshold_db) -> list[MetricReport]:
     # tracks keep e and rows their own frame copies: s, y and w are not
     # kept alive while each alpha's s_hat is scored
     del components, mask
-    reports = []
+    shared = {name: Moments.of(values) for name, values in rows.values.items()}
+    per_config = []
     for config in configs:
         # rounded through float32 as save_wav writes it, so that a row scores
         # the s_hat that suppress -> evaluate would score
         s_hat = Signal(oracle_suppress(tracks, config).samples.astype("float32"))
-        reports.append(evaluate_scene(rows, s_hat))
+        values = evaluate_scene(rows, s_hat).values
+        per_config.append({name: shared[name] if name in shared else Moments.of(values[name])
+                           for name in METRIC_NAMES})
         # the next alpha's s_hat is built without this one alive
-        del s_hat
-    return reports
+        del s_hat, values
+    return per_config
 
 
 def _groups(entries, tag) -> dict:
@@ -448,8 +470,12 @@ def _groups(entries, tag) -> dict:
 
 
 def run_sweep(args) -> int:
-    from .metrics import METRIC_NAMES
+    # the compute modules are imported before the pool forks, so that each
+    # --jobs worker starts with them
+    from .metrics import METRIC_NAMES, Moments
     from .suppressor import SuppressorConfig, beta_schedule
+
+    _check_jobs(args)
 
     try:
         alphas = [float(a) for a in args.alphas.split(",")] if args.alphas else []
@@ -468,21 +494,30 @@ def run_sweep(args) -> int:
     _check_levels(args)
     entries = read_manifest(args.manifest) if args.manifest else manifest_from_scenes(args.scenes)
     groups = _groups(entries, args.group_by) if args.group_by else {}
-    reports, errors = _run_batch("sweep", _sweep_entry, [(e.id, e) for e in entries], configs,
-                                 args.threshold_db)
+    # per group: its scene count, and per config the pooled moments of each metric
+    n_scenes, pooled = {}, {}
 
+    def consume(eid, per_config):
+        group = groups.get(eid)
+        n_scenes[group] = n_scenes.get(group, 0) + 1
+        sums = pooled.setdefault(group, [dict.fromkeys(METRIC_NAMES, Moments()) for _ in configs])
+        for acc, moments in zip(sums, per_config):
+            for name, m in moments.items():
+                acc[name] += m
+
+    errors = _run_batch("sweep", _sweep_entry, [(e.id, e) for e in entries], consume, configs,
+                        args.threshold_db, jobs=args.jobs, trace=args.trace)
     rows = []
-    for group in sorted({groups.get(eid) for eid in reports}, key=lambda v: (str(type(v)), v)):
-        members = [rep for eid, rep in reports.items() if groups.get(eid) == group]
-        for i, (alpha, config) in enumerate(zip(alphas, configs)):
-            row = {"alpha": alpha, "beta": config.beta, "n_scenes": len(members)}
+    for group in sorted(pooled, key=lambda v: (str(type(v)), v)):
+        for alpha, config, moments in zip(alphas, configs, pooled[group]):
+            row = {"alpha": alpha, "beta": config.beta, "n_scenes": n_scenes[group]}
             if args.group_by:
                 row["id"], row[args.group_by] = f"{group}/{alpha!r}", group
             # a metric no frame qualified for stays an empty cell
-            for name, agg in _pooled_aggregates(rep[i] for rep in members).items():
+            for name, agg in _aggregate_dicts(moments).items():
                 row[f"{name}_mean"], row[f"{name}_std"] = agg["mean"], agg["std"]
             rows.append(row)
 
     write_csv(args.out, columns, [[row.get(c) for row in rows] for c in columns])
-    print(f"sweep: {len(rows)} rows, {len(reports)} ok, {len(errors)} failed -> {args.out}")
+    print(f"sweep: {len(rows)} rows, {sum(n_scenes.values())} ok, {len(errors)} failed -> {args.out}")
     return 1 if errors else 0

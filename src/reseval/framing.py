@@ -20,6 +20,8 @@ FRAME_LEN = 320
 HOP = 160
 FFT_LEN = 512
 N_BINS = FFT_LEN // 2 + 1
+# rows of gain_envelope's tail buffer: 256 x HOP float64 is 320 KiB
+ENVELOPE_BLOCK_ROWS = 256
 
 # periodic Hann, length FRAME_LEN
 _WINDOW = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(FRAME_LEN) / FRAME_LEN)
@@ -145,9 +147,14 @@ def gain_envelope(gains: np.ndarray, signal_len: int) -> np.ndarray:
     rows = out[: (n_frames + 1) * HOP].reshape(n_frames + 1, HOP)
     np.multiply(g, head, out=rows[:-1])
     rows[:-1] *= head
-    tail_part = g * tail
-    tail_part *= tail
-    rows[1:] += tail_part
+    # the tail products are added a block of rows at a time through one
+    # small buffer, so the only full-length array is the output
+    block = np.empty((min(n_frames, ENVELOPE_BLOCK_ROWS), HOP))
+    for start in range(0, n_frames, ENVELOPE_BLOCK_ROWS):
+        part = block[: min(ENVELOPE_BLOCK_ROWS, n_frames - start)]
+        np.multiply(g[start : start + len(part)], tail, out=part)
+        part *= tail
+        rows[start + 1 : start + 1 + len(part)] += part
     rows[1:-1] /= _OLA_INTERIOR
     for hops, ola in _OLA_EDGES:
         nz = ola > 1e-12

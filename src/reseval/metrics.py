@@ -197,18 +197,52 @@ class MetricReport:
         common.write_csv(path, ["frame_index", "label", *METRIC_NAMES], columns)
 
 
+@dataclass(frozen=True, slots=True)
+class Moments:
+    """The count, mean and M2 (sum of squared deviations from the mean) of
+    one metric's values over some frames: what pooling needs of them."""
+
+    count: int = 0
+    mean: float = 0.0
+    m2: float = 0.0
+
+    @classmethod
+    def of(cls, values: np.ndarray) -> Moments:
+        """The moments of the non-NaN values, the frames of the metric's
+        condition, by two passes: the mean, then the squared deviations."""
+        present = values[~np.isnan(values)]
+        if not present.size:
+            return cls()
+        mean = float(np.mean(present))
+        return cls(int(present.size), mean, float(np.sum((present - mean) ** 2)))
+
+    def __add__(self, other: Moments) -> Moments:
+        """The moments of both sets of frames, by Chan, Golub and LeVeque's
+        pairwise update; an empty side gives the other unchanged."""
+        if not other.count:
+            return self
+        if not self.count:
+            return other
+        count = self.count + other.count
+        delta = other.mean - self.mean
+        return Moments(count, self.mean + delta * other.count / count,
+                       self.m2 + other.m2 + delta * delta * self.count * other.count / count)
+
+    def aggregate(self, name: str) -> MetricAggregate:
+        """Mean and population std of metric name over these frames."""
+        return MetricAggregate(condition=METRIC_CONDITIONS[name], mean=self.mean,
+                               std=math.sqrt(self.m2 / self.count), count=self.count)
+
+
+def aggregates_of(moments: dict[str, Moments]) -> dict[str, MetricAggregate]:
+    """The aggregate of each metric in moments that has a frame; one with none is omitted."""
+    return {name: m.aggregate(name) for name, m in moments.items() if m.count}
+
+
 def aggregate_metrics(values: dict[str, np.ndarray]) -> dict[str, MetricAggregate]:
     """Two-pass mean/std (population) of each metric's non-NaN values, which are
     the frames of its condition; a metric with none is omitted."""
-    aggregates = {}
-    for name, metric_values in values.items():
-        present = metric_values[~np.isnan(metric_values)]
-        if present.size:
-            mean = float(np.mean(present))
-            std = float(math.sqrt(float(np.mean((present - mean) ** 2))))
-            aggregates[name] = MetricAggregate(condition=METRIC_CONDITIONS[name], mean=mean, std=std,
-                                               count=int(present.size))
-    return aggregates
+    return aggregates_of({name: Moments.of(metric_values) for name, metric_values in values.items()})
 
 
 @dataclass(frozen=True)

@@ -303,3 +303,23 @@ class TestSceneComponents:
     def test_present(self):
         comps = SceneComponents(s=Signal(np.ones(4)), e=Signal(np.ones(4)))
         assert set(comps.present()) == {"s", "e"}
+
+
+def test_load_wav_does_not_copy_the_data_chunk(tmp_path):
+    """load_wav parses views of the file's bytes: at its peak it holds the file, the
+    float64 samples and the one-byte-per-sample mask of Signal's finiteness check, not a
+    second copy of the data chunk (tracemalloc)."""
+    import tracemalloc
+
+    signal = Signal(np.random.default_rng(4).standard_normal(160000) * 0.1)
+    save_wav(signal, tmp_path / "x.wav")
+    load_wav(tmp_path / "x.wav")
+    tracemalloc.start()
+    try:
+        loaded = load_wav(tmp_path / "x.wav")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    file_size = os.path.getsize(tmp_path / "x.wav")
+    held = file_size + loaded.samples.nbytes + len(loaded)
+    assert held <= peak < held + 64 * 1024

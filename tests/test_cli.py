@@ -12,6 +12,8 @@ import shlex
 import shutil
 import subprocess
 import sys
+import time
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -24,6 +26,7 @@ from reseval import batch, cli
 from reseval.audio import SceneComponents, load_wav, save_wav
 from reseval.batch import ManifestEntry, manifest_from_scenes, read_manifest, write_manifest
 from reseval.cli import build_parser, main
+from reseval.metrics import Moments
 from reseval.stats import ScoreTable
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -439,6 +442,14 @@ class TestEvaluate:
             assert agg["count"] == len(values)
             assert agg["mean"] == pytest.approx(mean, abs=1e-9)
 
+    def test_one_entry_pools_to_its_own_aggregates(self, tmp_path):
+        """Pooling merges each entry's moments into empty ones, so a batch of one entry
+        reports its per-utterance aggregates as the pooled ones, bit for bit."""
+        manifest = self.build_identity_manifest(tmp_path, n_entries=1)
+        assert run("evaluate", "--manifest", manifest, "--out", tmp_path / "rep") == 0
+        payload = json.loads((tmp_path / "rep" / "report.json").read_text())
+        assert payload["metrics"] == payload["per_utterance"]["u0"] and payload["metrics"]
+
     def test_empty_manifest_rejected(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps({"entries": []}))
@@ -762,21 +773,70 @@ class TestSweep:
             assert float(row[f"{name}_std"]) == agg["std"], name
 
     def test_entry_matches_independent_calls_exactly(self, scene_dir):
-        """Reports of one sweep entry equal fresh per-alpha suppress + evaluate calls, bit for bit."""
+        """The moments of one sweep entry equal those of fresh per-alpha suppress + evaluate calls,
+        bit for bit."""
         configs = [rv.SuppressorConfig(beta=b) for b in rv.beta_schedule([0, 0.25, 0.5, 0.75, 1])]
         for entry in manifest_from_scenes(scene_dir):
-            reports = batch._sweep_entry(entry, configs, rv.activity.DEFAULT_THRESHOLD_DB)
-            assert len(reports) == len(configs)
-            for config, report in zip(configs, reports):
+            per_config = batch._sweep_entry(entry, configs, rv.activity.DEFAULT_THRESHOLD_DB)
+            assert len(per_config) == len(configs)
+            for config, moments in zip(configs, per_config):
                 c = SceneComponents(**{k: load_wav(entry.paths[k]) for k in ("s", "y", "w", "e")})
                 mask = rv.classify(c.s, c.y)
                 s_hat = rv.oracle_suppress(rv.gain_tracks(c.e, c.s), config)
                 # as suppress writes it to shat.wav
                 s_hat = rv.Signal(s_hat.samples.astype(np.float32))
                 fresh = rv.evaluate_scene(rv.scene_rows(c, mask), s_hat)
-                assert report.labels == fresh.labels
-                for name in rv.metrics.METRIC_NAMES:
-                    assert np.array_equal(report.values[name], fresh.values[name], equal_nan=True), name
+                assert moments == {name: Moments.of(fresh.values[name]) for name in rv.metrics.METRIC_NAMES}
+
+    @pytest.mark.parametrize("group_by", [None, "room"])
+    def test_jobs_parallel_matches_serial(self, scene_dir, tmp_path, group_by):
+        """Entries are pooled in input order whatever --jobs is, so the table bytes are the same."""
+        entries = manifest_from_scenes(scene_dir)
+        entries.append(ManifestEntry("again", entries[0].paths))
+        for entry, room in zip(entries, "abba"):
+            entry.tags["room"] = room
+        write_manifest(tmp_path / "m.json", entries)
+        grouping = ["--group-by", group_by] if group_by else []
+        for jobs in (1, 2):
+            assert run("sweep", "--manifest", tmp_path / "m.json", "--alphas", "0,0.5,1", *grouping,
+                       "--out", tmp_path / f"j{jobs}.csv", "--jobs", jobs) == 0
+        assert (tmp_path / "j1.csv").read_bytes() == (tmp_path / "j2.csv").read_bytes()
+        assert len(read_rows(tmp_path / "j1.csv")) == (6 if group_by else 3)
+
+    def test_failed_entry_reported_alike_under_jobs(self, scene_dir, tmp_path, capsys):
+        """A worker isolates a failing entry as the parent does: same stderr, exit status and table."""
+        entries = manifest_from_scenes(scene_dir)
+        entries.insert(1, ManifestEntry("broken", {"s": str(tmp_path / "nope.wav"), "e": str(tmp_path / "nope.wav")}))
+        write_manifest(tmp_path / "m.json", entries)
+        seen = []
+        for jobs in (1, 2):
+            out = tmp_path / f"j{jobs}.csv"
+            code = run("sweep", "--manifest", tmp_path / "m.json", "--alphas", "0,1", "--out", out, "--jobs", jobs)
+            seen.append((code, capsys.readouterr().err, out.read_bytes()))
+        assert seen[0] == seen[1]
+        code, err, _ = seen[0]
+        assert code == 1 and err.startswith("sweep: broken: FileNotFoundError: ") and err.count("\n") == 1
+
+    def test_peak_memory_does_not_grow_with_the_batch(self, tmp_path):
+        """Each entry's result is pooled and let go as it arrives, so an in-process sweep of
+        12 scenes peaks where one of 4 does; keeping each entry's 5 reports would add
+        8 x 5 x 7 x 249 x 8 bytes, about 560 kB."""
+        spec = write_spec(tmp_path, {**SPEC, "ser_db": [-10.0, 0.0, 10.0]})
+        assert run("simulate", "--spec", spec, "--out", tmp_path / "scenes", "--count", 12, "--seed", 5,
+                   "--jobs", 2) == 0
+        entries = manifest_from_scenes(tmp_path / "scenes")
+        write_manifest(tmp_path / "m4.json", entries[:4])
+        write_manifest(tmp_path / "m12.json", entries)
+        peaks = {}
+        for n in (4, 4, 12):  # the first run only warms up
+            tracemalloc.start()
+            try:
+                assert run("sweep", "--manifest", tmp_path / f"m{n}.json", "--alphas", "0,0.25,0.5,0.75,1",
+                           "--group-by", "ser_db", "--out", tmp_path / "t.csv") == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[12] - peaks[4] < 100_000, peaks
 
 
 @pytest.mark.parametrize("command", ["evaluate", "sweep"])
@@ -924,14 +984,14 @@ class TestCorrelate:
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
-@pytest.mark.parametrize("command", ["simulate", "suppress", "evaluate"])
+@pytest.mark.parametrize("command", ["simulate", "suppress", "evaluate", "sweep"])
 def test_jobs_below_one_rejected_before_any_item(scene_dir, tmp_path, monkeypatch, capsys, command, jobs):
     calls = []
     for module, name in (("simulate", "generate_scene"), ("suppressor", "oracle_suppress"),
                          ("activity", "classify")):
         monkeypatch.setattr(getattr(rv, module), name, lambda *a, **k: calls.append(a))
     inputs = {"simulate": ["--spec", write_spec(tmp_path)], "suppress": ["--scenes", scene_dir],
-              "evaluate": ["--scenes", scene_dir]}[command]
+              "evaluate": ["--scenes", scene_dir], "sweep": ["--scenes", scene_dir, "--alphas", "0"]}[command]
     before = sorted(os.listdir(tmp_path))
     assert run(command, *inputs, "--out", tmp_path / "out", "--jobs", jobs) == 2
     assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
@@ -1226,7 +1286,7 @@ def test_nothing_keeps_a_scene_alive(scene_dir, tmp_path, monkeypatch):
     monkeypatch.setattr(rv.metrics, "evaluate_scene", watched_evaluate)
     batch._suppress_entry(entry, config, str(tmp_path))
     assert_released()
-    batch._evaluate_entry(entry, threshold_db)
+    batch._evaluate_entry(entry, threshold_db, str(tmp_path))
     assert_released()
     batch._sweep_entry(entry, [config, config], threshold_db)
     assert_released()
@@ -1237,7 +1297,7 @@ def test_nothing_keeps_a_scene_alive(scene_dir, tmp_path, monkeypatch):
 
     monkeypatch.setattr(rv.metrics, "evaluate_scene", fails_after_evaluating)
     with pytest.raises(RuntimeError, match="evaluation failed"):
-        batch._evaluate_entry(entry, threshold_db)
+        batch._evaluate_entry(entry, threshold_db, str(tmp_path))
     assert_released()
     with pytest.raises(RuntimeError, match="evaluation failed"):
         batch._sweep_entry(entry, [config, config], threshold_db)
@@ -1270,7 +1330,7 @@ def test_nothing_keeps_a_scene_alive(scene_dir, tmp_path, monkeypatch):
     monkeypatch.setattr(rv.audio, "load_wav", watched_load)
     monkeypatch.setattr(rv.suppressor, "oracle_suppress", checked_suppress)
     monkeypatch.setattr(rv.metrics, "evaluate_scene", checked_evaluate)
-    batch._evaluate_entry(entry, threshold_db)
+    batch._evaluate_entry(entry, threshold_db, str(tmp_path))
     assert_released()
     loaded.clear()
     batch._sweep_entry(entry, [config, config, config], threshold_db)
@@ -1440,9 +1500,9 @@ def test_cli_imports_only_what_the_command_runs(tmp_path):
     assert json.loads((tmp_path / "r.json").read_text())["groups"][0]["n"] == 3
 
 
-def test_evaluate_workers_start_with_compute_modules_imported(scene_dir, tmp_path):
-    """A fresh interpreter: evaluate --jobs 2 imports activity and metrics before it builds
-    the process pool, so no forked worker imports them itself."""
+def modules_imported_when_the_pool_starts(argv, modules):
+    """A fresh interpreter runs reseval.cli.main(argv); returns its exit status and, for each
+    process pool it builds, whether each of modules was imported when the pool was built."""
     src = os.path.dirname(os.path.dirname(rv.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "\n".join([
@@ -1450,17 +1510,30 @@ def test_evaluate_workers_start_with_compute_modules_imported(scene_dir, tmp_pat
         "seen = []",
         "class Pool(concurrent.futures.ProcessPoolExecutor):",
         "    def __init__(self, *args, **kwargs):",
-        "        seen.append([m in sys.modules for m in ('reseval.activity', 'reseval.metrics')])",
+        f"        seen.append([m in sys.modules for m in {tuple(modules)!r}])",
         "        super().__init__(*args, **kwargs)",
         "concurrent.futures.ProcessPoolExecutor = Pool",
-        "code = reseval.cli.main(['evaluate', '--manifest', sys.argv[1], '--out', sys.argv[2], '--jobs', '2'])",
+        "code = reseval.cli.main(sys.argv[1:])",
         "print(json.dumps([code, seen]))",
     ])
-    assert run("suppress", "--scenes", scene_dir, "--out", tmp_path / "sup") == 0
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "sup" / "manifest.json"), str(tmp_path / "rep")],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, [[True, True]]]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_evaluate_workers_start_with_compute_modules_imported(scene_dir, tmp_path):
+    """A fresh interpreter: evaluate --jobs 2 imports activity and metrics before it builds
+    the process pool, so no forked worker imports them itself."""
+    assert run("suppress", "--scenes", scene_dir, "--out", tmp_path / "sup") == 0
+    argv = ["evaluate", "--manifest", tmp_path / "sup" / "manifest.json", "--out", tmp_path / "rep", "--jobs", 2]
+    assert modules_imported_when_the_pool_starts(argv, ["reseval.activity", "reseval.metrics"]) == [0, [[True, True]]]
+
+
+def test_sweep_workers_start_with_compute_modules_imported(scene_dir, tmp_path):
+    argv = ["sweep", "--scenes", scene_dir, "--alphas", "0,1", "--out", tmp_path / "t.csv", "--jobs", 2]
+    modules = ["reseval.activity", "reseval.metrics", "reseval.suppressor"]
+    assert modules_imported_when_the_pool_starts(argv, modules) == [0, [[True, True, True]]]
 
 
 def test_suppress_and_sweep_leave_numpy_ma_unimported(scene_dir, tmp_path):
@@ -1604,10 +1677,12 @@ def test_run_batch_keeps_freed_memory_in_every_process(monkeypatch, in_process_p
     kept = []
     monkeypatch.setattr(batch, "_keep_freed_memory", lambda: kept.append(True))
     items = [("a", -1), ("b", -2)]
-    assert batch._run_batch("abs", abs, items, jobs=1) == ({"a": 1, "b": 2}, {})
+    got = []
+    assert batch._run_batch("abs", abs, items, lambda *result: got.append(result), jobs=1) == {}
     assert (len(kept), in_process_pool) == (1, [])
-    assert batch._run_batch("abs", abs, items, jobs=2) == ({"a": 1, "b": 2}, {})
+    assert batch._run_batch("abs", abs, items, lambda *result: got.append(result), jobs=2) == {}
     assert (len(kept), in_process_pool) == (2, [{"max_workers": 2, "initializer": batch._keep_freed_memory}])
+    assert got == [("a", 1), ("b", 2)] * 2
 
 
 def test_run_batch_starts_no_more_workers_than_items(monkeypatch, in_process_pool):
@@ -1615,7 +1690,9 @@ def test_run_batch_starts_no_more_workers_than_items(monkeypatch, in_process_poo
     would fork processes that get no item."""
     monkeypatch.setattr(batch, "_keep_freed_memory", lambda: None)
     items = [("a", -1), ("b", -2), ("c", -3)]
-    assert batch._run_batch("abs", abs, items, jobs=10**6) == ({"a": 1, "b": 2, "c": 3}, {})
+    got = {}
+    assert batch._run_batch("abs", abs, items, got.__setitem__, jobs=10**6) == {}
+    assert got == {"a": 1, "b": 2, "c": 3}
     assert [pool["max_workers"] for pool in in_process_pool] == [3]
 
 
@@ -1659,3 +1736,107 @@ def test_batch_module_does_not_import_the_cli():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def read_trace(path):
+    return [json.loads(line) for line in Path(path).read_text().splitlines()]
+
+
+def check_trace(events, command, ids, errors, code):
+    """The entry events name ids in input order, with wall times and the error of each failed
+    entry (errors: {id: error line}), and the command event comes last with the exit status."""
+    *entries, whole = events
+    assert whole.keys() == {"event", "command", "wall_s", "exit"}
+    assert (whole["event"], whole["command"], whole["exit"]) == ("command", command, code)
+    assert [e["id"] for e in entries] == ids
+    for e in entries:
+        assert e.keys() == {"event", "command", "id", "wall_s", "error"}
+        assert (e["event"], e["command"], e["error"]) == ("entry", command, errors.get(e["id"]))
+        assert 0.0 < e["wall_s"] <= whole["wall_s"]
+
+
+class TestTrace:
+    def test_each_command_traces_its_entries_and_itself(self, scene_dir, tmp_path, capsys):
+        """simulate (one scene failing, --jobs 2), suppress, evaluate and sweep (a missing
+        entry, sweep with --jobs 2) and correlate, which has no entries."""
+        bad = write_spec(tmp_path, BAD_SCENE_SPEC, name="bad.json")
+        assert run("simulate", "--spec", bad, "--out", tmp_path / "bad", "--count", 3, "--seed", 4,
+                   "--jobs", 2, "--trace", tmp_path / "simulate.jsonl") == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        check_trace(read_trace(tmp_path / "simulate.jsonl"), "simulate", ["scene_0000", "scene_0001", "scene_0002"],
+                    {"scene_0001": line.split(": ", 2)[2]}, 1)
+
+        shutil.copytree(scene_dir, tmp_path / "scenes")
+        assert run("suppress", "--scenes", tmp_path / "scenes", "--alpha", 0.5) == 0
+        capsys.readouterr()
+        entries = manifest_from_scenes(tmp_path / "scenes")
+        entries.insert(1, ManifestEntry("broken", {"s": str(tmp_path / "nope.wav"), "e": str(tmp_path / "nope.wav"),
+                                                   "s_hat": str(tmp_path / "nope.wav")}))
+        write_manifest(tmp_path / "m.json", entries)
+        ids = [e.id for e in entries]
+        for command, argv in (("suppress", ["--out", tmp_path / "sup"]),
+                              ("evaluate", ["--out", tmp_path / "rep"]),
+                              ("sweep", ["--alphas", "0,1", "--out", tmp_path / "t.csv", "--jobs", 2])):
+            assert run(command, "--manifest", tmp_path / "m.json", *argv, "--trace", tmp_path / f"{command}.jsonl") == 1
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith(f"{command}: broken: FileNotFoundError: ")
+            check_trace(read_trace(tmp_path / f"{command}.jsonl"), command, ids, {"broken": line.split(": ", 2)[2]}, 1)
+
+        assert run("correlate", "--table", tmp_path / "t.csv", "--metric-col", "dsml_mean", "--score-col", "resl_mean",
+                   "--trace", tmp_path / "correlate.jsonl") == 0
+        check_trace(read_trace(tmp_path / "correlate.jsonl"), "correlate", [], {}, 0)
+        # a command stopped before any entry runs still writes its own event
+        assert run("sweep", "--manifest", tmp_path / "m.json", "--alphas", "1,0", "--out", tmp_path / "x.csv",
+                   "--trace", tmp_path / "refused.jsonl") == 2
+        check_trace(read_trace(tmp_path / "refused.jsonl"), "sweep", [], {}, 2)
+
+    @pytest.mark.parametrize("command", ["simulate", "suppress", "evaluate", "sweep", "correlate"])
+    def test_outputs_do_not_depend_on_the_trace(self, scene_dir, tmp_path, capsys, command):
+        """Wall times go to the trace file alone: every other output, stdout and stderr
+        included, is the same bytes with --trace as without it."""
+        shutil.copytree(scene_dir, tmp_path / "scenes")
+        (tmp_path / "scenes" / "scene_0001" / "e.wav").unlink()
+        assert run("sweep", "--scenes", scene_dir, "--alphas", "0,1", "--out", tmp_path / "table.csv") == 0
+        capsys.readouterr()
+        seen = []
+        for side in ("plain", "traced"):
+            out = tmp_path / side
+            out.mkdir()
+            argv = {
+                "simulate": ["--spec", write_spec(tmp_path), "--out", out / "scenes", "--count", 2],
+                "suppress": ["--scenes", tmp_path / "scenes", "--out", out],
+                "evaluate": ["--scenes", scene_dir, "--out", out],
+                "sweep": ["--scenes", tmp_path / "scenes", "--alphas", "0,1", "--out", out / "t.csv"],
+                "correlate": ["--table", tmp_path / "table.csv", "--metric-col", "dsml_mean",
+                              "--score-col", "resl_mean", "--out", out / "c.json"],
+            }[command]
+            trace = ["--trace", tmp_path / "trace.jsonl"] if side == "traced" else []
+            code = run(command, *argv, *trace)
+            captured = capsys.readouterr()
+            seen.append((code, captured.out.replace(str(out), "<out>"), captured.err, dir_bytes(out)))
+        assert seen[0] == seen[1]
+        assert read_trace(tmp_path / "trace.jsonl")[-1]["command"] == command
+
+    def test_entry_times_sum_to_the_busy_time(self, tmp_path):
+        """A sweep's entries take all but the set-up and the table: their times sum to within
+        5% of the busy time of main() in process (median of three warm runs)."""
+        spec = write_spec(tmp_path, {"duration": 10.0, "ser_db": [-10.0, 0.0, 10.0]})
+        assert run("simulate", "--spec", spec, "--out", tmp_path / "scenes", "--count", 8, "--seed", 2,
+                   "--jobs", 2) == 0
+        argv = ["sweep", "--scenes", tmp_path / "scenes", "--alphas", "0,0.25,0.5,0.75,1", "--group-by", "ser_db",
+                "--out", tmp_path / "t.csv", "--trace", tmp_path / "t.jsonl"]
+        ratios = []
+        for i in range(4):  # the first run only warms up
+            start = time.perf_counter()
+            assert run(*argv) == 0
+            busy = time.perf_counter() - start
+            ratios.append(sum(e["wall_s"] for e in read_trace(tmp_path / "t.jsonl")[:-1]) / busy)
+        assert 0.95 <= sorted(ratios[1:])[1] <= 1.0, ratios
+
+    def test_unwritable_trace_file_stops_the_command(self, scene_dir, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(rv.activity, "classify", lambda *a: calls.append(a))
+        trace = tmp_path / "missing" / "t.jsonl"
+        assert run("sweep", "--scenes", scene_dir, "--alphas", "0", "--out", tmp_path / "t.csv", "--trace", trace) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(trace)!r}\n"
+        assert calls == [] and not (tmp_path / "t.csv").exists()

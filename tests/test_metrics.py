@@ -22,6 +22,7 @@ from reseval.metrics import (
     METRIC_CONDITIONS,
     METRIC_NAMES,
     MetricReport,
+    Moments,
     _compensation_rows,
     _dsml_rows,
     _gain_denominator,
@@ -30,6 +31,7 @@ from reseval.metrics import (
     _resl_rows,
     _row_energy,
     aggregate_metrics,
+    aggregates_of,
     scene_rows,
 )
 
@@ -640,3 +642,78 @@ class TestReportSerialization:
 
     def test_aggregate_none_for_empty(self):
         assert aggregate_metrics({"dsml": np.array([np.nan, np.nan])}) == {}
+
+
+def concatenated_two_pass(chunks):
+    """(mean, std, count) as pooling computed them before it merged moments: every
+    frame's value concatenated, then np.mean and the mean squared deviation; None
+    when no value is present."""
+    values = np.concatenate(chunks)
+    present = values[~np.isnan(values)]
+    if not present.size:
+        return None
+    mean = float(np.mean(present))
+    return mean, math.sqrt(float(np.mean((present - mean) ** 2))), int(present.size)
+
+
+def pooled(chunks):
+    """The aggregate of the chunks' moments merged in order, or None when no value is present."""
+    acc = Moments()
+    for chunk in chunks:
+        acc += Moments.of(chunk)
+    agg = aggregates_of({"dsml": acc}).get("dsml")
+    return None if agg is None else (agg.mean, agg.std, agg.count)
+
+
+# Pooled means and stds against concatenate-then-two-pass: within this
+# fraction of the largest |value| (so 1.2e-10 dB for metrics at the clamp).
+POOL_TOL = 1e-12
+
+
+def _chunks(kind, rng):
+    sizes = {"one frame each": [1] * 300, "one frame": [1], "many scenes": rng.integers(1, 400, 2000)}.get(
+        kind, rng.integers(1, 300, 40))
+    draw = {
+        "clamp bounds": lambda n: rng.choice([-CLAMP_DB, CLAMP_DB], n),
+        "at the clamp": lambda n: np.full(n, CLAMP_DB),
+        "one frame each": lambda n: rng.uniform(-CLAMP_DB, CLAMP_DB, n),
+        "one frame": lambda n: np.array([-7.25]),
+        "many scenes": lambda n: rng.normal(30.0, 8.0, n),
+        "no frame in some scenes": lambda n: np.where(rng.random(n) < 0.2, rng.normal(5.0, 3.0, n), np.nan)
+        if rng.random() < 0.5 else np.full(n, np.nan),
+    }[kind]
+    return [draw(n) for n in sizes]
+
+
+class TestMoments:
+    KINDS = ["clamp bounds", "at the clamp", "one frame each", "one frame", "many scenes",
+             "no frame in some scenes"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_pooled_within_tolerance_of_concatenated(self, kind):
+        chunks = _chunks(kind, np.random.default_rng(len(kind)))
+        got, want = pooled(chunks), concatenated_two_pass(chunks)
+        assert got[2] == want[2]
+        scale = max(1.0, float(np.nanmax(np.abs(np.concatenate(chunks)))))
+        assert abs(got[0] - want[0]) <= POOL_TOL * scale
+        assert abs(got[1] - want[1]) <= POOL_TOL * scale
+
+    def test_one_set_of_frames_pools_to_its_own_aggregate_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 7, 999):
+            values = np.where(rng.random(n) < 0.7, rng.uniform(-CLAMP_DB, CLAMP_DB, n), np.nan)
+            if np.isnan(values).all():
+                continue
+            assert pooled([values]) == concatenated_two_pass([values])
+            assert Moments() + Moments.of(values) == Moments.of(values) + Moments()
+
+    def test_metric_with_no_frame_is_omitted(self):
+        chunks = [np.full(5, np.nan), np.array([]), np.full(1, np.nan)]
+        assert pooled(chunks) is None
+        assert Moments.of(np.full(3, np.nan)) == Moments()
+        assert aggregates_of({"dsml": Moments(), "resl": Moments.of(np.array([1.0]))}) == {
+            "resl": aggregate_metrics({"resl": np.array([1.0])})["resl"]}
+
+    def test_empty_side_gives_the_other_unchanged(self):
+        m = Moments.of(np.array([1.0, 2.0, 4.0]))
+        assert m + Moments() is m and Moments() + m is m

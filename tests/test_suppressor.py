@@ -239,3 +239,28 @@ class TestPercentile20:
         before = values.copy()
         _percentile_20(values)
         assert np.array_equal(values, before)
+
+
+def test_oracle_suppress_holds_no_second_full_length_array():
+    """Beyond its output, oracle_suppress allocates one block of gain_envelope's tail
+    products, numpy's two ufunc buffers and a few frame-length gain tracks, whatever the
+    signal's length: no second full-length temporary (tracemalloc)."""
+    import tracemalloc
+
+    from reseval.framing import ENVELOPE_BLOCK_ROWS, HOP, FrameGrid
+
+    rng = np.random.default_rng(8)
+    s = rng.standard_normal(30 * 16000) * 0.1
+    tracks = gain_tracks(rv.Signal(s + rng.standard_normal(s.size) * 0.05), rv.Signal(s))
+    config = SuppressorConfig(beta=8.0)
+    oracle_suppress(tracks, config)
+    tracemalloc.start()
+    try:
+        out = oracle_suppress(tracks, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_frames = FrameGrid(s.size).n_frames
+    block = ENVELOPE_BLOCK_ROWS * HOP * 8
+    ufunc_buffers = 2 * np.getbufsize() * 8
+    assert peak <= out.samples.nbytes + block + ufunc_buffers + 8 * n_frames * 8, (peak, out.samples.nbytes)
