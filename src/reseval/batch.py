@@ -25,7 +25,6 @@ import json
 import math
 import os
 import sys
-import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -214,49 +213,43 @@ def _keep_freed_memory() -> None:
 
 
 def _isolated(task):
-    """step(item, *extra) -> (result, None, seconds), or (None, error line,
-    seconds), where seconds is the wall time of the step."""
+    """step(item, *extra) -> (result, None), or (None, error line)."""
     step, item, *extra = task
-    start = time.perf_counter()
     try:
-        result, err = step(item, *extra), None
+        return step(item, *extra), None
     except Exception as exc:  # per-item isolation
-        result, err = None, f"{type(exc).__name__}: {exc}"
-    return result, err, time.perf_counter() - start
+        return None, f"{type(exc).__name__}: {exc}"
 
 
-def _run_batch(command: str, step, items, consume, *extra, jobs: int = 1, trace=None) -> dict[str, str]:
+def _run_batch(command: str, step, items, consume, *extra, jobs: int = 1) -> dict[str, str]:
     """Run step(item, *extra) over the (id, item) pairs, in up to jobs
     processes, and call consume(id, result) for each item that succeeds, in
     input order as the results arrive; no result is kept, and failures are
     reported, not raised.
 
     Prints one "<command>: <id>: <error>" line per failed item to stderr and
-    returns {id: error}.  With trace, trace(event) is called for each item,
-    in the same order, with its entry event (see reseval.cli.main).
+    returns {id: error}.
     """
     _keep_freed_memory()
     tasks = [(step, item, *extra) for _, item in items]
     if jobs <= 1 or len(tasks) <= 1:
-        return _consume(command, items, map(_isolated, tasks), consume, trace)
+        return _consume(command, items, map(_isolated, tasks), consume)
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), initializer=_keep_freed_memory) as pool:
         # map yields each result in input order once it is done
-        return _consume(command, items, pool.map(_isolated, tasks), consume, trace)
+        return _consume(command, items, pool.map(_isolated, tasks), consume)
 
 
-def _consume(command: str, items, outcomes, consume, trace) -> dict[str, str]:
-    """Hand the (result, error, seconds) outcomes of items to consume and trace, in order."""
+def _consume(command: str, items, outcomes, consume) -> dict[str, str]:
+    """Hand the (result, error) outcomes of items to consume, in order."""
     errors = {}
-    for (item_id, _), (result, err, seconds) in zip(items, outcomes):
+    for (item_id, _), (result, err) in zip(items, outcomes):
         if err is None:
             consume(item_id, result)
         else:
             errors[item_id] = err
             print(f"{command}: {item_id}: {err}", file=sys.stderr)
-        if trace is not None:
-            trace({"event": "entry", "command": command, "id": item_id, "wall_s": seconds, "error": err})
     return errors
 
 
@@ -300,8 +293,7 @@ def run_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     ids = [f"scene_{i:04d}" for i in range(len(specs))]
     items = [(sid, (spec, os.path.join(args.out, sid))) for sid, spec in zip(ids, specs)]
-    errors = _run_batch("simulate", _simulate_one, items, lambda sid, result: None, jobs=args.jobs,
-                        trace=args.trace)
+    errors = _run_batch("simulate", _simulate_one, items, lambda sid, result: None, jobs=args.jobs)
     print(f"simulate: {len(items) - len(errors)} ok, {len(errors)} failed -> {args.out}")
     return 1 if errors else 0
 
@@ -334,7 +326,7 @@ def run_suppress(args) -> int:
         os.makedirs(args.out, exist_ok=True)
     written = {}  # the s_hat path of each entry that succeeded
     errors = _run_batch("suppress", _suppress_entry, [(e.id, e) for e in entries], written.__setitem__,
-                        config, args.out, jobs=args.jobs, trace=args.trace)
+                        config, args.out, jobs=args.jobs)
     if args.out:
         # each entry with the s_hat this run wrote for it, or with none
         out_entries = []
@@ -398,7 +390,7 @@ def run_evaluate(args) -> int:
             pooled[name] += m
 
     errors = _run_batch("evaluate", _evaluate_entry, [(e.id, e) for e in entries], consume,
-                        args.threshold_db, args.out, jobs=args.jobs, trace=args.trace)
+                        args.threshold_db, args.out, jobs=args.jobs)
     payload = {
         "threshold_db": args.threshold_db,
         "clamp_db": CLAMP_DB,
@@ -470,12 +462,8 @@ def _groups(entries, tag) -> dict:
 
 
 def run_sweep(args) -> int:
-    # the compute modules are imported before the pool forks, so that each
-    # --jobs worker starts with them
     from .metrics import METRIC_NAMES, Moments
     from .suppressor import SuppressorConfig, beta_schedule
-
-    _check_jobs(args)
 
     try:
         alphas = [float(a) for a in args.alphas.split(",")] if args.alphas else []
@@ -506,7 +494,7 @@ def run_sweep(args) -> int:
                 acc[name] += m
 
     errors = _run_batch("sweep", _sweep_entry, [(e.id, e) for e in entries], consume, configs,
-                        args.threshold_db, jobs=args.jobs, trace=args.trace)
+                        args.threshold_db)
     rows = []
     for group in sorted(pooled, key=lambda v: (str(type(v)), v)):
         for alpha, config, moments in zip(alphas, configs, pooled[group]):

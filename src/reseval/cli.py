@@ -7,10 +7,6 @@ live in reseval.batch, which each cmd_<name> imports when it runs, so
 build_parser looks each cmd_<name> up on this module when it is called,
 where a tracer or a test may have replaced it.  A process enters through
 run(), which calls main() and exits.
-
-Every command takes --trace FILE, which writes one JSON line per batch
-entry and one for the whole command (see main); wall-clock times go
-there and nowhere else.
 """
 
 from __future__ import annotations
@@ -18,7 +14,6 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-import time
 
 from .common import DEFAULT_THRESHOLD_DB, check_out_file, write_json
 
@@ -86,18 +81,15 @@ def build_parser() -> argparse.ArgumentParser:
     levels = argparse.ArgumentParser(add_help=False)
     levels.add_argument("--threshold-db", type=float, default=DEFAULT_THRESHOLD_DB, dest="threshold_db",
                         help=f"activity threshold (default {DEFAULT_THRESHOLD_DB})")
-    traced = argparse.ArgumentParser(add_help=False)
-    traced.add_argument("--trace", metavar="FILE", dest="trace_file",
-                        help="write a JSON line of wall time per batch entry and one for the command")
 
-    p = sub.add_parser("simulate", parents=[jobs, traced], help="generate synthetic scenes from a spec file")
+    p = sub.add_parser("simulate", parents=[jobs], help="generate synthetic scenes from a spec file")
     p.add_argument("--spec", required=True, help="JSON scene spec (fields may be lists, cycled per scene)")
     p.add_argument("--out", required=True, help="output directory for scene subdirectories")
     p.add_argument("--count", type=int, default=1, help="number of scenes")
     p.add_argument("--seed", type=int, default=0, help="base seed; scene i gets seed + i (default 0)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("suppress", parents=[inputs, jobs, traced],
+    p = sub.add_parser("suppress", parents=[inputs, jobs],
                        help="run the reference suppressor over a batch")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--beta", type=float, default=1.0, help="over-suppression factor (>= 1)")
@@ -106,18 +98,18 @@ def build_parser() -> argparse.ArgumentParser:
                                  "default with --scenes: shat.wav in each scene directory)")
     p.set_defaults(func=cmd_suppress)
 
-    p = sub.add_parser("evaluate", parents=[inputs, levels, jobs, traced],
+    p = sub.add_parser("evaluate", parents=[inputs, levels, jobs],
                        help="compute metric reports over a batch")
     p.add_argument("--out", required=True, help="output directory for frame CSVs and report.json")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep", parents=[inputs, levels, jobs, traced], help="tradeoff table over an alpha sweep")
+    p = sub.add_parser("sweep", parents=[inputs, levels], help="tradeoff table over an alpha sweep")
     p.add_argument("--alphas", required=True, help="comma-separated ascending alphas")
     p.add_argument("--out", required=True, help="output CSV table")
     p.add_argument("--group-by", dest="group_by", help="tag/sidecar field to group rows by")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("correlate", parents=[traced], help="PCC/SRCC between two score-table columns")
+    p = sub.add_parser("correlate", help="PCC/SRCC between two score-table columns")
     p.add_argument("--table", required=True, help="CSV score table")
     p.add_argument("--metric-col", required=True, dest="metric_col")
     p.add_argument("--score-col", required=True, dest="score_col")
@@ -129,37 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Parse argv and run its command; returns the exit status.
-
-    With --trace FILE, FILE gets one JSON object per line: for each batch
-    entry, in input order as it finishes, {"event": "entry", "command",
-    "id", "wall_s", "error"} (error is null unless the entry failed), and
-    then {"event": "command", "command", "wall_s", "exit"} for the whole
-    command.  The batch runner passes each entry event to args.trace,
-    which is None without --trace.
-    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.trace = None
-    if args.trace_file is None:
-        return _run_command(args)
-    import json
-
-    try:
-        log = open(args.trace_file, "w", encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    with log:
-        args.trace = lambda event: log.write(json.dumps(event) + "\n")
-        start = time.perf_counter()
-        code = _run_command(args)
-        args.trace({"event": "command", "command": args.command, "wall_s": time.perf_counter() - start,
-                    "exit": code})
-    return code
-
-
-def _run_command(args) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

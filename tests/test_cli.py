@@ -12,7 +12,6 @@ import shlex
 import shutil
 import subprocess
 import sys
-import time
 import tracemalloc
 import warnings
 import weakref
@@ -788,35 +787,6 @@ class TestSweep:
                 fresh = rv.evaluate_scene(rv.scene_rows(c, mask), s_hat)
                 assert moments == {name: Moments.of(fresh.values[name]) for name in rv.metrics.METRIC_NAMES}
 
-    @pytest.mark.parametrize("group_by", [None, "room"])
-    def test_jobs_parallel_matches_serial(self, scene_dir, tmp_path, group_by):
-        """Entries are pooled in input order whatever --jobs is, so the table bytes are the same."""
-        entries = manifest_from_scenes(scene_dir)
-        entries.append(ManifestEntry("again", entries[0].paths))
-        for entry, room in zip(entries, "abba"):
-            entry.tags["room"] = room
-        write_manifest(tmp_path / "m.json", entries)
-        grouping = ["--group-by", group_by] if group_by else []
-        for jobs in (1, 2):
-            assert run("sweep", "--manifest", tmp_path / "m.json", "--alphas", "0,0.5,1", *grouping,
-                       "--out", tmp_path / f"j{jobs}.csv", "--jobs", jobs) == 0
-        assert (tmp_path / "j1.csv").read_bytes() == (tmp_path / "j2.csv").read_bytes()
-        assert len(read_rows(tmp_path / "j1.csv")) == (6 if group_by else 3)
-
-    def test_failed_entry_reported_alike_under_jobs(self, scene_dir, tmp_path, capsys):
-        """A worker isolates a failing entry as the parent does: same stderr, exit status and table."""
-        entries = manifest_from_scenes(scene_dir)
-        entries.insert(1, ManifestEntry("broken", {"s": str(tmp_path / "nope.wav"), "e": str(tmp_path / "nope.wav")}))
-        write_manifest(tmp_path / "m.json", entries)
-        seen = []
-        for jobs in (1, 2):
-            out = tmp_path / f"j{jobs}.csv"
-            code = run("sweep", "--manifest", tmp_path / "m.json", "--alphas", "0,1", "--out", out, "--jobs", jobs)
-            seen.append((code, capsys.readouterr().err, out.read_bytes()))
-        assert seen[0] == seen[1]
-        code, err, _ = seen[0]
-        assert code == 1 and err.startswith("sweep: broken: FileNotFoundError: ") and err.count("\n") == 1
-
     def test_peak_memory_does_not_grow_with_the_batch(self, tmp_path):
         """Each entry's result is pooled and let go as it arrives, so an in-process sweep of
         12 scenes peaks where one of 4 does; keeping each entry's 5 reports would add
@@ -984,14 +954,14 @@ class TestCorrelate:
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
-@pytest.mark.parametrize("command", ["simulate", "suppress", "evaluate", "sweep"])
+@pytest.mark.parametrize("command", ["simulate", "suppress", "evaluate"])
 def test_jobs_below_one_rejected_before_any_item(scene_dir, tmp_path, monkeypatch, capsys, command, jobs):
     calls = []
     for module, name in (("simulate", "generate_scene"), ("suppressor", "oracle_suppress"),
                          ("activity", "classify")):
         monkeypatch.setattr(getattr(rv, module), name, lambda *a, **k: calls.append(a))
     inputs = {"simulate": ["--spec", write_spec(tmp_path)], "suppress": ["--scenes", scene_dir],
-              "evaluate": ["--scenes", scene_dir], "sweep": ["--scenes", scene_dir, "--alphas", "0"]}[command]
+              "evaluate": ["--scenes", scene_dir]}[command]
     before = sorted(os.listdir(tmp_path))
     assert run(command, *inputs, "--out", tmp_path / "out", "--jobs", jobs) == 2
     assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
@@ -1500,9 +1470,9 @@ def test_cli_imports_only_what_the_command_runs(tmp_path):
     assert json.loads((tmp_path / "r.json").read_text())["groups"][0]["n"] == 3
 
 
-def modules_imported_when_the_pool_starts(argv, modules):
-    """A fresh interpreter runs reseval.cli.main(argv); returns its exit status and, for each
-    process pool it builds, whether each of modules was imported when the pool was built."""
+def test_evaluate_workers_start_with_compute_modules_imported(scene_dir, tmp_path):
+    """A fresh interpreter: evaluate --jobs 2 imports activity and metrics before it builds
+    the process pool, so no forked worker imports them itself."""
     src = os.path.dirname(os.path.dirname(rv.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "\n".join([
@@ -1510,30 +1480,17 @@ def modules_imported_when_the_pool_starts(argv, modules):
         "seen = []",
         "class Pool(concurrent.futures.ProcessPoolExecutor):",
         "    def __init__(self, *args, **kwargs):",
-        f"        seen.append([m in sys.modules for m in {tuple(modules)!r}])",
+        "        seen.append([m in sys.modules for m in ('reseval.activity', 'reseval.metrics')])",
         "        super().__init__(*args, **kwargs)",
         "concurrent.futures.ProcessPoolExecutor = Pool",
-        "code = reseval.cli.main(sys.argv[1:])",
+        "code = reseval.cli.main(['evaluate', '--manifest', sys.argv[1], '--out', sys.argv[2], '--jobs', '2'])",
         "print(json.dumps([code, seen]))",
     ])
-    proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env, capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def test_evaluate_workers_start_with_compute_modules_imported(scene_dir, tmp_path):
-    """A fresh interpreter: evaluate --jobs 2 imports activity and metrics before it builds
-    the process pool, so no forked worker imports them itself."""
     assert run("suppress", "--scenes", scene_dir, "--out", tmp_path / "sup") == 0
-    argv = ["evaluate", "--manifest", tmp_path / "sup" / "manifest.json", "--out", tmp_path / "rep", "--jobs", 2]
-    assert modules_imported_when_the_pool_starts(argv, ["reseval.activity", "reseval.metrics"]) == [0, [[True, True]]]
-
-
-def test_sweep_workers_start_with_compute_modules_imported(scene_dir, tmp_path):
-    argv = ["sweep", "--scenes", scene_dir, "--alphas", "0,1", "--out", tmp_path / "t.csv", "--jobs", 2]
-    modules = ["reseval.activity", "reseval.metrics", "reseval.suppressor"]
-    assert modules_imported_when_the_pool_starts(argv, modules) == [0, [[True, True, True]]]
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "sup" / "manifest.json"), str(tmp_path / "rep")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, [[True, True]]]
 
 
 def test_suppress_and_sweep_leave_numpy_ma_unimported(scene_dir, tmp_path):
@@ -1736,107 +1693,3 @@ def test_batch_module_does_not_import_the_cli():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
-
-
-def read_trace(path):
-    return [json.loads(line) for line in Path(path).read_text().splitlines()]
-
-
-def check_trace(events, command, ids, errors, code):
-    """The entry events name ids in input order, with wall times and the error of each failed
-    entry (errors: {id: error line}), and the command event comes last with the exit status."""
-    *entries, whole = events
-    assert whole.keys() == {"event", "command", "wall_s", "exit"}
-    assert (whole["event"], whole["command"], whole["exit"]) == ("command", command, code)
-    assert [e["id"] for e in entries] == ids
-    for e in entries:
-        assert e.keys() == {"event", "command", "id", "wall_s", "error"}
-        assert (e["event"], e["command"], e["error"]) == ("entry", command, errors.get(e["id"]))
-        assert 0.0 < e["wall_s"] <= whole["wall_s"]
-
-
-class TestTrace:
-    def test_each_command_traces_its_entries_and_itself(self, scene_dir, tmp_path, capsys):
-        """simulate (one scene failing, --jobs 2), suppress, evaluate and sweep (a missing
-        entry, sweep with --jobs 2) and correlate, which has no entries."""
-        bad = write_spec(tmp_path, BAD_SCENE_SPEC, name="bad.json")
-        assert run("simulate", "--spec", bad, "--out", tmp_path / "bad", "--count", 3, "--seed", 4,
-                   "--jobs", 2, "--trace", tmp_path / "simulate.jsonl") == 1
-        (line,) = capsys.readouterr().err.splitlines()
-        check_trace(read_trace(tmp_path / "simulate.jsonl"), "simulate", ["scene_0000", "scene_0001", "scene_0002"],
-                    {"scene_0001": line.split(": ", 2)[2]}, 1)
-
-        shutil.copytree(scene_dir, tmp_path / "scenes")
-        assert run("suppress", "--scenes", tmp_path / "scenes", "--alpha", 0.5) == 0
-        capsys.readouterr()
-        entries = manifest_from_scenes(tmp_path / "scenes")
-        entries.insert(1, ManifestEntry("broken", {"s": str(tmp_path / "nope.wav"), "e": str(tmp_path / "nope.wav"),
-                                                   "s_hat": str(tmp_path / "nope.wav")}))
-        write_manifest(tmp_path / "m.json", entries)
-        ids = [e.id for e in entries]
-        for command, argv in (("suppress", ["--out", tmp_path / "sup"]),
-                              ("evaluate", ["--out", tmp_path / "rep"]),
-                              ("sweep", ["--alphas", "0,1", "--out", tmp_path / "t.csv", "--jobs", 2])):
-            assert run(command, "--manifest", tmp_path / "m.json", *argv, "--trace", tmp_path / f"{command}.jsonl") == 1
-            (line,) = capsys.readouterr().err.splitlines()
-            assert line.startswith(f"{command}: broken: FileNotFoundError: ")
-            check_trace(read_trace(tmp_path / f"{command}.jsonl"), command, ids, {"broken": line.split(": ", 2)[2]}, 1)
-
-        assert run("correlate", "--table", tmp_path / "t.csv", "--metric-col", "dsml_mean", "--score-col", "resl_mean",
-                   "--trace", tmp_path / "correlate.jsonl") == 0
-        check_trace(read_trace(tmp_path / "correlate.jsonl"), "correlate", [], {}, 0)
-        # a command stopped before any entry runs still writes its own event
-        assert run("sweep", "--manifest", tmp_path / "m.json", "--alphas", "1,0", "--out", tmp_path / "x.csv",
-                   "--trace", tmp_path / "refused.jsonl") == 2
-        check_trace(read_trace(tmp_path / "refused.jsonl"), "sweep", [], {}, 2)
-
-    @pytest.mark.parametrize("command", ["simulate", "suppress", "evaluate", "sweep", "correlate"])
-    def test_outputs_do_not_depend_on_the_trace(self, scene_dir, tmp_path, capsys, command):
-        """Wall times go to the trace file alone: every other output, stdout and stderr
-        included, is the same bytes with --trace as without it."""
-        shutil.copytree(scene_dir, tmp_path / "scenes")
-        (tmp_path / "scenes" / "scene_0001" / "e.wav").unlink()
-        assert run("sweep", "--scenes", scene_dir, "--alphas", "0,1", "--out", tmp_path / "table.csv") == 0
-        capsys.readouterr()
-        seen = []
-        for side in ("plain", "traced"):
-            out = tmp_path / side
-            out.mkdir()
-            argv = {
-                "simulate": ["--spec", write_spec(tmp_path), "--out", out / "scenes", "--count", 2],
-                "suppress": ["--scenes", tmp_path / "scenes", "--out", out],
-                "evaluate": ["--scenes", scene_dir, "--out", out],
-                "sweep": ["--scenes", tmp_path / "scenes", "--alphas", "0,1", "--out", out / "t.csv"],
-                "correlate": ["--table", tmp_path / "table.csv", "--metric-col", "dsml_mean",
-                              "--score-col", "resl_mean", "--out", out / "c.json"],
-            }[command]
-            trace = ["--trace", tmp_path / "trace.jsonl"] if side == "traced" else []
-            code = run(command, *argv, *trace)
-            captured = capsys.readouterr()
-            seen.append((code, captured.out.replace(str(out), "<out>"), captured.err, dir_bytes(out)))
-        assert seen[0] == seen[1]
-        assert read_trace(tmp_path / "trace.jsonl")[-1]["command"] == command
-
-    def test_entry_times_sum_to_the_busy_time(self, tmp_path):
-        """A sweep's entries take all but the set-up and the table: their times sum to within
-        5% of the busy time of main() in process (median of three warm runs)."""
-        spec = write_spec(tmp_path, {"duration": 10.0, "ser_db": [-10.0, 0.0, 10.0]})
-        assert run("simulate", "--spec", spec, "--out", tmp_path / "scenes", "--count", 8, "--seed", 2,
-                   "--jobs", 2) == 0
-        argv = ["sweep", "--scenes", tmp_path / "scenes", "--alphas", "0,0.25,0.5,0.75,1", "--group-by", "ser_db",
-                "--out", tmp_path / "t.csv", "--trace", tmp_path / "t.jsonl"]
-        ratios = []
-        for i in range(4):  # the first run only warms up
-            start = time.perf_counter()
-            assert run(*argv) == 0
-            busy = time.perf_counter() - start
-            ratios.append(sum(e["wall_s"] for e in read_trace(tmp_path / "t.jsonl")[:-1]) / busy)
-        assert 0.95 <= sorted(ratios[1:])[1] <= 1.0, ratios
-
-    def test_unwritable_trace_file_stops_the_command(self, scene_dir, tmp_path, monkeypatch, capsys):
-        calls = []
-        monkeypatch.setattr(rv.activity, "classify", lambda *a: calls.append(a))
-        trace = tmp_path / "missing" / "t.jsonl"
-        assert run("sweep", "--scenes", scene_dir, "--alphas", "0", "--out", tmp_path / "t.csv", "--trace", trace) == 2
-        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(trace)!r}\n"
-        assert calls == [] and not (tmp_path / "t.csv").exists()
