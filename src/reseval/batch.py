@@ -228,17 +228,24 @@ def _run_batch(command: str, step, items, consume, *extra, jobs: int = 1) -> dic
     reported, not raised.
 
     Prints one "<command>: <id>: <error>" line per failed item to stderr and
-    returns {id: error}.
+    returns {id: error}.  A worker process that dies stops the batch with a
+    ChildProcessError (an OSError) that names the command.
     """
     _keep_freed_memory()
     tasks = [(step, item, *extra) for _, item in items]
     if jobs <= 1 or len(tasks) <= 1:
         return _consume(command, items, map(_isolated, tasks), consume)
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), initializer=_keep_freed_memory) as pool:
-        # map yields each result in input order once it is done
-        return _consume(command, items, pool.map(_isolated, tasks), consume)
+    try:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), initializer=_keep_freed_memory) as pool:
+            # map yields each result in input order once it is done
+            return _consume(command, items, pool.map(_isolated, tasks), consume)
+    except BrokenProcessPool:
+        # a worker died (os._exit, a signal, the OOM killer) and the pool runs no item left
+        raise ChildProcessError(f"{command}: a worker process ended abruptly; "
+                                "--jobs 1 runs the batch in one process") from None
 
 
 def _consume(command: str, items, outcomes, consume) -> dict[str, str]:
@@ -462,9 +469,12 @@ def _groups(entries, tag) -> dict:
 
 
 def run_sweep(args) -> int:
+    # imported before the pool forks, so that each --jobs worker starts with them
+    # (metrics imports activity and audio, suppressor framing)
     from .metrics import METRIC_NAMES, Moments
     from .suppressor import SuppressorConfig, beta_schedule
 
+    _check_jobs(args)
     try:
         alphas = [float(a) for a in args.alphas.split(",")] if args.alphas else []
     except ValueError:
@@ -494,7 +504,7 @@ def run_sweep(args) -> int:
                 acc[name] += m
 
     errors = _run_batch("sweep", _sweep_entry, [(e.id, e) for e in entries], consume, configs,
-                        args.threshold_db)
+                        args.threshold_db, jobs=args.jobs)
     rows = []
     for group in sorted(pooled, key=lambda v: (str(type(v)), v)):
         for alpha, config, moments in zip(alphas, configs, pooled[group]):

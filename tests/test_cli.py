@@ -753,6 +753,34 @@ class TestSweep:
         rows = read_rows(out)
         assert [r["n_scenes"] for r in rows] == ["3", "3"]
 
+    @pytest.mark.parametrize("group_by", [None, "room"], ids=["ungrouped", "grouped"])
+    def test_jobs_parallel_matches_serial(self, scene_dir, tmp_path, group_by):
+        entries = manifest_from_scenes(scene_dir)
+        for i, entry in enumerate(entries):
+            entry.tags["room"] = "ab"[i % 2]
+        write_manifest(tmp_path / "m.json", entries)
+        grouping = ["--group-by", group_by] if group_by else []
+        for jobs in (1, 2):
+            assert run("sweep", "--manifest", tmp_path / "m.json", "--alphas", "0,0.5,1", *grouping,
+                       "--out", tmp_path / f"j{jobs}.csv", "--jobs", jobs) == 0
+        assert (tmp_path / "j1.csv").read_bytes() == (tmp_path / "j2.csv").read_bytes()
+
+    def test_failed_entry_reported_alike_under_jobs(self, scene_dir, tmp_path, capsys):
+        entries = manifest_from_scenes(scene_dir)
+        entries.insert(1, ManifestEntry("broken", {"s": str(tmp_path / "nope.wav"),
+                                                   "e": str(tmp_path / "nope.wav")}))
+        write_manifest(tmp_path / "m.json", entries)
+        got = {}
+        for jobs in (1, 2):
+            code = run("sweep", "--manifest", tmp_path / "m.json", "--alphas", "0,1",
+                       "--out", tmp_path / f"j{jobs}.csv", "--jobs", jobs)
+            got[jobs] = code, capsys.readouterr().err
+        assert got[1] == got[2]
+        code, err = got[1]
+        assert code == 1
+        assert err.startswith("sweep: broken: FileNotFoundError: ") and err.count("\n") == 1
+        assert (tmp_path / "j1.csv").read_bytes() == (tmp_path / "j2.csv").read_bytes()
+
     def test_row_matches_suppress_then_evaluate(self, scene_dir, tmp_path, monkeypatch):
         shutil.copytree(scene_dir, tmp_path / "scenes")
         monkeypatch.chdir(tmp_path)
@@ -954,14 +982,14 @@ class TestCorrelate:
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
-@pytest.mark.parametrize("command", ["simulate", "suppress", "evaluate"])
+@pytest.mark.parametrize("command", ["simulate", "suppress", "evaluate", "sweep"])
 def test_jobs_below_one_rejected_before_any_item(scene_dir, tmp_path, monkeypatch, capsys, command, jobs):
     calls = []
     for module, name in (("simulate", "generate_scene"), ("suppressor", "oracle_suppress"),
                          ("activity", "classify")):
         monkeypatch.setattr(getattr(rv, module), name, lambda *a, **k: calls.append(a))
     inputs = {"simulate": ["--spec", write_spec(tmp_path)], "suppress": ["--scenes", scene_dir],
-              "evaluate": ["--scenes", scene_dir]}[command]
+              "evaluate": ["--scenes", scene_dir], "sweep": ["--scenes", scene_dir, "--alphas", "0"]}[command]
     before = sorted(os.listdir(tmp_path))
     assert run(command, *inputs, "--out", tmp_path / "out", "--jobs", jobs) == 2
     assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
@@ -1376,7 +1404,7 @@ def test_run_freezes_the_heap_after_main_however_it_ends(monkeypatch, outcome):
     and a traceback still freeze first."""
     calls = []
 
-    def fake_main():
+    def fake_main(*, default_jobs):
         calls.append("main")
         if outcome == "exits":
             raise SystemExit(0)
@@ -1470,27 +1498,101 @@ def test_cli_imports_only_what_the_command_runs(tmp_path):
     assert json.loads((tmp_path / "r.json").read_text())["groups"][0]["n"] == 3
 
 
-def test_evaluate_workers_start_with_compute_modules_imported(scene_dir, tmp_path):
-    """A fresh interpreter: evaluate --jobs 2 imports activity and metrics before it builds
-    the process pool, so no forked worker imports them itself."""
+def _fresh_cli(record, *argv, as_module=False):
+    """A fresh interpreter that sees this checkout runs main(argv), or with as_module the
+    module as `python -m reseval.cli` does, through a ProcessPoolExecutor that records
+    eval(record) of each pool it builds; record reads the pool's keyword arguments as
+    kwargs.  Returns [exit code, records]."""
     src = os.path.dirname(os.path.dirname(rv.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "\n".join([
-        "import concurrent.futures, json, sys, reseval.cli",
+        "import concurrent.futures, json, runpy, sys, reseval.cli",
         "seen = []",
         "class Pool(concurrent.futures.ProcessPoolExecutor):",
         "    def __init__(self, *args, **kwargs):",
-        "        seen.append([m in sys.modules for m in ('reseval.activity', 'reseval.metrics')])",
+        f"        seen.append({record})",
         "        super().__init__(*args, **kwargs)",
         "concurrent.futures.ProcessPoolExecutor = Pool",
-        "code = reseval.cli.main(['evaluate', '--manifest', sys.argv[1], '--out', sys.argv[2], '--jobs', '2'])",
+        "try:",
+        "    sys.argv[0] = 'reseval'",
+        "    runpy.run_module('reseval.cli', run_name='__main__')" if as_module else
+        "    code = reseval.cli.main(sys.argv[1:])",
+        "except SystemExit as exc:",
+        "    code = exc.code",
         "print(json.dumps([code, seen]))",
     ])
-    assert run("suppress", "--scenes", scene_dir, "--out", tmp_path / "sup") == 0
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "sup" / "manifest.json"), str(tmp_path / "rep")],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env, capture_output=True,
+                          text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, [[True, True]]]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_evaluate_workers_start_with_compute_modules_imported(scene_dir, tmp_path):
+    """Fresh interpreters: evaluate --jobs 2 and sweep --jobs 2 import their compute modules
+    before they build the process pool, so no forked worker imports them itself."""
+    assert run("suppress", "--scenes", scene_dir, "--out", tmp_path / "sup") == 0
+    manifest = tmp_path / "sup" / "manifest.json"
+    for command, out, modules in (("evaluate", ["--out", tmp_path / "rep"], ("activity", "metrics")),
+                                  ("sweep", ["--alphas", "0,1", "--out", tmp_path / "t.csv"],
+                                   ("activity", "metrics", "suppressor"))):
+        record = f"[m in sys.modules for m in {['reseval.' + m for m in modules]!r}]"
+        got = _fresh_cli(record, command, "--manifest", manifest, *out, "--jobs", 2)
+        assert got == [0, [[True] * len(modules)]], command
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_dead_worker_fails_the_command_on_one_line(scene_dir, tmp_path, monkeypatch, capsys, command):
+    """A worker that dies (here by os._exit, which a forked worker inherits through the
+    patched method) breaks the pool: one error line naming the command, exit status 2,
+    and no report.json or sweep table."""
+    load = ManifestEntry.load
+
+    def dying_load(entry, *args):
+        if entry.id == "scene_0001":
+            os._exit(3)
+        return load(entry, *args)
+
+    assert run("suppress", "--scenes", scene_dir, "--out", tmp_path / "sup") == 0
+    monkeypatch.setattr(ManifestEntry, "load", dying_load)
+    out = {"evaluate": ["--out", tmp_path / "rep"], "sweep": ["--alphas", "0,1", "--out", tmp_path / "t.csv"]}
+    assert run(command, "--manifest", tmp_path / "sup" / "manifest.json", *out[command], "--jobs", 2) == 2
+    assert capsys.readouterr().err == (f"error: {command}: a worker process ended abruptly; "
+                                       "--jobs 1 runs the batch in one process\n")
+    assert not (tmp_path / "rep" / "report.json").exists()
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_main_runs_every_batch_command_in_process_by_default(scene_dir, tmp_path, monkeypatch):
+    """main() called by a program defaults to --jobs 1: no batch command builds a pool."""
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was built")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    shutil.copytree(scene_dir, tmp_path / "scenes")
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--spec", write_spec(tmp_path), "--out", "sim", "--count", 2) == 0
+    assert run("suppress", "--scenes", "scenes", "--alpha", 0.5) == 0
+    assert run("evaluate", "--scenes", "scenes", "--out", "rep") == 0
+    assert run("sweep", "--scenes", "scenes", "--alphas", "0,1", "--out", "t.csv") == 0
+
+
+def test_python_m_cli_uses_every_cpu_it_may(scene_dir, tmp_path):
+    """A fresh `python -m reseval.cli sweep` runs with --jobs at the CPUs the process may
+    use, capped at the entry count; on one CPU it builds no pool."""
+    code, seen = _fresh_cli("kwargs['max_workers']", "sweep", "--scenes", scene_dir, "--alphas", "0,1",
+                            "--out", tmp_path / "t.csv", as_module=True)
+    workers = min(len(os.sched_getaffinity(0)), len(manifest_from_scenes(scene_dir)))
+    assert (code, seen) == (0, [workers] if workers > 1 else [])
+
+
+@pytest.mark.parametrize("cpu_count,expected", [(6, 6), (None, 1)])
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch, cpu_count, expected):
+    """Where os.sched_getaffinity does not exist, os.cpu_count(), or 1 when that is unknown."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert cli.usable_cpus() == expected
 
 
 def test_suppress_and_sweep_leave_numpy_ma_unimported(scene_dir, tmp_path):
