@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import math
 import os
 import sys
 
@@ -69,11 +70,50 @@ def cmd_correlate(args) -> int:
 
 
 def usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
+    """The number of CPUs this process may run on, and no more than a cgroup CPU quota grants."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    quota = cgroup_cpu_quota()
+    return cpus if quota is None else max(1, min(cpus, math.ceil(quota)))
+
+
+def cgroup_cpu_quota(proc_cgroup: str = "/proc/self/cgroup", mount: str = "/sys/fs/cgroup") -> float | None:
+    """The CPUs' worth of time a cgroup quota grants this process, or None where none is set.
+
+    A container limited to 2 CPUs on a 64-CPU host may still run on all 64;
+    its quota is cgroup v2's cpu.max ("<quota> <period>", or "max ...") or
+    v1's cpu.cfs_quota_us over cpu.cfs_period_us (-1 for none).  The
+    process's cgroup and each cgroup above it are read; the least quota wins.
+    """
+    try:
+        with open(proc_cgroup) as f:
+            lines = f.read().splitlines()
+    except OSError:
+        return None
+    quotas = []
+    for line in lines:
+        _, controllers, path = line.split(":", 2)
+        if controllers == "":
+            base, files = mount, ("cpu.max",)
+        elif "cpu" in controllers.split(","):
+            base, files = os.path.join(mount, "cpu"), ("cpu.cfs_quota_us", "cpu.cfs_period_us")
+        else:
+            continue
+        parts = [p for p in path.split("/") if p]
+        for depth in range(len(parts), -1, -1):
+            try:
+                fields = []
+                for name in files:
+                    with open(os.path.join(base, *parts[:depth], name)) as f:
+                        fields += f.read().split()
+                quota, period = fields[0], fields[1]
+                if quota not in ("max", "-1"):
+                    quotas.append(int(quota) / int(period))
+            except (OSError, ValueError, IndexError):
+                continue
+    return min(quotas, default=None)
 
 
 def build_parser(default_jobs: int = 1) -> argparse.ArgumentParser:

@@ -1583,7 +1583,7 @@ def test_python_m_cli_uses_every_cpu_it_may(scene_dir, tmp_path):
     use, capped at the entry count; on one CPU it builds no pool."""
     code, seen = _fresh_cli("kwargs['max_workers']", "sweep", "--scenes", scene_dir, "--alphas", "0,1",
                             "--out", tmp_path / "t.csv", as_module=True)
-    workers = min(len(os.sched_getaffinity(0)), len(manifest_from_scenes(scene_dir)))
+    workers = min(cli.usable_cpus(), len(manifest_from_scenes(scene_dir)))
     assert (code, seen) == (0, [workers] if workers > 1 else [])
 
 
@@ -1592,7 +1592,43 @@ def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch, cpu_count, expecte
     """Where os.sched_getaffinity does not exist, os.cpu_count(), or 1 when that is unknown."""
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    monkeypatch.setattr(cli, "cgroup_cpu_quota", lambda: None)
     assert cli.usable_cpus() == expected
+
+
+@pytest.mark.parametrize("quota,expected", [(None, 64), (1.5, 2), (2.0, 2), (0.5, 1), (128.0, 64)])
+def test_usable_cpus_is_capped_by_the_cgroup_quota(monkeypatch, quota, expected):
+    """A quota of q CPUs' worth of time caps the CPU count at ceil(q), and at least 1."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    monkeypatch.setattr(cli, "cgroup_cpu_quota", lambda: quota)
+    assert cli.usable_cpus() == expected
+
+
+def _cgroup_files(root, files: dict) -> tuple[str, str]:
+    """A /proc/self/cgroup stand-in and a cgroup mount under root, from {path: text}."""
+    for rel, text in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text)
+    return str(root / "cgroup"), str(root / "fs")
+
+
+@pytest.mark.parametrize("files,expected", [
+    ({"cgroup": "0::/a/b\n", "fs/a/b/cpu.max": "max 100000\n", "fs/a/cpu.max": "150000 100000\n",
+      "fs/cpu.max": "400000 100000\n"}, 1.5),
+    ({"cgroup": "0::/\n", "fs/cpu.max": "max 100000\n"}, None),
+    ({"cgroup": "0::/a\n"}, None),
+    ({"cgroup": "5:memory:/m\n4:cpu,cpuacct:/x\n0::/\n", "fs/cpu/x/cpu.cfs_quota_us": "200000\n",
+      "fs/cpu/x/cpu.cfs_period_us": "100000\n"}, 2.0),
+    ({"cgroup": "4:cpu,cpuacct:/x\n", "fs/cpu/x/cpu.cfs_quota_us": "-1\n",
+      "fs/cpu/x/cpu.cfs_period_us": "100000\n", "fs/cpu/cpu.cfs_quota_us": "50000\n",
+      "fs/cpu/cpu.cfs_period_us": "100000\n"}, 0.5),
+], ids=["v2-least-of-ancestors", "v2-max", "v2-no-file", "v1", "v1-parent"])
+def test_cgroup_cpu_quota_reads_v1_and_v2(tmp_path, files, expected):
+    assert cli.cgroup_cpu_quota(*_cgroup_files(tmp_path, files)) == expected
+
+
+def test_cgroup_cpu_quota_is_none_without_proc(tmp_path):
+    assert cli.cgroup_cpu_quota(str(tmp_path / "missing"), str(tmp_path)) is None
 
 
 def test_suppress_and_sweep_leave_numpy_ma_unimported(scene_dir, tmp_path):
