@@ -1,7 +1,8 @@
 """Per-frame condition labels: double-talk, single-talk, silence.
 
-Labels are a pure function of the ground-truth components and an
-energy threshold, one per frame of the signals' FrameGrid.
+Labels are a pure function of the ground-truth components, one per frame
+of the signals' FrameGrid, relative to the scene's own level as ITU-T
+P.56's active speech level is, so a scaled scene gets the same labels.
 Noise is ignored for labeling.
 """
 
@@ -13,8 +14,12 @@ from enum import Enum
 import numpy as np
 
 from .audio import ENERGY_FLOOR, Signal, frozen
-from .common import DEFAULT_THRESHOLD_DB
 from .framing import FrameGrid
+
+# a frame is active when its energy is above the scene's reference level less this many dB
+ACTIVITY_RANGE_DB = 61.0
+# the reference level is the REFERENCE_RANK-th largest frame energy, so a few loud clicks do not set it
+REFERENCE_RANK = 10
 
 
 class FrameLabel(str, Enum):
@@ -22,18 +27,6 @@ class FrameLabel(str, Enum):
     NEAR_END = "near_end_single_talk"
     FAR_END = "far_end_single_talk"
     SILENCE = "silence"
-
-
-def frame_active(signal: Signal, threshold_db: float = DEFAULT_THRESHOLD_DB) -> np.ndarray:
-    """Boolean per frame of FrameGrid(len(signal)): frame energy above threshold_db.
-
-    Energy is the summed squared amplitude of the frame in dB, floored
-    at 1e-12.
-    """
-    frames = FrameGrid(len(signal)).frame_matrix(signal.samples)
-    energies = np.einsum("ij,ij->i", frames, frames)
-    energies_db = 10.0 * np.log10(energies + ENERGY_FLOOR)
-    return energies_db > threshold_db
 
 
 # the label of code near + 2*far, where near/far say whether s/echo_ref are active
@@ -58,9 +51,13 @@ class ActivityMask:
         return np.flatnonzero([lab == label for lab in self.labels])
 
 
-def classify(s: Signal, echo_ref: Signal, threshold_db: float = DEFAULT_THRESHOLD_DB) -> ActivityMask:
+def classify(s: Signal, echo_ref: Signal) -> ActivityMask:
     """Label each frame of FrameGrid(len(s)) from near-end speech and an echo-side reference.
 
+    A frame of s or echo_ref is active when its energy (summed squared
+    amplitude) is above ENERGY_FLOOR and within ACTIVITY_RANGE_DB of the
+    scene's level: the REFERENCE_RANK-th largest, over frames, of the
+    larger of the two energies (the smallest on a shorter grid).
     DoubleTalk iff both are active, NearEndST iff only s, FarEndST iff
     only echo_ref, Silence otherwise.
     """
@@ -68,10 +65,15 @@ def classify(s: Signal, echo_ref: Signal, threshold_db: float = DEFAULT_THRESHOL
         raise ValueError(
             f"length mismatch: s has {len(s)} samples, echo_ref {len(echo_ref)}"
         )
-    near = frame_active(s, threshold_db)
-    far = frame_active(echo_ref, threshold_db)
+    grid = FrameGrid(len(s))
+    energies = [np.einsum("ij,ij->i", frames, frames)
+                for frames in (grid.frame_matrix(s.samples), grid.frame_matrix(echo_ref.samples))]
+    louder = np.maximum(*energies)
+    level = np.sort(louder)[-min(REFERENCE_RANK, louder.size)]
+    threshold = max(ENERGY_FLOOR, level * 10.0 ** (-ACTIVITY_RANGE_DB / 10.0))
+    near, far = (e > threshold for e in energies)
     labels = tuple(_LABEL_OF_CODE[code] for code in (near + 2 * far).tolist())
-    return ActivityMask(labels=labels, grid=FrameGrid(len(s)))
+    return ActivityMask(labels=labels, grid=grid)
 
 
 def echo_reference(components) -> Signal:

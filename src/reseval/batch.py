@@ -171,12 +171,6 @@ def _read_json(path):
             raise ValueError(f"{path}: not valid JSON (nested too deeply)") from None
 
 
-def _check_levels(args) -> None:
-    """Reject a --threshold-db that is not finite."""
-    if not math.isfinite(args.threshold_db):
-        raise ValueError(f"threshold_db must be finite, got {args.threshold_db}")
-
-
 def _check_jobs(args) -> None:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
@@ -347,24 +341,24 @@ def run_suppress(args) -> int:
     return 1 if errors else 0
 
 
-def _load_labeled(entry, extra, threshold_db):
+def _load_labeled(entry, extra):
     """An entry's s, y, w and e (s and e required) plus extra, and its activity mask.
 
-    y and w are read by scene_rows and echo_reference; m and y_hat are
-    loaded for the identity checks alone and are let go once those have
-    passed.
+    y and w are read by scene_rows and echo_reference, against which
+    classify labels s by the scene's own level; m and y_hat are loaded
+    for the identity checks alone and are let go once those have passed.
     """
     from .activity import classify, echo_reference
 
     components = replace(entry.load(("s", "e", *extra), ("y", "w", "m", "y_hat")), m=None, y_hat=None)
-    return components, classify(components.s, echo_reference(components), threshold_db)
+    return components, classify(components.s, echo_reference(components))
 
 
-def _evaluate_entry(entry, threshold_db, out_dir) -> dict[str, Moments]:
+def _evaluate_entry(entry, out_dir) -> dict[str, Moments]:
     """Write the entry's frames_<id>.csv into out_dir; returns the moments of each metric."""
     from .metrics import Moments, evaluate_scene, scene_rows
 
-    components, mask = _load_labeled(entry, ("s_hat",), threshold_db)
+    components, mask = _load_labeled(entry, ("s_hat",))
     report = evaluate_scene(scene_rows(components, mask), components.s_hat)
     report.write_csv(os.path.join(out_dir, f"frames_{entry.id}.csv"))
     return {name: Moments.of(values) for name, values in report.values.items()}
@@ -379,7 +373,6 @@ def _aggregate_dicts(moments) -> dict:
 
 def run_evaluate(args) -> int:
     _check_jobs(args)
-    _check_levels(args)
     entries = read_manifest(args.manifest) if args.manifest else manifest_from_scenes(args.scenes)
     if os.path.isdir(args.out) and any(name == "report.json" or name.startswith("frames_")
                                        for name in os.listdir(args.out)):
@@ -397,9 +390,9 @@ def run_evaluate(args) -> int:
             pooled[name] += m
 
     errors = _run_batch("evaluate", _evaluate_entry, [(e.id, e) for e in entries], consume,
-                        args.threshold_db, args.out, jobs=args.jobs)
+                        args.out, jobs=args.jobs)
     payload = {
-        "threshold_db": args.threshold_db,
+        "activity_range_db": activity.ACTIVITY_RANGE_DB,
         "clamp_db": CLAMP_DB,
         "n_entries": len(entries),
         "n_failed": len(errors),
@@ -412,14 +405,14 @@ def run_evaluate(args) -> int:
     return 1 if errors else 0
 
 
-def _sweep_entry(entry, configs, threshold_db) -> list[dict[str, Moments]]:
+def _sweep_entry(entry, configs) -> list[dict[str, Moments]]:
     """The moments of each metric under each suppressor config for one scene,
     whose gain tracks, rows and SER/SNR moments are computed once."""
     from .audio import Signal
     from .metrics import METRIC_NAMES, Moments, evaluate_scene, scene_rows
     from .suppressor import gain_tracks, oracle_suppress
 
-    components, mask = _load_labeled(entry, (), threshold_db)
+    components, mask = _load_labeled(entry, ())
     tracks = gain_tracks(components.e, components.s)
     rows = scene_rows(components, mask)
     # tracks keep e and rows their own frame copies: s, y and w are not
@@ -488,9 +481,13 @@ def run_sweep(args) -> int:
             raise ValueError(f"--group-by {args.group_by!r} names a column of the sweep table")
         # correlate reads the first column as the row ids: <group>/<alpha>
         columns = ["id", args.group_by, *columns]
-    check_out_file(args.out)
-    _check_levels(args)
+    check_out_file(args.out, [args.manifest] if args.manifest else [])
     entries = read_manifest(args.manifest) if args.manifest else manifest_from_scenes(args.scenes)
+    # the inputs: each entry's WAV paths, and with --scenes its sidecar
+    inputs = [path for e in entries for path in e.paths.values()]
+    if args.scenes:
+        inputs += [os.path.join(args.scenes, e.id, "scene.json") for e in entries]
+    check_out_file(args.out, inputs)
     groups = _groups(entries, args.group_by) if args.group_by else {}
     # per group: its scene count, and per config the pooled moments of each metric
     n_scenes, pooled = {}, {}
@@ -503,8 +500,7 @@ def run_sweep(args) -> int:
             for name, m in moments.items():
                 acc[name] += m
 
-    errors = _run_batch("sweep", _sweep_entry, [(e.id, e) for e in entries], consume, configs,
-                        args.threshold_db, jobs=args.jobs)
+    errors = _run_batch("sweep", _sweep_entry, [(e.id, e) for e in entries], consume, configs, jobs=args.jobs)
     rows = []
     for group in sorted(pooled, key=lambda v: (str(type(v)), v)):
         for alpha, config, moments in zip(alphas, configs, pooled[group]):

@@ -19,7 +19,7 @@ import math
 import os
 import sys
 
-from .common import DEFAULT_THRESHOLD_DB, check_out_file, write_json
+from .common import check_out_file, write_json
 
 
 def cmd_simulate(args) -> int:
@@ -48,7 +48,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_correlate(args) -> int:
     if args.out:
-        check_out_file(args.out)
+        check_out_file(args.out, [args.table])
     from .stats import ScoreTable, correlate_table
 
     table = ScoreTable.from_csv(args.table)
@@ -131,9 +131,6 @@ def build_parser(default_jobs: int = 1) -> argparse.ArgumentParser:
     jobs.add_argument("--jobs", type=int, default=default_jobs,
                       help="parallel workers (default %(default)s; the CPUs the process may use when "
                            "reseval runs as a command, 1 when a program calls reseval.cli.main)")
-    levels = argparse.ArgumentParser(add_help=False)
-    levels.add_argument("--threshold-db", type=float, default=DEFAULT_THRESHOLD_DB, dest="threshold_db",
-                        help=f"activity threshold (default {DEFAULT_THRESHOLD_DB})")
 
     p = sub.add_parser("simulate", parents=[jobs], help="generate synthetic scenes from a spec file")
     p.add_argument("--spec", required=True, help="JSON scene spec (fields may be lists, cycled per scene)")
@@ -151,12 +148,12 @@ def build_parser(default_jobs: int = 1) -> argparse.ArgumentParser:
                                  "default with --scenes: shat.wav in each scene directory)")
     p.set_defaults(func=cmd_suppress)
 
-    p = sub.add_parser("evaluate", parents=[inputs, levels, jobs],
+    p = sub.add_parser("evaluate", parents=[inputs, jobs],
                        help="compute metric reports over a batch")
     p.add_argument("--out", required=True, help="output directory for frame CSVs and report.json")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep", parents=[inputs, levels, jobs], help="tradeoff table over an alpha sweep")
+    p = sub.add_parser("sweep", parents=[inputs, jobs], help="tradeoff table over an alpha sweep")
     p.add_argument("--alphas", required=True, help="comma-separated ascending alphas")
     p.add_argument("--out", required=True, help="output CSV table")
     p.add_argument("--group-by", dest="group_by", help="tag/sidecar field to group rows by")

@@ -1,4 +1,4 @@
-"""Defaults, scene file names, output-path checks and atomic writes, on the standard library alone.
+"""The metric clamp, scene file names, output-path checks and atomic writes, on the standard library alone.
 
 The command-line front end reads these before it knows which command
 runs, so they live apart from the numpy modules that use them.
@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 import os
 
-# activity threshold on frame energy, dB
-DEFAULT_THRESHOLD_DB = -50.0
 # bound of every metric value, dB: fixed, not a setting
 CLAMP_DB = 120.0
 
@@ -57,12 +55,15 @@ def atomic_write_bytes(path, *chunks) -> None:
         raise
 
 
-def check_out_file(path) -> None:
-    """Refuse an output file path that is a directory or whose directory does not exist."""
+def check_out_file(path, inputs=()) -> None:
+    """Refuse an output file path that is a directory, whose directory does not
+    exist, or that is the same file as one of inputs, the files the command reads."""
     if os.path.isdir(path):
         raise IsADirectoryError(f"{path}: is a directory")
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(f"{path}: no such directory to write it in")
+    if os.path.exists(path) and any(os.path.exists(name) and os.path.samefile(path, name) for name in inputs):
+        raise ValueError(f"{path}: is an input of this command; write the output elsewhere")
 
 
 def write_json(path, payload) -> None:

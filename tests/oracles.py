@@ -12,6 +12,8 @@ from reseval.framing import Spectrogram, istft, stft
 ENERGY_FLOOR = 1e-12
 GAIN_FLOOR = 1e-8
 CLAMP = 120.0
+ACTIVITY_RANGE_DB = 61.0
+REFERENCE_RANK = 10
 
 
 def energy(xs):
@@ -99,6 +101,21 @@ def frame_count(signal_len, frame_len=320, hop=160):
         count += 1
         start += hop
     return count
+
+
+def frame_energies(xs, frame_len=320, hop=160):
+    return [energy(xs[i * hop : i * hop + frame_len]) for i in range(frame_count(len(xs), frame_len, hop))]
+
+
+def activity(s, ref):
+    """Per frame, (s active, ref active): energy above the REFERENCE_RANK-th
+    largest per-frame max of the two energies (the smallest with fewer
+    frames) less ACTIVITY_RANGE_DB, and above the energy floor."""
+    es, er = frame_energies(s), frame_energies(ref)
+    louder = sorted((max(a, b) for a, b in zip(es, er)), reverse=True)
+    level = louder[min(REFERENCE_RANK, len(louder)) - 1]
+    threshold = max(ENERGY_FLOOR, level * 10.0 ** (-ACTIVITY_RANGE_DB / 10.0))
+    return [(a > threshold, b > threshold) for a, b in zip(es, er)]
 
 
 def dft_magnitudes(frame, fft_len):

@@ -1,11 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 import oracles
 from reseval import FrameLabel, Signal, classify, echo_reference
-from reseval.activity import ActivityMask, frame_active
+from reseval.activity import ActivityMask
 from reseval.audio import SceneComponents
 from reseval.framing import FRAME_LEN, HOP, FrameGrid
 
@@ -15,23 +13,35 @@ def sine(n, freq=440.0, amp=1.0):
     return amp * np.sin(2 * np.pi * freq * t)
 
 
+# whether (s, echo_ref) is active in a frame of each label
+_ACTIVE = {FrameLabel.SILENCE: (False, False), FrameLabel.NEAR_END: (True, False),
+           FrameLabel.FAR_END: (False, True), FrameLabel.DOUBLE_TALK: (True, True)}
+
+
+def active(s, ref):
+    """Per frame, whether s and ref are active, as classify labels them."""
+    return [_ACTIVE[label] for label in classify(Signal(s), Signal(ref)).labels]
+
+
 class TestFrameActive:
     def test_all_zeros_inactive(self):
-        sig = Signal(np.zeros(1600))
-        assert not frame_active(sig).any()
+        # beside a full-scale sine, whose level sets the reference
+        assert active(np.zeros(1600), sine(1600)) == [(False, True)] * 9
 
     def test_full_scale_sine_active(self):
-        sig = Signal(sine(1600))
-        assert frame_active(sig, -50.0).all()
+        # a sine 60 dB below the other is within the 61 dB range, one 62 dB below is not
+        assert active(sine(1600), sine(1600, 997.0, 10 ** (-60 / 20))) == [(True, True)] * 9
+        assert active(sine(1600), sine(1600, 997.0, 10 ** (-62 / 20))) == [(True, False)] * 9
 
     def test_transition_matches_energy_rule(self):
-        x = np.concatenate([np.zeros(800), sine(800)])
-        active = frame_active(Signal(x), -50.0)
-        assert active.shape == (FrameGrid(len(x)).n_frames,)
-        for i in range(active.size):
-            frame = x[i * HOP : i * HOP + FRAME_LEN]
-            expected = 10 * math.log10(oracles.energy(frame) + 1e-12) > -50.0
-            assert active[i] == expected
+        rng = np.random.default_rng(3)
+        # 9 frames, fewer than the reference rank, and 29 frames
+        for n in (1600, 4800):
+            s = np.concatenate([np.zeros(n // 2), sine(n - n // 2)])
+            # decays by 100 dB, so it crosses the threshold
+            ref = rng.standard_normal(n) * 10 ** np.linspace(0, -5, n)
+            assert len(active(s, ref)) == FrameGrid(n).n_frames
+            assert active(s, ref) == oracles.activity(s, ref)
 
 
 class TestClassify:
@@ -61,17 +71,6 @@ class TestClassify:
         ref = Signal(rng.standard_normal(8000) * (rng.random(8000) > 0.5))
         mask = classify(s, ref)
         assert sum(mask.labels.count(label) for label in FrameLabel) == mask.grid.n_frames
-
-    def test_threshold_monotonicity(self):
-        rng = np.random.default_rng(1)
-        s = Signal(rng.standard_normal(8000) * 0.01)
-        ref = Signal(rng.standard_normal(8000) * 0.01)
-        silent_prev = set()
-        for threshold in (-80.0, -60.0, -40.0, -20.0, 0.0):
-            mask = classify(s, ref, threshold)
-            silent_now = {i for i, lab in enumerate(mask.labels) if lab is FrameLabel.SILENCE}
-            assert silent_prev <= silent_now
-            silent_prev = silent_now
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(2)

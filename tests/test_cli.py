@@ -531,15 +531,6 @@ class TestEvaluate:
         assert run("evaluate", "--manifest", manifest, "--out", tmp_path / "r") == 2
         assert capsys.readouterr().err == f"error: {manifest}: duplicate entry id 'a'\n"
 
-    def test_threshold_flag_applies(self, tmp_path):
-        manifest = self.build_identity_manifest(tmp_path)
-        out = tmp_path / "strict"
-        # an impossible threshold marks every frame silent: no metric qualifies
-        assert run("evaluate", "--manifest", manifest, "--out", out, "--threshold-db", 200) == 0
-        payload = json.loads((out / "report.json").read_text())
-        assert payload["threshold_db"] == 200.0
-        assert payload["metrics"] == {}
-
 
 class TestSweep:
     def test_single_alpha(self, scene_dir, tmp_path):
@@ -804,7 +795,7 @@ class TestSweep:
         bit for bit."""
         configs = [rv.SuppressorConfig(beta=b) for b in rv.beta_schedule([0, 0.25, 0.5, 0.75, 1])]
         for entry in manifest_from_scenes(scene_dir):
-            per_config = batch._sweep_entry(entry, configs, rv.activity.DEFAULT_THRESHOLD_DB)
+            per_config = batch._sweep_entry(entry, configs)
             assert len(per_config) == len(configs)
             for config, moments in zip(configs, per_config):
                 c = SceneComponents(**{k: load_wav(entry.paths[k]) for k in ("s", "y", "w", "e")})
@@ -838,26 +829,63 @@ class TestSweep:
 
 
 @pytest.mark.parametrize("command", ["evaluate", "sweep"])
-@pytest.mark.parametrize("flags,options,match", [
-    (["--threshold-db", "nan"], None, "threshold_db must be finite, got nan"),
-    (["--threshold-db=-inf"], None, "threshold_db must be finite, got -inf"),
-    # the levels come only from the flags, so a manifest may not set them
-    ([], {"threshold_db": -40.0, "clamp_db": 60.0}, "{manifest}: unknown key 'options'"),
-], ids=["threshold-nan", "threshold-minus-inf", "manifest-options"])
-def test_meaningless_clamp_or_threshold_rejected_before_any_entry(scene_dir, tmp_path, monkeypatch, capsys,
-                                                                  command, flags, options, match):
+def test_manifest_options_rejected_before_any_entry(scene_dir, tmp_path, monkeypatch, capsys, command):
+    """The activity rule and the metric clamp are constants, so a manifest may not set them."""
     manifest = tmp_path / "m.json"
     write_manifest(manifest, manifest_from_scenes(scene_dir))
-    if options is not None:
-        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "options": options}))
+    options = {"threshold_db": -40.0, "clamp_db": 60.0}
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "options": options}))
     out = {"evaluate": tmp_path / "r", "sweep": tmp_path / "x.csv"}[command]
     calls = []
     monkeypatch.setattr(rv.activity, "classify", lambda *a: calls.append(a))
-    assert run(command, "--manifest", manifest, "--out", out, *flags,
+    assert run(command, "--manifest", manifest, "--out", out,
                *(["--alphas", "0"] if command == "sweep" else [])) == 2
-    assert capsys.readouterr().err == f"error: {match.format(manifest=manifest)}\n"
+    assert capsys.readouterr().err == f"error: {manifest}: unknown key 'options'\n"
     assert calls == []
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+@pytest.mark.parametrize("flags", [["--threshold-db", "nan"], ["--threshold-db=-inf"]],
+                         ids=["threshold-nan", "threshold-minus-inf"])
+def test_meaningless_clamp_or_threshold_rejected_before_any_entry(scene_dir, tmp_path, monkeypatch, capsys,
+                                                                  command, flags):
+    """No activity threshold can be set, so a non-finite one is refused by the parser
+    before any entry is labelled or an output written."""
+    manifest = tmp_path / "m.json"
+    write_manifest(manifest, manifest_from_scenes(scene_dir))
+    out = {"evaluate": tmp_path / "r", "sweep": tmp_path / "x.csv"}[command]
+    calls = []
+    monkeypatch.setattr(rv.activity, "classify", lambda *a: calls.append(a))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--manifest", str(manifest), "--out", str(out), *flags,
+              *(["--alphas", "0"] if command == "sweep" else [])])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"reseval: error: unrecognized arguments: {' '.join(flags)}"
+    assert calls == []
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("inputs,out", [
+    *[(inputs, out) for inputs in ("manifest", "scenes") for out in ("scenes/scene_0001/e.wav", "link.wav")],
+    ("manifest", "m.json"), ("scenes", "scenes/scene_0000/scene.json"),
+])
+def test_sweep_out_that_is_an_input_refused(scene_dir, tmp_path, monkeypatch, capsys, inputs, out):
+    """A sweep --out that is the manifest, an entry's WAV or, with --scenes, a scene's
+    sidecar, under any path, stops the sweep before an entry is read or a file written."""
+    shutil.copytree(scene_dir, tmp_path / "scenes")
+    write_manifest(tmp_path / "m.json", manifest_from_scenes(tmp_path / "scenes"))
+    # another path to scene_0002's s.wav
+    os.link(tmp_path / "scenes" / "scene_0002" / "s.wav", tmp_path / "link.wav")
+    monkeypatch.chdir(tmp_path)
+    before = dir_bytes(tmp_path)
+    calls = []
+    monkeypatch.setattr(rv.activity, "classify", lambda *a: calls.append(a))
+    source = ["--manifest", "m.json"] if inputs == "manifest" else ["--scenes", "scenes"]
+    assert run("sweep", *source, "--alphas", "0", "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {out}: is an input of this command; write the output elsewhere\n"
+    assert calls == []
+    assert dir_bytes(tmp_path) == before
 
 
 class TestCorrelate:
@@ -865,6 +893,19 @@ class TestCorrelate:
         path = tmp_path / "scores.csv"
         path.write_text("\n".join([header] + rows) + "\n")
         return path
+
+    @pytest.mark.parametrize("link", [False, True], ids=["same-path", "hard-link"])
+    def test_out_that_is_the_table_refused(self, tmp_path, capsys, link):
+        table = self.write_table(tmp_path, [f"u{i},{i},{2*i}" for i in range(4)])
+        out = table
+        if link:
+            out = tmp_path / "link.csv"
+            os.link(table, out)
+        before = dir_bytes(tmp_path)
+        assert run("correlate", "--table", table, "--metric-col", "metric", "--score-col", "score",
+                   "--out", out) == 2
+        assert capsys.readouterr() == ("", f"error: {out}: is an input of this command; write the output elsewhere\n")
+        assert dir_bytes(tmp_path) == before
 
     def test_self_correlation(self, tmp_path, capsys):
         table = self.write_table(tmp_path, [f"u{i},{i},{2*i}" for i in range(8)])
@@ -1235,7 +1276,6 @@ def test_nothing_keeps_a_scene_alive(scene_dir, tmp_path, monkeypatch):
     are built, and its s_hat once scored."""
     (entry, *_) = manifest_from_scenes(scene_dir)
     config = rv.SuppressorConfig(beta=8.0)
-    threshold_db = rv.activity.DEFAULT_THRESHOLD_DB
     refs = []
 
     def watch(*objects):
@@ -1247,12 +1287,12 @@ def test_nothing_keeps_a_scene_alive(scene_dir, tmp_path, monkeypatch):
         refs.clear()
 
     entry.paths["s_hat"] = batch._suppress_entry(entry, config, str(tmp_path))
-    components, mask = batch._load_labeled(entry, ("s_hat",), threshold_db)
+    components, mask = batch._load_labeled(entry, ("s_hat",))
     tracks = rv.gain_tracks(components.e, components.s)
     watch(components.s, components.e, tracks, rv.oracle_suppress(tracks, config))
     del components, mask, tracks
     assert_released()
-    components, mask = batch._load_labeled(entry, ("s_hat",), threshold_db)
+    components, mask = batch._load_labeled(entry, ("s_hat",))
     rows = rv.scene_rows(components, mask)
     rv.evaluate_scene(rows, components.s_hat)
     watch(components.s, components.e, components.s_hat, mask, rows)
@@ -1284,9 +1324,9 @@ def test_nothing_keeps_a_scene_alive(scene_dir, tmp_path, monkeypatch):
     monkeypatch.setattr(rv.metrics, "evaluate_scene", watched_evaluate)
     batch._suppress_entry(entry, config, str(tmp_path))
     assert_released()
-    batch._evaluate_entry(entry, threshold_db, str(tmp_path))
+    batch._evaluate_entry(entry, str(tmp_path))
     assert_released()
-    batch._sweep_entry(entry, [config, config], threshold_db)
+    batch._sweep_entry(entry, [config, config])
     assert_released()
 
     def fails_after_evaluating(*args, **kwargs):
@@ -1295,10 +1335,10 @@ def test_nothing_keeps_a_scene_alive(scene_dir, tmp_path, monkeypatch):
 
     monkeypatch.setattr(rv.metrics, "evaluate_scene", fails_after_evaluating)
     with pytest.raises(RuntimeError, match="evaluation failed"):
-        batch._evaluate_entry(entry, threshold_db, str(tmp_path))
+        batch._evaluate_entry(entry, str(tmp_path))
     assert_released()
     with pytest.raises(RuntimeError, match="evaluation failed"):
-        batch._sweep_entry(entry, [config, config], threshold_db)
+        batch._sweep_entry(entry, [config, config])
     assert_released()
 
     # m and y_hat go once the load has checked them, s, y and w before a
@@ -1328,10 +1368,10 @@ def test_nothing_keeps_a_scene_alive(scene_dir, tmp_path, monkeypatch):
     monkeypatch.setattr(rv.audio, "load_wav", watched_load)
     monkeypatch.setattr(rv.suppressor, "oracle_suppress", checked_suppress)
     monkeypatch.setattr(rv.metrics, "evaluate_scene", checked_evaluate)
-    batch._evaluate_entry(entry, threshold_db, str(tmp_path))
+    batch._evaluate_entry(entry, str(tmp_path))
     assert_released()
     loaded.clear()
-    batch._sweep_entry(entry, [config, config, config], threshold_db)
+    batch._sweep_entry(entry, [config, config, config])
     assert len(shats) == 3
     assert_released()
 
@@ -1672,9 +1712,14 @@ def test_suppress_and_sweep_leave_numpy_ma_unimported(scene_dir, tmp_path):
      "reseval: error: unrecognized arguments: --clamp-db 60"),
     (["sweep", "--scenes", "scenes", "--alphas", "0", "--out", "t.csv", "--clamp-db", "60"],
      "reseval: error: unrecognized arguments: --clamp-db 60"),
+    # nor is the activity rule, which follows each scene's own level
+    (["evaluate", "--scenes", "scenes", "--out", "r", "--threshold-db", "-50"],
+     "reseval: error: unrecognized arguments: --threshold-db -50"),
+    (["sweep", "--scenes", "scenes", "--alphas", "0", "--out", "t.csv", "--threshold-db", "-50"],
+     "reseval: error: unrecognized arguments: --threshold-db -50"),
 ], ids=["sweep-manifest-and-scenes", "evaluate-manifest-and-scenes", "suppress-alpha-and-beta",
         "sweep-scenes-and-count", "sweep-scenes-and-seed", "sweep-scenes-and-scenes-dir", "sweep-scenes-and-spec",
-        "suppress-floor", "sweep-floor", "evaluate-clamp", "sweep-clamp"])
+        "suppress-floor", "sweep-floor", "evaluate-clamp", "sweep-clamp", "evaluate-threshold", "sweep-threshold"])
 def test_exclusive_flags_rejected_before_any_entry(scene_dir, tmp_path, monkeypatch, capsys, argv, error):
     shutil.copytree(scene_dir, tmp_path / "scenes")
     write_spec(tmp_path)

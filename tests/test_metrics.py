@@ -631,6 +631,7 @@ class TestReportSerialization:
         assert main(["evaluate", "--manifest", str(tmp_path / "m.json"), "--out", str(tmp_path / "r")]) == 0
         payload = json.loads((tmp_path / "r" / "report.json").read_text())
         assert payload["clamp_db"] == 120.0
+        assert payload["activity_range_db"] == 61.0
         # the scene as evaluate reads it back: float32 WAV samples
         loaded = SceneComponents(**{name: load_wav(tmp_path / f"{name}.wav") for name in comps.present()})
         mask = classify(loaded.s, loaded.y)
